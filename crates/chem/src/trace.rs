@@ -7,6 +7,8 @@
 
 use dts_core::prelude::*;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde_json::Reader;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -202,8 +204,15 @@ impl Trace {
     }
 
     /// Deserializes a trace from JSON.
+    ///
+    /// Decodes straight from the bytes with [`serde_json::Reader`], without
+    /// building a `Value` tree, and accepts and rejects exactly the
+    /// documents the [`Deserialize`] impl does, with equal results: the
+    /// first of duplicate keys wins, unknown keys are skipped (their
+    /// syntax still checked), integers follow `u64`'s rules and only the
+    /// small `model`/`cost_model` subtrees are read as `Value`s.
     pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))
+        decode_trace(json).map_err(|e| CoreError::Serialization(e.to_string()))
     }
 
     /// Writes the trace as JSON to a file.
@@ -223,6 +232,89 @@ impl Trace {
             .map_err(|e| CoreError::Serialization(e.to_string()))?;
         Self::from_json(&contents)
     }
+}
+
+impl TaskKind {
+    /// The variant a JSON string names. The known names are matched here
+    /// without building a `Value`; any other string, and with it the error
+    /// text, is left to the derived `Deserialize`, so the two cannot
+    /// disagree on which names are accepted.
+    fn from_name(name: Cow<'_, str>) -> std::result::Result<Self, SerdeError> {
+        match &*name {
+            "Contraction" => Ok(TaskKind::Contraction),
+            "Transpose" => Ok(TaskKind::Transpose),
+            "FusedTransposeContraction" => Ok(TaskKind::FusedTransposeContraction),
+            _ => TaskKind::from_owned(Value::Str(name.into_owned())),
+        }
+    }
+}
+
+fn missing(field: &str) -> SerdeError {
+    SerdeError::custom(format!("missing field `{field}`"))
+}
+
+/// [`Trace::from_json`]'s decoder. Each field keeps its first occurrence;
+/// later duplicates are skipped like unknown keys.
+fn decode_trace(json: &str) -> serde_json::Result<Trace> {
+    let mut r = Reader::new(json);
+    let (mut kernel, mut rank, mut tasks, mut model, mut cost_model) =
+        (None, None, None, None, None);
+    r.object(|r, key| {
+        match &*key {
+            "kernel" if kernel.is_none() => kernel = Some(r.string()?.into_owned()),
+            "rank" if rank.is_none() => {
+                rank = Some(usize::try_from(r.u64()?).map_err(SerdeError::custom)?);
+            }
+            "tasks" if tasks.is_none() => tasks = Some(decode_tasks(r)?),
+            "model" if model.is_none() => {
+                model = Some(Option::<ExecutionModel>::from_owned(r.value()?)?);
+            }
+            "cost_model" if cost_model.is_none() => {
+                cost_model = Some(Option::<CostModelSpec>::from_owned(r.value()?)?);
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    r.finish()?;
+    Ok(Trace {
+        kernel: kernel.ok_or_else(|| missing("kernel"))?,
+        rank: rank.ok_or_else(|| missing("rank"))?,
+        tasks: tasks.ok_or_else(|| missing("tasks"))?,
+        model: model.flatten(),
+        cost_model: cost_model.flatten().filter(|m| !m.is_analytic()),
+    })
+}
+
+fn decode_tasks(r: &mut Reader<'_>) -> serde_json::Result<Vec<TraceTask>> {
+    let mut tasks = Vec::new();
+    r.array(|r| {
+        tasks.push(decode_task(r)?);
+        Ok(())
+    })?;
+    Ok(tasks)
+}
+
+fn decode_task(r: &mut Reader<'_>) -> serde_json::Result<TraceTask> {
+    let (mut name, mut kind, mut comm, mut comp, mut mem) = (None, None, None, None, None);
+    r.object(|r, key| {
+        match &*key {
+            "name" if name.is_none() => name = Some(r.string()?.into_owned()),
+            "kind" if kind.is_none() => kind = Some(TaskKind::from_name(r.string()?)?),
+            "comm_micros" if comm.is_none() => comm = Some(r.u64()?),
+            "comp_micros" if comp.is_none() => comp = Some(r.u64()?),
+            "mem_bytes" if mem.is_none() => mem = Some(r.u64()?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(TraceTask {
+        name: name.ok_or_else(|| missing("name"))?,
+        kind: kind.ok_or_else(|| missing("kind"))?,
+        comm_micros: comm.ok_or_else(|| missing("comm_micros"))?,
+        comp_micros: comp.ok_or_else(|| missing("comp_micros"))?,
+        mem_bytes: mem.ok_or_else(|| missing("mem_bytes"))?,
+    })
 }
 
 #[cfg(test)]
@@ -329,6 +421,16 @@ mod tests {
         let back = Trace::from_json(&json).unwrap();
         assert_eq!(trace, back);
         assert!(Trace::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn kind_names_decode_as_the_derive_decodes_them() {
+        let names = ["Contraction", "Transpose", "FusedTransposeContraction"];
+        for name in names.into_iter().chain(["contraction", "", "Other"]) {
+            let derived = TaskKind::from_value(&Value::Str(name.into()));
+            assert_eq!(TaskKind::from_name(name.into()), derived, "{name}");
+            assert_eq!(derived.is_ok(), names.contains(&name), "{name}");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! ```
 //!
 //! The scan covers the first-party `src/` trees (`crates/*/src` and the
-//! facade's `src/`); `vendor/`, `tests/`, `benches/` and `examples/`
+//! facade's `src/`) plus the vendored crates on untrusted-input paths
+//! (`vendor/serde_json/src`, which parses every trace file and request
+//! frame); the rest of `vendor/`, `tests/`, `benches/` and `examples/`
 //! are out of scope. See [`rules`] for the rule catalogue and
 //! [`baseline`] for the ratchet semantics.
 
@@ -19,6 +21,10 @@ use rules::Violation;
 use std::path::{Path, PathBuf};
 
 const BASELINE_FILE: &str = "lint-baseline.json";
+
+/// Vendored source trees scanned like first-party code: they sit on
+/// every untrusted-input path.
+const VENDORED_IN_SCOPE: [&str; 1] = ["vendor/serde_json/src"];
 
 fn main() {
     std::process::exit(run());
@@ -180,12 +186,13 @@ fn describe(v: &Violation) -> String {
 }
 
 /// First-party Rust sources: every `.rs` under a `src/` directory,
-/// excluding `vendor/`, `target/` and VCS metadata. Integration tests,
-/// benches and examples live outside `src/` and are therefore out of
-/// scope by construction.
+/// excluding `vendor/` (but for [`VENDORED_IN_SCOPE`]), `target/` and VCS
+/// metadata. Integration tests, benches and examples live outside `src/`
+/// and are therefore out of scope by construction.
 fn source_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
+    stack.extend(VENDORED_IN_SCOPE.iter().map(|dir| root.join(dir)));
     while let Some(dir) = stack.pop() {
         let entries = match std::fs::read_dir(&dir) {
             Ok(e) => e,

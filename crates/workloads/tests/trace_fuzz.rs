@@ -4,7 +4,9 @@
 //!
 //! The corrupted classes the issue names each get a seeded property:
 //! truncation at every byte offset, float (NaN-class) time fields,
-//! negative memory, duplicate task ids and `u64`-overflowing sums. One
+//! negative memory, duplicate task ids and `u64`-overflowing sums.
+//! Escaped task names outside the BMP must import and round-trip, and
+//! unpaired `\u` surrogate escapes must be rejected cleanly. One
 //! deliberately *broken* claim is checked via [`microcheck::check`]'s
 //! panic-free entry point to pin the shrinker's minimal malformed
 //! witness, so shrinking quality itself is under test.
@@ -168,6 +170,61 @@ property! {
         prop_assert!(
             matches!(trace.to_instance_scaled(1.0), Err(CoreError::InvalidTrace(_))),
             "overflowing to_instance_scaled not rejected"
+        );
+    }
+}
+
+/// `\uXXXX\uXXXX` escape of a code point outside the BMP, as a UTF-16
+/// surrogate pair.
+fn surrogate_escape(code_point: u32) -> String {
+    let offset = code_point - 0x10000;
+    format!(
+        "\\u{:04x}\\u{:04x}",
+        0xD800 + (offset >> 10),
+        0xDC00 + (offset & 0x3FF)
+    )
+}
+
+property! {
+    /// Task names outside the BMP, written as surrogate-pair escapes (as
+    /// other tools emit them), import as the one character they encode and
+    /// round-trip through export.
+    fn escaped_non_bmp_names_import_and_round_trip(code_point in gens::u64_in(0x10000..=0x10FFFF)) {
+        let code_point = code_point as u32;
+        let Some(c) = char::from_u32(code_point) else {
+            return Ok(());
+        };
+        let name = format!("k{}(1)", surrogate_escape(code_point));
+        let json = file_json(&[task_json(&name, "1", "2", "3")]);
+        let trace = match import_trace(&json) {
+            Ok(trace) => trace,
+            Err(e) => return Err(format!("escaped U+{code_point:X} rejected: {e:?}")),
+        };
+        prop_assert!(trace.tasks[0].name == format!("k{c}(1)"), "decoded {:?}", trace.tasks[0].name);
+        let exported = export_trace(&trace).map_err(|e| format!("{e:?}"))?;
+        prop_assert!(import_trace(&exported).ok() == Some(trace.clone()), "export/import changed the trace");
+        prop_assert!(dts_chem::Trace::from_json(&json).ok() == Some(trace), "trace loader disagrees");
+    }
+
+    /// Lone, reversed and doubled surrogate escapes are rejected with a
+    /// typed error by both the importer and the trace loader.
+    fn unpaired_surrogates_are_rejected_cleanly((unit, shape) in (
+        gens::u64_in(0xD800..=0xDFFF),
+        gens::usize_in(0..=3),
+    )) {
+        let high = 0xD800 | (unit & 0x3FF);
+        let low = 0xDC00 | (unit & 0x3FF);
+        let escape = match shape {
+            0 => format!("\\u{unit:04x}"),
+            1 => format!("\\u{unit:04x}x"),
+            2 => format!("\\u{low:04x}\\u{high:04x}"),
+            _ => format!("\\u{high:04x}\\u{high:04x}"),
+        };
+        let json = file_json(&[task_json(&format!("t{escape}"), "1", "2", "3")]);
+        prop_assert!(rejected_cleanly(&json), "unpaired surrogate `{escape}` not rejected cleanly");
+        prop_assert!(
+            matches!(dts_chem::Trace::from_json(&json), Err(CoreError::Serialization(_))),
+            "trace loader accepted or mis-typed `{escape}`"
         );
     }
 }
