@@ -2,12 +2,13 @@
 //! 64-connection load generator.
 //!
 //! The figure benches measure the decision engine in isolation; this one
-//! measures the whole serving path — framing, admission, batching onto
-//! the worker pool, instance caching — the way a client sees it. An
-//! in-process daemon is started on a loopback port-0 socket and driven
-//! by 64 concurrent connections, each issuing a fixed sequence of
-//! corpus-family requests. The first round is all cold solves; later
-//! rounds repeat the same keys so the cache-hit path dominates.
+//! measures the whole serving path — framing, admission through the
+//! gate, solving on the connection thread, instance caching — the way a
+//! client sees it. An in-process daemon is started on a loopback port-0
+//! socket and driven by 64 concurrent connections, each issuing a fixed
+//! sequence of corpus-family requests. The first round is all cold
+//! solves; later rounds repeat the same keys so the cache-hit path
+//! dominates.
 //!
 //! Three series go through the shared harness, one sample per round:
 //!

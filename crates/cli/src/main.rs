@@ -202,8 +202,8 @@ fn usage() -> String {
          \x20 --update-golden rewrite the golden file from this build (the only sanctioned change path)\n\
          options (serve):\n\
          \x20 --addr <host:port>    bind address (default 127.0.0.1:7421; port 0 picks a free port)\n\
-         \x20 --threads <n>         solver threads per batch (default: available parallelism)\n\
-         \x20 --queue-depth <n>     pending-request ceiling before load shedding (default 256)\n\
+         \x20 --threads <n>         cold solves running at once (default: available parallelism)\n\
+         \x20 --queue-depth <n>     cold solves admitted (running or waiting) before shedding (default 256)\n\
          \x20 --max-tasks <n>       per-request task-count ceiling (default 65536)\n\
          \x20 --cache-entries <n>   solved-instance cache bound (default 512)\n\
          options (request):\n\

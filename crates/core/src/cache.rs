@@ -7,10 +7,12 @@
 //! the first solve and receives the cached value. [`SolveCache`]
 //! implements that contract with two locks:
 //!
-//! * an outer mutex over the key map, held only to look up or insert a
-//!   cell (never across a solve), plus the LRU recency queue that bounds
-//!   the entry count — a re-requested key moves to the back, so hot
-//!   entries outlive keys requested once and never again;
+//! * an outer mutex over the key map, held only to look up, insert or
+//!   drop a cell (never across a solve), plus the LRU recency queue that
+//!   bounds the entry count — a re-requested key moves to the back, so
+//!   hot entries outlive keys requested once and never again. Eviction
+//!   runs when a solve fills its cell, so in-flight solves may hold the
+//!   map above capacity until they finish;
 //! * a per-key cell mutex held *across the solve*: whoever acquires the
 //!   cell first and finds it empty computes the value; every concurrent
 //!   caller for the same key blocks on that cell mutex and finds the
@@ -18,10 +20,12 @@
 //!   so unrelated solves never serialize.
 //!
 //! Failures are not cached: a solver returning `Err` leaves the cell
-//! empty, the error propagates to that caller only, and the next caller
-//! for the key simply becomes the new solver. A solver that *panics*
-//! unwinds through the guard and behaves like a failure (the vendored
-//! `parking_lot` mutex does not poison).
+//! empty, the error propagates to that caller only, and a caller already
+//! waiting on the cell becomes the new solver. With no such caller the
+//! failed solve removes its empty cell, so failed or shed requests never
+//! evict a solved key. A solver that *panics* unwinds through the guard
+//! (the vendored `parking_lot` mutex does not poison) and leaves its
+//! empty cell for the next caller of the key to solve.
 //!
 //! The implementation is written against the [`crate::sync`] facade, so
 //! under `RUSTFLAGS="--cfg microloom"` every lock operation becomes a
@@ -29,7 +33,6 @@
 //! solve-exactly-once contract under *all* interleavings of concurrent
 //! identical requests.
 
-use crate::error::Result;
 use crate::sync::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -70,11 +73,13 @@ pub struct CacheStats {
 ///
 /// ```
 /// use dts_core::cache::SolveCache;
+/// use dts_core::CoreError;
 ///
 /// let cache = SolveCache::new(16);
-/// let (v, hit) = cache.get_or_solve(7u64, || Ok(7 * 7)).unwrap();
+/// let (v, hit) = cache.get_or_solve(7u64, || Ok::<_, CoreError>(7 * 7)).unwrap();
 /// assert_eq!((v, hit), (49, false));
-/// let (v, hit) = cache.get_or_solve(7u64, || unreachable!()).unwrap();
+/// // A hit: the cached value comes back and the solver does not run.
+/// let (v, hit) = cache.get_or_solve(7u64, || Ok::<_, CoreError>(0)).unwrap();
 /// assert_eq!((v, hit), (49, true));
 /// ```
 pub struct SolveCache<K, V> {
@@ -109,8 +114,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SolveCache<K, V> {
     ///
     /// Whatever `solve` returns; the cache adds no failure modes of its
     /// own.
-    pub fn get_or_solve(&self, key: K, solve: impl FnOnce() -> Result<V>) -> Result<(V, bool)> {
-        let cell = self.cell_for(key);
+    pub fn get_or_solve<E>(
+        &self,
+        key: K,
+        solve: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        let cell = self.cell_for(&key);
         // Holding the cell lock across the solve is what makes concurrent
         // identical requests solve exactly once: the first caller in finds
         // the cell empty and computes; everyone behind it blocks here and
@@ -122,19 +131,38 @@ impl<K: Eq + Hash + Clone, V: Clone> SolveCache<K, V> {
             self.inner.lock().hits += 1;
             return Ok((value, true));
         }
-        let value = solve()?;
-        *slot = Some(value.clone());
-        drop(slot);
-        self.inner.lock().misses += 1;
-        Ok((value, false))
+        match solve() {
+            Ok(value) => {
+                *slot = Some(value.clone());
+                drop(slot);
+                let mut guard = self.inner.lock();
+                let inner = &mut *guard;
+                inner.misses += 1;
+                while inner.map.len() > self.capacity {
+                    // An evicted in-flight solve still completes — waiters
+                    // hold their own Arc to the cell — it just stops being
+                    // findable for later requests.
+                    let Some(old) = inner.order.pop_front() else {
+                        break;
+                    };
+                    inner.map.remove(&old);
+                    inner.evictions += 1;
+                }
+                Ok((value, false))
+            }
+            Err(err) => {
+                drop(slot);
+                self.forget_unsolved(&key, cell);
+                Err(err)
+            }
+        }
     }
 
-    /// Looks up or creates the cell of `key`, evicting the least recently
-    /// used entries if the insert pushed the map over capacity. The outer
-    /// lock is held only for this bookkeeping, never across a solve; the
-    /// LRU refresh happens inside the same critical section as the lookup,
-    /// so it adds no lock acquisitions (and no model-checker decisions).
-    fn cell_for(&self, key: K) -> Arc<Cell<V>> {
+    /// Looks up or creates the cell of `key`. The outer lock is held only
+    /// for this bookkeeping, never across a solve; the LRU refresh happens
+    /// inside the same critical section as the lookup, so it adds no lock
+    /// acquisitions (and no model-checker decisions).
+    fn cell_for(&self, key: &K) -> Arc<Cell<V>> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         match inner.map.entry(key.clone()) {
@@ -143,27 +171,42 @@ impl<K: Eq + Hash + Clone, V: Clone> SolveCache<K, V> {
                 // Move the re-requested key to the back of the recency
                 // queue. O(capacity) scan, bounded by the configured entry
                 // count — fine next to a solve that costs milliseconds.
-                if let Some(pos) = inner.order.iter().position(|k| k == &key) {
+                if let Some(pos) = inner.order.iter().position(|k| k == key) {
                     inner.order.remove(pos);
-                    inner.order.push_back(key);
+                    inner.order.push_back(key.clone());
                 }
                 cell
             }
             Entry::Vacant(e) => {
                 let cell = Arc::new(Mutex::new(None));
                 e.insert(Arc::clone(&cell));
-                inner.order.push_back(key);
-                while inner.map.len() > self.capacity {
-                    // An evicted in-flight solve still completes — waiters
-                    // hold their own Arc to the cell — it just stops being
-                    // findable for later requests.
-                    if let Some(old) = inner.order.pop_front() {
-                        inner.map.remove(&old);
-                        inner.evictions += 1;
-                    }
-                }
+                inner.order.push_back(key.clone());
                 cell
             }
+        }
+    }
+
+    /// Releases a failed caller's handle on `cell` and removes the cell
+    /// if the map still holds that very cell, nobody else holds it and it
+    /// is still empty. A cell another caller holds stays: that caller
+    /// becomes its next solver, or has already filled it.
+    fn forget_unsolved(&self, key: &K, cell: Arc<Cell<V>>) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let unsolved_and_unshared = match inner.map.get(key) {
+            Some(mapped) if Arc::ptr_eq(mapped, &cell) => {
+                // Every clone of a mapped cell is taken under this lock
+                // (`cell_for`), and every failed caller drops its clone
+                // under it too, so a count of one means no caller can
+                // reach the cell but through the map — its lock is free.
+                drop(cell);
+                Arc::strong_count(mapped) == 1 && mapped.lock().is_none()
+            }
+            _ => false,
+        };
+        if unsolved_and_unshared {
+            inner.map.remove(key);
+            inner.order.retain(|k| k != key);
         }
     }
 
@@ -182,7 +225,17 @@ impl<K: Eq + Hash + Clone, V: Clone> SolveCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CoreError;
+    use crate::error::{CoreError, Result};
+
+    /// A solver that succeeds with `value`.
+    fn solved<V>(value: V) -> impl FnOnce() -> Result<V> {
+        move || Ok(value)
+    }
+
+    /// A solver that must not run: the call is expected to hit.
+    fn never<V>() -> impl FnOnce() -> Result<V> {
+        || unreachable!("expected a cache hit")
+    }
 
     #[test]
     fn second_lookup_hits_without_solving() {
@@ -191,14 +244,14 @@ mod tests {
         let (v, hit) = cache
             .get_or_solve(1, || {
                 solves += 1;
-                Ok("one".to_string())
+                Ok::<_, CoreError>("one".to_string())
             })
             .unwrap();
         assert_eq!((v.as_str(), hit), ("one", false));
         let (v, hit) = cache
             .get_or_solve(1, || {
                 solves += 1;
-                Ok("other".to_string())
+                Ok::<_, CoreError>("other".to_string())
             })
             .unwrap();
         assert_eq!((v.as_str(), hit), ("one", true), "cached value wins");
@@ -215,50 +268,66 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, CoreError::Internal("boom".into()));
         // The failed key solves again — and can now succeed.
-        let (v, hit) = cache.get_or_solve(1, || Ok(5)).unwrap();
+        let (v, hit) = cache.get_or_solve(1, solved(5)).unwrap();
         assert_eq!((v, hit), (5, false));
-        let (_, hit) = cache.get_or_solve(1, || unreachable!()).unwrap();
+        let (_, hit) = cache.get_or_solve(1, never()).unwrap();
         assert!(hit);
+    }
+
+    #[test]
+    fn failed_solves_leave_no_cell_and_evict_nothing() {
+        let cache: SolveCache<u32, u32> = SolveCache::new(2);
+        cache.get_or_solve(1, solved(10)).unwrap();
+        cache.get_or_solve(2, solved(20)).unwrap();
+        let err = cache
+            .get_or_solve(3, || Err(CoreError::Internal("shed".into())))
+            .unwrap_err();
+        assert_eq!(err, CoreError::Internal("shed".into()));
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.entries), (0, 2));
+        // The solved keys are still resident.
+        assert_eq!(cache.get_or_solve(1, never()).unwrap(), (10, true));
+        assert_eq!(cache.get_or_solve(2, never()).unwrap(), (20, true));
     }
 
     #[test]
     fn capacity_evicts_least_recently_used_first() {
         let cache: SolveCache<u32, u32> = SolveCache::new(2);
         for k in 0..3 {
-            cache.get_or_solve(k, || Ok(k * 10)).unwrap();
+            cache.get_or_solve(k, solved(k * 10)).unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
         // Key 0 was evicted and re-solves; keys 1 and 2 still hit.
-        let (_, hit) = cache.get_or_solve(1, || unreachable!()).unwrap();
+        let (_, hit) = cache.get_or_solve(1, never()).unwrap();
         assert!(hit);
-        let (_, hit) = cache.get_or_solve(2, || unreachable!()).unwrap();
+        let (_, hit) = cache.get_or_solve(2, never()).unwrap();
         assert!(hit);
-        let (v, hit) = cache.get_or_solve(0, || Ok(99)).unwrap();
+        let (v, hit) = cache.get_or_solve(0, solved(99)).unwrap();
         assert_eq!((v, hit), (99, false));
     }
 
     #[test]
     fn hits_refresh_recency() {
         let cache: SolveCache<u32, u32> = SolveCache::new(2);
-        cache.get_or_solve(1, || Ok(10)).unwrap();
-        cache.get_or_solve(2, || Ok(20)).unwrap();
+        cache.get_or_solve(1, solved(10)).unwrap();
+        cache.get_or_solve(2, solved(20)).unwrap();
         // Touch key 1: under FIFO it would still be the eviction victim;
         // under LRU the victim becomes key 2.
-        let (_, hit) = cache.get_or_solve(1, || unreachable!()).unwrap();
+        let (_, hit) = cache.get_or_solve(1, never()).unwrap();
         assert!(hit);
-        cache.get_or_solve(3, || Ok(30)).unwrap();
-        let (v, hit) = cache.get_or_solve(1, || unreachable!()).unwrap();
+        cache.get_or_solve(3, solved(30)).unwrap();
+        let (v, hit) = cache.get_or_solve(1, never()).unwrap();
         assert_eq!((v, hit), (10, true), "the touched key survived");
-        let (v, hit) = cache.get_or_solve(2, || Ok(99)).unwrap();
+        let (v, hit) = cache.get_or_solve(2, solved(99)).unwrap();
         assert_eq!((v, hit), (99, false), "the stale key was evicted");
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let cache: SolveCache<u32, u32> = SolveCache::new(0);
-        cache.get_or_solve(1, || Ok(1)).unwrap();
+        cache.get_or_solve(1, solved(1)).unwrap();
         assert_eq!(cache.stats().entries, 1);
     }
 
@@ -276,7 +345,7 @@ mod tests {
                     let (v, _) = cache
                         .get_or_solve(1, || {
                             solves.fetch_add(1, Ordering::SeqCst);
-                            Ok(7)
+                            Ok::<_, CoreError>(7)
                         })
                         .unwrap();
                     assert_eq!(v, 7);

@@ -30,8 +30,11 @@
 //!   process and platform boundaries),
 //! * [`cache`] — the bounded solve-once cache behind the scheduling
 //!   daemon (concurrent identical requests solve exactly once),
-//! * [`sync`] — the compile-time façade that lets the pool run on either
-//!   `std` atomics or the `microloom` model checker's instrumented types,
+//! * [`gate`] — the daemon's admission gate (bounded concurrent and
+//!   admitted cold solves, load shedding, drain on shutdown),
+//! * [`sync`] — the compile-time façade that lets the pool, the cache and
+//!   the gate run on either `std` primitives or the `microloom` model
+//!   checker's instrumented types,
 //! * [`feasibility`] — the feasibility checker for schedules (link and CPU
 //!   exclusivity, precedence, memory envelope),
 //! * [`memory`] — memory-occupation profiles,
@@ -55,6 +58,7 @@ pub mod error;
 pub mod exec;
 pub mod feasibility;
 pub mod gantt;
+pub mod gate;
 pub mod hash;
 pub mod index;
 pub mod instance;

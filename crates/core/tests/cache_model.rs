@@ -20,6 +20,12 @@ use dts_core::error::CoreError;
 use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
 use std::sync::Arc;
 
+/// A solver that succeeds with `value` (the cache is generic over the
+/// solver's error type; these models use [`CoreError`]).
+fn solved(value: u32) -> impl FnOnce() -> Result<u32, CoreError> {
+    move || Ok(value)
+}
+
 /// Two concurrent identical requests solve exactly once, and both receive
 /// the one solved value — the cache-correctness contract of the serving
 /// layer — under every interleaving of the two callers.
@@ -38,7 +44,7 @@ fn concurrent_identical_requests_solve_exactly_once() {
                     let (value, hit) = cache
                         .get_or_solve(7, || {
                             solves.fetch_add(1, StdOrdering::SeqCst);
-                            Ok(42)
+                            Ok::<_, CoreError>(42)
                         })
                         .expect("the solver never fails");
                     assert_eq!(value, 42, "every caller sees the solved value");
@@ -82,7 +88,7 @@ fn distinct_keys_solve_independently() {
                     let (value, hit) = cache
                         .get_or_solve(key, || {
                             solves.fetch_add(1, StdOrdering::SeqCst);
-                            Ok(key * 10)
+                            Ok::<_, CoreError>(key * 10)
                         })
                         .expect("the solver never fails");
                     assert_eq!(value, key * 10, "keys never cross values");
@@ -124,7 +130,7 @@ fn failed_solves_are_not_cached_and_do_not_poison_waiters() {
             let cache = Arc::clone(&cache);
             microloom::thread::spawn(move || {
                 let (value, _) = cache
-                    .get_or_solve(7, || Ok(42))
+                    .get_or_solve(7, solved(42))
                     .expect("the good solver must never see the other caller's failure");
                 assert_eq!(value, 42);
             })
@@ -133,6 +139,49 @@ fn failed_solves_are_not_cached_and_do_not_poison_waiters() {
         succeeder.join().expect("succeeder joins cleanly");
     })
     .expect("failure isolation must hold under all interleavings");
+}
+
+/// A failed solve drops its cell only when no other caller holds it. A
+/// caller already waiting on the cell when the solver fails becomes the
+/// next solver, and its value stays findable: after both callers finish,
+/// the key is resident, a later request hits, and the failure evicted
+/// nothing — whatever the interleaving. Removing the cell regardless of
+/// waiters would orphan the waiter's solve and fail the hit below.
+#[test]
+fn a_waiter_on_a_failing_solve_becomes_the_next_solver() {
+    microloom::check(|| {
+        let cache: Arc<SolveCache<u32, u32>> = Arc::new(SolveCache::new(2));
+        cache.get_or_solve(1, solved(10)).expect("pre-fill");
+        let failer = {
+            let cache = Arc::clone(&cache);
+            microloom::thread::spawn(move || {
+                if let Ok((value, hit)) =
+                    cache.get_or_solve(7, || Err(CoreError::Internal("shed".into())))
+                {
+                    assert_eq!((value, hit), (42, true), "only a hit can succeed");
+                }
+            })
+        };
+        let solver = {
+            let cache = Arc::clone(&cache);
+            microloom::thread::spawn(move || {
+                let (value, _) = cache
+                    .get_or_solve(7, solved(42))
+                    .expect("the good solver never sees the other caller's failure");
+                assert_eq!(value, 42);
+            })
+        };
+        failer.join().expect("failer joins cleanly");
+        solver.join().expect("solver joins cleanly");
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 0, "a failed solve evicts nothing");
+        assert_eq!(stats.entries, 2, "the pre-filled key and the solved key");
+        let (value, hit) = cache.get_or_solve(7, solved(99)).expect("post-check");
+        assert_eq!((value, hit), (42, true), "the solved value is findable");
+        let (value, hit) = cache.get_or_solve(1, solved(99)).expect("post-check");
+        assert_eq!((value, hit), (10, true), "the pre-filled key survived");
+    })
+    .expect("failed solves must hand the cell to a waiter under all interleavings");
 }
 
 /// LRU recency is preserved under concurrency: with a capacity-2 cache
@@ -146,16 +195,16 @@ fn concurrent_inserts_evict_the_least_recently_used_key() {
     microloom::check(|| {
         let cache: Arc<SolveCache<u32, u32>> = Arc::new(SolveCache::new(2));
         // Deterministic pre-state, before any model threads exist.
-        cache.get_or_solve(1, || Ok(10)).expect("pre-fill");
-        cache.get_or_solve(2, || Ok(20)).expect("pre-fill");
-        let (_, hit) = cache.get_or_solve(1, || Ok(10)).expect("refresh");
+        cache.get_or_solve(1, solved(10)).expect("pre-fill");
+        cache.get_or_solve(2, solved(20)).expect("pre-fill");
+        let (_, hit) = cache.get_or_solve(1, solved(10)).expect("refresh");
         assert!(hit, "the refresh touch must be a hit");
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 microloom::thread::spawn(move || {
                     let (value, _) = cache
-                        .get_or_solve(3, || Ok(30))
+                        .get_or_solve(3, solved(30))
                         .expect("the solver never fails");
                     assert_eq!(value, 30);
                 })
@@ -167,13 +216,13 @@ fn concurrent_inserts_evict_the_least_recently_used_key() {
         let stats = cache.stats();
         assert_eq!(stats.entries, 2, "the capacity bound holds");
         assert_eq!(stats.evictions, 1, "one insert means one eviction");
-        let (value, hit) = cache.get_or_solve(1, || Ok(99)).expect("post-check");
+        let (value, hit) = cache.get_or_solve(1, solved(99)).expect("post-check");
         assert_eq!(
             (value, hit),
             (10, true),
             "the recently used key must survive the eviction"
         );
-        let (_, hit) = cache.get_or_solve(2, || Ok(20)).expect("post-check");
+        let (_, hit) = cache.get_or_solve(2, solved(20)).expect("post-check");
         assert!(!hit, "the stale key was the eviction victim");
     })
     .expect("LRU eviction order must hold under all interleavings");

@@ -6,11 +6,12 @@
 //! cargo run -p dts-lint -- --update-baseline   # regenerate lint-baseline.json
 //! ```
 //!
-//! The scan covers the first-party `src/` trees (`crates/*/src` and the
-//! facade's `src/`) plus the vendored crates on untrusted-input paths
+//! The walk starts at the repository root and covers every `src/` tree
+//! under it (`crates/*/src`, the facade's `src/` and `perfbench/src`)
+//! plus the vendored crates on untrusted-input paths
 //! (`vendor/serde_json/src`, which parses every trace file and request
-//! frame); the rest of `vendor/`, `tests/`, `benches/` and `examples/`
-//! are out of scope. See [`rules`] for the rule catalogue and
+//! frame); the rest of `vendor/`, `target/`, `tests/`, `benches/` and
+//! `examples/` are out of scope. See [`rules`] for the rule catalogue and
 //! [`baseline`] for the ratchet semantics.
 
 mod baseline;

@@ -8,11 +8,11 @@
 //! * [`protocol`] — the wire format: length-framed JSON, one typed
 //!   [`protocol::ErrorCode`] per failure class, and the content digest
 //!   that keys the instance cache;
-//! * [`server`] — the daemon: per-connection frame loops, admission
-//!   control (payload ceiling, task ceiling, bounded queue with load
-//!   shedding), batched solving on the `dts_core` thread pool, and a
-//!   solve-once instance cache returning byte-identical schedules for
-//!   repeated requests;
+//! * [`server`] — the daemon: per-connection frame loops that answer
+//!   their own requests, admission control (payload ceiling, task
+//!   ceiling, an admission gate bounding running and admitted cold
+//!   solves with load shedding), and a solve-once instance cache
+//!   returning byte-identical schedules for repeated requests;
 //! * [`client`] — the blocking client used by `dts request`, the bench
 //!   load generator and the end-to-end tests.
 //!

@@ -1,19 +1,22 @@
-//! The scheduling daemon: accept loop, admission control, batched solving.
+//! The scheduling daemon: accept loop, admission control, solving on the
+//! connection thread.
 //!
 //! # Threading model
 //!
 //! * One **acceptor** thread owns the listening socket and spawns a
 //!   connection thread per client.
 //! * Each **connection** thread runs the frame loop: read a frame, parse
-//!   and admit the request, enqueue a job, block on the job's reply
-//!   channel, write the response frame. Protocol failures become typed
-//!   error frames on the same connection — a client connection is never
-//!   dropped in lieu of an error reply.
-//! * One **scheduler** thread drains the job queue in batches of at most
-//!   [`ServerConfig::batch_max`] and runs each batch through
-//!   [`dts_core::pool::run_indexed_pool`], so concurrent requests share
-//!   the solver thread pool instead of oversubscribing the machine with
-//!   one solver thread per connection.
+//!   and admit the request, answer it, write the response frame. A cache
+//!   hit is answered straight from the [`SolveCache`]; a cold solve first
+//!   takes a slot from the admission [`Gate`] and then runs on the
+//!   connection thread itself. Protocol failures become typed error
+//!   frames on the same connection — a client connection is never dropped
+//!   in lieu of an error reply.
+//!
+//! There is no scheduler thread or worker pool: a reply waits only for
+//! its own solve, never for another request's, and the gate's
+//! [`ServerConfig::threads`] slots keep concurrent clients from
+//! oversubscribing the machine with solves.
 //!
 //! # Admission control
 //!
@@ -24,19 +27,26 @@
 //!   refused (`oversized-frame`) without buffering the payload;
 //! * requests naming more than [`ServerConfig::max_tasks`] tasks are
 //!   refused (`task-ceiling`) before any generation or solving;
-//! * when [`ServerConfig::queue_depth`] jobs are already pending the
-//!   request is shed immediately (`queue-full`) instead of queueing —
-//!   the client can retry, and latency of admitted requests stays
-//!   bounded.
+//! * when [`ServerConfig::queue_depth`] cold solves are already admitted
+//!   (running or waiting for a slot) a cold request is shed immediately
+//!   (`queue-full`) instead of waiting — the client can retry, and
+//!   latency of admitted requests stays bounded. Cache hits are never
+//!   shed.
+//!
+//! [`ServerHandle::shutdown`] closes the gate: it waits for every
+//! admitted solve, and later cold requests on still-open connections get
+//! `queue-full` replies saying the daemon is shutting down.
 //!
 //! # Instance cache
 //!
-//! Admitted requests are answered through a [`SolveCache`] keyed by the
-//! request content digest ([`SolveRequest::digest`]). The cached value is
-//! the *rendered* result JSON, so a repeat request returns the exact
-//! bytes of the original solve, and concurrent identical requests solve
+//! Requests are answered through a [`SolveCache`] keyed by the request
+//! content digest ([`SolveRequest::digest`]). The cached value is the
+//! *rendered* result JSON, so a repeat request returns the exact bytes
+//! of the original solve, and concurrent identical requests solve
 //! exactly once (the cache's cell lock serializes them; see
-//! `dts_core::cache`).
+//! `dts_core::cache`). The gate sits inside the cache's solve closure, so
+//! only the caller that actually solves takes a slot, and a shed request
+//! leaves no cache entry behind.
 
 use crate::protocol::{
     ok_response_json, parse_request, read_frame, write_frame, ErrorCode, ErrorReply, FrameRead,
@@ -44,17 +54,16 @@ use crate::protocol::{
 };
 use dts_core::cache::{CacheStats, SolveCache};
 use dts_core::error::{CoreError, Result as CoreResult};
+use dts_core::gate::{Gate, Shed};
 use dts_core::hash::Digest128;
 use dts_core::metrics::ScheduleMetrics;
-use dts_core::pool::run_indexed_pool;
 use dts_heuristics::run_heuristic_with;
 use dts_workloads::generate_trace;
 use serde::{Serialize, Value};
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Tunables of a [`Server`]. `Default` is sized for tests and small
@@ -64,10 +73,11 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (the bound address is
     /// available from [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Solver threads per batch; 0 means the machine's available
+    /// Cold solves running at once; 0 means the machine's available
     /// parallelism.
     pub threads: usize,
-    /// Pending-job ceiling; requests beyond it are shed (`queue-full`).
+    /// Cold solves admitted at once, running or waiting for a slot;
+    /// requests beyond it are shed (`queue-full`).
     pub queue_depth: usize,
     /// Per-request task-count ceiling (`task-ceiling` beyond it).
     pub max_tasks: usize,
@@ -75,8 +85,6 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// Entry bound of the solved-instance cache (LRU eviction).
     pub cache_entries: usize,
-    /// Largest batch the scheduler hands to the solver pool at once.
-    pub batch_max: usize,
 }
 
 impl Default for ServerConfig {
@@ -88,38 +96,21 @@ impl Default for ServerConfig {
             max_tasks: 65_536,
             max_frame_bytes: 4 << 20,
             cache_entries: 512,
-            batch_max: 64,
         }
     }
 }
 
-/// One admitted request waiting for the scheduler.
-struct Job {
-    request: SolveRequest,
-    digest: Digest128,
-    reply: mpsc::Sender<String>,
-}
-
 struct Shared {
     config: ServerConfig,
-    queue: Mutex<VecDeque<Job>>,
-    work_ready: Condvar,
-    shutdown: AtomicBool,
+    gate: Gate,
     cache: SolveCache<Digest128, Arc<str>>,
-}
-
-/// Recovers the guard from a poisoned std mutex: a solver panic must not
-/// wedge the daemon, and every protected structure here is valid after
-/// any partial update (queues of owned jobs, plain counters).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The daemon entry point. See the module docs for the threading model.
 pub struct Server;
 
 impl Server {
-    /// Binds the listener and starts the acceptor and scheduler threads.
+    /// Binds the listener and starts the acceptor thread.
     ///
     /// # Errors
     ///
@@ -127,18 +118,15 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(config.addr.as_str())?;
         let addr = listener.local_addr()?;
-        let cache = SolveCache::new(config.cache_entries);
-        let shared = Arc::new(Shared {
-            config,
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            cache,
-        });
-        let scheduler = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || scheduler_loop(&shared))
+        let slots = match config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
+        let shared = Arc::new(Shared {
+            gate: Gate::new(slots, config.queue_depth),
+            cache: SolveCache::new(config.cache_entries),
+            config,
+        });
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&shared, &listener))
@@ -147,18 +135,18 @@ impl Server {
             addr,
             shared,
             acceptor: Some(acceptor),
-            scheduler: Some(scheduler),
         })
     }
 }
 
-/// A running daemon. Dropping the handle shuts the daemon down (pending
-/// jobs are drained first; connection threads exit on their next read).
+/// A running daemon. Dropping the handle shuts the daemon down (admitted
+/// solves finish first; open connections are still answered until their
+/// clients disconnect — hits from the cache, cold requests with
+/// `queue-full`).
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    scheduler: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -172,26 +160,21 @@ impl ServerHandle {
         self.shared.cache.stats()
     }
 
-    /// Stops the acceptor and scheduler and waits for them to exit.
-    /// Already-admitted jobs are answered before the scheduler stops.
+    /// Stops admitting cold solves, waits for the admitted ones to
+    /// finish, and stops the acceptor.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+        let Some(acceptor) = self.acceptor.take() else {
             return;
-        }
-        self.shared.work_ready.notify_all();
+        };
+        self.shared.gate.close();
         // Unblock the acceptor: `incoming()` has no timeout, so poke it
         // with a throwaway connection that it drops on the shutdown check.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.scheduler.take() {
-            let _ = handle.join();
-        }
+        let _ = acceptor.join();
     }
 }
 
@@ -203,7 +186,7 @@ impl Drop for ServerHandle {
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.gate.is_closed() {
             return;
         }
         if let Ok(stream) = stream {
@@ -224,9 +207,6 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
     };
     let mut writer = stream;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let response = match read_frame(&mut reader, shared.config.max_frame_bytes) {
             Ok(FrameRead::Payload(payload)) => handle_payload(shared, &payload),
             Ok(FrameRead::Eof) => return,
@@ -248,7 +228,7 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Parses, admits and executes one request payload, always producing a
+/// Parses, admits and answers one request payload, always producing a
 /// response payload (typed errors included).
 fn handle_payload(shared: &Shared, payload: &[u8]) -> String {
     let text = match std::str::from_utf8(payload) {
@@ -284,88 +264,45 @@ fn handle_payload(shared: &Shared, payload: &[u8]) -> String {
         .to_json();
     }
     let digest = request.digest();
-    let (reply, response) = mpsc::channel();
-    {
-        let mut queue = lock(&shared.queue);
-        if queue.len() >= shared.config.queue_depth {
-            return ErrorReply::new(
-                ErrorCode::QueueFull,
-                format!(
-                    "{} requests pending, queue depth is {}; retry later",
-                    queue.len(),
-                    shared.config.queue_depth
-                ),
-            )
-            .to_json();
-        }
-        queue.push_back(Job {
-            request,
-            digest,
-            reply,
-        });
-        shared.work_ready.notify_one();
-    }
-    match response.recv() {
-        Ok(response) => response,
-        Err(_) => ErrorReply::new(ErrorCode::Internal, "scheduler dropped the request").to_json(),
-    }
-}
-
-fn scheduler_loop(shared: &Arc<Shared>) {
-    let threads = if shared.config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        shared.config.threads
-    };
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared
-                    .work_ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            let take = queue.len().min(shared.config.batch_max.max(1));
-            queue.drain(..take).collect()
-        };
-        // Each pool job resolves to a response string — solve failures are
-        // typed error payloads, never pool errors — so the `Err` arm only
-        // fires if a solver panicked; those clients get `internal`.
-        let results = run_indexed_pool(batch.len(), threads, |i| Ok(respond(shared, &batch[i])));
-        match results {
-            Ok(responses) => {
-                for (job, response) in batch.iter().zip(responses) {
-                    let _ = job.reply.send(response);
-                }
-            }
-            Err(err) => {
-                let reply =
-                    ErrorReply::new(ErrorCode::Internal, format!("solver pool failed: {err}"))
-                        .to_json();
-                for job in &batch {
-                    let _ = job.reply.send(reply.clone());
-                }
-            }
-        }
-    }
-}
-
-/// Answers one job through the cache; the returned string is a complete
-/// response payload.
-fn respond(shared: &Shared, job: &Job) -> String {
-    let solved = shared.cache.get_or_solve(job.digest, || {
-        solve_request(&job.request).map(|json| Arc::from(json.as_str()))
+    // Only the caller that runs the solver takes a gate slot: a hit, or a
+    // caller that waited for a concurrent identical solve, never does.
+    let solved = shared.cache.get_or_solve(digest, || {
+        let _slot = shared
+            .gate
+            .enter()
+            .map_err(|shed| shed_reply(shed, shared.config.queue_depth))?;
+        solve_contained(&request).map(|json| Arc::from(json.as_str()))
     });
     match solved {
-        Ok((payload, cached)) => ok_response_json(&payload, cached, job.digest),
-        Err(err) => ErrorReply::from_core(&err).to_json(),
+        Ok((payload, cached)) => ok_response_json(&payload, cached, digest),
+        Err(reply) => reply.to_json(),
+    }
+}
+
+fn shed_reply(shed: Shed, depth: usize) -> ErrorReply {
+    let message = match shed {
+        Shed::Full => format!("{depth} requests pending, queue depth is {depth}; retry later"),
+        Shed::Closed => "the daemon is shutting down; no new solves are admitted".to_string(),
+    };
+    ErrorReply::new(ErrorCode::QueueFull, message)
+}
+
+/// [`solve_request`] with a panicking solve contained as an `internal`
+/// reply, so its client is still answered and its gate slot released.
+fn solve_contained(request: &SolveRequest) -> Result<String, ErrorReply> {
+    match catch_unwind(AssertUnwindSafe(|| solve_request(request))) {
+        Ok(solved) => solved.map_err(|err| ErrorReply::from_core(&err)),
+        Err(payload) => {
+            let detail = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(ErrorReply::new(
+                ErrorCode::Internal,
+                format!("solver panicked: {detail}"),
+            ))
+        }
     }
 }
 

@@ -10,6 +10,8 @@ use dts_chem::{Trace, TraceTask};
 use dts_server::{Client, Server, ServerConfig, ServerHandle, SolveRequest, TraceSource};
 use dts_workloads::{GeneratorConfig, WorkloadFamily};
 use serde::{Deserialize, Value};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> ServerHandle {
     Server::start(config).expect("bind server")
@@ -31,6 +33,16 @@ fn family_request(seed: u64) -> SolveRequest {
         factor: 1.5,
     }))
     .expect("valid request")
+}
+
+/// [`family_request`] with another task count and heuristic.
+fn sized_request(n_tasks: usize, seed: u64, heuristic: &str) -> SolveRequest {
+    let mut request = family_request(seed);
+    if let TraceSource::Family { config, .. } = &mut request.source {
+        config.n_tasks = n_tasks;
+    }
+    request.heuristic = dts_heuristics::Heuristic::from_name(heuristic).unwrap();
+    request
 }
 
 fn status_of(response: &Value) -> String {
@@ -335,4 +347,70 @@ fn shutdown_answers_admitted_requests_before_stopping() {
     handle.shutdown();
     // A second shutdown via drop is a no-op (the handle is gone), and the
     // port is released: binding it again succeeds.
+}
+
+#[test]
+fn a_cold_request_after_shutdown_gets_queue_full_instead_of_hanging() {
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+    // One exchange first, so the connection thread is up and parked in
+    // its next read when the shutdown lands.
+    let response = client.send_request(&family_request(9)).unwrap();
+    assert_eq!(status_of(&response), "ok");
+    handle.shutdown();
+
+    // Ask on a helper thread, so a daemon that never answers fails the
+    // test instead of hanging it.
+    let (reply, replied) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = reply.send(client.send_request(&family_request(10)));
+    });
+    let response = replied
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a request after shutdown is answered, not left hanging")
+        .expect("the connection survives the shutdown");
+    assert_error(&response, "queue-full");
+    let message: String = Deserialize::from_value(response.field("message").unwrap()).unwrap();
+    assert!(message.contains("shutting down"), "message: {message}");
+}
+
+#[test]
+fn cache_hits_are_not_held_behind_a_cold_solve() {
+    let handle = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let hit = sized_request(48, 11, "DOCPS");
+    let mut hitter = connect(&handle);
+    let warm = hitter.send_request(&hit).unwrap();
+    assert_eq!(status_of(&warm), "ok");
+
+    // Connection A: a cold solve large enough to occupy the only slot for
+    // a while.
+    let cold = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let started = Instant::now();
+        let response = client
+            .send_request(&sized_request(60_000, 12, "LCMR"))
+            .expect("cold request");
+        (response, started.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(20));
+
+    // Connection B: the warmed key, sent while A's solve runs.
+    let started = Instant::now();
+    let response = hitter.send_request(&hit).unwrap();
+    let hit_latency = started.elapsed();
+    let (cold_response, cold_latency) = cold.join().expect("cold client");
+
+    assert_eq!(status_of(&response), "ok");
+    assert_eq!(status_of(&cold_response), "ok");
+    let cached: bool = Deserialize::from_value(response.field("cached").unwrap()).unwrap();
+    assert!(cached, "the second request is a cache hit");
+    assert!(
+        hit_latency * 4 < cold_latency,
+        "the hit took {hit_latency:?}, a quarter or more of the cold solve's {cold_latency:?}"
+    );
+    handle.shutdown();
 }
