@@ -14,9 +14,22 @@
 //! the decoding work alone. Smoke runs pin the 20k-task tier; full runs
 //! add the 200k-task tier of the `run_md200k` benchmark workload. Set
 //! `DTS_BENCH_SCALE_MAX` (tasks) to cap the largest tier attempted.
+//!
+//! One pair on a daemon request frame, an inline paper-rank HF trace
+//! (rank 0 of the 150-rank topology, about 49 KB), from payload bytes to
+//! a `SolveRequest` and its cache digest:
+//!
+//! * `ingest/request_decode_tree_hf_rank0` — `serde_json::from_str::<Value>`,
+//!   `parse_request`, `digest`;
+//! * `ingest/request_decode_frame_hf_rank0` — `decode_request`, `digest`:
+//!   the daemon's path, the cache-hit path up to the cache lookup.
 
 use criterion::{criterion_group, Criterion};
-use dts_chem::Trace;
+use dts_chem::hf::generate_hf_trace;
+use dts_chem::{SuiteConfig, Trace};
+use dts_heuristics::Heuristic;
+use dts_server::protocol::request_to_value;
+use dts_server::{decode_request, parse_request, SolveRequest, TraceSource};
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
 use serde::{Deserialize, Value};
 
@@ -62,11 +75,37 @@ fn bench(c: &mut Criterion) {
     }
 }
 
+fn bench_request(c: &mut Criterion) {
+    let suite = SuiteConfig::default();
+    let trace = generate_hf_trace(&suite.hf, suite.topology, suite.transfer, suite.cost, 0);
+    let request = SolveRequest {
+        source: TraceSource::Inline(trace),
+        heuristic: Heuristic::OOLCMR,
+        model: None,
+        cost_model: None,
+        factor: 1.5,
+    };
+    let payload = serde_json::to_string(&request_to_value(&request)).expect("requests serialize");
+    c.bench_function("ingest/request_decode_tree_hf_rank0", |b| {
+        b.iter(|| {
+            let value: Value = serde_json::from_str(&payload).expect("valid JSON");
+            parse_request(&value).expect("valid request").digest()
+        })
+    });
+    c.bench_function("ingest/request_decode_frame_hf_rank0", |b| {
+        b.iter(|| {
+            decode_request(payload.as_bytes())
+                .expect("valid request")
+                .digest()
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(if criterion::smoke_mode() { 10 } else { 5 })
         .noise_threshold(INGEST_NOISE_THRESHOLD);
-    targets = bench
+    targets = bench, bench_request
 }
 dts_bench::harness_main!("ingest", benches);

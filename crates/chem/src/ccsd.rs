@@ -9,7 +9,7 @@
 //! achievable with a good transfer order.
 
 use crate::trace::{TaskKind, Trace, TraceTask};
-use dts_ga::{GaRuntime, GlobalArray, Topology, TransferModel};
+use dts_ga::{GaRuntime, Tiled, Topology, TransferModel};
 use dts_tensor::{ContractionSpec, CostModel, KernelCost, TileShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,19 +105,18 @@ pub fn generate_ccsd_trace(
     // per (occupied pair, virtual pair) combination.
     let occ_pairs: Vec<(usize, usize)> = pairs(config.n_occ_tiles);
     let virt_pairs: Vec<(usize, usize)> = pairs(config.n_virt_tiles);
-    let mut t2_shapes: Vec<TileShape> = Vec::with_capacity(occ_pairs.len() * virt_pairs.len());
-    for &(i, j) in &occ_pairs {
-        for &(a, b) in &virt_pairs {
-            t2_shapes.push(TileShape::rank4(occ[i], occ[j], virt[a], virt[b]));
-        }
-    }
-    let t2 = GlobalArray::new("t2", t2_shapes, n_processes);
+    let t2 = PairTiles {
+        occ: &occ,
+        virt: &virt,
+        occ_pairs: &occ_pairs,
+        virt_pairs: &virt_pairs,
+        shift: 0,
+        n_processes,
+    };
     // The two-electron integral tensor shares the same tiling for the blocks
-    // a task reads; a second array gives it a different owner map offset.
-    let v2_shapes: Vec<TileShape> = (0..t2.n_tiles())
-        .map(|idx| t2.tile_shape((idx + 1) % t2.n_tiles()))
-        .collect();
-    let v2 = GlobalArray::new("v2", v2_shapes, n_processes);
+    // a task reads; shifting it by one tile gives it a different owner map
+    // offset.
+    let v2 = PairTiles { shift: 1, ..t2 };
 
     let mut rng = StdRng::seed_from_u64(config.seed ^ (rank as u64).wrapping_mul(0x517C_C1B7));
     let mut tasks = Vec::new();
@@ -196,6 +195,45 @@ pub fn generate_ccsd_trace(
     }
 }
 
+/// A four-index tensor tiled over (occupied pair, virtual pair), as the T2
+/// amplitudes and the two-electron integrals are. Tile `index` has the
+/// shape of combination `index + shift` (wrapping) in row-major order, and
+/// tiles are owned round-robin like a [`GlobalArray`](dts_ga::GlobalArray)'s.
+/// Shapes are computed from the index, so generating one rank does not list
+/// the shapes of the whole tensor (48 825 tiles at paper scale).
+struct PairTiles<'a> {
+    occ: &'a [usize],
+    virt: &'a [usize],
+    occ_pairs: &'a [(usize, usize)],
+    virt_pairs: &'a [(usize, usize)],
+    shift: usize,
+    n_processes: usize,
+}
+
+impl PairTiles<'_> {
+    fn tile_shape(&self, index: usize) -> TileShape {
+        let combination = (index + self.shift) % self.n_tiles();
+        let (i, j) = self.occ_pairs[combination / self.virt_pairs.len()];
+        let (a, b) = self.virt_pairs[combination % self.virt_pairs.len()];
+        TileShape::rank4(self.occ[i], self.occ[j], self.virt[a], self.virt[b])
+    }
+}
+
+impl Tiled for PairTiles<'_> {
+    fn n_tiles(&self) -> usize {
+        self.occ_pairs.len() * self.virt_pairs.len()
+    }
+
+    fn tile_bytes(&self, index: usize) -> u64 {
+        self.tile_shape(index).bytes()
+    }
+
+    fn owner_of(&self, index: usize) -> usize {
+        assert!(index < self.n_tiles(), "tile index {index} out of range");
+        index % self.n_processes
+    }
+}
+
 fn pairs(n: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::with_capacity(n * (n + 1) / 2);
     for i in 0..n {
@@ -210,6 +248,7 @@ fn pairs(n: usize) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use dts_core::MemSize;
+    use dts_ga::GlobalArray;
 
     fn small_trace(rank: usize) -> Trace {
         generate_ccsd_trace(
@@ -222,6 +261,40 @@ mod tests {
             CostModel::default(),
             rank,
         )
+    }
+
+    #[test]
+    fn computed_tiles_match_listed_global_arrays() {
+        // The shape lists the generator once built: T2 in row-major pair
+        // order, V2 the same list rotated by one tile.
+        let config = CcsdConfig::small();
+        let (occ, virt) = config.tile_extents();
+        let occ_pairs = pairs(config.n_occ_tiles);
+        let virt_pairs = pairs(config.n_virt_tiles);
+        let mut t2_shapes = Vec::new();
+        for &(i, j) in &occ_pairs {
+            for &(a, b) in &virt_pairs {
+                t2_shapes.push(TileShape::rank4(occ[i], occ[j], virt[a], virt[b]));
+            }
+        }
+        let mut v2_shapes = t2_shapes.clone();
+        v2_shapes.rotate_left(1);
+        for (shift, shapes) in [(0, t2_shapes), (1, v2_shapes)] {
+            let listed = GlobalArray::new("listed", shapes, 7);
+            let computed = PairTiles {
+                occ: &occ,
+                virt: &virt,
+                occ_pairs: &occ_pairs,
+                virt_pairs: &virt_pairs,
+                shift,
+                n_processes: 7,
+            };
+            assert_eq!(computed.n_tiles(), listed.n_tiles());
+            for index in 0..listed.n_tiles() {
+                assert_eq!(computed.tile_shape(index), listed.tile_shape(index));
+                assert_eq!(computed.owner_of(index), listed.owner_of(index));
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! time of its computation and the memory its input data occupies. This is
 //! exactly the information the paper extracts from its NWChem runs.
 
+use dts_core::hash::StableHasher;
 use dts_core::prelude::*;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use serde_json::Reader;
@@ -215,6 +216,52 @@ impl Trace {
         decode_trace(json).map_err(|e| CoreError::Serialization(e.to_string()))
     }
 
+    /// Feeds the trace's content into `h`, field by field: kernel, rank
+    /// and task count, then each task's name, kind name, transfer time,
+    /// compute time and memory, then the model and cost model (`-` when
+    /// absent). Strings are length-prefixed and integers fixed-width, so
+    /// two traces feed the same bytes exactly when they are equal; this is
+    /// the inline-trace part of the daemon's cache key, and costs no
+    /// rendering of the tasks.
+    pub fn hash_into(&self, h: &mut StableHasher) {
+        // Exhaustive destructuring: a new field fails to compile here
+        // until it is hashed.
+        let Trace {
+            kernel,
+            rank,
+            tasks,
+            model,
+            cost_model,
+        } = self;
+        h.write_str(kernel);
+        h.write_u64(*rank as u64);
+        h.write_u64(tasks.len() as u64);
+        for task in tasks {
+            let TraceTask {
+                name,
+                kind,
+                comm_micros,
+                comp_micros,
+                mem_bytes,
+            } = task;
+            h.write_str(name);
+            h.write_str(kind.name());
+            h.write_u64(*comm_micros);
+            h.write_u64(*comp_micros);
+            h.write_u64(*mem_bytes);
+        }
+        match model {
+            Some(model) => h.write_str(&model.to_string()),
+            None => h.write_str("-"),
+        }
+        match cost_model {
+            // Cost-model specs hold integers and strings only, which
+            // always render.
+            Some(spec) => h.write_str(&serde_json::to_string(spec).unwrap_or_default()),
+            None => h.write_str("-"),
+        }
+    }
+
     /// Writes the trace as JSON to a file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         let mut file =
@@ -235,6 +282,15 @@ impl Trace {
 }
 
 impl TaskKind {
+    /// The kind's JSON name, as the derived `Serialize` writes it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TaskKind::Contraction => "Contraction",
+            TaskKind::Transpose => "Transpose",
+            TaskKind::FusedTransposeContraction => "FusedTransposeContraction",
+        }
+    }
+
     /// The variant a JSON string names. The known names are matched here
     /// without building a `Value`; any other string, and with it the error
     /// text, is left to the derived `Deserialize`, so the two cannot
@@ -430,6 +486,18 @@ mod tests {
             let derived = TaskKind::from_value(&Value::Str(name.into()));
             assert_eq!(TaskKind::from_name(name.into()), derived, "{name}");
             assert_eq!(derived.is_ok(), names.contains(&name), "{name}");
+        }
+    }
+
+    #[test]
+    fn kind_names_are_the_serialized_names() {
+        for kind in [
+            TaskKind::Contraction,
+            TaskKind::Transpose,
+            TaskKind::FusedTransposeContraction,
+        ] {
+            assert_eq!(kind.to_value(), Value::Str(kind.name().into()));
+            assert_eq!(TaskKind::from_name(kind.name().into()), Ok(kind));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Stable content hashing for cache keys.
 //!
 //! The serving layer caches solved instances keyed by the *content* of the
-//! request — trace bytes, capacity factor, heuristic, execution model — so
+//! request — trace content, capacity factor, heuristic, execution model — so
 //! the key must be identical across processes, platforms and runs.
 //! `std::hash` makes no such promise (`DefaultHasher` is explicitly
 //! unspecified and `HashMap` keys are randomized per process), so this

@@ -3,6 +3,21 @@
 use dts_tensor::TileShape;
 use serde::{Deserialize, Serialize};
 
+/// What a one-sided `get` needs to know of a tiled array: the size and
+/// the owner of each tile. [`GlobalArray`] lists its tile shapes; a trace
+/// generator can instead compute shapes from the tile index and spare the
+/// memory of a whole tensor's shape list.
+pub trait Tiled {
+    /// Number of tiles.
+    fn n_tiles(&self) -> usize;
+
+    /// Size in bytes of tile `index`.
+    fn tile_bytes(&self, index: usize) -> u64;
+
+    /// Owner (process rank) of tile `index`.
+    fn owner_of(&self, index: usize) -> usize;
+}
+
 /// A tiled, distributed array. Tiles are identified by a flat index into
 /// `tile_shapes`; ownership is assigned round-robin over the worker
 /// processes, which is how NWChem's TCE distributes its block-sparse tensors
@@ -79,6 +94,20 @@ impl GlobalArray {
             .map(|s| s.bytes())
             .max()
             .unwrap_or(0)
+    }
+}
+
+impl Tiled for GlobalArray {
+    fn n_tiles(&self) -> usize {
+        GlobalArray::n_tiles(self)
+    }
+
+    fn tile_bytes(&self, index: usize) -> u64 {
+        GlobalArray::tile_bytes(self, index)
+    }
+
+    fn owner_of(&self, index: usize) -> usize {
+        GlobalArray::owner_of(self, index)
     }
 }
 

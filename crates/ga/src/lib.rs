@@ -26,7 +26,7 @@ pub mod runtime;
 pub mod topology;
 pub mod transfer;
 
-pub use array::GlobalArray;
+pub use array::{GlobalArray, Tiled};
 pub use runtime::{GaRuntime, GetOutcome};
 pub use topology::Topology;
 pub use transfer::TransferModel;

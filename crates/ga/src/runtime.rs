@@ -1,6 +1,6 @@
 //! Per-process Global-Arrays runtime: one-sided `get` accounting.
 
-use crate::array::GlobalArray;
+use crate::array::Tiled;
 use crate::topology::Topology;
 use crate::transfer::TransferModel;
 use parking_lot::Mutex;
@@ -66,7 +66,7 @@ impl GaRuntime {
 
     /// Process `rank` fetches tile `tile` of `array`. Returns the bytes and
     /// transfer time and updates the per-process statistics.
-    pub fn get(&self, rank: usize, array: &GlobalArray, tile: usize) -> GetOutcome {
+    pub fn get(&self, rank: usize, array: &impl Tiled, tile: usize) -> GetOutcome {
         assert!(
             rank < self.topology.n_processes(),
             "rank {rank} out of range"
@@ -116,6 +116,7 @@ impl GaRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::GlobalArray;
     use dts_tensor::TileShape;
 
     fn runtime() -> GaRuntime {
@@ -186,7 +187,7 @@ mod tests {
             let ga = ga.clone();
             handles.push(std::thread::spawn(move || {
                 for tile in 0..ga.n_tiles() {
-                    rt.get(rank, &ga, tile);
+                    rt.get(rank, &*ga, tile);
                 }
             }));
         }

@@ -26,5 +26,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::Client;
-pub use protocol::{parse_request, ErrorCode, ErrorReply, SolveRequest, TraceSource};
+pub use protocol::{
+    decode_request, parse_request, ErrorCode, ErrorReply, SolveRequest, TraceSource,
+};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -23,6 +23,13 @@
 //! whatever cost model the trace embeds (with `"analytic"` forcing the
 //! trace's native durations) and is part of the cache key.
 //!
+//! The daemon decodes a frame with [`decode_request`], without a `Value`
+//! tree of the whole request; [`parse_request`] takes a request already
+//! parsed into a tree and gives the same verdicts. The cache key
+//! ([`SolveRequest::digest`]) covers the decoded request — the inline
+//! trace's typed fields or the family spec, factor, heuristic, model and
+//! cost model — not the payload's spelling of it.
+//!
 //! Responses are either `{"status":"ok", "cached":…, "digest":…,
 //! "result":…}` or `{"status":"error", "code":…, "message":…}`. Every
 //! failure the daemon can detect maps to a stable machine-readable
@@ -37,6 +44,7 @@ use dts_core::ExecutionModel;
 use dts_heuristics::Heuristic;
 use dts_workloads::{GeneratorConfig, WorkloadFamily};
 use serde::{Deserialize, Serialize, Value};
+use serde_json::Reader;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -206,16 +214,20 @@ impl SolveRequest {
 
     /// Content digest of the request: the cache key.
     ///
-    /// Two requests get the same digest iff they name the same instance
-    /// bytes, factor, heuristic and model — the exact inputs the solve
-    /// depends on. Family specs hash their parameters rather than the
-    /// generated trace, so a cache hit skips generation too.
+    /// Two requests get the same digest iff they name the same decoded
+    /// trace (or generator spec), factor bits, heuristic, execution model
+    /// and cost model — the exact inputs the solve depends on. How the
+    /// payload spelled them (whitespace, key order, escapes, unknown keys)
+    /// does not enter the key. An inline trace is hashed from its typed
+    /// fields ([`Trace::hash_into`]) without rendering it; family specs
+    /// hash their parameters rather than the generated trace, so a cache
+    /// hit skips generation too.
     pub fn digest(&self) -> Digest128 {
         let mut h = StableHasher::new();
         match &self.source {
             TraceSource::Inline(trace) => {
                 h.write_str("trace");
-                h.write_str(&render(&trace.to_value()));
+                trace.hash_into(&mut h);
             }
             TraceSource::Family { config, rank } => {
                 h.write_str("family");
@@ -249,6 +261,94 @@ impl SolveRequest {
     }
 }
 
+/// Decodes a request frame payload into a [`SolveRequest`]: the daemon's
+/// path from frame bytes to request.
+///
+/// The payload is scanned with [`serde_json::Reader`], without a `Value`
+/// tree of the whole request: the `trace` member's text is captured as is
+/// and decoded by [`Trace::from_json`], the decoder of trace files, and
+/// the other members become small `Value`s checked by the schema rules of
+/// [`parse_request`]. Verdicts, error replies and digests equal those of
+/// `serde_json::from_str::<Value>` followed by [`parse_request`]: the
+/// first of duplicate keys wins, unknown keys are skipped with their
+/// syntax checked, and a syntax error anywhere is `bad-frame` before any
+/// schema check runs.
+///
+/// # Errors
+///
+/// `bad-frame` for a payload that is not UTF-8 JSON, and otherwise the
+/// typed [`ErrorReply`] of [`parse_request`].
+pub fn decode_request(payload: &[u8]) -> Result<SolveRequest, ErrorReply> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| ErrorReply::new(ErrorCode::BadFrame, format!("payload is not UTF-8: {e}")))?;
+    let (members, trace) = scan_request(text).map_err(|e| {
+        ErrorReply::new(
+            ErrorCode::BadFrame,
+            format!("payload is not valid JSON: {e}"),
+        )
+    })?;
+    parse_members(&members, trace.map(InlineTrace::Json))
+}
+
+/// Checks the syntax of the whole payload and splits its members: the
+/// first `trace` as its JSON text (later ones are skipped), every other
+/// member into a `Value` object, where [`Value::field`] finds the first
+/// of duplicate keys as it does in a whole tree. A payload that is valid
+/// JSON but not an object yields no members, so [`parse_members`] refuses
+/// it as it refuses such a tree.
+fn scan_request(text: &str) -> serde_json::Result<(Value, Option<&str>)> {
+    let mut r = Reader::new(text);
+    let mut members = Vec::new();
+    let mut trace = None;
+    if text
+        .trim_start_matches([' ', '\t', '\n', '\r'])
+        .starts_with('{')
+    {
+        r.object(|r, key| {
+            if key != "trace" {
+                members.push((key.into_owned(), r.value()?));
+            } else if trace.is_none() {
+                trace = Some(r.raw_value()?);
+            } else {
+                r.skip()?;
+            }
+            Ok(())
+        })?;
+    } else {
+        r.skip()?;
+    }
+    r.finish()?;
+    Ok((Value::Object(members), trace))
+}
+
+/// A request's `trace` member, as the decoder found it.
+enum InlineTrace<'a> {
+    /// A subtree of a request parsed into a `Value` tree.
+    Tree(&'a Value),
+    /// The member's JSON text inside a request frame.
+    Json(&'a str),
+}
+
+impl InlineTrace<'_> {
+    fn decode(self) -> Result<Trace, ErrorReply> {
+        let decoded = match self {
+            InlineTrace::Tree(value) => Trace::from_value(value).map_err(|e| e.to_string()),
+            InlineTrace::Json(json) => Trace::from_json(json).map_err(|e| {
+                // A refusal keeps the tree decoder's wording, which has no
+                // byte offsets, so error replies read as they did before
+                // frames were scanned. The member's syntax is already
+                // checked, so its tree parses.
+                let tree = serde_json::from_str::<Value>(json).ok();
+                match tree.and_then(|value| Trace::from_value(&value).err()) {
+                    Some(tree_error) => tree_error.to_string(),
+                    None => e.to_string(),
+                }
+            }),
+        };
+        decoded.map_err(|e| ErrorReply::new(ErrorCode::InvalidTrace, format!("invalid trace: {e}")))
+    }
+}
+
 /// Parses a request payload (already JSON-decoded) into a [`SolveRequest`].
 ///
 /// # Errors
@@ -256,6 +356,16 @@ impl SolveRequest {
 /// A typed [`ErrorReply`] for every schema violation: the caller sends it
 /// on the wire instead of solving.
 pub fn parse_request(value: &Value) -> Result<SolveRequest, ErrorReply> {
+    parse_members(value, value.field("trace").ok().map(InlineTrace::Tree))
+}
+
+/// The schema rules of a request, over its non-trace members in `value`
+/// and its `trace` member, if any, decoded only once every other check
+/// has passed.
+fn parse_members(
+    value: &Value,
+    inline: Option<InlineTrace<'_>>,
+) -> Result<SolveRequest, ErrorReply> {
     let bad = |msg: String| ErrorReply::new(ErrorCode::BadRequest, msg);
 
     let heuristic_name: String = match value.field("heuristic") {
@@ -308,7 +418,6 @@ pub fn parse_request(value: &Value) -> Result<SolveRequest, ErrorReply> {
         )));
     }
 
-    let inline = value.field("trace").ok();
     let family = value.field("family").ok();
     let source = match (inline, family) {
         (Some(_), Some(_)) => {
@@ -321,12 +430,7 @@ pub fn parse_request(value: &Value) -> Result<SolveRequest, ErrorReply> {
                 "request must name exactly one of 'trace' or 'family'".to_string()
             ))
         }
-        (Some(trace_value), None) => {
-            let trace = Trace::from_value(trace_value).map_err(|e| {
-                ErrorReply::new(ErrorCode::InvalidTrace, format!("invalid trace: {e}"))
-            })?;
-            TraceSource::Inline(trace)
-        }
+        (Some(inline), None) => TraceSource::Inline(inline.decode()?),
         (None, Some(spec)) => {
             let family_name: String = match spec.field("family") {
                 Ok(v) => Deserialize::from_value(v)
@@ -467,6 +571,8 @@ pub fn request_to_value(req: &SolveRequest) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dts_chem::trace::TaskKind;
+    use dts_chem::TraceTask;
     use dts_core::perfmodel::{ComputeBackend, LinearFit, LinkClass, RegressionModel};
 
     fn sample_cost_model() -> CostModelSpec {
@@ -597,6 +703,140 @@ mod tests {
         }
     }
 
+    fn inline_request() -> SolveRequest {
+        SolveRequest {
+            source: TraceSource::Inline(Trace {
+                kernel: "HF".to_string(),
+                rank: 3,
+                tasks: vec![
+                    TraceTask {
+                        name: "fock(0,1)".to_string(),
+                        kind: TaskKind::FusedTransposeContraction,
+                        comm_micros: 110,
+                        comp_micros: 30,
+                        mem_bytes: 160_000,
+                    },
+                    TraceTask {
+                        name: "fock(0,2)".to_string(),
+                        kind: TaskKind::Contraction,
+                        comm_micros: 95,
+                        comp_micros: 25,
+                        mem_bytes: 176_128,
+                    },
+                ],
+                model: None,
+                cost_model: None,
+            }),
+            heuristic: Heuristic::from_name("OOLCMR").unwrap(),
+            model: None,
+            cost_model: None,
+            factor: 1.5,
+        }
+    }
+
+    fn inline_trace(req: &mut SolveRequest) -> &mut Trace {
+        match &mut req.source {
+            TraceSource::Inline(trace) => trace,
+            TraceSource::Family { .. } => unreachable!("an inline request"),
+        }
+    }
+
+    #[test]
+    fn digests_have_known_answers() {
+        // Family keys are unchanged since the typed inline digest came in;
+        // moving either answer changes which requests share a cache entry.
+        let family = parse_request(&family_request_value()).unwrap();
+        assert_eq!(
+            family.digest().to_string(),
+            "7053ca36c7dd0bf90cdb3ee3b11df609"
+        );
+        assert_eq!(
+            inline_request().digest().to_string(),
+            "f3d673a52da333a3da352ed9e8f18873"
+        );
+    }
+
+    #[test]
+    fn inline_digest_is_sensitive_to_every_trace_field() {
+        let base = inline_request();
+        let d0 = base.digest();
+        type Edit = fn(&mut Trace);
+        let edits: Vec<(&str, Edit)> = vec![
+            ("kernel", |t| t.kernel.push('x')),
+            ("rank", |t| t.rank += 1),
+            ("task dropped", |t| drop(t.tasks.pop())),
+            ("task order", |t| t.tasks.swap(0, 1)),
+            ("name", |t| t.tasks[0].name.push('x')),
+            ("kind", |t| t.tasks[1].kind = TaskKind::Transpose),
+            ("comm", |t| t.tasks[0].comm_micros += 1),
+            ("comp", |t| t.tasks[0].comp_micros += 1),
+            ("mem", |t| t.tasks[1].mem_bytes = 176_129),
+            ("model", |t| {
+                t.model = Some(ExecutionModel::Streams { k: 2 })
+            }),
+            ("cost model", |t| t.cost_model = Some(sample_cost_model())),
+            // Length prefixes keep a byte from moving between strings.
+            ("name boundary", |t| {
+                let moved = t.tasks[0].name.pop().unwrap();
+                t.tasks[1].name.insert(0, moved);
+            }),
+        ];
+        let mut seen = vec![d0];
+        for (what, edit) in edits {
+            let mut other = base.clone();
+            edit(inline_trace(&mut other));
+            let d = other.digest();
+            assert!(!seen.contains(&d), "{what} changes the key");
+            seen.push(d);
+        }
+        // Streams counts and overlap efficiencies key apart.
+        let mut a = base.clone();
+        inline_trace(&mut a).model = Some(ExecutionModel::Streams { k: 3 });
+        assert!(!seen.contains(&a.digest()), "streams:3 keys apart");
+        let mut b = base.clone();
+        inline_trace(&mut b).model = Some(ExecutionModel::IMPLICIT_FULL);
+        assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn inline_digest_ignores_how_the_payload_spells_the_trace() {
+        let canonical = render(&request_to_value(&inline_request()));
+        let want = decode_request(canonical.as_bytes()).unwrap().digest();
+        assert_eq!(want, inline_request().digest());
+        let spellings = [
+            serde_json::to_string_pretty(&request_to_value(&inline_request())).unwrap(),
+            // Key order, at both levels.
+            r#"{"factor": 1.5, "heuristic": "OOLCMR", "trace": {"tasks": [
+                {"mem_bytes": 160000, "comp_micros": 30, "comm_micros": 110,
+                 "kind": "FusedTransposeContraction", "name": "fock(0,1)"},
+                {"kind": "Contraction", "name": "fock(0,2)", "comm_micros": 95,
+                 "comp_micros": 25, "mem_bytes": 176128}], "rank": 3, "kernel": "HF"}}"#
+                .to_string(),
+            // Escapes in keys and strings, and unknown keys at every level.
+            canonical
+                .replacen(
+                    "\"kernel\":\"HF\"",
+                    "\"k\\u0065rnel\":\"\\u0048F\",\"x\":[1]",
+                    1,
+                )
+                .replacen("fock(0,1)", "fock(0\\u002c1)", 1)
+                .replacen("\"rank\"", "\"unknown\":{\"a\":null},\"rank\"", 1)
+                .replacen("{\"trace\"", "{\"note\":\"hi\",\"trace\"", 1),
+            // A trace-level `"cost_model": "analytic"` and `"model": null`
+            // decode as absent.
+            canonical.replacen(
+                "\"kernel\"",
+                "\"model\":null,\"cost_model\":\"analytic\",\"kernel\"",
+                1,
+            ),
+        ];
+        for payload in spellings {
+            let req = decode_request(payload.as_bytes())
+                .unwrap_or_else(|e| panic!("{payload}: {}", e.message));
+            assert_eq!(req.digest(), want, "{payload}");
+        }
+    }
+
     #[test]
     fn digest_is_stable_and_sensitive_to_every_input() {
         let base = parse_request(&family_request_value()).unwrap();
@@ -632,6 +872,40 @@ mod tests {
             config.seed += 1;
         }
         assert_ne!(d0, other.digest(), "seed changes the key");
+
+        // The same request-level inputs key an inline request apart, and
+        // an inline request never shares a key with a family one.
+        let inline = inline_request();
+        let i0 = inline.digest();
+        assert_ne!(i0, d0, "inline and family requests key apart");
+        let mut other = inline.clone();
+        other.factor = 2.0;
+        assert_ne!(i0, other.digest(), "factor changes an inline key");
+        let mut other = inline.clone();
+        other.heuristic = Heuristic::from_name("GG").unwrap();
+        assert_ne!(i0, other.digest(), "heuristic changes an inline key");
+        // A request-level model or cost model keys apart from the same
+        // one embedded in the trace.
+        let mut request_level = inline.clone();
+        request_level.model = Some(ExecutionModel::Duplex);
+        let mut trace_level = inline.clone();
+        inline_trace(&mut trace_level).model = Some(ExecutionModel::Duplex);
+        assert_ne!(i0, request_level.digest(), "model changes an inline key");
+        assert_ne!(request_level.digest(), trace_level.digest());
+        let mut request_level = inline.clone();
+        request_level.cost_model = Some(sample_cost_model());
+        let mut trace_level = inline;
+        inline_trace(&mut trace_level).cost_model = Some(sample_cost_model());
+        assert_ne!(
+            i0,
+            request_level.digest(),
+            "cost model changes an inline key"
+        );
+        assert_ne!(
+            request_level.digest(),
+            trace_level.digest(),
+            "a request-level cost model keys apart from the trace's own"
+        );
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //!
 //! * One **acceptor** thread owns the listening socket and spawns a
 //!   connection thread per client.
-//! * Each **connection** thread runs the frame loop: read a frame, parse
-//!   and admit the request, answer it, write the response frame. A cache
-//!   hit is answered straight from the [`SolveCache`]; a cold solve first
-//!   takes a slot from the admission [`Gate`] and then runs on the
-//!   connection thread itself. Protocol failures become typed error
-//!   frames on the same connection — a client connection is never dropped
-//!   in lieu of an error reply.
+//! * Each **connection** thread runs the frame loop: read a frame, decode
+//!   ([`decode_request`]) and admit the request, answer it, write the
+//!   response frame. A cache hit is answered straight from the
+//!   [`SolveCache`]; a cold solve first takes a slot from the admission
+//!   [`Gate`] and then runs on the connection thread itself. Protocol
+//!   failures become typed error frames on the same connection — a
+//!   client connection is never dropped in lieu of an error reply.
 //!
 //! There is no scheduler thread or worker pool: a reply waits only for
 //! its own solve, never for another request's, and the gate's
@@ -49,7 +49,7 @@
 //! leaves no cache entry behind.
 
 use crate::protocol::{
-    ok_response_json, parse_request, read_frame, write_frame, ErrorCode, ErrorReply, FrameRead,
+    decode_request, ok_response_json, read_frame, write_frame, ErrorCode, ErrorReply, FrameRead,
     SolveRequest, TraceSource,
 };
 use dts_core::cache::{CacheStats, SolveCache};
@@ -228,27 +228,10 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Parses, admits and answers one request payload, always producing a
+/// Decodes, admits and answers one request payload, always producing a
 /// response payload (typed errors included).
 fn handle_payload(shared: &Shared, payload: &[u8]) -> String {
-    let text = match std::str::from_utf8(payload) {
-        Ok(text) => text,
-        Err(e) => {
-            return ErrorReply::new(ErrorCode::BadFrame, format!("payload is not UTF-8: {e}"))
-                .to_json()
-        }
-    };
-    let value = match serde_json::from_str(text) {
-        Ok(value) => value,
-        Err(e) => {
-            return ErrorReply::new(
-                ErrorCode::BadFrame,
-                format!("payload is not valid JSON: {e}"),
-            )
-            .to_json()
-        }
-    };
-    let request = match parse_request(&value) {
+    let request = match decode_request(payload) {
         Ok(request) => request,
         Err(reply) => return reply.to_json(),
     };
