@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, Criterion};
 use dts_core::ExecutionModel;
-use dts_heuristics::{run_heuristic_with, Heuristic};
+use dts_heuristics::{run_heuristic, Heuristic};
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
 
 /// Same widened allowance as the other scale benches: allocator and cache
@@ -91,8 +91,15 @@ fn bench(c: &mut Criterion) {
                 .expect("seeded generation succeeds")
                 .to_instance_scaled(capacity_factor(family))
                 .expect("corpus factors are feasible");
+            let modeled: Vec<_> = MODELS
+                .iter()
+                .map(|&(mname, model)| {
+                    let stamped = instance.clone().with_model(model).expect("model is valid");
+                    (mname, stamped)
+                })
+                .collect();
             for heuristic in HEURISTICS {
-                for (mname, model) in MODELS {
+                for (mname, instance) in &modeled {
                     c.bench_function(
                         &format!(
                             "corpus/{family}_{}_{mname}_{n_tasks}tasks",
@@ -100,9 +107,9 @@ fn bench(c: &mut Criterion) {
                         ),
                         |b| {
                             b.iter(|| {
-                                run_heuristic_with(&instance, heuristic, model)
+                                run_heuristic(instance, heuristic)
                                     .expect("heuristic runs")
-                                    .makespan(&instance)
+                                    .makespan(instance)
                             })
                         },
                     );

@@ -16,7 +16,7 @@ use criterion::{criterion_group, Criterion};
 use dts_bench::tiled_trace_instance;
 use dts_chem::Kernel;
 use dts_core::ExecutionModel;
-use dts_heuristics::{run_heuristic_with, Heuristic};
+use dts_heuristics::{run_heuristic, Heuristic};
 
 /// Same widened allowance as the other scale benches: allocator and cache
 /// behavior dominates at tens of thousands of tasks.
@@ -51,6 +51,20 @@ fn max_tasks() -> usize {
     user_cap().unwrap_or(default)
 }
 
+/// One copy of `instance` per model, each stamped with it.
+fn stamped(
+    instance: &dts_core::Instance,
+    models: &[(&'static str, ExecutionModel)],
+) -> Vec<(&'static str, dts_core::Instance)> {
+    models
+        .iter()
+        .map(|&(name, model)| {
+            let modeled = instance.clone().with_model(model).expect("model is valid");
+            (name, modeled)
+        })
+        .collect()
+}
+
 /// Prints the Table 3-style strategy comparison: the makespan of every
 /// model relative to the explicit baseline, per kernel and heuristic, on
 /// the 10k-task tiled traces.
@@ -60,15 +74,16 @@ fn print_strategy_comparison(n_tasks: usize) {
     println!("|---|---|---|---|---|---|");
     for kernel in KERNELS {
         let instance = tiled_trace_instance(kernel, n_tasks, 1.5).expect("tiled trace converts");
+        let overlapped = stamped(&instance, &MODELS[1..]);
         for heuristic in HEURISTICS {
-            let explicit = run_heuristic_with(&instance, heuristic, ExecutionModel::Explicit)
+            let explicit = run_heuristic(&instance, heuristic)
                 .expect("explicit run succeeds")
                 .makespan(&instance);
             let mut row = format!("| {} | {} | 1.0000", kernel.name(), heuristic.name());
-            for (_, model) in &MODELS[1..] {
-                let makespan = run_heuristic_with(&instance, heuristic, *model)
+            for (_, modeled) in &overlapped {
+                let makespan = run_heuristic(modeled, heuristic)
                     .expect("model run succeeds")
-                    .makespan(&instance);
+                    .makespan(modeled);
                 row.push_str(&format!(" | {:.4}", makespan.ratio(explicit)));
             }
             println!("{row} |");
@@ -87,9 +102,10 @@ fn bench(c: &mut Criterion) {
         for kernel in KERNELS {
             let instance =
                 tiled_trace_instance(kernel, n_tasks, 1.5).expect("tiled trace converts");
+            let modeled = stamped(&instance, &MODELS);
             let kname = kernel.name().to_lowercase();
             for heuristic in HEURISTICS {
-                for (mname, model) in MODELS {
+                for (mname, instance) in &modeled {
                     c.bench_function(
                         &format!(
                             "overlap/{kname}_{}_{mname}_{n_tasks}tasks",
@@ -97,9 +113,9 @@ fn bench(c: &mut Criterion) {
                         ),
                         |b| {
                             b.iter(|| {
-                                run_heuristic_with(&instance, heuristic, model)
+                                run_heuristic(instance, heuristic)
                                     .expect("heuristic runs")
-                                    .makespan(&instance)
+                                    .makespan(instance)
                             })
                         },
                     );

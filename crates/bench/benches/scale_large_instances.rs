@@ -22,9 +22,7 @@
 
 use criterion::{criterion_group, Criterion};
 use dts_core::instances::random_instance_decoupled_memory;
-use dts_heuristics::{
-    run_heuristic, run_heuristic_batched, run_heuristic_batched_pooled, BatchConfig, Heuristic,
-};
+use dts_heuristics::{run_heuristic, run_heuristic_batched, BatchConfig, Heuristic};
 use dts_milp::{lp_k, LpKConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,9 +95,9 @@ fn bench(c: &mut Criterion) {
                     .makespan(&instance)
             })
         });
-        // Batched scheduling (paper batch size 100): the batches are solved
-        // speculatively in parallel and stitched; the single-worker variant
-        // is kept as the reference point for the parallel speedup.
+        // Batched scheduling (paper batch size 100): from
+        // `PARALLEL_BATCH_MIN_TASKS` up the batches are solved in parallel
+        // and stitched.
         let config = BatchConfig { batch_size: 100 };
         c.bench_function(&format!("scale/batched_OOLCMR_{n_tasks}tasks"), |b| {
             b.iter(|| {
@@ -108,16 +106,6 @@ fn bench(c: &mut Criterion) {
                     .makespan(&instance)
             })
         });
-        c.bench_function(
-            &format!("scale/batched_OOLCMR_1worker_{n_tasks}tasks"),
-            |b| {
-                b.iter(|| {
-                    run_heuristic_batched_pooled(&instance, Heuristic::OOLCMR, config, 1)
-                        .expect("batched heuristic runs")
-                        .makespan(&instance)
-                })
-            },
-        );
     }
 }
 

@@ -790,12 +790,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(arg) = &cost_model_flag {
         apply_cost_model_override(&mut trace, arg)?;
     }
-    let mut instance = trace
+    if let Some(model) = model_override {
+        trace.model = Some(model);
+    }
+    let instance = trace
         .to_instance_scaled(factor)
         .map_err(|e| e.to_string())?;
-    if let Some(model) = model_override {
-        instance = instance.with_model(model).map_err(|e| e.to_string())?;
-    }
     let omim = johnson_makespan(&instance);
     let schedule = run_heuristic(&instance, heuristic).map_err(|e| e.to_string())?;
     let makespan = schedule.makespan(&instance);

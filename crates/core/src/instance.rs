@@ -97,15 +97,13 @@ impl Instance {
         self.model.unwrap_or_default()
     }
 
-    /// Returns a copy of this instance carrying the given execution model;
-    /// every executor and heuristic entry point honors it by default.
-    /// Rejects invalid models (zero stream count) that bypassed
-    /// [`ExecutionModel::parse`].
-    pub fn with_model(&self, model: ExecutionModel) -> Result<Self> {
+    /// Returns this instance carrying the given execution model, the one
+    /// every executor and heuristic runs under. Rejects invalid models
+    /// (zero stream count) that bypassed [`ExecutionModel::parse`].
+    pub fn with_model(mut self, model: ExecutionModel) -> Result<Self> {
         model.validate()?;
-        let mut instance = self.clone();
-        instance.model = (!model.is_explicit()).then_some(model);
-        Ok(instance)
+        self.model = (!model.is_explicit()).then_some(model);
+        Ok(self)
     }
 
     /// The cost model the task durations were materialized under;
@@ -511,14 +509,17 @@ mod tests {
         let json = serde_json::to_string(&inst).unwrap();
         assert!(!json.contains("model"));
 
-        let duplex = inst.with_model(ExecutionModel::Duplex).unwrap();
+        let duplex = inst.clone().with_model(ExecutionModel::Duplex).unwrap();
         assert_eq!(duplex.model(), ExecutionModel::Duplex);
         let back: Instance =
             serde_json::from_str(&serde_json::to_string(&duplex).unwrap()).unwrap();
         assert_eq!(back.model(), ExecutionModel::Duplex);
         // Attaching Explicit is a no-op that keeps equality with the plain
         // instance.
-        assert_eq!(inst.with_model(ExecutionModel::Explicit).unwrap(), inst);
+        assert_eq!(
+            inst.clone().with_model(ExecutionModel::Explicit).unwrap(),
+            inst
+        );
         // Invalid models are rejected, not stored.
         assert!(inst.with_model(ExecutionModel::Streams { k: 0 }).is_err());
     }

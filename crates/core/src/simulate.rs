@@ -14,12 +14,12 @@
 //!   all the static heuristics of Section 4.1.
 //!
 //! Both executors honor the instance's [`ExecutionModel`] (the paper's
-//! half-duplex [`ExecutionModel::Explicit`] unless one was attached), and
-//! both have `_with` variants taking the model explicitly. Under the
-//! multi-channel models (duplex, streams) transfers are still *issued* in
-//! sequence order — transfer `i + 1` never starts before transfer `i` —
-//! but may proceed concurrently on different channels; under the implicit
-//! model each task's transfer and computation fuse into a single phase.
+//! half-duplex [`ExecutionModel::Explicit`] unless one was attached with
+//! [`Instance::with_model`]). Under the multi-channel models (duplex,
+//! streams) transfers are still *issued* in sequence order — transfer
+//! `i + 1` never starts before transfer `i` — but may proceed concurrently
+//! on different channels; under the implicit model each task's transfer
+//! and computation fuse into a single phase.
 
 use crate::error::{CoreError, Result};
 use crate::exec::ExecutionModel;
@@ -112,17 +112,8 @@ pub fn check_permutation(instance: &Instance, order: &[TaskId]) -> Result<()> {
 /// resulting makespan for the Johnson order under the explicit model is
 /// the `OMIM` lower bound used throughout the paper's evaluation.
 pub fn simulate_sequence_infinite(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
-    simulate_sequence_infinite_with(instance, order, instance.model())
-}
-
-/// [`simulate_sequence_infinite`] under an explicit [`ExecutionModel`]
-/// (overriding whatever the instance carries).
-pub fn simulate_sequence_infinite_with(
-    instance: &Instance,
-    order: &[TaskId],
-    model: ExecutionModel,
-) -> Result<Schedule> {
     check_permutation(instance, order)?;
+    let model = instance.model();
     model.validate()?;
     let mut schedule = Schedule::with_capacity(order.len());
     if model.is_explicit() {
@@ -192,23 +183,13 @@ pub fn simulate_sequence_infinite_with(
 /// Returns [`CoreError::NotAPermutation`], [`CoreError::DuplicateTask`] or
 /// [`CoreError::UnknownTask`] for an invalid order, and
 /// [`CoreError::TaskExceedsCapacity`] if a task can never fit in the
-/// instance's memory (possible only for instances that bypassed
-/// [`Instance::new`] validation, e.g. deserialized ones).
+/// instance's memory, and [`CoreError::InvalidExecutionModel`] for an
+/// invalid model (both possible only for instances that bypassed
+/// [`Instance::new`] and [`Instance::with_model`] validation, e.g.
+/// deserialized ones).
 pub fn simulate_sequence(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
-    simulate_sequence_with(instance, order, instance.model())
-}
-
-/// [`simulate_sequence`] under an explicit [`ExecutionModel`] (overriding
-/// whatever the instance carries). Memory semantics are shared by all
-/// models — a task holds its memory from the start of its (fused or
-/// plain) transfer to the end of its computation, and a transfer waits
-/// for releases until it fits.
-pub fn simulate_sequence_with(
-    instance: &Instance,
-    order: &[TaskId],
-    model: ExecutionModel,
-) -> Result<Schedule> {
     check_permutation(instance, order)?;
+    let model = instance.model();
     model.validate()?;
     // A task larger than the whole memory can never fit; waiting for
     // releases would drain the queue and underflow. Construction enforces
@@ -522,21 +503,23 @@ mod tests {
     fn streams_one_is_exactly_explicit() {
         use crate::exec::ExecutionModel;
         let inst = table3();
+        let one = inst
+            .clone()
+            .with_model(ExecutionModel::Streams { k: 1 })
+            .unwrap();
         use rand::prelude::*;
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut order = inst.task_ids();
         for _ in 0..20 {
             order.shuffle(&mut rng);
-            let explicit = simulate_sequence_with(&inst, &order, ExecutionModel::Explicit).unwrap();
-            let one =
-                simulate_sequence_with(&inst, &order, ExecutionModel::Streams { k: 1 }).unwrap();
-            assert_eq!(explicit, one);
-            let explicit_inf =
-                simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Explicit).unwrap();
-            let one_inf =
-                simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Streams { k: 1 })
-                    .unwrap();
-            assert_eq!(explicit_inf, one_inf);
+            assert_eq!(
+                simulate_sequence(&inst, &order).unwrap(),
+                simulate_sequence(&one, &order).unwrap()
+            );
+            assert_eq!(
+                simulate_sequence_infinite(&inst, &order).unwrap(),
+                simulate_sequence_infinite(&one, &order).unwrap()
+            );
         }
     }
 
@@ -551,8 +534,9 @@ mod tests {
         // = 8: comm [8,10), comp [13,14). Makespan 14 < explicit's 15
         // (Fig. 4b, OOSIM).
         let inst = table3();
+        let duplex = inst.clone().with_model(ExecutionModel::Duplex).unwrap();
         let order = ids(&[1, 2, 0, 3]);
-        let sched = simulate_sequence_with(&inst, &order, ExecutionModel::Duplex).unwrap();
+        let sched = simulate_sequence(&duplex, &order).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(14));
         assert_eq!(
             sched.entry(TaskId(2)).unwrap().comm_start,
@@ -577,10 +561,8 @@ mod tests {
         // Under full-efficiency implicit overlap each task occupies both
         // resources for max(comm, comp): A 3, B 3, C 4, D 2 ⇒ makespan 12
         // for any order that never waits on memory.
-        let inst = table3();
-        let sched =
-            simulate_sequence_with(&inst, &ids(&[1, 2, 0, 3]), ExecutionModel::IMPLICIT_FULL)
-                .unwrap();
+        let inst = table3().with_model(ExecutionModel::IMPLICIT_FULL).unwrap();
+        let sched = simulate_sequence(&inst, &ids(&[1, 2, 0, 3])).unwrap();
         // B [0,3), C [3,7) (B releases at 3), A [7,10), D [10,12).
         assert_eq!(sched.makespan(&inst), Time::units_int(12));
         // Each entry's computation ends when its fused phase does.
@@ -596,30 +578,42 @@ mod tests {
     #[test]
     fn model_carried_by_the_instance_is_honored() {
         use crate::exec::ExecutionModel;
+        // The executors learn the model from the instance alone, including
+        // one that arrives through the serialized form.
         let inst = table3();
-        let duplex_inst = inst.with_model(ExecutionModel::Duplex).unwrap();
+        let duplex = inst.clone().with_model(ExecutionModel::Duplex).unwrap();
+        let back: Instance =
+            serde_json::from_str(&serde_json::to_string(&duplex).unwrap()).unwrap();
         let order = ids(&[1, 2, 0, 3]);
-        assert_eq!(
-            simulate_sequence(&duplex_inst, &order).unwrap(),
-            simulate_sequence_with(&inst, &order, ExecutionModel::Duplex).unwrap()
-        );
-        assert_eq!(
-            simulate_sequence_infinite(&duplex_inst, &order).unwrap(),
-            simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Duplex).unwrap()
-        );
+        let sched = simulate_sequence(&duplex, &order).unwrap();
+        assert_eq!(sched.makespan(&inst), Time::units_int(14));
+        assert_eq!(simulate_sequence(&back, &order).unwrap(), sched);
+        // Unlimited memory: A issues on the free upload channel at 1 while C
+        // still transfers, so duplex ends at 11 against explicit's 12.
+        let infinite = simulate_sequence_infinite(&duplex, &order).unwrap();
+        assert_eq!(infinite.makespan(&inst), Time::units_int(11));
+        assert_eq!(simulate_sequence_infinite(&back, &order).unwrap(), infinite);
     }
 
     #[test]
     fn invalid_model_rejected_not_panicking() {
-        use crate::exec::ExecutionModel;
-        let inst = table3();
+        // `with_model` refuses a zero stream count, but a deserialized
+        // instance can still carry one; both executors must reject it.
+        let json = serde_json::to_string(
+            &table3()
+                .with_model(crate::exec::ExecutionModel::Streams { k: 1 })
+                .unwrap(),
+        )
+        .unwrap()
+        .replace(r#""k":1"#, r#""k":0"#);
+        let inst: Instance = serde_json::from_str(&json).unwrap();
         let order = inst.task_ids();
         assert!(matches!(
-            simulate_sequence_with(&inst, &order, ExecutionModel::Streams { k: 0 }),
+            simulate_sequence(&inst, &order),
             Err(CoreError::InvalidExecutionModel(_))
         ));
         assert!(matches!(
-            simulate_sequence_infinite_with(&inst, &order, ExecutionModel::Streams { k: 0 }),
+            simulate_sequence_infinite(&inst, &order),
             Err(CoreError::InvalidExecutionModel(_))
         ));
     }

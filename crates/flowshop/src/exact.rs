@@ -100,13 +100,6 @@ pub fn schedule_for_orders(
 ) -> Option<Schedule> {
     let n = instance.len();
     let capacity = instance.capacity().bytes();
-    let comp_rank: Vec<usize> = {
-        let mut rank = vec![usize::MAX; n];
-        for (k, id) in comp_order.iter().enumerate() {
-            rank[id.index()] = k;
-        }
-        rank
-    };
 
     let mut comm_start = vec![Time::MAX; n];
     let mut comm_end = vec![Time::MAX; n];
@@ -117,7 +110,6 @@ pub fn schedule_for_orders(
     let mut next_comp = 0usize; // index into comp_order
     let mut link_free = Time::ZERO;
     let mut cpu_free = Time::ZERO;
-    let mut held: u64 = 0;
     let mut now = Time::ZERO;
 
     // Event loop: at each step start whatever can start, otherwise advance
@@ -126,6 +118,14 @@ pub fn schedule_for_orders(
         if next_comm == n && next_comp == n {
             break;
         }
+        // Memory held at `now`: tasks whose transfer started and whose
+        // computation has not finished by `now`. A release at exactly `now`
+        // frees memory, including that of a zero-length computation started
+        // at `now` in the previous step, which no later event would release.
+        let held: u64 = (0..n)
+            .filter(|&i| comm_start[i] != Time::MAX && comp_end[i] > now)
+            .map(|i| instance.task(TaskId(i)).mem.bytes())
+            .sum();
         let mut progressed = false;
 
         // Start the next computation if possible (does not consume memory —
@@ -151,13 +151,10 @@ pub fn schedule_for_orders(
             let id = comm_order[next_comm];
             let i = id.index();
             let t = instance.task(id);
-            // Memory currently held: tasks whose comm started and comp not
-            // finished by `now` (a release at exactly `now` frees memory).
             if link_free <= now && held + t.mem.bytes() <= capacity {
                 comm_start[i] = now;
                 comm_end[i] = now + t.comm_time;
                 link_free = comm_end[i];
-                held += t.mem.bytes();
                 next_comm += 1;
                 progressed = true;
             }
@@ -193,13 +190,6 @@ pub fn schedule_for_orders(
             return None;
         }
         now = next_event;
-        // Release memory of computations finished by `now`.
-        held = 0;
-        for i in 0..n {
-            if comm_start[i] != Time::MAX && !(comp_end[i] != Time::MAX && comp_end[i] <= now) {
-                held += instance.task(TaskId(i)).mem.bytes();
-            }
-        }
     }
 
     let mut schedule = Schedule::with_capacity(n);
@@ -213,7 +203,6 @@ pub fn schedule_for_orders(
             comp_start: comp_start[i],
         });
     }
-    let _ = comp_rank; // rank table retained for clarity; ordering enforced via comp_order
     schedule.normalize();
     Some(schedule)
 }
@@ -264,6 +253,7 @@ mod tests {
     use super::*;
     use crate::johnson::johnson_makespan;
     use dts_core::feasibility::is_feasible;
+    use dts_core::instance::InstanceBuilder;
     use dts_core::instances::{random_instance_decoupled_memory, table2, table3};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -336,6 +326,65 @@ mod tests {
                 .unwrap()
                 .makespan(&inst);
             assert_eq!(a, b, "instance {:?}", inst);
+        }
+    }
+
+    #[test]
+    fn zero_computation_tasks_release_memory_at_once() {
+        // Both tasks cannot be resident together (2 + 1 > 2), and neither
+        // computes: each transfer must start the instant the other task's
+        // zero-length computation releases its memory, so the optimum is
+        // the serialized transfers, 6 + 2 = 8.
+        let inst = InstanceBuilder::new()
+            .capacity(MemSize::from_bytes(2))
+            .task_units("A", 6.0, 0.0, 2)
+            .task_units("B", 2.0, 0.0, 1)
+            .build()
+            .unwrap();
+        let free = optimal_free_order(&inst);
+        assert_eq!(free.makespan, Time::units_int(8));
+        assert!(is_feasible(&inst, &free.schedule));
+        assert_eq!(optimal_same_order(&inst).makespan, Time::units_int(8));
+        for order in [inst.task_ids(), vec![TaskId(1), TaskId(0)]] {
+            let schedule = schedule_for_orders(&inst, &order, &order).unwrap();
+            assert_eq!(schedule.makespan(&inst), Time::units_int(8));
+        }
+    }
+
+    #[test]
+    fn free_order_handles_zero_length_phases() {
+        // Times drawn from 0..=9 make zero-length transfers and computations
+        // common; the free-order optimum must exist and sit between OMIM and
+        // the permutation optimum.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..300 {
+            let n = rng.gen_range(2..=4);
+            let mut builder = InstanceBuilder::new();
+            let mut mems = Vec::new();
+            for i in 0..n {
+                let mem = rng.gen_range(1..=6u64);
+                mems.push(mem);
+                builder = builder.task_units(
+                    &format!("t{i}"),
+                    rng.gen_range(0..=9) as f64,
+                    rng.gen_range(0..=9) as f64,
+                    mem,
+                );
+            }
+            let largest = *mems.iter().max().unwrap();
+            let capacity = rng.gen_range(largest..=mems.iter().sum::<u64>());
+            let inst = builder
+                .capacity(MemSize::from_bytes(capacity))
+                .build()
+                .unwrap();
+            let free = optimal_free_order(&inst);
+            assert!(is_feasible(&inst, &free.schedule), "{inst:?}");
+            assert!(free.makespan >= johnson_makespan(&inst), "{inst:?}");
+            assert!(
+                free.makespan <= optimal_same_order(&inst).makespan,
+                "{inst:?}"
+            );
         }
     }
 

@@ -8,8 +8,8 @@
 //!
 //! Because every batch starts from an empty memory and idle resources, the
 //! per-batch schedules do not depend on each other — only their *placement
-//! on the time axis* does. [`run_heuristic_batched`] exploits this: it
-//! solves all batches speculatively in parallel, then stitches the
+//! on the time axis* does. [`run_heuristic_batched`] exploits this: on
+//! large instances it solves all batches in parallel, then stitches the
 //! sub-schedules together sequentially by accumulating each batch's
 //! makespan as the offset of the next, producing the exact schedule a
 //! sequential run builds.
@@ -38,11 +38,17 @@ impl Default for BatchConfig {
 /// the completion of batch `k` (the runtime only discovers the next batch
 /// once the current one is done).
 ///
-/// The per-batch solves are independent of runtime state, so they run in
-/// parallel (up to the machine's available parallelism) and are stitched
-/// together in batch order afterwards; the schedule is identical to a
-/// sequential run's. Use [`run_heuristic_batched_pooled`] to control the
-/// worker count explicitly.
+/// The per-batch solves are independent of runtime state, so instances of
+/// at least [`PARALLEL_BATCH_MIN_TASKS`] tasks solve them in parallel (up to
+/// the machine's available parallelism) and stitch them together in batch
+/// order afterwards; the schedule is identical to a sequential run's.
+///
+/// # Errors
+///
+/// A failing batch stops the pool; among the failures observed, the one of
+/// the lowest batch index is returned — the same error a sequential run
+/// reports, since that run would fail at the first bad batch. A panic inside
+/// a batch surfaces as [`CoreError::Internal`].
 ///
 /// ```
 /// use dts_core::instances::table5;
@@ -71,27 +77,21 @@ pub fn run_heuristic_batched(
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     };
-    run_heuristic_batched_pooled(instance, heuristic, config, threads)
+    batched_on_workers(instance, heuristic, config, threads)
 }
 
 /// Instance size at or above which [`run_heuristic_batched`] fans its
-/// batches out across workers; below it a whole batched run costs less
-/// than spawning the pool. [`run_heuristic_batched_pooled`] ignores this
-/// threshold and honors its explicit worker count.
-pub const PARALLEL_BATCH_MIN_TASKS: usize = 256;
+/// batches out across workers. On a 2-vCPU host, batched OOLCMR (batch
+/// size 100) with two workers lost at 256 tasks (0.12 vs 0.08 ms), broke
+/// even around 1k and won from 2k up (10k: 2.6 vs 4.5 ms; 50k: 12 vs
+/// 22 ms).
+pub const PARALLEL_BATCH_MIN_TASKS: usize = 1_000;
 
-/// [`run_heuristic_batched`] with an explicit worker-thread count
-/// (`threads <= 1` solves the batches sequentially). Workers claim batches
-/// one at a time from a shared index, so heterogeneous batch costs do not
-/// stall the pool; the stitching pass is always sequential and deterministic.
-///
-/// # Errors
-///
-/// A failing batch stops the pool; among the failures observed, the one of
-/// the lowest batch index is returned — the same error a sequential run
-/// reports, since that run would fail at the first bad batch. A panic inside
-/// a batch surfaces as [`CoreError::Internal`].
-pub fn run_heuristic_batched_pooled(
+/// [`run_heuristic_batched`] on `threads` workers (`threads <= 1` solves
+/// the batches sequentially). Workers claim batches one at a time from a
+/// shared index, so heterogeneous batch costs do not stall the pool; the
+/// stitching pass is always sequential and deterministic.
+fn batched_on_workers(
     instance: &Instance,
     heuristic: Heuristic,
     config: BatchConfig,
@@ -230,10 +230,9 @@ mod tests {
             for h in [Heuristic::OS, Heuristic::MAMR, Heuristic::OOLCMR] {
                 for batch_size in [1usize, 7, 100] {
                     let config = BatchConfig { batch_size };
-                    let sequential = run_heuristic_batched_pooled(&inst, h, config, 1).unwrap();
+                    let sequential = batched_on_workers(&inst, h, config, 1).unwrap();
                     for threads in [2usize, 5, 64] {
-                        let pooled =
-                            run_heuristic_batched_pooled(&inst, h, config, threads).unwrap();
+                        let pooled = batched_on_workers(&inst, h, config, threads).unwrap();
                         assert_eq!(
                             sequential, pooled,
                             "{h} diverged: n={n_tasks} batch={batch_size} threads={threads}"
@@ -266,9 +265,8 @@ mod tests {
         );
         let inst: Instance = serde_json::from_str(&json).unwrap();
         let config = BatchConfig { batch_size: 4 };
-        let sequential =
-            run_heuristic_batched_pooled(&inst, Heuristic::LCMR, config, 1).unwrap_err();
-        let pooled = run_heuristic_batched_pooled(&inst, Heuristic::LCMR, config, 4).unwrap_err();
+        let sequential = batched_on_workers(&inst, Heuristic::LCMR, config, 1).unwrap_err();
+        let pooled = batched_on_workers(&inst, Heuristic::LCMR, config, 4).unwrap_err();
         assert_eq!(sequential, pooled);
         assert!(matches!(
             pooled,

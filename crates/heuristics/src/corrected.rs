@@ -11,7 +11,6 @@ use crate::engine::{select_candidate, EngineState};
 use crate::SelectionCriterion;
 use dts_core::index::CandidateIndex;
 use dts_core::prelude::*;
-use dts_flowshop::johnson::johnson_order;
 use serde::{Deserialize, Serialize};
 
 /// Criterion used when a dynamic correction is needed. The options mirror
@@ -37,39 +36,24 @@ impl From<CorrectionCriterion> for SelectionCriterion {
     }
 }
 
-/// Runs a static-order-with-dynamic-corrections heuristic using the Johnson
-/// order as the precomputed order, under the execution model the instance
-/// carries ([`ExecutionModel::Explicit`] unless one was attached).
-pub fn run_corrected(instance: &Instance, criterion: CorrectionCriterion) -> Result<Schedule> {
-    run_corrected_with_order(instance, &johnson_order(instance), criterion)
-}
-
-/// Same as [`run_corrected`] but with an arbitrary precomputed order. Used by
-/// the ablation benchmarks to apply corrections on top of other static
-/// orders.
-pub fn run_corrected_with_order(
-    instance: &Instance,
-    order: &[TaskId],
-    criterion: CorrectionCriterion,
-) -> Result<Schedule> {
-    run_corrected_with_order_model(instance, order, criterion, instance.model())
-}
-
-/// [`run_corrected_with_order`] under an explicit [`ExecutionModel`]
-/// (overriding whatever the instance carries). As for the dynamic
+/// Runs a static-order-with-dynamic-corrections heuristic following the
+/// precomputed `order`, under the execution model the instance carries
+/// ([`ExecutionModel::Explicit`] unless one was attached). The paper's
+/// OOLCMR/OOSCMR/OOMAMR follow the Johnson order
+/// ([`dts_flowshop::johnson::johnson_order`]); the ablation benchmarks
+/// apply corrections on top of other static orders. As for the dynamic
 /// heuristics, the order-following and correction rules are shared by all
 /// models; only the commit timing differs (see [`EngineState::commit`]).
-pub fn run_corrected_with_order_model(
+pub fn run_corrected(
     instance: &Instance,
     order: &[TaskId],
     criterion: CorrectionCriterion,
-    model: ExecutionModel,
 ) -> Result<Schedule> {
-    model.validate()?;
+    instance.model().validate()?;
     dts_core::simulate::check_permutation(instance, order)?;
     instance.check_tasks_fit()?;
     let selection: SelectionCriterion = criterion.into();
-    let mut state = EngineState::with_model(instance, model);
+    let mut state = EngineState::new(instance);
     // The pending set is the suffix of `order` starting at `cursor`, minus
     // the positions already scheduled by a dynamic correction; `index`
     // mirrors it as a memory-indexed structure so a correction is resolved
@@ -127,8 +111,14 @@ mod tests {
     use dts_core::feasibility::is_feasible;
     use dts_core::instances::{random_instance_decoupled_memory, table5};
     use dts_core::simulate::simulate_sequence;
+    use dts_flowshop::johnson::johnson_order;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The paper's OO* heuristics: corrections on top of the Johnson order.
+    fn johnson_corrected(inst: &Instance, criterion: CorrectionCriterion) -> Schedule {
+        run_corrected(inst, &johnson_order(inst), criterion).unwrap()
+    }
 
     fn comm_order_names(inst: &Instance, sched: &Schedule) -> Vec<String> {
         sched
@@ -143,7 +133,7 @@ mod tests {
     #[test]
     fn fig6_oolcmr_schedule() {
         let inst = table5();
-        let sched = run_corrected(&inst, CorrectionCriterion::LargestCommunication).unwrap();
+        let sched = johnson_corrected(&inst, CorrectionCriterion::LargestCommunication);
         assert_eq!(
             comm_order_names(&inst, &sched),
             vec!["B", "D", "A", "E", "C"]
@@ -155,7 +145,7 @@ mod tests {
     #[test]
     fn fig6_ooscmr_schedule() {
         let inst = table5();
-        let sched = run_corrected(&inst, CorrectionCriterion::SmallestCommunication).unwrap();
+        let sched = johnson_corrected(&inst, CorrectionCriterion::SmallestCommunication);
         assert_eq!(
             comm_order_names(&inst, &sched),
             vec!["B", "E", "A", "D", "C"]
@@ -167,7 +157,7 @@ mod tests {
     #[test]
     fn fig6_oomamr_schedule() {
         let inst = table5();
-        let sched = run_corrected(&inst, CorrectionCriterion::MaximumAcceleration).unwrap();
+        let sched = johnson_corrected(&inst, CorrectionCriterion::MaximumAcceleration);
         assert_eq!(
             comm_order_names(&inst, &sched),
             vec!["B", "D", "E", "A", "C"]
@@ -182,7 +172,7 @@ mod tests {
         // D comm [2,7) comp [8,12); A comm [8,12) comp [12,13);
         // E comm [12,15) comp [15,17); C comm [17,25) comp [25,33).
         let inst = table5();
-        let sched = run_corrected(&inst, CorrectionCriterion::LargestCommunication).unwrap();
+        let sched = johnson_corrected(&inst, CorrectionCriterion::LargestCommunication);
         let by_name = |n: &str| {
             let (id, _) = inst.iter().find(|(_, t)| t.name == n).unwrap();
             *sched.entry(id).unwrap()
@@ -207,7 +197,7 @@ mod tests {
                 CorrectionCriterion::SmallestCommunication,
                 CorrectionCriterion::MaximumAcceleration,
             ] {
-                let sched = run_corrected(&inst, criterion).unwrap();
+                let sched = johnson_corrected(&inst, criterion);
                 assert_eq!(sched.makespan(&inst), omim);
             }
         }
@@ -218,14 +208,14 @@ mod tests {
         // On Table 5 the plain OOSIM (no corrections) is blocked by C and
         // ends later than every corrected variant.
         let inst = table5();
-        let johnson = dts_flowshop::johnson::johnson_order(&inst);
+        let johnson = johnson_order(&inst);
         let uncorrected = simulate_sequence(&inst, &johnson).unwrap().makespan(&inst);
         for criterion in [
             CorrectionCriterion::LargestCommunication,
             CorrectionCriterion::SmallestCommunication,
             CorrectionCriterion::MaximumAcceleration,
         ] {
-            let corrected = run_corrected(&inst, criterion).unwrap().makespan(&inst);
+            let corrected = johnson_corrected(&inst, criterion).makespan(&inst);
             assert!(corrected <= uncorrected);
         }
     }
@@ -238,8 +228,7 @@ mod tests {
             // Apply corrections on top of the submission order.
             let order = inst.task_ids();
             let sched =
-                run_corrected_with_order(&inst, &order, CorrectionCriterion::MaximumAcceleration)
-                    .unwrap();
+                run_corrected(&inst, &order, CorrectionCriterion::MaximumAcceleration).unwrap();
             assert!(is_feasible(&inst, &sched));
             assert_eq!(sched.len(), inst.len());
         }
@@ -248,7 +237,7 @@ mod tests {
     #[test]
     fn invalid_order_rejected() {
         let inst = table5();
-        let err = run_corrected_with_order(
+        let err = run_corrected(
             &inst,
             &[TaskId(0), TaskId(1)],
             CorrectionCriterion::LargestCommunication,
@@ -259,7 +248,7 @@ mod tests {
     #[test]
     fn duplicated_order_reports_the_repeated_task() {
         let inst = table5();
-        let err = run_corrected_with_order(
+        let err = run_corrected(
             &inst,
             &[TaskId(0), TaskId(1), TaskId(1), TaskId(3), TaskId(4)],
             CorrectionCriterion::LargestCommunication,

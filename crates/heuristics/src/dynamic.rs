@@ -50,31 +50,22 @@ impl SelectionCriterion {
 
 /// Runs a dynamic heuristic to completion and returns the schedule, under
 /// the execution model the instance carries ([`ExecutionModel::Explicit`]
-/// unless one was attached).
+/// unless one was attached). The selection rule is shared by all models —
+/// tasks are filtered by fit and minimum induced CPU idle, then tie-broken
+/// by `criterion` — while the commit timing is model-specific (see
+/// [`EngineState::commit`]).
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::TaskExceedsCapacity`] if a task can never fit in the
-/// instance's memory (possible only for instances that bypassed
-/// [`Instance::new`] validation, e.g. deserialized ones) — such a task
-/// would otherwise stall the selection loop forever.
+/// instance's memory — such a task would otherwise stall the selection loop
+/// forever — and [`CoreError::InvalidExecutionModel`] for an invalid model
+/// (both possible only for instances that bypassed [`Instance::new`] and
+/// [`Instance::with_model`] validation, e.g. deserialized ones).
 pub fn run_dynamic(instance: &Instance, criterion: SelectionCriterion) -> Result<Schedule> {
-    run_dynamic_with(instance, criterion, instance.model())
-}
-
-/// [`run_dynamic`] under an explicit [`ExecutionModel`] (overriding
-/// whatever the instance carries). The selection rule is shared by all
-/// models — tasks are filtered by fit and minimum induced CPU idle, then
-/// tie-broken by `criterion` — while the commit timing is model-specific
-/// (see [`EngineState::commit`]).
-pub fn run_dynamic_with(
-    instance: &Instance,
-    criterion: SelectionCriterion,
-    model: ExecutionModel,
-) -> Result<Schedule> {
-    model.validate()?;
+    instance.model().validate()?;
     instance.check_tasks_fit()?;
-    let mut state = EngineState::with_model(instance, model);
+    let mut state = EngineState::new(instance);
     // Remaining tasks, indexed by memory footprint: each decision is
     // resolved with O(log n) threshold queries instead of scanning every
     // remaining task (see `select_candidate`). Only MAMR asks ratio

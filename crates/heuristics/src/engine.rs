@@ -16,7 +16,7 @@
 //! [`EngineState::next_release_after`] is O(log n).
 //!
 //! The decision loops of [`run_dynamic`](crate::dynamic::run_dynamic) and
-//! [`run_corrected_with_order`](crate::corrected::run_corrected_with_order)
+//! [`run_corrected`](crate::corrected::run_corrected)
 //! do not probe candidates one by one: [`select_candidate`] resolves each
 //! decision with O(log n) queries against a
 //! [`CandidateIndex`] of the remaining
@@ -77,16 +77,11 @@ pub struct EngineState {
 impl EngineState {
     /// Creates the initial state for an instance, honoring the execution
     /// model the instance carries ([`ExecutionModel::Explicit`] unless one
-    /// was attached).
-    pub fn new(instance: &Instance) -> Self {
-        Self::with_model(instance, instance.model())
-    }
-
-    /// Creates the initial state for an instance under an explicit
-    /// execution model. Callers must validate the model first
+    /// was attached). Callers must validate the model first
     /// ([`ExecutionModel::validate`]); the public heuristic entry points
     /// do.
-    pub fn with_model(instance: &Instance, model: ExecutionModel) -> Self {
+    pub fn new(instance: &Instance) -> Self {
+        let model = instance.model();
         debug_assert!(model.validate().is_ok(), "unvalidated execution model");
         let channels = match model {
             ExecutionModel::Duplex | ExecutionModel::Streams { .. } => {

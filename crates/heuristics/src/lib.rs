@@ -34,7 +34,7 @@ use dts_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-pub use batch::{run_heuristic_batched, run_heuristic_batched_pooled, BatchConfig};
+pub use batch::{run_heuristic_batched, BatchConfig};
 pub use corrected::CorrectionCriterion;
 pub use dynamic::SelectionCriterion;
 
@@ -198,21 +198,18 @@ impl fmt::Display for Heuristic {
 
 /// Runs a heuristic on an instance and returns the resulting schedule,
 /// under the execution model the instance carries
-/// ([`ExecutionModel::Explicit`] unless one was attached).
+/// ([`ExecutionModel::Explicit`] unless one was attached). Static orders
+/// only look at task characteristics, so they are the same under every
+/// model and then executed under it; the dynamic and corrected heuristics
+/// thread the model through their decision engines.
 pub fn run_heuristic(instance: &Instance, heuristic: Heuristic) -> Result<Schedule> {
-    run_heuristic_with(instance, heuristic, instance.model())
-}
-
-/// [`run_heuristic`] under an explicit [`ExecutionModel`] (overriding
-/// whatever the instance carries). Static orders are computed exactly as
-/// before — the ordering rules only look at task characteristics — and then
-/// executed under `model`; the dynamic and corrected heuristics thread the
-/// model through their decision engines.
-pub fn run_heuristic_with(
-    instance: &Instance,
-    heuristic: Heuristic,
-    model: ExecutionModel,
-) -> Result<Schedule> {
+    let corrected = |criterion| {
+        corrected::run_corrected(
+            instance,
+            &dts_flowshop::johnson::johnson_order(instance),
+            criterion,
+        )
+    };
     match heuristic {
         Heuristic::OS
         | Heuristic::OOSIM
@@ -223,35 +220,16 @@ pub fn run_heuristic_with(
         | Heuristic::GG
         | Heuristic::BP => {
             let order = static_order::static_order(instance, heuristic)?;
-            simulate_sequence_with(instance, &order, model)
+            simulate_sequence(instance, &order)
         }
-        Heuristic::LCMR => {
-            dynamic::run_dynamic_with(instance, SelectionCriterion::LargestCommunication, model)
-        }
+        Heuristic::LCMR => dynamic::run_dynamic(instance, SelectionCriterion::LargestCommunication),
         Heuristic::SCMR => {
-            dynamic::run_dynamic_with(instance, SelectionCriterion::SmallestCommunication, model)
+            dynamic::run_dynamic(instance, SelectionCriterion::SmallestCommunication)
         }
-        Heuristic::MAMR => {
-            dynamic::run_dynamic_with(instance, SelectionCriterion::MaximumAcceleration, model)
-        }
-        Heuristic::OOLCMR => corrected::run_corrected_with_order_model(
-            instance,
-            &dts_flowshop::johnson::johnson_order(instance),
-            CorrectionCriterion::LargestCommunication,
-            model,
-        ),
-        Heuristic::OOSCMR => corrected::run_corrected_with_order_model(
-            instance,
-            &dts_flowshop::johnson::johnson_order(instance),
-            CorrectionCriterion::SmallestCommunication,
-            model,
-        ),
-        Heuristic::OOMAMR => corrected::run_corrected_with_order_model(
-            instance,
-            &dts_flowshop::johnson::johnson_order(instance),
-            CorrectionCriterion::MaximumAcceleration,
-            model,
-        ),
+        Heuristic::MAMR => dynamic::run_dynamic(instance, SelectionCriterion::MaximumAcceleration),
+        Heuristic::OOLCMR => corrected(CorrectionCriterion::LargestCommunication),
+        Heuristic::OOSCMR => corrected(CorrectionCriterion::SmallestCommunication),
+        Heuristic::OOMAMR => corrected(CorrectionCriterion::MaximumAcceleration),
     }
 }
 

@@ -14,7 +14,7 @@ use dts_core::instances::{
 };
 use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_order;
-use dts_heuristics::corrected::{run_corrected, run_corrected_with_order};
+use dts_heuristics::corrected::run_corrected;
 use dts_heuristics::dynamic::run_dynamic;
 use dts_heuristics::{CorrectionCriterion, SelectionCriterion};
 use rand::rngs::StdRng;
@@ -195,13 +195,13 @@ fn assert_engines_agree(instance: &Instance, context: &str) {
     }
     for (correction, selection) in CORRECTIONS.into_iter().zip(SELECTIONS) {
         let johnson = johnson_order(instance);
-        let new = run_corrected(instance, correction).expect("corrected heuristic runs");
+        let new = run_corrected(instance, &johnson, correction).expect("corrected heuristic runs");
         let old = reference::run_corrected_with_order(instance, &johnson, selection);
         assert_eq!(new, old, "corrected {correction:?} diverged on {context}");
 
         // Also exercise a non-Johnson precomputed order (submission order).
         let submission = instance.task_ids();
-        let new = run_corrected_with_order(instance, &submission, correction)
+        let new = run_corrected(instance, &submission, correction)
             .expect("corrected-with-order heuristic runs");
         let old = reference::run_corrected_with_order(instance, &submission, selection);
         assert_eq!(
@@ -394,7 +394,7 @@ fn oversized_task_is_rejected_by_dynamic_and_corrected_loops() {
     }
     for correction in CORRECTIONS {
         assert!(matches!(
-            run_corrected_with_order(&instance, &instance.task_ids(), correction),
+            run_corrected(&instance, &instance.task_ids(), correction),
             Err(CoreError::TaskExceedsCapacity {
                 task: TaskId(1),
                 ..
@@ -436,7 +436,7 @@ fn u64_scale_memory_never_overlaps_the_full_memory_task() {
         schedules.push((format!("dynamic {criterion:?}"), sched));
     }
     for correction in CORRECTIONS {
-        let sched = run_corrected_with_order(&instance, &instance.task_ids(), correction)
+        let sched = run_corrected(&instance, &instance.task_ids(), correction)
             .expect("corrected heuristic runs");
         schedules.push((format!("corrected {correction:?}"), sched));
     }

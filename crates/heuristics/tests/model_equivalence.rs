@@ -17,11 +17,10 @@
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
 use dts_core::testgen;
-use dts_heuristics::corrected::run_corrected_with_order_model;
-use dts_heuristics::dynamic::run_dynamic_with;
-use dts_heuristics::{
-    run_heuristic, run_heuristic_with, CorrectionCriterion, Heuristic, SelectionCriterion,
-};
+use dts_flowshop::johnson::johnson_order;
+use dts_heuristics::corrected::run_corrected;
+use dts_heuristics::dynamic::run_dynamic;
+use dts_heuristics::{run_heuristic, CorrectionCriterion, Heuristic, SelectionCriterion};
 use microcheck::Gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,15 +39,18 @@ fn transfer_bound_instances(seed: u64, rounds: usize) -> Vec<Instance> {
         .collect()
 }
 
+/// `instance` stamped with `model`, the one way a run learns its model.
+fn under(instance: &Instance, model: ExecutionModel) -> Instance {
+    instance.clone().with_model(model).expect("model is valid")
+}
+
 #[test]
 fn single_stream_matches_explicit_for_every_heuristic() {
     for (i, instance) in transfer_bound_instances(11, 25).iter().enumerate() {
+        let one = under(instance, ExecutionModel::Streams { k: 1 });
         for &heuristic in &Heuristic::ALL {
-            let explicit = run_heuristic_with(instance, heuristic, ExecutionModel::Explicit)
-                .expect("explicit run succeeds");
-            let one_stream =
-                run_heuristic_with(instance, heuristic, ExecutionModel::Streams { k: 1 })
-                    .expect("one-stream run succeeds");
+            let explicit = run_heuristic(instance, heuristic).expect("explicit run succeeds");
+            let one_stream = run_heuristic(&one, heuristic).expect("one-stream run succeeds");
             assert_eq!(explicit, one_stream, "{heuristic} diverged on round {i}");
         }
     }
@@ -56,20 +58,35 @@ fn single_stream_matches_explicit_for_every_heuristic() {
 
 #[test]
 fn plain_entry_points_honor_the_instance_model() {
-    // `run_heuristic` (no model argument) must pick up a model attached to
-    // the instance — the trace → instance → heuristic chain the CLI uses.
+    // The model reaches every engine through the instance alone, including
+    // an instance that carried it through its serialized form (the trace →
+    // instance → heuristic chain the CLI and the daemon use).
     for instance in transfer_bound_instances(23, 10) {
-        let duplex_instance = instance
-            .clone()
-            .with_model(ExecutionModel::Duplex)
-            .expect("duplex is valid");
+        let duplex = under(&instance, ExecutionModel::Duplex);
+        let round_trip: Instance =
+            serde_json::from_str(&serde_json::to_string(&duplex).expect("instance renders"))
+                .expect("instance parses");
+        assert_eq!(round_trip.model(), ExecutionModel::Duplex);
         for &heuristic in &[Heuristic::LCMR, Heuristic::OOSIM, Heuristic::OOMAMR] {
-            let implicit_route =
-                run_heuristic(&duplex_instance, heuristic).expect("stamped run succeeds");
-            let explicit_route = run_heuristic_with(&instance, heuristic, ExecutionModel::Duplex)
-                .expect("explicit-model run succeeds");
-            assert_eq!(implicit_route, explicit_route, "{heuristic}");
+            assert_eq!(
+                run_heuristic(&duplex, heuristic).expect("stamped run succeeds"),
+                run_heuristic(&round_trip, heuristic).expect("deserialized run succeeds"),
+                "{heuristic}"
+            );
         }
+        assert_eq!(
+            run_heuristic(&duplex, Heuristic::LCMR).expect("heuristic runs"),
+            run_dynamic(&duplex, SelectionCriterion::LargestCommunication).expect("engine runs")
+        );
+        assert_eq!(
+            run_heuristic(&duplex, Heuristic::OOMAMR).expect("heuristic runs"),
+            run_corrected(
+                &duplex,
+                &johnson_order(&duplex),
+                CorrectionCriterion::MaximumAcceleration
+            )
+            .expect("engine runs")
+        );
     }
 }
 
@@ -84,11 +101,10 @@ fn overlap_models_change_dynamic_decisions_on_transfer_bound_instances() {
     for model in [ExecutionModel::Duplex, ExecutionModel::Streams { k: 3 }] {
         let mut diverged = 0usize;
         for instance in &instances {
+            let modeled = under(instance, model);
             for criterion in SELECTIONS {
-                let explicit = run_dynamic_with(instance, criterion, ExecutionModel::Explicit)
-                    .expect("explicit run succeeds");
-                let overlapped =
-                    run_dynamic_with(instance, criterion, model).expect("overlap run succeeds");
+                let explicit = run_dynamic(instance, criterion).expect("explicit run succeeds");
+                let overlapped = run_dynamic(&modeled, criterion).expect("overlap run succeeds");
                 if explicit.comm_order() != overlapped.comm_order() {
                     diverged += 1;
                 }
@@ -109,12 +125,14 @@ fn dynamic_overlap_models_never_lose_to_explicit() {
     // still holds empirically across the adversarial domain, and a
     // violation would flag a commit-timing bug.
     for (i, instance) in transfer_bound_instances(53, 40).iter().enumerate() {
+        let overlap_models = [ExecutionModel::Duplex, ExecutionModel::Streams { k: 4 }]
+            .map(|model| (model, under(instance, model)));
         for criterion in SELECTIONS {
-            let explicit = run_dynamic_with(instance, criterion, ExecutionModel::Explicit)
+            let explicit = run_dynamic(instance, criterion)
                 .expect("explicit run succeeds")
                 .makespan(instance);
-            for model in [ExecutionModel::Duplex, ExecutionModel::Streams { k: 4 }] {
-                let overlapped = run_dynamic_with(instance, criterion, model)
+            for (model, modeled) in &overlap_models {
+                let overlapped = run_dynamic(modeled, criterion)
                     .expect("overlap run succeeds")
                     .makespan(instance);
                 assert!(
@@ -136,9 +154,9 @@ fn all_models_stay_memory_feasible_through_every_engine() {
     ];
     for instance in transfer_bound_instances(71, 20) {
         for model in models {
+            let modeled = under(&instance, model);
             for criterion in SELECTIONS {
-                let schedule =
-                    run_dynamic_with(&instance, criterion, model).expect("dynamic run succeeds");
+                let schedule = run_dynamic(&modeled, criterion).expect("dynamic run succeeds");
                 assert_eq!(schedule.len(), instance.len());
                 let profile = MemoryProfile::of_schedule(&instance, &schedule);
                 assert!(
@@ -146,11 +164,10 @@ fn all_models_stay_memory_feasible_through_every_engine() {
                     "dynamic {criterion:?} under {model} violates memory"
                 );
             }
-            let schedule = run_corrected_with_order_model(
-                &instance,
+            let schedule = run_corrected(
+                &modeled,
                 &instance.task_ids(),
                 CorrectionCriterion::MaximumAcceleration,
-                model,
             )
             .expect("corrected run succeeds");
             let profile = MemoryProfile::of_schedule(&instance, &schedule);
@@ -164,27 +181,38 @@ fn all_models_stay_memory_feasible_through_every_engine() {
 
 #[test]
 fn invalid_models_error_cleanly_through_every_entry_point() {
-    let instance = dts_core::instances::table4();
-    let zero_streams = ExecutionModel::Streams { k: 0 };
+    // `with_model` refuses a zero stream count...
+    let table4 = dts_core::instances::table4();
     assert!(matches!(
-        run_dynamic_with(
-            &instance,
-            SelectionCriterion::LargestCommunication,
-            zero_streams
-        ),
+        table4.clone().with_model(ExecutionModel::Streams { k: 0 }),
+        Err(CoreError::InvalidExecutionModel(_))
+    ));
+    // ...but a deserialized instance can still carry one, and every plain
+    // entry point must reject it rather than panic.
+    let json = serde_json::to_string(&under(&table4, ExecutionModel::Streams { k: 1 }))
+        .expect("instance renders")
+        .replace(r#""k":1"#, r#""k":0"#);
+    let instance: Instance = serde_json::from_str(&json).expect("instance parses");
+    assert_eq!(instance.model(), ExecutionModel::Streams { k: 0 });
+    assert!(matches!(
+        run_dynamic(&instance, SelectionCriterion::LargestCommunication),
         Err(CoreError::InvalidExecutionModel(_))
     ));
     assert!(matches!(
-        run_corrected_with_order_model(
+        run_corrected(
             &instance,
             &instance.task_ids(),
             CorrectionCriterion::LargestCommunication,
-            zero_streams,
         ),
         Err(CoreError::InvalidExecutionModel(_))
     ));
-    assert!(matches!(
-        run_heuristic_with(&instance, Heuristic::OOSIM, zero_streams),
-        Err(CoreError::InvalidExecutionModel(_))
-    ));
+    for heuristic in [Heuristic::OOSIM, Heuristic::MAMR, Heuristic::OOLCMR] {
+        assert!(
+            matches!(
+                run_heuristic(&instance, heuristic),
+                Err(CoreError::InvalidExecutionModel(_))
+            ),
+            "{heuristic}"
+        );
+    }
 }

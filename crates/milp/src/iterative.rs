@@ -74,7 +74,11 @@ pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
 
 /// Convenience: runs `lp.k` for every window size of Fig. 7 and returns the
 /// `(k, makespan)` pairs, in the order of
-/// [`LpKConfig::PAPER_WINDOW_SIZES`].
+/// [`LpKConfig::PAPER_WINDOW_SIZES`]. Each window size is an independent
+/// `lp.k` solve, so on instances of at least [`PARALLEL_SWEEP_MIN_TASKS`]
+/// tasks the sizes are solved on scoped threads; results (and the reported
+/// error, if any: the one for the earliest failing size) are identical to
+/// solving the sizes one by one.
 ///
 /// ```
 /// use dts_core::instances::table3;
@@ -83,20 +87,10 @@ pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
 /// assert_eq!(sweep[0].0, 3); // lp.3 first
 /// ```
 pub fn lp_k_sweep(instance: &Instance) -> Result<Vec<(usize, Time)>> {
-    lp_k_sweep_sizes(instance, &LpKConfig::PAPER_WINDOW_SIZES)
-}
-
-/// [`lp_k_sweep`] over arbitrary window sizes. Each window size is an
-/// independent `lp.k` solve, so on instances of at least
-/// [`PARALLEL_SWEEP_MIN_TASKS`] tasks the sizes are solved on scoped
-/// threads; results (and the reported error, if any: the one for the
-/// earliest failing size) are identical to solving the sizes one by one.
-pub fn lp_k_sweep_sizes(instance: &Instance, sizes: &[usize]) -> Result<Vec<(usize, Time)>> {
+    let sizes = LpKConfig::PAPER_WINDOW_SIZES;
     let threads = if instance.len() < PARALLEL_SWEEP_MIN_TASKS {
         1
     } else {
-        // One worker per size, but never more than the machine offers —
-        // `sizes` is caller-controlled and may be long.
         sizes
             .len()
             .min(std::thread::available_parallelism().map_or(1, |n| n.get()))

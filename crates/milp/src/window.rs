@@ -105,128 +105,29 @@ pub fn simulate_window(
     (entries, state_after)
 }
 
-/// Window size at or above which [`solve_window`] fans the permutation
-/// enumeration out across threads. Below it (in particular for the paper's
-/// `k = 3..6`), the enumeration takes microseconds and thread spawning would
-/// dominate; at 7–8 tasks each first-task prefix carries 720–5040
-/// simulations, enough to amortize a scoped thread.
-pub const PARALLEL_WINDOW_MIN_TASKS: usize = 7;
-
-/// The best ordering found so far, with its comparison key.
-type BestOrder = (Time, Time, Vec<ScheduleEntry>, WindowState);
-
 /// Finds the best ordering of the window tasks by exhaustive enumeration
 /// (exact for the small windows used by `lp.k`). "Best" minimizes the
 /// completion time of the window's computations, breaking ties by the link
 /// completion time (earlier transfers leave more slack for the next window),
 /// then by enumeration order (first permutation found wins).
-///
-/// Windows of at least [`PARALLEL_WINDOW_MIN_TASKS`] tasks are enumerated in
-/// parallel ([`solve_window_parallel`]) when the machine has more than one
-/// core, smaller ones (and single-core hosts) sequentially
-/// ([`solve_window_sequential`]); both return the same solution.
 pub fn solve_window(instance: &Instance, state: &WindowState, window: &[TaskId]) -> WindowSolution {
-    // Check the window size first: the paper's k = 3..6 windows always run
-    // sequentially, and querying the core count is a syscall that would
-    // otherwise be paid once per window across an entire `lp.k` run.
-    if window.len() >= PARALLEL_WINDOW_MIN_TASKS
-        && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
-    {
-        solve_window_parallel(instance, state, window)
-    } else {
-        solve_window_sequential(instance, state, window)
-    }
-}
-
-/// Single-threaded permutation enumeration. Kept public as the reference
-/// implementation the parallel solver is pinned against.
-pub fn solve_window_sequential(
-    instance: &Instance,
-    state: &WindowState,
-    window: &[TaskId],
-) -> WindowSolution {
-    assert_window_enumerable(window);
-    let mut best: Option<BestOrder> = None;
-    let mut order: Vec<TaskId> = window.to_vec();
-    permute(&mut order, 0, &mut |candidate| {
-        consider(instance, state, candidate, &mut best);
-    });
-    let (_, _, entries, state) = best.expect("window is non-empty");
-    WindowSolution { entries, state }
-}
-
-/// Parallel permutation enumeration: each first-task prefix of the window is
-/// enumerated on its own scoped thread, reproducing the sequential
-/// enumeration order inside the prefix; the per-prefix winners are then
-/// combined in prefix order under the same strict "better-than" rule, so the
-/// overall winner is the one [`solve_window_sequential`] would return —
-/// including which of several key-tied orderings is kept.
-pub fn solve_window_parallel(
-    instance: &Instance,
-    state: &WindowState,
-    window: &[TaskId],
-) -> WindowSolution {
-    assert_window_enumerable(window);
-    if window.len() <= 1 {
-        return solve_window_sequential(instance, state, window);
-    }
-    let threads = window
-        .len()
-        .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let per_prefix = dts_core::pool::run_indexed_pool(window.len(), threads, |first| {
-        let mut order: Vec<TaskId> = window.to_vec();
-        order.swap(0, first);
-        let mut best: Option<BestOrder> = None;
-        permute(&mut order, 1, &mut |candidate| {
-            consider(instance, state, candidate, &mut best);
-        });
-        Ok(best.expect("window is non-empty"))
-    })
-    // The jobs are infallible; only a panicked simulation (an oversized
-    // task that bypassed validation) lands here, and that panics the
-    // sequential solver too.
-    .unwrap_or_else(|e| panic!("window enumeration failed: {e}"));
-    let mut best: Option<BestOrder> = None;
-    for prefix_best in per_prefix {
-        if improves((prefix_best.0, prefix_best.1), &best) {
-            best = Some(prefix_best);
-        }
-    }
-    let (_, _, entries, state) = best.expect("window is non-empty");
-    WindowSolution { entries, state }
-}
-
-/// The strict "better-than" rule both solvers share: a candidate replaces
-/// the incumbent only when its key is strictly smaller, so among key-tied
-/// orderings the first one considered wins. The sequential enumeration and
-/// the prefix-ordered parallel merge both rely on this exact rule to return
-/// identical solutions.
-#[inline]
-fn improves(key: (Time, Time), best: &Option<BestOrder>) -> bool {
-    best.as_ref()
-        .is_none_or(|(cpu, link, _, _)| key < (*cpu, *link))
-}
-
-fn assert_window_enumerable(window: &[TaskId]) {
     assert!(
         window.len() <= 8,
         "window enumeration is factorial; refusing windows larger than 8 tasks"
     );
-}
-
-/// Simulates `candidate` and keeps it iff strictly better than `best` —
-/// ties keep the earlier enumeration, which both solvers rely on for
-/// identical results.
-fn consider(
-    instance: &Instance,
-    state: &WindowState,
-    candidate: &[TaskId],
-    best: &mut Option<BestOrder>,
-) {
-    let (entries, after) = simulate_window(instance, state, candidate);
-    if improves((after.cpu_free, after.link_free), best) {
-        *best = Some((after.cpu_free, after.link_free, entries, after));
-    }
+    let mut best: Option<WindowSolution> = None;
+    let mut order: Vec<TaskId> = window.to_vec();
+    permute(&mut order, 0, &mut |candidate| {
+        let (entries, state) = simulate_window(instance, state, candidate);
+        // Strictly better only: among key-tied orderings the first one
+        // enumerated wins.
+        if best.as_ref().is_none_or(|b| {
+            (state.cpu_free, state.link_free) < (b.state.cpu_free, b.state.link_free)
+        }) {
+            best = Some(WindowSolution { entries, state });
+        }
+    });
+    best.expect("window is non-empty")
 }
 
 fn permute<F: FnMut(&[TaskId])>(order: &mut Vec<TaskId>, k: usize, f: &mut F) {

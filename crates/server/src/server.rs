@@ -57,7 +57,7 @@ use dts_core::error::{CoreError, Result as CoreResult};
 use dts_core::gate::{Gate, Shed};
 use dts_core::hash::Digest128;
 use dts_core::metrics::ScheduleMetrics;
-use dts_heuristics::run_heuristic_with;
+use dts_heuristics::run_heuristic;
 use dts_workloads::generate_trace;
 use serde::{Serialize, Value};
 use std::io;
@@ -303,12 +303,13 @@ fn solve_request(request: &SolveRequest) -> CoreResult<String> {
         // trace materializes durations into an instance.
         trace.cost_model = (!spec.is_analytic()).then(|| spec.clone());
     }
+    if let Some(model) = request.model {
+        // Execution-model override, stamped the same way.
+        trace.model = Some(model);
+    }
     let instance = trace.to_instance_scaled(request.factor)?;
-    let model = match request.model {
-        Some(model) => model,
-        None => instance.model(),
-    };
-    let schedule = run_heuristic_with(&instance, request.heuristic, model)?;
+    let model = instance.model();
+    let schedule = run_heuristic(&instance, request.heuristic)?;
     let metrics = ScheduleMetrics::of(&instance, &schedule);
     let result = Value::Object(vec![
         (

@@ -258,6 +258,66 @@ fn cache_hits_return_byte_identical_responses_without_resolving() {
 }
 
 #[test]
+fn model_override_replaces_the_model_an_inline_trace_carries() {
+    use dts_core::ExecutionModel;
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+    let heuristic = dts_heuristics::Heuristic::from_name("LCMR").unwrap();
+    let unstamped = sample_trace(40);
+    let mut stamped = unstamped.clone();
+    stamped.model = Some(ExecutionModel::Streams { k: 2 });
+
+    // Cold-solves `trace` with an optional `"model"` override and returns
+    // the reply's result object.
+    let mut solve = |trace: &Trace, model: Option<&str>| -> Value {
+        let request = SolveRequest {
+            source: TraceSource::Inline(trace.clone()),
+            heuristic,
+            model: model.map(|m| ExecutionModel::parse(m).unwrap()),
+            cost_model: None,
+            factor: 1.5,
+        };
+        let response = client.send_request(&request).unwrap();
+        assert_eq!(status_of(&response), "ok", "{response:?}");
+        assert!(
+            !bool::from_value(response.field("cached").unwrap()).unwrap(),
+            "every request here is a distinct cold solve"
+        );
+        response.field("result").unwrap().clone()
+    };
+    let model_of = |result: &Value| String::from_value(result.field("model").unwrap()).unwrap();
+    let makespan_of =
+        |result: &Value| u64::from_value(result.field("makespan_us").unwrap()).unwrap();
+    // The in-process solve of `trace` stamped with `model`.
+    let local_makespan = |model: ExecutionModel| {
+        let mut trace = stamped.clone();
+        trace.model = Some(model);
+        let instance = trace.to_instance_scaled(1.5).unwrap();
+        let schedule = dts_heuristics::run_heuristic(&instance, heuristic).unwrap();
+        schedule.makespan(&instance).ticks()
+    };
+
+    let carried = solve(&stamped, None);
+    assert_eq!(model_of(&carried), "streams:2");
+    assert_eq!(
+        makespan_of(&carried),
+        local_makespan(ExecutionModel::Streams { k: 2 })
+    );
+
+    let duplex = solve(&stamped, Some("duplex"));
+    assert_eq!(model_of(&duplex), "duplex");
+    assert_eq!(makespan_of(&duplex), local_makespan(ExecutionModel::Duplex));
+
+    let explicit = solve(&stamped, Some("explicit"));
+    assert_eq!(explicit, solve(&unstamped, None));
+    assert_eq!(model_of(&explicit), "explicit");
+    // The override reaches the engine: overlapping transfers shorten this
+    // transfer-heavy trace.
+    assert!(makespan_of(&duplex) < makespan_of(&explicit));
+    handle.shutdown();
+}
+
+#[test]
 fn inline_and_family_requests_of_the_same_instance_have_distinct_digests() {
     let handle = start(ServerConfig::default());
     let mut client = connect(&handle);

@@ -24,7 +24,7 @@
 use crate::families::{generate_trace, GeneratorConfig, WorkloadFamily};
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
-use dts_heuristics::{run_heuristic_with, Heuristic};
+use dts_heuristics::{run_heuristic, Heuristic};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -149,9 +149,10 @@ pub fn run_corpus_with(cost_model: Option<&CostModelSpec>) -> Result<CorpusMetri
             Some(spec) => scenario.instance()?.with_cost_model(spec)?,
             None => scenario.instance()?,
         };
-        for heuristic in Heuristic::ALL {
-            for model in CORPUS_MODELS {
-                let schedule = run_heuristic_with(&instance, heuristic, model)?;
+        for model in CORPUS_MODELS {
+            let instance = instance.clone().with_model(model)?;
+            for heuristic in Heuristic::ALL {
+                let schedule = run_heuristic(&instance, heuristic)?;
                 let key = format!("{}/{}/{}", scenario.name(), heuristic, model);
                 out.insert(key, MetricRecord::of(&instance, &schedule));
             }
@@ -420,8 +421,7 @@ mod tests {
     #[test]
     fn reordered_tasks_is_zero_for_submission_order() {
         let instance = scenarios()[2].instance().unwrap();
-        let schedule =
-            run_heuristic_with(&instance, Heuristic::OS, ExecutionModel::Explicit).unwrap();
+        let schedule = run_heuristic(&instance, Heuristic::OS).unwrap();
         assert_eq!(MetricRecord::of(&instance, &schedule).reordered_tasks, 0);
     }
 }
