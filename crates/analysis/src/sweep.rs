@@ -205,13 +205,7 @@ mod tests {
         // claims it must surface the error instead of panicking the pool,
         // whichever position the bad trace occupies.
         let good = small_traces();
-        let bad = Trace {
-            kernel: "HF".into(),
-            rank: 999,
-            tasks: Vec::new(),
-            model: None,
-            cost_model: None,
-        };
+        let bad = Trace::new("HF", 999);
         let config = SweepConfig {
             heuristics: vec![Heuristic::OS],
             factors: vec![1.0],

@@ -13,7 +13,7 @@ fn report() {
         let order: Vec<String> = sched
             .comm_order()
             .iter()
-            .map(|id| inst.task(*id).name.clone())
+            .map(|id| inst.name(*id).to_string())
             .collect();
         println!(
             "  {:<5} order {:?} makespan {}",

@@ -10,7 +10,7 @@ fn report() {
     let inst = table5();
     let johnson: Vec<String> = johnson_order(&inst)
         .iter()
-        .map(|id| inst.task(*id).name.clone())
+        .map(|id| inst.name(*id).to_string())
         .collect();
     println!("Fig. 6 — Table 5 instance, capacity 9, OMIM order {johnson:?}");
     for h in [Heuristic::OOLCMR, Heuristic::OOSCMR, Heuristic::OOMAMR] {
@@ -18,7 +18,7 @@ fn report() {
         let order: Vec<String> = sched
             .comm_order()
             .iter()
-            .map(|id| inst.task(*id).name.clone())
+            .map(|id| inst.name(*id).to_string())
             .collect();
         println!(
             "  {:<7} order {:?} makespan {}",

@@ -1,17 +1,21 @@
 //! Trace ingest: JSON text to `Trace`, the layer that dominates `dts run`
 //! on large traces.
 //!
-//! Two series per size on the same seeded `md` trace file text:
+//! Three series per size on the same seeded `md` trace file text:
 //!
 //! * `ingest/value_path_md_<n>tasks` — `serde_json::from_str::<Value>`
 //!   then `Trace::from_value`: the tree path request frames still take;
 //! * `ingest/from_json_md_<n>tasks` — `Trace::from_json`, which decodes
 //!   straight from the bytes with `serde_json::Reader`: the path of
 //!   `Trace::load` and so of `dts run`, `characterize`, `sweep`,
-//!   `calibrate`, `trace export` and `request <file>`.
+//!   `calibrate`, `trace export` and `request <file>`;
+//! * `ingest/load_instance_md_<n>tasks` — `Trace::from_json` then
+//!   `Trace::to_instance_scaled(1.5)`: the decode side of `dts run`, from
+//!   text to the instance the heuristics read.
 //!
-//! Both start from the file contents in memory, so the gap between them is
-//! the decoding work alone. Smoke runs pin the 20k-task tier; full runs
+//! All three start from the file contents in memory, so the gap between
+//! the first two is the decoding work alone, and the third adds the
+//! instance build. Smoke runs pin the 20k-task tier; full runs
 //! add the 200k-task tier of the `run_md200k` benchmark workload. Set
 //! `DTS_BENCH_SCALE_MAX` (tasks) to cap the largest tier attempted.
 //!
@@ -71,6 +75,15 @@ fn bench(c: &mut Criterion) {
         });
         c.bench_function(&format!("ingest/from_json_md_{n_tasks}tasks"), |b| {
             b.iter(|| Trace::from_json(&json).expect("valid trace").len())
+        });
+        c.bench_function(&format!("ingest/load_instance_md_{n_tasks}tasks"), |b| {
+            b.iter(|| {
+                Trace::from_json(&json)
+                    .expect("valid trace")
+                    .to_instance_scaled(1.5)
+                    .expect("feasible at 1.5 mc")
+                    .len()
+            })
         });
     }
 }

@@ -162,20 +162,8 @@ pub fn tiled_trace_instance(kernel: Kernel, n_tasks: usize, factor: f64) -> Resu
         .into_iter()
         .find(|t| !t.is_empty())
         .ok_or_else(|| CoreError::Internal("bench suite produced no non-empty trace".into()))?;
-    let tasks = base
-        .tasks
-        .iter()
-        .cycle()
-        .take(n_tasks)
-        .cloned()
-        .collect::<Vec<_>>();
-    let tiled = Trace {
-        kernel: base.kernel.clone(),
-        rank: base.rank,
-        tasks,
-        model: None,
-        cost_model: None,
-    };
+    let mut tiled = Trace::with_capacity(base.kernel.clone(), base.rank, n_tasks);
+    tiled.extend(base.iter().cycle().take(n_tasks));
     tiled.to_instance_scaled(factor)
 }
 

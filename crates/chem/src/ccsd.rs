@@ -14,6 +14,7 @@ use dts_tensor::{ContractionSpec, CostModel, KernelCost, TileShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Configuration of the CCSD trace generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -119,7 +120,8 @@ pub fn generate_ccsd_trace(
     let v2 = PairTiles { shift: 1, ..t2 };
 
     let mut rng = StdRng::seed_from_u64(config.seed ^ (rank as u64).wrapping_mul(0x517C_C1B7));
-    let mut tasks = Vec::new();
+    let mut trace = Trace::new("CCSD", rank);
+    let mut name = String::new();
 
     for task_index in 0..config.total_tasks() {
         // Tasks are assigned to ranks with a multiplicative hash rather than
@@ -177,8 +179,10 @@ pub fn generate_ccsd_trace(
             comm_micros = 0;
         }
 
-        tasks.push(TraceTask {
-            name: format!("t2({i},{j},{a},{b})"),
+        name.clear();
+        let _ = write!(name, "t2({i},{j},{a},{b})");
+        trace.push(TraceTask {
+            name: &name,
             kind: TaskKind::FusedTransposeContraction,
             comm_micros,
             comp_micros,
@@ -186,13 +190,7 @@ pub fn generate_ccsd_trace(
         });
     }
 
-    Trace {
-        kernel: "CCSD".into(),
-        rank,
-        tasks,
-        model: None,
-        cost_model: None,
-    }
+    trace
 }
 
 /// A four-index tensor tiled over (occupied pair, virtual pair), as the T2
@@ -307,8 +305,8 @@ mod tests {
     #[test]
     fn ccsd_is_roughly_balanced_between_comm_and_comp() {
         let trace = small_trace(0);
-        let sum_comm: u64 = trace.tasks.iter().map(|t| t.comm_micros).sum();
-        let sum_comp: u64 = trace.tasks.iter().map(|t| t.comp_micros).sum();
+        let sum_comm: u64 = trace.iter().map(|t| t.comm_micros).sum();
+        let sum_comp: u64 = trace.iter().map(|t| t.comp_micros).sum();
         let ratio = sum_comp as f64 / sum_comm as f64;
         // Fig. 8: communications and computations are almost evenly
         // distributed for CCSD.
@@ -319,7 +317,6 @@ mod tests {
     fn ccsd_tasks_are_heterogeneous() {
         let trace = small_trace(2);
         let mems: Vec<u64> = trace
-            .tasks
             .iter()
             .map(|t| t.mem_bytes)
             .filter(|&m| m > 0)

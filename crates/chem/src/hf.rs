@@ -15,6 +15,7 @@ use dts_tensor::{ContractionSpec, CostModel, KernelCost, TileShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Configuration of the HF trace generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,7 +86,8 @@ pub fn generate_hf_trace(
         n_processes,
     );
     let mut rng = StdRng::seed_from_u64(config.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9));
-    let mut tasks = Vec::new();
+    let mut trace = Trace::new("HF", rank);
+    let mut name = String::new();
 
     for pair_index in 0..config.total_tasks() {
         if pair_index % n_processes != rank {
@@ -136,8 +138,10 @@ pub fn generate_hf_trace(
         if mem_bytes == 0 {
             comm_micros = 0;
         }
-        tasks.push(TraceTask {
-            name: format!("fock({i},{j})"),
+        name.clear();
+        let _ = write!(name, "fock({i},{j})");
+        trace.push(TraceTask {
+            name: &name,
             kind,
             comm_micros,
             comp_micros,
@@ -145,13 +149,7 @@ pub fn generate_hf_trace(
         });
     }
 
-    Trace {
-        kernel: "HF".into(),
-        rank,
-        tasks,
-        model: None,
-        cost_model: None,
-    }
+    trace
 }
 
 /// Inverse of the row-major enumeration of pairs `(i, j)` with `j <= i`.
@@ -209,8 +207,8 @@ mod tests {
     fn hf_tasks_are_communication_intensive_and_homogeneous() {
         let trace = small_trace(0);
         assert!(!trace.is_empty());
-        let sum_comm: u64 = trace.tasks.iter().map(|t| t.comm_micros).sum();
-        let sum_comp: u64 = trace.tasks.iter().map(|t| t.comp_micros).sum();
+        let sum_comm: u64 = trace.iter().map(|t| t.comm_micros).sum();
+        let sum_comp: u64 = trace.iter().map(|t| t.comp_micros).sum();
         let ratio = sum_comp as f64 / sum_comm as f64;
         // Fig. 8: at most ~20 % overlap is possible, i.e. computation is a
         // small fraction of communication.
@@ -218,7 +216,6 @@ mod tests {
         // Homogeneity: the largest remote task is within a small factor of
         // the median.
         let mut comms: Vec<u64> = trace
-            .tasks
             .iter()
             .map(|t| t.comm_micros)
             .filter(|&c| c > 0)

@@ -473,7 +473,6 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
     // 1_000_000 ppm = perfect R^2).
     let probe = |bytes| {
         Task::new(
-            "probe",
             Time::from_micros(0),
             Time::from_micros(0),
             MemSize::from_bytes(bytes),

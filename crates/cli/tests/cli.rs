@@ -8,7 +8,10 @@
 //!   of reporting an error;
 //! * `dts generate <kernel> <dir> [n_ranks]` used to silently clamp
 //!   `n_ranks` to the topology size — a request for 500 ranks quietly
-//!   wrote 150 files and exited 0.
+//!   wrote 150 files and exited 0;
+//! * `dts run <trace> <heuristic> 1.0` used to fail with "requires more
+//!   memory than the capacity" when the largest task passed 2^53 bytes,
+//!   because the capacity factor was applied through `f64`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -685,4 +688,57 @@ fn run_rejects_a_missing_cost_model_file() {
         message.contains("/no/such/model.json"),
         "diagnostic does not name the file: {message:?}"
     );
+}
+
+/// The committed small trace whose `dts run` output is pinned.
+fn small_trace() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/small-trace.json")
+}
+
+#[test]
+fn run_stdout_matches_the_committed_golden() {
+    // Each section of the golden file is `== <args>` followed by the exact
+    // stdout of `dts run <small trace> <args>`.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/small-trace.run.golden");
+    let golden = std::fs::read_to_string(golden).expect("the golden file is committed");
+    let trace = small_trace();
+    let trace = trace.to_str().unwrap();
+    let mut sections = 0;
+    for section in golden.split("== ").filter(|s| !s.is_empty()) {
+        let (args, want) = section.split_once('\n').expect("a header line");
+        let mut argv = vec!["run", trace];
+        argv.extend(args.split_whitespace());
+        let output = dts(&argv);
+        assert!(output.status.success(), "{args}: {}", stderr(&output));
+        assert_eq!(stdout(&output), want, "dts run {args}");
+        sections += 1;
+    }
+    // OS, LCMR and MAMR, each with and without the duplex model.
+    assert_eq!(sections, 6);
+}
+
+#[test]
+fn run_at_factor_one_fits_a_task_past_f64_precision() {
+    // Regression: `MemSize::scale` went through `f64`, which rounds
+    // 2^53 + 1 bytes down to 2^53, so at factor 1.0 the largest task no
+    // longer fitted its own minimum capacity.
+    let scratch = ScratchDir::new("run-big-mem");
+    let path = scratch.path().join("big.json");
+    std::fs::write(
+        &path,
+        r#"{"kernel": "K", "rank": 0, "tasks": [
+            {"name": "a", "kind": "Contraction", "comm_micros": 5, "comp_micros": 3, "mem_bytes": 9007199254740993},
+            {"name": "b", "kind": "Contraction", "comm_micros": 2, "comp_micros": 4, "mem_bytes": 10}
+        ]}"#,
+    )
+    .unwrap();
+    for factor in ["1.0", "1.5"] {
+        let output = dts(&["run", path.to_str().unwrap(), "LCMR", factor]);
+        assert!(
+            output.status.success(),
+            "factor {factor}: {}",
+            stderr(&output)
+        );
+        assert!(stdout(&output).contains(&format!("({}x mc)", factor.trim_end_matches(".0"))));
+    }
 }

@@ -47,7 +47,7 @@ pub fn render(instance: &Instance, schedule: &Schedule, options: GanttOptions) -
     let mut comp_row = vec!['.'; width];
     for entry in schedule.entries() {
         let task = instance.task(entry.task);
-        let glyph = task.name.chars().next().unwrap_or_else(|| {
+        let glyph = instance.name(entry.task).chars().next().unwrap_or_else(|| {
             char::from_digit((entry.task.index() % 10) as u32, 10).unwrap_or('?')
         });
         let (cs, ce) = (
@@ -83,7 +83,7 @@ pub fn render(instance: &Instance, schedule: &Schedule, options: GanttOptions) -
             let _ = writeln!(
                 out,
                 "{:>8} {:>10} {:>10} {:>10} {:>10}",
-                t.name,
+                instance.name(e.task),
                 e.comm_start.to_string(),
                 (e.comm_start + t.comm_time).to_string(),
                 e.comp_start.to_string(),

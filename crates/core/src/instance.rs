@@ -4,7 +4,7 @@ use crate::error::{CoreError, Result};
 use crate::exec::ExecutionModel;
 use crate::memory::MemSize;
 use crate::perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
-use crate::task::{Task, TaskId, TaskIntensity};
+use crate::task::{Task, TaskId, TaskIntensity, TaskTable};
 use crate::time::Time;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -13,7 +13,8 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 /// [`capacity`](Instance::capacity).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
-    tasks: Vec<Task>,
+    /// The tasks and their names, indexable by [`TaskId`].
+    table: TaskTable,
     capacity: MemSize,
     /// Optional label (trace file name, table number, ...).
     pub label: String,
@@ -32,7 +33,7 @@ pub struct Instance {
 impl Serialize for Instance {
     fn to_value(&self) -> Value {
         let mut fields = vec![
-            ("tasks".to_string(), self.tasks.to_value()),
+            ("tasks".to_string(), tasks_to_value(&self.table)),
             ("capacity".to_string(), self.capacity.to_value()),
             ("label".to_string(), self.label.to_value()),
         ];
@@ -57,7 +58,7 @@ impl Deserialize for Instance {
             Err(_) => None,
         };
         Ok(Instance {
-            tasks: Deserialize::from_value(value.field("tasks")?)?,
+            table: tasks_from_value(value.field("tasks")?)?,
             capacity: Deserialize::from_value(value.field("capacity")?)?,
             label: Deserialize::from_value(value.field("label")?)?,
             model,
@@ -66,20 +67,62 @@ impl Deserialize for Instance {
     }
 }
 
+/// The serialized task list: one object per task, keys `name`,
+/// `comm_time`, `comp_time`, `mem`.
+fn tasks_to_value(table: &TaskTable) -> Value {
+    Value::Array(
+        table
+            .iter()
+            .map(|(name, task)| {
+                Value::Object(vec![
+                    ("name".to_string(), Value::Str(name.to_string())),
+                    ("comm_time".to_string(), task.comm_time.to_value()),
+                    ("comp_time".to_string(), task.comp_time.to_value()),
+                    ("mem".to_string(), task.mem.to_value()),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// [`tasks_to_value`]'s inverse; a task's fields are read, and their
+/// errors reported, in key order.
+fn tasks_from_value(value: &Value) -> std::result::Result<TaskTable, SerdeError> {
+    let Value::Array(items) = value else {
+        return SerdeError::unexpected("array", value);
+    };
+    let mut table = TaskTable::with_capacity(items.len());
+    for item in items {
+        let name = match item.field("name")? {
+            Value::Str(name) => name,
+            other => return SerdeError::unexpected("string", other),
+        };
+        let task = Task::new(
+            Deserialize::from_value(item.field("comm_time")?)?,
+            Deserialize::from_value(item.field("comp_time")?)?,
+            Deserialize::from_value(item.field("mem")?)?,
+        );
+        if !table.try_push(name, task) {
+            return Err(SerdeError::custom("task names exceed u32::MAX bytes"));
+        }
+    }
+    Ok(table)
+}
+
 impl Instance {
     /// Creates an instance, validating that it is non-empty and that every
     /// task individually fits in the capacity (otherwise no schedule exists).
-    pub fn new(tasks: Vec<Task>, capacity: MemSize) -> Result<Self> {
-        Self::with_label(tasks, capacity, String::new())
+    pub fn new(table: TaskTable, capacity: MemSize) -> Result<Self> {
+        Self::with_label(table, capacity, String::new())
     }
 
     /// [`Instance::new`] with an explicit label.
-    pub fn with_label(tasks: Vec<Task>, capacity: MemSize, label: String) -> Result<Self> {
-        if tasks.is_empty() {
+    pub fn with_label(table: TaskTable, capacity: MemSize, label: String) -> Result<Self> {
+        if table.is_empty() {
             return Err(CoreError::EmptyInstance);
         }
         let instance = Instance {
-            tasks,
+            table,
             capacity,
             label,
             model: None,
@@ -139,7 +182,7 @@ impl Instance {
         let mut instance = self.clone();
         let mut sum_comm = Time::ZERO;
         let mut sum_comp = Time::ZERO;
-        for task in &mut instance.tasks {
+        for task in instance.table.tasks_mut() {
             task.comm_time = spec.transfer_time(task, LinkClass::HostToDevice);
             task.comp_time = spec.compute_time(task, ComputeBackend::Cpu);
             sum_comm = sum_comm.checked_add(task.comm_time).ok_or_else(|| {
@@ -163,28 +206,30 @@ impl Instance {
     /// untrusted sources bypass it, so executors re-validate before running —
     /// an oversized task can never be scheduled, only waited on forever.
     pub fn check_tasks_fit(&self) -> Result<()> {
-        for (id, task) in self.iter() {
-            if task.mem > self.capacity {
-                return Err(CoreError::TaskExceedsCapacity {
-                    task: id,
-                    name: task.name.clone(),
-                });
-            }
+        match self
+            .tasks()
+            .iter()
+            .position(|task| task.mem > self.capacity)
+        {
+            Some(i) => Err(CoreError::TaskExceedsCapacity {
+                task: TaskId(i),
+                name: self.table.name(i).to_string(),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Number of tasks.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.table.len()
     }
 
     /// `true` iff the instance has no tasks (never true for constructed
     /// instances; kept for the conventional `len`/`is_empty` pair).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.table.is_empty()
     }
 
     /// Memory capacity `C` of the target node.
@@ -196,7 +241,7 @@ impl Instance {
     /// All tasks, indexable by [`TaskId`].
     #[inline]
     pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+        self.table.tasks()
     }
 
     /// The task with the given id.
@@ -206,29 +251,38 @@ impl Instance {
     /// instance, so an out-of-range id is a logic error.
     #[inline]
     pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.0]
+        &self.tasks()[id.0]
+    }
+
+    /// The name of the task with the given id.
+    ///
+    /// # Panics
+    /// Panics if the id is out of range, like [`Instance::task`].
+    #[inline]
+    pub fn name(&self, id: TaskId) -> &str {
+        self.table.name(id.0)
     }
 
     /// Fallible lookup of a task.
     pub fn get_task(&self, id: TaskId) -> Result<&Task> {
-        self.tasks.get(id.0).ok_or(CoreError::UnknownTask(id))
+        self.tasks().get(id.0).ok_or(CoreError::UnknownTask(id))
     }
 
     /// Iterator over `(TaskId, &Task)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Task)> {
-        self.tasks.iter().enumerate().map(|(i, t)| (TaskId(i), t))
+        self.tasks().iter().enumerate().map(|(i, t)| (TaskId(i), t))
     }
 
     /// All task ids, in index order (this is the paper's *order of
     /// submission*, `OS`).
     pub fn task_ids(&self) -> Vec<TaskId> {
-        (0..self.tasks.len()).map(TaskId).collect()
+        (0..self.len()).map(TaskId).collect()
     }
 
     /// Returns a copy of this instance with a different memory capacity.
     /// Used by capacity sweeps (`mc`, `1.125·mc`, ..., `2·mc`).
     pub fn with_capacity(&self, capacity: MemSize) -> Result<Self> {
-        let mut instance = Instance::with_label(self.tasks.clone(), capacity, self.label.clone())?;
+        let mut instance = Instance::with_label(self.table.clone(), capacity, self.label.clone())?;
         instance.model = self.model;
         instance.cost_model = self.cost_model.clone();
         Ok(instance)
@@ -239,11 +293,12 @@ impl Instance {
     /// instance are renumbered `0..batch.len()`; the mapping back to the
     /// original ids is the order of `batch`.
     pub fn sub_instance(&self, batch: &[TaskId]) -> Result<Self> {
-        let mut tasks = Vec::with_capacity(batch.len());
-        for id in batch {
-            tasks.push(self.get_task(*id)?.clone());
+        let mut table = TaskTable::with_capacity(batch.len());
+        for &id in batch {
+            let task = *self.get_task(id)?;
+            table.push(self.name(id), task);
         }
-        let mut instance = Instance::with_label(tasks, self.capacity, self.label.clone())?;
+        let mut instance = Instance::with_label(table, self.capacity, self.label.clone())?;
         instance.model = self.model;
         instance.cost_model = self.cost_model.clone();
         Ok(instance)
@@ -253,7 +308,7 @@ impl Instance {
     /// single-task memory requirement (tasks can always be run one at a
     /// time).
     pub fn min_capacity(&self) -> MemSize {
-        self.tasks
+        self.tasks()
             .iter()
             .map(|t| t.mem)
             .max()
@@ -262,26 +317,26 @@ impl Instance {
 
     /// Aggregate workload statistics (Fig. 8 of the paper).
     pub fn stats(&self) -> InstanceStats {
-        let sum_comm: Time = self.tasks.iter().map(|t| t.comm_time).sum();
-        let sum_comp: Time = self.tasks.iter().map(|t| t.comp_time).sum();
-        let total_mem: MemSize = self.tasks.iter().map(|t| t.mem).sum();
+        let sum_comm: Time = self.tasks().iter().map(|t| t.comm_time).sum();
+        let sum_comp: Time = self.tasks().iter().map(|t| t.comp_time).sum();
+        let total_mem: MemSize = self.tasks().iter().map(|t| t.mem).sum();
         let compute_intensive = self
-            .tasks
+            .tasks()
             .iter()
             .filter(|t| t.intensity() == TaskIntensity::ComputeIntensive)
             .count();
         InstanceStats {
-            n_tasks: self.tasks.len(),
+            n_tasks: self.len(),
             sum_comm,
             sum_comp,
             max_comm: self
-                .tasks
+                .tasks()
                 .iter()
                 .map(|t| t.comm_time)
                 .max()
                 .unwrap_or(Time::ZERO),
             max_comp: self
-                .tasks
+                .tasks()
                 .iter()
                 .map(|t| t.comp_time)
                 .max()
@@ -289,7 +344,7 @@ impl Instance {
             min_capacity: self.min_capacity(),
             total_mem,
             compute_intensive,
-            communication_intensive: self.tasks.len() - compute_intensive,
+            communication_intensive: self.len() - compute_intensive,
         }
     }
 }
@@ -355,7 +410,7 @@ impl InstanceStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InstanceBuilder {
-    tasks: Vec<Task>,
+    table: TaskTable,
     capacity: Option<MemSize>,
     label: String,
 }
@@ -378,28 +433,22 @@ impl InstanceBuilder {
         self
     }
 
-    /// Adds an already-built task.
-    pub fn task(mut self, task: Task) -> Self {
-        self.tasks.push(task);
+    /// Adds an already-built task named `name`.
+    pub fn task(mut self, name: &str, task: Task) -> Self {
+        self.table.push(name, task);
         self
     }
 
     /// Adds a task given in the paper's example convention (times in units,
     /// memory in bytes equal to the communication volume).
     pub fn task_units(self, name: &str, comm: f64, comp: f64, mem_bytes: u64) -> Self {
-        self.task(Task::from_units(name, comm, comp, mem_bytes))
-    }
-
-    /// Adds many tasks at once.
-    pub fn tasks(mut self, tasks: impl IntoIterator<Item = Task>) -> Self {
-        self.tasks.extend(tasks);
-        self
+        self.task(name, Task::from_units(comm, comp, mem_bytes))
     }
 
     /// Builds the instance.
     pub fn build(self) -> Result<Instance> {
         Instance::with_label(
-            self.tasks,
+            self.table,
             self.capacity.unwrap_or(MemSize::UNBOUNDED),
             self.label,
         )
@@ -428,7 +477,7 @@ mod tests {
         assert_eq!(inst.len(), 4);
         assert_eq!(inst.capacity(), MemSize::from_bytes(6));
         assert_eq!(inst.label, "table3");
-        assert_eq!(inst.task(TaskId(2)).name, "C");
+        assert_eq!(inst.name(TaskId(2)), "C");
         assert_eq!(inst.task_ids().len(), 4);
     }
 
@@ -480,8 +529,8 @@ mod tests {
         let inst = sample();
         let sub = inst.sub_instance(&[TaskId(2), TaskId(0)]).unwrap();
         assert_eq!(sub.len(), 2);
-        assert_eq!(sub.task(TaskId(0)).name, "C");
-        assert_eq!(sub.task(TaskId(1)).name, "A");
+        assert_eq!(sub.name(TaskId(0)), "C");
+        assert_eq!(sub.name(TaskId(1)), "A");
         assert!(inst.sub_instance(&[TaskId(9)]).is_err());
     }
 
@@ -497,6 +546,50 @@ mod tests {
         let json = serde_json::to_string(&inst).unwrap();
         let back: Instance = serde_json::from_str(&json).unwrap();
         assert_eq!(inst, back);
+    }
+
+    #[test]
+    fn serialized_bytes_are_pinned() {
+        // The wire form keeps one object per task with its name first,
+        // whatever the in-memory layout.
+        let json = serde_json::to_string(&crate::instances::table3()).unwrap();
+        assert_eq!(
+            json,
+            r#"{"tasks":[{"name":"A","comm_time":3000,"comp_time":2000,"mem":3},{"name":"B","comm_time":1000,"comp_time":3000,"mem":1},{"name":"C","comm_time":4000,"comp_time":4000,"mem":4},{"name":"D","comm_time":2000,"comp_time":1000,"mem":2}],"capacity":6,"label":"paper-table3"}"#
+        );
+    }
+
+    #[test]
+    fn task_fields_decode_in_key_order() {
+        let decode = |tasks: &str| {
+            serde_json::from_str::<Instance>(&format!(
+                r#"{{"tasks":{tasks},"capacity":6,"label":""}}"#
+            ))
+            .map_err(|e| e.to_string())
+        };
+        let inst =
+            decode(r#"[{"mem":3,"comp_time":2,"comm_time":1,"name":"x","extra":0}]"#).unwrap();
+        assert_eq!(inst.name(TaskId(0)), "x");
+        assert_eq!(
+            *inst.task(TaskId(0)),
+            Task::new(Time(1), Time(2), MemSize::from_bytes(3))
+        );
+        for (tasks, want) in [
+            ("{}", "expected array, got object"),
+            ("[3]", "expected object, got integer"),
+            (r#"[{"comm_time":1}]"#, "missing field `name`"),
+            (
+                r#"[{"name":1,"comm_time":"x"}]"#,
+                "expected string, got integer",
+            ),
+            (
+                r#"[{"name":"x","comp_time":1}]"#,
+                "missing field `comm_time`",
+            ),
+        ] {
+            let err = decode(tasks).unwrap_err();
+            assert!(err.contains(want), "{tasks}: {err}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::instance::{Instance, InstanceBuilder};
 use crate::memory::MemSize;
-use crate::task::Task;
+use crate::task::{Task, TaskTable};
 use crate::time::Time;
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
@@ -20,6 +20,14 @@ fn valid_by_construction(result: crate::error::Result<Instance>, what: &str) -> 
         Ok(instance) => instance,
         Err(e) => unreachable!("{what} must be valid by construction: {e}"),
     }
+}
+
+/// Writes the generated name of task `i`, `t{i}`, into `buf`.
+pub(crate) fn numbered(buf: &mut String, i: usize) -> &str {
+    use std::fmt::Write;
+    buf.clear();
+    let _ = write!(buf, "t{i}");
+    buf
 }
 
 /// Table 2 of the paper (capacity 10): the instance for which every optimal
@@ -120,18 +128,21 @@ pub fn random_instance<R: Rng + ?Sized>(rng: &mut R, config: RandomInstanceConfi
     );
     let comm_dist = Uniform::new_inclusive(config.comm_range.0, config.comm_range.1);
     let comp_dist = Uniform::new_inclusive(config.comp_range.0, config.comp_range.1);
-    let mut tasks = Vec::with_capacity(config.n_tasks);
+    let mut tasks = TaskTable::with_capacity(config.n_tasks);
+    let mut name = String::new();
     let mut max_mem = 0u64;
     for i in 0..config.n_tasks {
         let comm = comm_dist.sample(rng);
         let comp = comp_dist.sample(rng);
         max_mem = max_mem.max(comm.max(1));
-        tasks.push(Task::new(
-            format!("t{i}"),
-            Time::units_int(comm),
-            Time::units_int(comp),
-            MemSize::from_bytes(comm.max(1)),
-        ));
+        tasks.push(
+            numbered(&mut name, i),
+            Task::new(
+                Time::units_int(comm),
+                Time::units_int(comp),
+                MemSize::from_bytes(comm.max(1)),
+            ),
+        );
     }
     let capacity =
         MemSize::from_bytes(((max_mem as f64) * config.capacity_factor.max(1.0)).ceil() as u64);
@@ -147,19 +158,22 @@ pub fn random_instance_decoupled_memory<R: Rng + ?Sized>(
     capacity_factor: f64,
 ) -> Instance {
     assert!(n_tasks > 0, "need at least one task");
-    let mut tasks = Vec::with_capacity(n_tasks);
+    let mut tasks = TaskTable::with_capacity(n_tasks);
+    let mut name = String::new();
     let mut max_mem = 0u64;
     for i in 0..n_tasks {
         let comm = rng.gen_range(1..=10u64);
         let comp = rng.gen_range(1..=10u64);
         let mem = rng.gen_range(1..=16u64);
         max_mem = max_mem.max(mem);
-        tasks.push(Task::new(
-            format!("t{i}"),
-            Time::units_int(comm),
-            Time::units_int(comp),
-            MemSize::from_bytes(mem),
-        ));
+        tasks.push(
+            numbered(&mut name, i),
+            Task::new(
+                Time::units_int(comm),
+                Time::units_int(comp),
+                MemSize::from_bytes(mem),
+            ),
+        );
     }
     let capacity = MemSize::from_bytes(((max_mem as f64) * capacity_factor.max(1.0)).ceil() as u64);
     let instance = Instance::with_label(tasks, capacity, format!("random-decoupled-{n_tasks}"));
@@ -186,9 +200,13 @@ mod tests {
     #[test]
     fn table2_contains_half_unit_computations() {
         let inst = table2();
-        let e = inst.tasks().iter().find(|t| t.name == "E").unwrap();
+        let named = |n: &str| {
+            let id = inst.task_ids().into_iter().find(|&id| inst.name(id) == n);
+            *inst.task(id.unwrap())
+        };
+        let e = named("E");
         assert_eq!(e.comp_time, Time::units(0.5));
-        let a = inst.tasks().iter().find(|t| t.name == "A").unwrap();
+        let a = named("A");
         assert_eq!(a.comm_time, Time::ZERO);
     }
 

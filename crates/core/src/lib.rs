@@ -83,7 +83,7 @@ pub use instance::{Instance, InstanceBuilder, InstanceStats};
 pub use memory::MemSize;
 pub use perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
 pub use schedule::{Schedule, ScheduleEntry};
-pub use task::{Task, TaskId, TaskIntensity};
+pub use task::{Task, TaskId, TaskIntensity, TaskTable};
 pub use time::Time;
 
 /// Convenience prelude bringing the most common types into scope.
@@ -97,6 +97,6 @@ pub mod prelude {
     pub use crate::perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
     pub use crate::schedule::{Schedule, ScheduleEntry};
     pub use crate::simulate::{simulate_sequence, simulate_sequence_infinite};
-    pub use crate::task::{Task, TaskId, TaskIntensity};
+    pub use crate::task::{Task, TaskId, TaskIntensity, TaskTable};
     pub use crate::time::Time;
 }

@@ -1073,7 +1073,6 @@ mod tests {
 
     fn task(bytes: u64, comm_us: u64, comp_us: u64) -> Task {
         Task::new(
-            "t",
             Time::from_micros(comm_us),
             Time::from_micros(comp_us),
             MemSize::from_bytes(bytes),

@@ -55,11 +55,11 @@ impl fmt::Display for TaskIntensity {
 /// its communication until the end of its computation. Output data is not
 /// modelled (the paper assumes it is negligible or stored in a preallocated
 /// buffer).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The record holds exactly the three numbers the heuristics read, 24
+/// bytes; the task's name lives in its owner's [`TaskTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Task {
-    /// Human-readable name (task label in the paper's tables, or the kernel
-    /// name in generated traces).
-    pub name: String,
     /// Input-data transfer time `CM_i`.
     pub comm_time: Time,
     /// Computation time `CP_i`.
@@ -70,9 +70,8 @@ pub struct Task {
 
 impl Task {
     /// Creates a task from raw quantities.
-    pub fn new(name: impl Into<String>, comm_time: Time, comp_time: Time, mem: MemSize) -> Self {
+    pub const fn new(comm_time: Time, comp_time: Time, mem: MemSize) -> Self {
         Task {
-            name: name.into(),
             comm_time,
             comp_time,
             mem,
@@ -82,9 +81,8 @@ impl Task {
     /// Creates a task using the paper's example convention: times are given
     /// in abstract units and the memory requirement (in bytes) equals the
     /// communication volume.
-    pub fn from_units(name: impl Into<String>, comm: f64, comp: f64, mem_bytes: u64) -> Self {
+    pub fn from_units(comm: f64, comp: f64, mem_bytes: u64) -> Self {
         Task {
-            name: name.into(),
             comm_time: Time::units(comm),
             comp_time: Time::units(comp),
             mem: MemSize::from_bytes(mem_bytes),
@@ -125,9 +123,112 @@ impl fmt::Display for Task {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} (comm {}, comp {}, mem {})",
-            self.name, self.comm_time, self.comp_time, self.mem
+            "comm {}, comp {}, mem {}",
+            self.comm_time, self.comp_time, self.mem
         )
+    }
+}
+
+/// The task column of an owner ([`Instance`](crate::instance::Instance),
+/// or a trace) and its name arena: task `i` is `tasks()[i]`, and its name
+/// is the `i`-th slice of one `String`, cut at `u32` end offsets. Building
+/// a table of `n` tasks allocates three growing buffers, never one per
+/// task, and cloning it copies three buffers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TaskTable {
+    tasks: Vec<Task>,
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl TaskTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty table with room for `n` tasks.
+    pub fn with_capacity(n: usize) -> Self {
+        TaskTable {
+            tasks: Vec::with_capacity(n),
+            text: String::new(),
+            ends: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends a task named `name`; `false`, with the table unchanged,
+    /// when the names would pass `u32::MAX` bytes in total.
+    #[must_use]
+    pub fn try_push(&mut self, name: &str, task: Task) -> bool {
+        let Some(end) = u32::try_from(self.text.len())
+            .ok()
+            .and_then(|len| len.checked_add(u32::try_from(name.len()).ok()?))
+        else {
+            return false;
+        };
+        self.text.push_str(name);
+        self.ends.push(end);
+        self.tasks.push(task);
+        true
+    }
+
+    /// Appends a task named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the names would pass `u32::MAX` bytes in total; decoders
+    /// of untrusted input use [`try_push`](TaskTable::try_push).
+    pub fn push(&mut self, name: &str, task: Task) {
+        assert!(
+            self.try_push(name, task),
+            "task names exceed u32::MAX bytes"
+        );
+    }
+
+    /// Number of tasks.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// `true` iff the table has no tasks.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
+    }
+
+    /// The task column.
+    #[inline]
+    pub fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
+    /// The task column, mutably; names stay as they are.
+    #[inline]
+    pub fn tasks_mut(&mut self) -> &mut [Task] {
+        &mut self.tasks
+    }
+
+    /// The name of task `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn name(&self, i: usize) -> &str {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// `(name, task)` pairs in index order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Task)> + '_ {
+        self.tasks
+            .iter()
+            .enumerate()
+            .map(|(i, task)| (self.name(i), task))
     }
 }
 
@@ -137,9 +238,9 @@ mod tests {
 
     #[test]
     fn intensity_classification() {
-        let compute = Task::from_units("B", 1.0, 3.0, 1);
-        let comm = Task::from_units("A", 3.0, 2.0, 3);
-        let balanced = Task::from_units("C", 4.0, 4.0, 4);
+        let compute = Task::from_units(1.0, 3.0, 1);
+        let comm = Task::from_units(3.0, 2.0, 3);
+        let balanced = Task::from_units(4.0, 4.0, 4);
         assert_eq!(compute.intensity(), TaskIntensity::ComputeIntensive);
         assert_eq!(comm.intensity(), TaskIntensity::CommunicationIntensive);
         // Equality counts as compute intensive (CP >= CM).
@@ -150,19 +251,48 @@ mod tests {
 
     #[test]
     fn acceleration_ratio_and_total() {
-        let t = Task::from_units("D", 2.0, 1.0, 2);
+        let t = Task::from_units(2.0, 1.0, 2);
         assert!((t.acceleration_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(t.total_time(), Time::units_int(3));
-        let zero_comm = Task::from_units("K0", 0.0, 3.0, 0);
+        let zero_comm = Task::from_units(0.0, 3.0, 0);
         assert_eq!(zero_comm.acceleration_ratio(), f64::INFINITY);
     }
 
     #[test]
     fn serde_round_trip() {
-        let t = Task::from_units("A", 3.0, 2.0, 3);
+        let t = Task::from_units(3.0, 2.0, 3);
         let json = serde_json::to_string(&t).unwrap();
         let back: Task = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn task_is_a_24_byte_record() {
+        assert_eq!(std::mem::size_of::<Task>(), 24);
+    }
+
+    #[test]
+    fn table_names_are_slices_of_one_arena() {
+        let mut table = TaskTable::with_capacity(3);
+        table.push("A", Task::from_units(3.0, 2.0, 3));
+        table.push("", Task::from_units(1.0, 3.0, 1));
+        table.push("caf\u{e9}", Task::from_units(4.0, 4.0, 4));
+        assert_eq!(table.len(), 3);
+        assert_eq!(
+            table.iter().map(|(name, _)| name).collect::<Vec<_>>(),
+            ["A", "", "caf\u{e9}"]
+        );
+        assert_eq!(table.name(2), "caf\u{e9}");
+        assert_eq!(table.tasks()[1], Task::from_units(1.0, 3.0, 1));
+        table.tasks_mut()[1].comp_time = Time::ZERO;
+        assert_eq!(table.tasks()[1].comp_time, Time::ZERO);
+        assert_eq!(table.name(1), "");
+        // Equal tables have equal names in equal order.
+        let mut other = TaskTable::new();
+        other.push("", Task::from_units(3.0, 2.0, 3));
+        other.push("A", Task::from_units(1.0, 3.0, 1));
+        assert_ne!(other.name(0), table.name(0));
+        assert!(TaskTable::new().is_empty());
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! ```
 
 use crate::instance::{Instance, InstanceBuilder};
+use crate::instances::numbered;
 use crate::memory::MemSize;
 use crate::task::Task;
 use crate::time::Time;
@@ -45,10 +46,9 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// Materializes the spec as a [`Task`] named `name`.
-    pub fn to_task(self, name: impl Into<String>) -> Task {
+    /// Materializes the spec as a [`Task`].
+    pub fn to_task(self) -> Task {
         Task::new(
-            name,
             Time::units_int(self.comm),
             Time::units_int(self.comp),
             MemSize::from_bytes(self.mem),
@@ -228,8 +228,9 @@ impl InstanceSpec {
             "InstanceSpec::build needs at least one task"
         );
         let mut builder = InstanceBuilder::new().capacity(MemSize::from_bytes(self.capacity()));
+        let mut name = String::new();
         for (i, task) in self.tasks.iter().enumerate() {
-            builder = builder.task(task.to_task(format!("t{i}")));
+            builder = builder.task(numbered(&mut name, i), task.to_task());
         }
         match builder.build() {
             Ok(instance) => instance,

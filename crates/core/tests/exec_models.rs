@@ -242,16 +242,15 @@ fn finite_and_infinite_executors_agree_when_memory_never_binds() {
     let mut rng = StdRng::seed_from_u64(31);
     for trial in 0..40 {
         let n = rng.gen_range(1..=15);
-        let tasks: Vec<Task> = (0..n)
-            .map(|i| {
-                Task::new(
-                    format!("t{i}"),
-                    Time::units_int(rng.gen_range(0..=20)),
-                    Time::units_int(rng.gen_range(0..=20)),
-                    MemSize::from_bytes(rng.gen_range(1..=4)),
-                )
-            })
-            .collect();
+        let mut tasks = TaskTable::new();
+        for i in 0..n {
+            let task = Task::new(
+                Time::units_int(rng.gen_range(0..=20)),
+                Time::units_int(rng.gen_range(0..=20)),
+                MemSize::from_bytes(rng.gen_range(1..=4)),
+            );
+            tasks.push(&format!("t{i}"), task);
+        }
         // Capacity covers every task at once, so memory waits never occur.
         let instance = Instance::new(tasks, MemSize::from_bytes(4 * n as u64)).unwrap();
         let order = seeded_order(&instance, trial);

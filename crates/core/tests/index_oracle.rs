@@ -226,12 +226,14 @@ fn index_agrees_with_naive_scans_under_heavy_ties() {
             let comm = rng.gen_range(0..=2u64);
             let comp = rng.gen_range(0..=2u64);
             let mem = rng.gen_range(0..=4u64);
-            builder = builder.task(dts_core::Task::new(
-                format!("t{i}"),
-                Time::units_int(comm),
-                Time::units_int(comp),
-                MemSize::from_bytes(mem),
-            ));
+            builder = builder.task(
+                &format!("t{i}"),
+                dts_core::Task::new(
+                    Time::units_int(comm),
+                    Time::units_int(comp),
+                    MemSize::from_bytes(mem),
+                ),
+            );
         }
         let instance = builder.build().expect("mem <= 4 fits capacity 6");
         check_against_oracle(&instance, &mut rng, &format!("ties round {round}"));
@@ -243,12 +245,14 @@ fn index_agrees_with_naive_scans_under_heavy_ties() {
 fn ratio_query_on_comm_only_index_panics() {
     let instance = InstanceBuilder::new()
         .capacity(MemSize::from_bytes(6))
-        .task(dts_core::Task::new(
+        .task(
             "a",
-            Time::units_int(1),
-            Time::units_int(1),
-            MemSize::from_bytes(1),
-        ))
+            dts_core::Task::new(
+                Time::units_int(1),
+                Time::units_int(1),
+                MemSize::from_bytes(1),
+            ),
+        )
         .build()
         .unwrap();
     let index = CandidateIndex::comm_only(&instance);
@@ -436,18 +440,18 @@ fn index_handles_u64_scale_memory() {
     // (the index stores absence as u128::MAX, above any real size).
     let instance = InstanceBuilder::new()
         .capacity(MemSize::UNBOUNDED)
-        .task(dts_core::Task::new(
+        .task(
             "a",
-            Time::units_int(1),
-            Time::units_int(1),
-            MemSize::UNBOUNDED,
-        ))
-        .task(dts_core::Task::new(
+            dts_core::Task::new(Time::units_int(1), Time::units_int(1), MemSize::UNBOUNDED),
+        )
+        .task(
             "b",
-            Time::units_int(2),
-            Time::units_int(1),
-            MemSize::from_bytes(2),
-        ))
+            dts_core::Task::new(
+                Time::units_int(2),
+                Time::units_int(1),
+                MemSize::from_bytes(2),
+            ),
+        )
         .build()
         .unwrap();
     let mut index = CandidateIndex::new(&instance);

@@ -209,7 +209,6 @@ property! {
         }
         for bytes in [0, 1, 13, 1 << 20] {
             let probe = Task::new(
-                "probe",
                 Time::from_micros(0),
                 Time::from_micros(0),
                 MemSize::from_bytes(bytes),

@@ -234,9 +234,9 @@ mod tests {
         let order: Vec<TaskId> = ["B", "C", "A", "D"]
             .iter()
             .map(|n| {
-                inst.iter()
-                    .find(|(_, t)| &t.name == n)
-                    .map(|(id, _)| id)
+                inst.task_ids()
+                    .into_iter()
+                    .find(|&id| inst.name(id) == *n)
                     .unwrap()
             })
             .collect();

@@ -62,10 +62,7 @@ mod tests {
         // B C A D, makespan 12 (Fig. 4a).
         let inst = table3();
         let order = johnson_order(&inst);
-        let names: Vec<&str> = order
-            .iter()
-            .map(|id| inst.task(*id).name.as_str())
-            .collect();
+        let names: Vec<&str> = order.iter().map(|id| inst.name(*id)).collect();
         assert_eq!(names, vec!["B", "C", "A", "D"]);
         assert_eq!(johnson_makespan(&inst), Time::units_int(12));
     }
@@ -76,10 +73,7 @@ mod tests {
         // comm: B[0,1) C[1,5) A[5,8) D[8,13); comp: B[1,7) C[7,13) A[13,15) D[15,16).
         let inst = table4();
         let order = johnson_order(&inst);
-        let names: Vec<&str> = order
-            .iter()
-            .map(|id| inst.task(*id).name.as_str())
-            .collect();
+        let names: Vec<&str> = order.iter().map(|id| inst.name(*id)).collect();
         assert_eq!(names, vec!["B", "C", "A", "D"]);
         assert_eq!(johnson_makespan(&inst), Time::units_int(16));
     }
@@ -93,10 +87,7 @@ mod tests {
         // Algorithm 1 yields — see the fig6 tests in dts-heuristics.)
         let inst = table5();
         let order = johnson_order(&inst);
-        let names: Vec<&str> = order
-            .iter()
-            .map(|id| inst.task(*id).name.as_str())
-            .collect();
+        let names: Vec<&str> = order.iter().map(|id| inst.name(*id)).collect();
         assert_eq!(names, vec!["B", "C", "D", "E", "A"]);
     }
 
@@ -107,10 +98,7 @@ mod tests {
         // (stable for the tie between E and F).
         let inst = table2();
         let order = johnson_order(&inst);
-        let names: Vec<&str> = order
-            .iter()
-            .map(|id| inst.task(*id).name.as_str())
-            .collect();
+        let names: Vec<&str> = order.iter().map(|id| inst.name(*id)).collect();
         assert_eq!(names, vec!["A", "C", "D", "B", "E", "F"]);
         // comm: A 0, C[0,1) D[1,4) B[4,8) E[8,14) F[14,21)
         // comp: A[0,5) C[5,11) D[11,18) B[18,21) E[21,21.5) F[21.5,22)

@@ -70,7 +70,6 @@ mod tests {
 
     fn task(comm: u64, comp: u64) -> Task {
         Task::new(
-            "t",
             Time::units_int(comm),
             Time::units_int(comp),
             MemSize::from_bytes(comm.max(1)),

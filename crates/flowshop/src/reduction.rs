@@ -129,36 +129,40 @@ pub fn three_partition_to_dt(input: &ThreePartitionInstance) -> ReducedInstance 
         .capacity(MemSize::from_bytes(b_prime + 3));
 
     // K_0: no communication, 3 units of computation.
-    builder = builder.task(Task::new(
+    builder = builder.task(
         "K0",
-        Time::ZERO,
-        Time::units_int(3),
-        MemSize::ZERO,
-    ));
+        Task::new(Time::ZERO, Time::units_int(3), MemSize::ZERO),
+    );
     // K_1 .. K_{m-1}: communication b', computation 3.
     for i in 1..m {
-        builder = builder.task(Task::new(
-            format!("K{i}"),
-            Time::units_int(b_prime),
-            Time::units_int(3),
-            MemSize::from_bytes(b_prime),
-        ));
+        builder = builder.task(
+            &format!("K{i}"),
+            Task::new(
+                Time::units_int(b_prime),
+                Time::units_int(3),
+                MemSize::from_bytes(b_prime),
+            ),
+        );
     }
     // K_m: communication b', no computation.
-    builder = builder.task(Task::new(
-        format!("K{m}"),
-        Time::units_int(b_prime),
-        Time::ZERO,
-        MemSize::from_bytes(b_prime),
-    ));
+    builder = builder.task(
+        &format!("K{m}"),
+        Task::new(
+            Time::units_int(b_prime),
+            Time::ZERO,
+            MemSize::from_bytes(b_prime),
+        ),
+    );
     // A_i tasks: communication 1, computation a_i + 2x, memory 1.
     for (i, &a) in input.values.iter().enumerate() {
-        builder = builder.task(Task::new(
-            format!("A{}", i + 1),
-            Time::units_int(1),
-            Time::units_int(a + 2 * x),
-            MemSize::from_bytes(1),
-        ));
+        builder = builder.task(
+            &format!("A{}", i + 1),
+            Task::new(
+                Time::units_int(1),
+                Time::units_int(a + 2 * x),
+                MemSize::from_bytes(1),
+            ),
+        );
     }
 
     let instance = builder

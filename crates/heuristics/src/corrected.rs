@@ -124,7 +124,7 @@ mod tests {
         sched
             .comm_order()
             .iter()
-            .map(|id| inst.task(*id).name.clone())
+            .map(|id| inst.name(*id).to_string())
             .collect()
     }
 
@@ -174,7 +174,11 @@ mod tests {
         let inst = table5();
         let sched = johnson_corrected(&inst, CorrectionCriterion::LargestCommunication);
         let by_name = |n: &str| {
-            let (id, _) = inst.iter().find(|(_, t)| t.name == n).unwrap();
+            let id = inst
+                .task_ids()
+                .into_iter()
+                .find(|&id| inst.name(id) == n)
+                .unwrap();
             *sched.entry(id).unwrap()
         };
         assert_eq!(by_name("D").comm_start, Time::units_int(2));

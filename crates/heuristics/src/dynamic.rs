@@ -110,7 +110,7 @@ mod tests {
         sched
             .comm_order()
             .iter()
-            .map(|id| inst.task(*id).name.clone())
+            .map(|id| inst.name(*id).to_string())
             .collect()
     }
 
@@ -151,7 +151,11 @@ mod tests {
         let inst = table4();
         let sched = run_dynamic(&inst, SelectionCriterion::LargestCommunication).unwrap();
         let by_name = |n: &str| {
-            let (id, _) = inst.iter().find(|(_, t)| t.name == n).unwrap();
+            let id = inst
+                .task_ids()
+                .into_iter()
+                .find(|&id| inst.name(id) == n)
+                .unwrap();
             *sched.entry(id).unwrap()
         };
         assert_eq!(by_name("B").comm_start, Time::ZERO);

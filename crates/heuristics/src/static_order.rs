@@ -101,7 +101,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn names(inst: &Instance, order: &[TaskId]) -> Vec<String> {
-        order.iter().map(|id| inst.task(*id).name.clone()).collect()
+        order.iter().map(|id| inst.name(*id).to_string()).collect()
     }
 
     /// Fig. 4 of the paper: the static orders and the makespans they reach

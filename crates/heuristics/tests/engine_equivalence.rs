@@ -260,12 +260,14 @@ fn engines_agree_on_tie_heavy_instances() {
             .capacity(MemSize::from_bytes(capacity))
             .label(format!("tie-heavy-{round}"));
         for i in 0..n {
-            builder = builder.task(Task::new(
-                format!("t{i}"),
-                Time::units_int(rng.gen_range(0..=2u64)),
-                Time::units_int(rng.gen_range(0..=2u64)),
-                MemSize::from_bytes(rng.gen_range(0..=4u64)),
-            ));
+            builder = builder.task(
+                &format!("t{i}"),
+                Task::new(
+                    Time::units_int(rng.gen_range(0..=2u64)),
+                    Time::units_int(rng.gen_range(0..=2u64)),
+                    MemSize::from_bytes(rng.gen_range(0..=4u64)),
+                ),
+            );
         }
         let instance = builder.build().expect("mem <= 4 fits capacity >= 4");
         assert_engines_agree(&instance, &format!("tie-heavy round {round}"));

@@ -705,27 +705,25 @@ mod tests {
 
     fn inline_request() -> SolveRequest {
         SolveRequest {
-            source: TraceSource::Inline(Trace {
-                kernel: "HF".to_string(),
-                rank: 3,
-                tasks: vec![
+            source: TraceSource::Inline({
+                let mut trace = Trace::new("HF", 3);
+                trace.extend([
                     TraceTask {
-                        name: "fock(0,1)".to_string(),
+                        name: "fock(0,1)",
                         kind: TaskKind::FusedTransposeContraction,
                         comm_micros: 110,
                         comp_micros: 30,
                         mem_bytes: 160_000,
                     },
                     TraceTask {
-                        name: "fock(0,2)".to_string(),
+                        name: "fock(0,2)",
                         kind: TaskKind::Contraction,
                         comm_micros: 95,
                         comp_micros: 25,
                         mem_bytes: 176_128,
                     },
-                ],
-                model: None,
-                cost_model: None,
+                ]);
+                trace
             }),
             heuristic: Heuristic::from_name("OOLCMR").unwrap(),
             model: None,
@@ -739,6 +737,32 @@ mod tests {
             TraceSource::Inline(trace) => trace,
             TraceSource::Family { .. } => unreachable!("an inline request"),
         }
+    }
+
+    /// A trace row with its name owned, for editing.
+    type Row = (String, TaskKind, u64, u64, u64);
+
+    /// Rebuilds `trace` from its rows after `edit` changes them.
+    fn edit_rows(trace: &mut Trace, edit: impl FnOnce(&mut Vec<Row>)) {
+        let mut rows: Vec<Row> = trace
+            .iter()
+            .map(|t| {
+                let name = t.name.to_string();
+                (name, t.kind, t.comm_micros, t.comp_micros, t.mem_bytes)
+            })
+            .collect();
+        edit(&mut rows);
+        let mut rebuilt = Trace::new(trace.kernel.clone(), trace.rank);
+        rebuilt.extend(rows.iter().map(|(name, kind, comm, comp, mem)| TraceTask {
+            name,
+            kind: *kind,
+            comm_micros: *comm,
+            comp_micros: *comp,
+            mem_bytes: *mem,
+        }));
+        rebuilt.model = trace.model;
+        rebuilt.cost_model = trace.cost_model.take();
+        *trace = rebuilt;
     }
 
     #[test]
@@ -764,21 +788,25 @@ mod tests {
         let edits: Vec<(&str, Edit)> = vec![
             ("kernel", |t| t.kernel.push('x')),
             ("rank", |t| t.rank += 1),
-            ("task dropped", |t| drop(t.tasks.pop())),
-            ("task order", |t| t.tasks.swap(0, 1)),
-            ("name", |t| t.tasks[0].name.push('x')),
-            ("kind", |t| t.tasks[1].kind = TaskKind::Transpose),
-            ("comm", |t| t.tasks[0].comm_micros += 1),
-            ("comp", |t| t.tasks[0].comp_micros += 1),
-            ("mem", |t| t.tasks[1].mem_bytes = 176_129),
+            ("task dropped", |t| edit_rows(t, |rows| drop(rows.pop()))),
+            ("task order", |t| edit_rows(t, |rows| rows.swap(0, 1))),
+            ("name", |t| edit_rows(t, |rows| rows[0].0.push('x'))),
+            ("kind", |t| {
+                edit_rows(t, |rows| rows[1].1 = TaskKind::Transpose)
+            }),
+            ("comm", |t| edit_rows(t, |rows| rows[0].2 += 1)),
+            ("comp", |t| edit_rows(t, |rows| rows[0].3 += 1)),
+            ("mem", |t| edit_rows(t, |rows| rows[1].4 = 176_129)),
             ("model", |t| {
                 t.model = Some(ExecutionModel::Streams { k: 2 })
             }),
             ("cost model", |t| t.cost_model = Some(sample_cost_model())),
             // Length prefixes keep a byte from moving between strings.
             ("name boundary", |t| {
-                let moved = t.tasks[0].name.pop().unwrap();
-                t.tasks[1].name.insert(0, moved);
+                edit_rows(t, |rows| {
+                    let moved = rows[0].0.pop().unwrap();
+                    rows[1].0.insert(0, moved);
+                })
             }),
         ];
         let mut seen = vec![d0];

@@ -62,21 +62,17 @@ fn assert_error(response: &Value, code: &str) {
 }
 
 fn sample_trace(n: usize) -> Trace {
-    Trace {
-        kernel: "HF".to_string(),
-        rank: 0,
-        tasks: (0..n)
-            .map(|i| TraceTask {
-                name: format!("t{i}"),
-                kind: dts_chem::trace::TaskKind::Contraction,
-                comm_micros: 50 + (i as u64 * 13) % 90,
-                comp_micros: 40 + (i as u64 * 7) % 60,
-                mem_bytes: 1_000 + (i as u64 * 311) % 5_000,
-            })
-            .collect(),
-        model: None,
-        cost_model: None,
+    let mut trace = Trace::new("HF", 0);
+    for i in 0..n {
+        trace.push(TraceTask {
+            name: &format!("t{i}"),
+            kind: dts_chem::trace::TaskKind::Contraction,
+            comm_micros: 50 + (i as u64 * 13) % 90,
+            comp_micros: 40 + (i as u64 * 7) % 60,
+            mem_bytes: 1_000 + (i as u64 * 311) % 5_000,
+        });
     }
+    trace
 }
 
 #[test]

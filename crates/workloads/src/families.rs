@@ -232,49 +232,71 @@ fn rank_seed(seed: u64, rank: usize) -> u64 {
 pub fn generate_trace(config: &GeneratorConfig, rank: usize) -> Result<Trace> {
     config.validate()?;
     let mut rng = StdRng::seed_from_u64(rank_seed(config.seed, rank));
-    let mut tasks = match config.family {
-        WorkloadFamily::MdLike => md_tasks(config.n_tasks, &mut rng),
+    let mut trace = Trace::with_capacity(config.family.kernel_label(), rank, config.n_tasks);
+    let n = config.n_tasks;
+    match config.family {
+        WorkloadFamily::MdLike => md_tasks(&mut trace, n, &mut rng),
         WorkloadFamily::DenseLa => dense_la_tasks(
-            config.n_tasks,
+            &mut trace,
+            n,
             config.skew.unwrap_or(DEFAULT_DENSE_LA_SKEW),
             &mut rng,
         ),
         WorkloadFamily::TieHeavy => promoted_tasks(
+            &mut trace,
             testgen::tie_heavy_task_gen(),
             "tie",
-            config.n_tasks,
+            n,
             &mut rng,
         ),
         WorkloadFamily::MemoryCliff => promoted_tasks(
+            &mut trace,
             testgen::memory_cliff_task_gen(),
             "cliff",
-            config.n_tasks,
+            n,
             &mut rng,
         ),
         WorkloadFamily::TransferBound => promoted_tasks(
+            &mut trace,
             testgen::transfer_bound_task_gen(),
             "xfer",
-            config.n_tasks,
+            n,
             &mut rng,
         ),
-    };
+    }
     if let Some(bandwidth) = config.bandwidth {
         // The extra rng draws happen only on this opt-in path, so default
         // generation stays byte-identical to earlier builds.
-        for task in &mut tasks {
+        for task in trace.tasks_mut() {
             let jitter = rng.gen_range(100 - BANDWIDTH_JITTER_PCT..=100 + BANDWIDTH_JITTER_PCT);
-            let micros = u128::from(task.mem_bytes) * 1_000_000 * u128::from(jitter)
+            let micros = u128::from(task.mem.bytes()) * 1_000_000 * u128::from(jitter)
                 / (u128::from(bandwidth) * 100);
-            task.comm_micros = micros.min(u128::from(u64::MAX)) as u64;
+            task.comm_time = Time::from_micros(micros.min(u128::from(u64::MAX)) as u64);
         }
     }
-    Ok(Trace {
-        kernel: config.family.kernel_label().to_string(),
-        rank,
-        tasks,
-        model: None,
-        cost_model: None,
-    })
+    Ok(trace)
+}
+
+/// Pushes a `Contraction` task named by `args`, formatted into `buf`,
+/// which is reused so that no task allocates a name of its own.
+fn push_named(
+    trace: &mut Trace,
+    buf: &mut String,
+    args: std::fmt::Arguments<'_>,
+    comm_micros: u64,
+    comp_micros: u64,
+    mem_bytes: u64,
+) {
+    use std::fmt::Write;
+    buf.clear();
+    let _ = buf.write_fmt(args);
+    trace.push(TraceTask {
+        name: buf,
+        kind: TaskKind::Contraction,
+        comm_micros,
+        comp_micros,
+        mem_bytes,
+    });
 }
 
 /// Half-width of the deterministic measurement jitter applied to
@@ -286,17 +308,15 @@ pub const BANDWIDTH_JITTER_PCT: u64 = 2;
 /// mem_lo, mem_hi)` in µs and bytes.
 pub const MD_BOUNDS: (u64, u64, u64, u64, u64, u64) = (90, 110, 40, 60, 4096, 5120);
 
-fn md_tasks(n: usize, rng: &mut StdRng) -> Vec<TraceTask> {
+fn md_tasks(trace: &mut Trace, n: usize, rng: &mut StdRng) {
     let (comm_lo, comm_hi, comp_lo, comp_hi, mem_lo, mem_hi) = MD_BOUNDS;
-    (0..n)
-        .map(|i| TraceTask {
-            name: format!("md({i})"),
-            kind: TaskKind::Contraction,
-            comm_micros: rng.gen_range(comm_lo..=comm_hi),
-            comp_micros: rng.gen_range(comp_lo..=comp_hi),
-            mem_bytes: rng.gen_range(mem_lo..=mem_hi),
-        })
-        .collect()
+    let mut buf = String::new();
+    for i in 0..n {
+        let comm = rng.gen_range(comm_lo..=comm_hi);
+        let comp = rng.gen_range(comp_lo..=comp_hi);
+        let mem = rng.gen_range(mem_lo..=mem_hi);
+        push_named(trace, &mut buf, format_args!("md({i})"), comm, comp, mem);
+    }
 }
 
 /// Dense-LA constants: the largest panel computes for [`DENSE_LA_COMP_BASE`]
@@ -311,7 +331,7 @@ pub const DENSE_LA_MEM_MAX: u64 = 2 << 30;
 /// Modeled link bandwidth of the dense-LA family, bytes per µs.
 pub const DENSE_LA_BYTES_PER_MICRO: u64 = 1024;
 
-fn dense_la_tasks(n: usize, skew: f64, rng: &mut StdRng) -> Vec<TraceTask> {
+fn dense_la_tasks(trace: &mut Trace, n: usize, skew: f64, rng: &mut StdRng) {
     // Zipf-skewed computation times: panel i (by weight rank) computes for
     // base * (i+1)^-skew µs. The weights come from the integer fixed-point
     // machinery below, not `f64::powf` — `pow` is not correctly rounded on
@@ -326,20 +346,19 @@ fn dense_la_tasks(n: usize, skew: f64, rng: &mut StdRng) -> Vec<TraceTask> {
     // The submission order must not leak the weight rank (real panel
     // queues are not sorted by cost), so shuffle deterministically.
     comps.shuffle(rng);
-    comps
-        .into_iter()
-        .enumerate()
-        .map(|(i, comp_micros)| {
-            let mem_bytes = rng.gen_range(DENSE_LA_MEM_MAX * 3 / 4..=DENSE_LA_MEM_MAX);
-            TraceTask {
-                name: format!("panel({i})"),
-                kind: TaskKind::Contraction,
-                comm_micros: mem_bytes / DENSE_LA_BYTES_PER_MICRO,
-                comp_micros,
-                mem_bytes,
-            }
-        })
-        .collect()
+    let mut buf = String::new();
+    for (i, comp_micros) in comps.into_iter().enumerate() {
+        let mem_bytes = rng.gen_range(DENSE_LA_MEM_MAX * 3 / 4..=DENSE_LA_MEM_MAX);
+        let comm_micros = mem_bytes / DENSE_LA_BYTES_PER_MICRO;
+        push_named(
+            trace,
+            &mut buf,
+            format_args!("panel({i})"),
+            comm_micros,
+            comp_micros,
+            mem_bytes,
+        );
+    }
 }
 
 /// Q32 fixed-point one (`2^32`): the scale of the integer Zipf weight
@@ -444,23 +463,24 @@ fn zipf_weight_scaled(base: u64, rank: u64, skew_q32: u64) -> u64 {
 pub const PROMOTED_MICROS_PER_UNIT: u64 = Time::TICKS_PER_UNIT;
 
 fn promoted_tasks(
+    trace: &mut Trace,
     gen: testgen::TaskGen,
     prefix: &str,
     n: usize,
     rng: &mut StdRng,
-) -> Vec<TraceTask> {
-    (0..n)
-        .map(|i| {
-            let spec = gen.generate(rng);
-            TraceTask {
-                name: format!("{prefix}({i})"),
-                kind: TaskKind::Contraction,
-                comm_micros: spec.comm * PROMOTED_MICROS_PER_UNIT,
-                comp_micros: spec.comp * PROMOTED_MICROS_PER_UNIT,
-                mem_bytes: spec.mem,
-            }
-        })
-        .collect()
+) {
+    let mut buf = String::new();
+    for i in 0..n {
+        let spec = gen.generate(rng);
+        push_named(
+            trace,
+            &mut buf,
+            format_args!("{prefix}({i})"),
+            spec.comm * PROMOTED_MICROS_PER_UNIT,
+            spec.comp * PROMOTED_MICROS_PER_UNIT,
+            spec.mem,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -574,7 +594,7 @@ mod tests {
         config.seed = 13;
         config.bandwidth = Some(1000); // 1000 B/s → mem(B) × 1000 µs
         let trace = generate_trace(&config, 0).unwrap();
-        for task in &trace.tasks {
+        for task in trace.iter() {
             // lint: allow(L002) test expectation; mem is at most 16 bytes here
             let base = task.mem_bytes * 1_000_000 / 1000;
             let lo = base * (100 - BANDWIDTH_JITTER_PCT) / 100;
@@ -604,7 +624,7 @@ mod tests {
         let config = GeneratorConfig::new(WorkloadFamily::TransferBound);
         let rank0 = generate_trace(&config, 0).unwrap();
         let rank1 = generate_trace(&config, 1).unwrap();
-        assert_ne!(rank0.tasks, rank1.tasks, "ranks share a stream");
+        assert_ne!(rank0.tasks(), rank1.tasks(), "ranks share a stream");
         assert_eq!(rank0, generate_trace(&config, 0).unwrap());
     }
 }

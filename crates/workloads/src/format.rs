@@ -69,19 +69,19 @@ fn validate_semantics(trace: &Trace) -> Result<()> {
     if trace.kernel.is_empty() {
         return Err(invalid("kernel must be a non-empty string"));
     }
-    if trace.tasks.len() > MAX_TASKS {
+    if trace.len() > MAX_TASKS {
         return Err(invalid(format!(
             "{} tasks, but traces are capped at {MAX_TASKS}",
-            trace.tasks.len()
+            trace.len()
         )));
     }
-    let mut seen = HashSet::with_capacity(trace.tasks.len());
+    let mut seen = HashSet::with_capacity(trace.len());
     let mut total_mem: u64 = 0;
-    for (i, task) in trace.tasks.iter().enumerate() {
+    for (i, task) in trace.iter().enumerate() {
         if task.name.is_empty() {
             return Err(invalid(format!("tasks[{i}].name must be non-empty")));
         }
-        if !seen.insert(task.name.as_str()) {
+        if !seen.insert(task.name) {
             return Err(invalid(format!(
                 "duplicate task name `{}` (tasks[{i}]); task names are the task identity",
                 task.name
@@ -134,11 +134,10 @@ pub fn export_trace(trace: &Trace) -> Result<String> {
         ));
     }
     let tasks = trace
-        .tasks
         .iter()
         .map(|t| {
             Value::Object(vec![
-                ("name".to_string(), Value::Str(t.name.clone())),
+                ("name".to_string(), Value::Str(t.name.to_string())),
                 (
                     "kind".to_string(),
                     Value::Str(kind_name(t.kind).to_string()),
@@ -202,7 +201,7 @@ pub fn import_trace(json: &str) -> Result<Trace> {
     }
 
     let kernel = match require(fields, "kernel")? {
-        Value::Str(s) if !s.is_empty() => s.clone(),
+        Value::Str(s) if !s.is_empty() => s,
         Value::Str(_) => return Err(invalid("kernel must be a non-empty string")),
         other => {
             return Err(invalid(format!(
@@ -255,24 +254,17 @@ pub fn import_trace(json: &str) -> Result<Trace> {
             tasks.len()
         )));
     }
-    let tasks = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, item)| import_task(item, i))
-        .collect::<Result<Vec<_>>>()?;
-
-    let trace = Trace {
-        kernel,
-        rank,
-        tasks,
-        model,
-        cost_model,
-    };
+    let mut trace = Trace::with_capacity(kernel, rank, tasks.len());
+    for (i, item) in tasks.iter().enumerate() {
+        import_task(item, i, &mut trace)?;
+    }
+    trace.model = model;
+    trace.cost_model = cost_model;
     validate_semantics(&trace)?;
     Ok(trace)
 }
 
-fn import_task(value: &Value, i: usize) -> Result<TraceTask> {
+fn import_task(value: &Value, i: usize, trace: &mut Trace) -> Result<()> {
     let at = format!("tasks[{i}]");
     let fields = expect_object(value, &at)?;
     check_keys(
@@ -281,7 +273,7 @@ fn import_task(value: &Value, i: usize) -> Result<TraceTask> {
         &at,
     )?;
     let name = match require_at(fields, "name", &at)? {
-        Value::Str(s) if !s.is_empty() => s.clone(),
+        Value::Str(s) if !s.is_empty() => s,
         Value::Str(_) => return Err(invalid(format!("{at}.name must be non-empty"))),
         other => {
             return Err(invalid(format!(
@@ -304,13 +296,17 @@ fn import_task(value: &Value, i: usize) -> Result<TraceTask> {
             )))
         }
     };
-    Ok(TraceTask {
+    let task = TraceTask {
         name,
         kind,
         comm_micros: uint_field(fields, "comm_micros", &at)?,
         comp_micros: uint_field(fields, "comp_micros", &at)?,
         mem_bytes: uint_field(fields, "mem_bytes", &at)?,
-    })
+    };
+    if !trace.try_push(task) {
+        return Err(invalid(format!("task names exceed u32::MAX bytes at {at}")));
+    }
+    Ok(())
 }
 
 /// The `kind` strings of the format, matching the derived [`TaskKind`]
@@ -619,9 +615,13 @@ mod tests {
 
     #[test]
     fn export_refuses_semantically_broken_traces() {
-        let mut trace = sample();
-        let first = trace.tasks[0].name.clone();
-        trace.tasks[1].name = first;
+        let valid = sample();
+        let mut trace = Trace::new(valid.kernel.clone(), valid.rank);
+        trace.push(valid.task(0));
+        trace.push(TraceTask {
+            name: valid.task(0).name,
+            ..valid.task(1)
+        });
         assert!(matches!(
             export_trace(&trace),
             Err(CoreError::InvalidTrace(_))

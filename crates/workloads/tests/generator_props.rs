@@ -78,7 +78,7 @@ property! {
         config.seed = seed;
         let trace = generate_trace(&config, rank).map_err(|e| e.to_string())?;
         let (comm_lo, comm_hi, comp_lo, comp_hi, mem_lo, mem_hi) = MD_BOUNDS;
-        for task in &trace.tasks {
+        for task in trace.iter() {
             prop_assert!(
                 (comm_lo..=comm_hi).contains(&task.comm_micros)
                     && (comp_lo..=comp_hi).contains(&task.comp_micros)
@@ -86,10 +86,10 @@ property! {
                 "task {task:?} outside the MD bounds"
             );
         }
-        let comm_max = trace.tasks.iter().map(|t| t.comm_micros).max().unwrap_or(0);
-        let comm_min = trace.tasks.iter().map(|t| t.comm_micros).min().unwrap_or(1);
-        let comp_max = trace.tasks.iter().map(|t| t.comp_micros).max().unwrap_or(0);
-        let comp_min = trace.tasks.iter().map(|t| t.comp_micros).min().unwrap_or(1);
+        let comm_max = trace.iter().map(|t| t.comm_micros).max().unwrap_or(0);
+        let comm_min = trace.iter().map(|t| t.comm_micros).min().unwrap_or(1);
+        let comp_max = trace.iter().map(|t| t.comp_micros).max().unwrap_or(0);
+        let comp_min = trace.iter().map(|t| t.comp_micros).min().unwrap_or(1);
         prop_assert!(
             comm_max as f64 / comm_min as f64 <= 1.25,
             "comm spread {comm_min}..{comm_max} wider than 1.25x"
@@ -114,13 +114,13 @@ property! {
         config.seed = seed;
         config.skew = Some(DEFAULT_DENSE_LA_SKEW);
         let trace = generate_trace(&config, rank).map_err(|e| e.to_string())?;
-        let comp_max = trace.tasks.iter().map(|t| t.comp_micros).max().unwrap_or(0);
-        let comp_min = trace.tasks.iter().map(|t| t.comp_micros).min().unwrap_or(1);
+        let comp_max = trace.iter().map(|t| t.comp_micros).max().unwrap_or(0);
+        let comp_min = trace.iter().map(|t| t.comp_micros).min().unwrap_or(1);
         prop_assert!(
             comp_max as f64 / comp_min as f64 >= 8.0,
             "skew ratio {comp_max}/{comp_min} below 8x over {n_tasks} panels"
         );
-        for task in &trace.tasks {
+        for task in trace.iter() {
             prop_assert!(
                 task.mem_bytes >= DENSE_LA_MEM_MAX * 3 / 4 && task.mem_bytes <= DENSE_LA_MEM_MAX,
                 "panel footprint {} outside 75-100 % of {DENSE_LA_MEM_MAX}",
@@ -141,7 +141,7 @@ property! {
         config.seed = seed;
         let trace = generate_trace(&config, rank).map_err(|e| e.to_string())?;
         let mut counts = std::collections::HashMap::new();
-        for task in &trace.tasks {
+        for task in trace.iter() {
             *counts.entry(task.comm_micros).or_insert(0usize) += 1;
         }
         let tied: usize = counts.values().filter(|&&c| c >= 2).sum();
@@ -162,8 +162,8 @@ property! {
         config.n_tasks = n_tasks;
         config.seed = seed;
         let trace = generate_trace(&config, rank).map_err(|e| e.to_string())?;
-        let comm: u64 = trace.tasks.iter().map(|t| t.comm_micros).sum();
-        let comp: u64 = trace.tasks.iter().map(|t| t.comp_micros).sum();
+        let comm: u64 = trace.iter().map(|t| t.comm_micros).sum();
+        let comp: u64 = trace.iter().map(|t| t.comp_micros).sum();
         prop_assert!(
             comm >= 2 * comp,
             "total comm {comm} does not dominate total comp {comp}"

@@ -83,28 +83,26 @@ fn regression_spec() -> CostModelSpec {
 }
 
 fn small_trace() -> Trace {
-    Trace {
-        kernel: "HF".into(),
-        rank: 3,
-        tasks: vec![
-            TraceTask {
-                name: "fock(0,1)".into(),
-                kind: TaskKind::FusedTransposeContraction,
-                comm_micros: 110,
-                comp_micros: 30,
-                mem_bytes: 160_000,
-            },
-            TraceTask {
-                name: "t\"2\"".into(),
-                kind: TaskKind::Transpose,
-                comm_micros: 0,
-                comp_micros: u64::MAX,
-                mem_bytes: 1,
-            },
-        ],
-        model: Some(ExecutionModel::Streams { k: 4 }),
-        cost_model: Some(regression_spec()),
-    }
+    let mut trace = Trace::new("HF", 3);
+    trace.extend([
+        TraceTask {
+            name: "fock(0,1)",
+            kind: TaskKind::FusedTransposeContraction,
+            comm_micros: 110,
+            comp_micros: 30,
+            mem_bytes: 160_000,
+        },
+        TraceTask {
+            name: "t\"2\"",
+            kind: TaskKind::Transpose,
+            comm_micros: 0,
+            comp_micros: u64::MAX,
+            mem_bytes: 1,
+        },
+    ]);
+    trace.model = Some(ExecutionModel::Streams { k: 4 });
+    trace.cost_model = Some(regression_spec());
+    trace
 }
 
 /// A one-task document with `field` set to the raw JSON `raw`.
@@ -188,7 +186,7 @@ fn integer_rules_agree_on_every_field() {
     for field in ["comm_micros", "comp_micros", "mem_bytes"] {
         for (raw, want) in accepted_as {
             let trace = accepted(&with_task_field(field, raw));
-            let task = &trace.tasks[0];
+            let task = trace.task(0);
             let got = match field {
                 "comm_micros" => task.comm_micros,
                 "comp_micros" => task.comp_micros,
@@ -216,11 +214,11 @@ fn duplicate_keys_keep_the_first_occurrence_at_both_levels() {
         r#"{"kernel": "A", "rank": 1, "kernel": 7, "rank": -4, "tasks": [], "tasks": "x"}"#,
     );
     assert_eq!((trace.kernel.as_str(), trace.rank), ("A", 1));
-    assert!(trace.tasks.is_empty());
+    assert!(trace.is_empty());
     let trace = accepted(
         r#"{"kernel": "K", "rank": 0, "tasks": [{"name": "first", "name": 2, "kind": "Transpose", "kind": "Bogus", "comm_micros": 1, "comm_micros": 1.5, "comp_micros": 2, "mem_bytes": 3, "mem_bytes": 4}]}"#,
     );
-    let task = &trace.tasks[0];
+    let task = trace.task(0);
     assert_eq!(task.name, "first");
     assert_eq!(task.kind, TaskKind::Transpose);
     assert_eq!((task.comm_micros, task.mem_bytes), (1, 3));
@@ -279,7 +277,7 @@ fn escaped_names_and_keys_decode_alike() {
         (r#""a\"b\\c\/d\b\f\n\r\t""#, "a\"b\\c/d\u{8}\u{c}\n\r\t"),
         ("\"raw \u{1F600} é\"", "raw \u{1F600} é"),
     ] {
-        assert_eq!(accepted(&with_task_field("name", raw)).tasks[0].name, want);
+        assert_eq!(accepted(&with_task_field("name", raw)).task(0).name, want);
     }
     for raw in [
         r#""\ud83d""#,
@@ -298,7 +296,7 @@ fn escaped_names_and_keys_decode_alike() {
         r#"{"kernel": "K", "r\u0061nk": 2, "tasks": [{"name": "t", "\u006bind": "Contraction", "comm_micros": 1, "comp_micros": 2, "mem_bytes": 3}]}"#,
     );
     assert_eq!(trace.rank, 2);
-    assert_eq!(trace.tasks[0].kind, TaskKind::Contraction);
+    assert_eq!(trace.task(0).kind, TaskKind::Contraction);
 }
 
 #[test]

@@ -152,21 +152,16 @@ property! {
             "overflowing import not rejected"
         );
         // The in-memory door: same values straight into a Trace.
-        let trace = dts_chem::Trace {
-            kernel: "FUZZ".into(),
-            rank: 0,
-            tasks: (0..n)
-                .map(|i| dts_chem::TraceTask {
-                    name: format!("big-{i}"),
-                    kind: dts_chem::trace::TaskKind::Contraction,
-                    comm_micros: per_task / 2,
-                    comp_micros: per_task - per_task / 2,
-                    mem_bytes: 1,
-                })
-                .collect(),
-            model: None,
-            cost_model: None,
-        };
+        let mut trace = dts_chem::Trace::new("FUZZ", 0);
+        for i in 0..n {
+            trace.push(dts_chem::TraceTask {
+                name: &format!("big-{i}"),
+                kind: dts_chem::trace::TaskKind::Contraction,
+                comm_micros: per_task / 2,
+                comp_micros: per_task - per_task / 2,
+                mem_bytes: 1,
+            });
+        }
         prop_assert!(
             matches!(trace.to_instance_scaled(1.0), Err(CoreError::InvalidTrace(_))),
             "overflowing to_instance_scaled not rejected"
@@ -200,7 +195,7 @@ property! {
             Ok(trace) => trace,
             Err(e) => return Err(format!("escaped U+{code_point:X} rejected: {e:?}")),
         };
-        prop_assert!(trace.tasks[0].name == format!("k{c}(1)"), "decoded {:?}", trace.tasks[0].name);
+        prop_assert!(trace.task(0).name == format!("k{c}(1)"), "decoded {:?}", trace.task(0).name);
         let exported = export_trace(&trace).map_err(|e| format!("{e:?}"))?;
         prop_assert!(import_trace(&exported).ok() == Some(trace.clone()), "export/import changed the trace");
         prop_assert!(dts_chem::Trace::from_json(&json).ok() == Some(trace), "trace loader disagrees");

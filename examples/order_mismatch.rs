@@ -63,6 +63,6 @@ fn main() {
 fn names(instance: &Instance, order: &[TaskId]) -> Vec<String> {
     order
         .iter()
-        .map(|id| instance.task(*id).name.clone())
+        .map(|id| instance.name(*id).to_string())
         .collect()
 }
