@@ -240,30 +240,15 @@ pub struct CandidateIndex {
 /// Task indices in `(communication time, index)` order. The keys are
 /// packed integers, `comm << 32 | index`, read in one pass over the task
 /// column and sorted without a comparator reaching back into the tasks.
-/// Keys are 64-bit when every time fits 32 bits (every generated trace;
-/// they sort in about 60 % of the time 128-bit keys take at 200k tasks),
-/// else 128-bit. `tasks` has at most `u32::MAX` entries.
+/// `tasks` has at most `u32::MAX` entries.
 fn comm_order(tasks: &[Task]) -> Vec<u32> {
-    let fits_u32 = tasks
+    let mut keys: Vec<u128> = tasks
         .iter()
-        .all(|t| t.comm_time.ticks() <= u64::from(u32::MAX));
-    if fits_u32 {
-        let mut keys: Vec<u64> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| t.comm_time.ticks() << 32 | i as u64)
-            .collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|k| k as u32).collect()
-    } else {
-        let mut keys: Vec<u128> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| u128::from(t.comm_time.ticks()) << 32 | i as u128)
-            .collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|k| k as u32).collect()
-    }
+        .enumerate()
+        .map(|(i, t)| u128::from(t.comm_time.ticks()) << 32 | i as u128)
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as u32).collect()
 }
 
 impl CandidateIndex {
@@ -1005,19 +990,17 @@ mod tests {
     use crate::instances::table4;
 
     #[test]
-    fn comm_order_sorts_by_time_then_index_at_both_key_widths() {
+    fn comm_order_sorts_by_time_then_index() {
         let task = |comm: u64| Task::new(Time(comm), Time(0), MemSize::ZERO);
-        let narrow = [
+        let tasks = [
             task(5),
-            task(1),
+            task(u64::MAX),
             task(5),
+            task(1 << 32),
             task(0),
             task(u64::from(u32::MAX)),
         ];
-        assert_eq!(comm_order(&narrow), [3, 1, 0, 2, 4]);
-        // One time past 32 bits switches to 128-bit keys, same order.
-        let wide = [task(5), task(u64::MAX), task(5), task(1 << 32), task(0)];
-        assert_eq!(comm_order(&wide), [4, 0, 2, 3, 1]);
+        assert_eq!(comm_order(&tasks), [4, 0, 2, 5, 3, 1]);
         assert!(comm_order(&[]).is_empty());
     }
 

@@ -97,12 +97,7 @@ fn tasks_from_value(value: &Value) -> std::result::Result<TaskTable, SerdeError>
             Value::Str(name) => name,
             other => return SerdeError::unexpected("string", other),
         };
-        let task = Task::new(
-            Deserialize::from_value(item.field("comm_time")?)?,
-            Deserialize::from_value(item.field("comp_time")?)?,
-            Deserialize::from_value(item.field("mem")?)?,
-        );
-        if !table.try_push(name, task) {
+        if !table.try_push(name, Task::from_value(item)?) {
             return Err(SerdeError::custom("task names exceed u32::MAX bytes"));
         }
     }

