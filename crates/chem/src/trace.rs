@@ -121,13 +121,12 @@ impl Deserialize for Trace {
             Ok(v) => Option::<CostModelSpec>::from_value(v)?.filter(|m| !m.is_analytic()),
             Err(_) => None,
         };
-        let mut trace = Trace::new(
-            String::from_value(value.field("kernel")?)?,
-            usize::from_value(value.field("rank")?)?,
-        );
+        let kernel = String::from_value(value.field("kernel")?)?;
+        let rank = usize::from_value(value.field("rank")?)?;
         let Value::Array(items) = value.field("tasks")? else {
             return SerdeError::unexpected("array", value.field("tasks")?);
         };
+        let mut trace = Trace::with_capacity(kernel, rank, items.len());
         // A task's fields are read, and their errors reported, in key
         // order.
         for item in items {
