@@ -4,10 +4,10 @@ use crate::stats::BoxplotStats;
 use crate::sweep::{run_suite_sweep, SweepConfig, SweepRow};
 use dts_chem::Trace;
 use dts_core::prelude::*;
-use dts_flowshop::johnson::johnson_makespan;
+use dts_core::simulate::sequence_makespan_infinite;
 use dts_heuristics::{
     batch::{run_heuristic_batched, BatchConfig},
-    best_in_category, Heuristic, HeuristicCategory,
+    Heuristic, HeuristicCategory, Plan,
 };
 use dts_milp::lp_k_sweep;
 use serde::{Deserialize, Serialize};
@@ -85,10 +85,11 @@ pub fn best_variant_experiment(
             std::collections::BTreeMap::new();
         for trace in traces {
             let instance = trace.to_instance_scaled(factor)?;
-            let omim = johnson_makespan(&instance);
+            let plan = Plan::new(&instance);
+            let omim = sequence_makespan_infinite(&instance, plan.johnson_order())?;
             for category in HeuristicCategory::ALL {
                 let best = match batch {
-                    None => best_in_category(&instance, category)?,
+                    None => plan.best_in_category(&instance, category)?,
                     Some(cfg) => {
                         let mut best = Time::MAX;
                         for heuristic in Heuristic::in_category(category) {
@@ -131,13 +132,14 @@ pub fn lp_comparison_experiment(
     heuristics: &[Heuristic],
 ) -> Result<Vec<(String, f64, f64)>> {
     let unbounded = trace.to_instance(MemSize::UNBOUNDED)?;
-    let omim = johnson_makespan(&unbounded);
+    let plan = Plan::new(&unbounded);
+    let omim = sequence_makespan_infinite(&unbounded, plan.johnson_order())?;
     let mut out = Vec::new();
     for &factor in factors {
         let instance = trace.to_instance_scaled(factor)?;
         out.push(("OMIM".to_string(), factor, 1.0));
         for &heuristic in heuristics {
-            let makespan = dts_heuristics::run_heuristic(&instance, heuristic)?.makespan(&instance);
+            let makespan = plan.run(&instance, heuristic)?.makespan(&instance);
             out.push((heuristic.name().to_string(), factor, makespan.ratio(omim)));
         }
         // The sweep solves the four window sizes on parallel workers; rows

@@ -3,8 +3,8 @@
 use dts_chem::Trace;
 use dts_core::pool::run_indexed_pool;
 use dts_core::prelude::*;
-use dts_flowshop::johnson::johnson_makespan;
-use dts_heuristics::{run_heuristic, Heuristic};
+use dts_core::simulate::sequence_makespan_infinite;
+use dts_heuristics::{Heuristic, Plan};
 use serde::{Deserialize, Serialize};
 
 /// The capacity factors of the paper's evaluation: `mc` to `2·mc` in steps
@@ -54,6 +54,10 @@ pub struct SweepRow {
 
 /// Runs every configured heuristic on one trace across the capacity sweep.
 ///
+/// One [`Plan`] serves every run: the orders and candidate indexes depend
+/// on the tasks alone, so they are built once per trace rather than at
+/// every capacity, and the OMIM bound reads the plan's Johnson order.
+///
 /// ```
 /// use dts_analysis::sweep::{run_trace_sweep, SweepConfig};
 /// use dts_chem::suite::{generate_partial_suite, SuiteConfig};
@@ -72,11 +76,12 @@ pub struct SweepRow {
 pub fn run_trace_sweep(trace: &Trace, config: &SweepConfig) -> Result<Vec<SweepRow>> {
     let mut rows = Vec::with_capacity(config.heuristics.len() * config.factors.len());
     let unbounded = trace.to_instance(MemSize::UNBOUNDED)?;
-    let omim = johnson_makespan(&unbounded);
+    let plan = Plan::new(&unbounded);
+    let omim = sequence_makespan_infinite(&unbounded, plan.johnson_order())?;
     for &factor in &config.factors {
         let instance = trace.to_instance_scaled(factor)?;
         for &heuristic in &config.heuristics {
-            let makespan = run_heuristic(&instance, heuristic)?.makespan(&instance);
+            let makespan = plan.run(&instance, heuristic)?.makespan(&instance);
             rows.push(SweepRow {
                 kernel: trace.kernel.clone(),
                 rank: trace.rank,

@@ -718,6 +718,19 @@ fn run_stdout_matches_the_committed_golden() {
 }
 
 #[test]
+fn sweep_stdout_matches_the_committed_golden() {
+    // The exact CSV of `dts sweep <small trace>`: 14 heuristics x 9
+    // capacity factors plus the header.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/small-trace.sweep.golden");
+    let golden = std::fs::read_to_string(golden).expect("the golden file is committed");
+    let trace = small_trace();
+    let output = dts(&["sweep", trace.to_str().unwrap()]);
+    assert!(output.status.success(), "{}", stderr(&output));
+    assert_eq!(stdout(&output), golden);
+    assert_eq!(golden.lines().count(), 1 + 14 * 9);
+}
+
+#[test]
 fn run_at_factor_one_fits_a_task_past_f64_precision() {
     // Regression: `MemSize::scale` went through `f64`, which rounds
     // 2^53 + 1 bytes down to 2^53, so at factor 1.0 the largest task no

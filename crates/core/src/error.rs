@@ -30,6 +30,15 @@ pub enum CoreError {
     },
     /// A sequence or schedule mentions the same task more than once.
     DuplicateTask(TaskId),
+    /// An instance was handed to a structure precomputed for a different
+    /// task table (a heuristic plan, say); the precomputed orders and
+    /// indexes would describe other tasks.
+    TaskTableMismatch {
+        /// Number of tasks of the table the structure was built for.
+        expected: usize,
+        /// Number of tasks of the instance supplied.
+        got: usize,
+    },
     /// A memory-capacity scale factor is not a finite non-negative number
     /// (NaN, infinite, or negative). Stored pre-formatted so the error
     /// stays `Eq` despite the `f64` origin.
@@ -80,6 +89,10 @@ impl fmt::Display for CoreError {
             CoreError::DuplicateTask(id) => {
                 write!(f, "sequence mentions task {id} more than once")
             }
+            CoreError::TaskTableMismatch { expected, got } => write!(
+                f,
+                "instance's task table ({got} tasks) is not the one the plan was built for ({expected} tasks)"
+            ),
             CoreError::InvalidCapacityFactor(factor) => write!(
                 f,
                 "invalid capacity factor {factor}: must be a finite non-negative number"
@@ -118,6 +131,11 @@ mod tests {
         assert!(CoreError::DuplicateTask(TaskId(2))
             .to_string()
             .contains("T2"));
+        let e = CoreError::TaskTableMismatch {
+            expected: 4,
+            got: 4,
+        };
+        assert!(e.to_string().contains("not the one the plan was built for"));
         let e = CoreError::InvalidCapacityFactor("NaN".into());
         assert!(e.to_string().contains("invalid capacity factor NaN"));
         let e = CoreError::InvalidExecutionModel("bad spec".into());

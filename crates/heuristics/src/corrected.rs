@@ -49,6 +49,19 @@ pub fn run_corrected(
     order: &[TaskId],
     criterion: CorrectionCriterion,
 ) -> Result<Schedule> {
+    let index = SelectionCriterion::from(criterion).build_index(instance);
+    run_corrected_with(instance, order, criterion, index)
+}
+
+/// [`run_corrected`]'s loop over a fresh `index` of every task of
+/// `instance`, built by [`SelectionCriterion::build_index`] there or
+/// cloned from a [`Plan`](crate::Plan).
+pub(crate) fn run_corrected_with(
+    instance: &Instance,
+    order: &[TaskId],
+    criterion: CorrectionCriterion,
+    mut index: CandidateIndex,
+) -> Result<Schedule> {
     instance.model().validate()?;
     dts_core::simulate::check_permutation(instance, order)?;
     instance.check_tasks_fit()?;
@@ -64,10 +77,6 @@ pub fn run_corrected(
     for (pos, id) in order.iter().enumerate() {
         position_of[id.index()] = pos;
     }
-    let mut index = match selection {
-        SelectionCriterion::MaximumAcceleration => CandidateIndex::new(instance),
-        _ => CandidateIndex::comm_only(instance),
-    };
     let mut cursor = 0usize;
     let mut now = Time::ZERO;
 

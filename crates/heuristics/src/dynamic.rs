@@ -63,17 +63,41 @@ impl SelectionCriterion {
 /// (both possible only for instances that bypassed [`Instance::new`] and
 /// [`Instance::with_model`] validation, e.g. deserialized ones).
 pub fn run_dynamic(instance: &Instance, criterion: SelectionCriterion) -> Result<Schedule> {
+    run_dynamic_with(instance, criterion, criterion.build_index(instance))
+}
+
+impl SelectionCriterion {
+    /// `true` iff the criterion asks the candidate index ratio queries
+    /// (only MAMR does), so its index needs the ratio trees.
+    pub(crate) fn needs_ratio_trees(self) -> bool {
+        self == SelectionCriterion::MaximumAcceleration
+    }
+
+    /// The candidate index this criterion queries: the full index for
+    /// MAMR, the cheaper communication-only one otherwise.
+    pub(crate) fn build_index(self, instance: &Instance) -> CandidateIndex {
+        if self.needs_ratio_trees() {
+            CandidateIndex::new(instance)
+        } else {
+            CandidateIndex::comm_only(instance)
+        }
+    }
+}
+
+/// [`run_dynamic`]'s loop over a fresh `index` of every task of
+/// `instance`, built by [`SelectionCriterion::build_index`] here or
+/// cloned from a [`Plan`](crate::Plan).
+pub(crate) fn run_dynamic_with(
+    instance: &Instance,
+    criterion: SelectionCriterion,
+    mut index: CandidateIndex,
+) -> Result<Schedule> {
     instance.model().validate()?;
     instance.check_tasks_fit()?;
     let mut state = EngineState::new(instance);
     // Remaining tasks, indexed by memory footprint: each decision is
     // resolved with O(log n) threshold queries instead of scanning every
-    // remaining task (see `select_candidate`). Only MAMR asks ratio
-    // queries, so the other criteria skip the ratio priority tree.
-    let mut index = match criterion {
-        SelectionCriterion::MaximumAcceleration => CandidateIndex::new(instance),
-        _ => CandidateIndex::comm_only(instance),
-    };
+    // remaining task (see `select_candidate`).
     let mut now = Time::ZERO;
 
     while !index.is_empty() {

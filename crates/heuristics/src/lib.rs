@@ -19,8 +19,10 @@
 //!   `OOSCMR`, `OOMAMR`.
 //!
 //! [`Heuristic`] enumerates all of them, [`run_heuristic`] executes any of
-//! them on an [`Instance`], and [`batch`] applies a
-//! heuristic to successive batches of tasks (Section 6.3).
+//! them on an [`Instance`], a [`Plan`] shares their capacity-independent
+//! set-up (orders, candidate indexes) across many runs on one task table,
+//! and [`batch`] applies a heuristic to successive batches of tasks
+//! (Section 6.3).
 
 #![warn(missing_docs)]
 
@@ -28,6 +30,7 @@ pub mod batch;
 pub mod corrected;
 pub mod dynamic;
 pub mod engine;
+pub mod plan;
 pub mod static_order;
 
 use dts_core::prelude::*;
@@ -37,6 +40,7 @@ use std::fmt;
 pub use batch::{run_heuristic_batched, BatchConfig};
 pub use corrected::CorrectionCriterion;
 pub use dynamic::SelectionCriterion;
+pub use plan::Plan;
 
 /// The category of a heuristic, used by the "best variant of each category"
 /// experiments (Figs. 10, 12 and 13 of the paper).
@@ -202,35 +206,12 @@ impl fmt::Display for Heuristic {
 /// only look at task characteristics, so they are the same under every
 /// model and then executed under it; the dynamic and corrected heuristics
 /// thread the model through their decision engines.
+///
+/// This is [`Plan::run`] on a fresh plan, which builds only what
+/// `heuristic` needs; callers running several heuristics or capacities on
+/// one task table should keep a [`Plan`] instead.
 pub fn run_heuristic(instance: &Instance, heuristic: Heuristic) -> Result<Schedule> {
-    let corrected = |criterion| {
-        corrected::run_corrected(
-            instance,
-            &dts_flowshop::johnson::johnson_order(instance),
-            criterion,
-        )
-    };
-    match heuristic {
-        Heuristic::OS
-        | Heuristic::OOSIM
-        | Heuristic::IOCMS
-        | Heuristic::DOCPS
-        | Heuristic::IOCCS
-        | Heuristic::DOCCS
-        | Heuristic::GG
-        | Heuristic::BP => {
-            let order = static_order::static_order(instance, heuristic)?;
-            simulate_sequence(instance, &order)
-        }
-        Heuristic::LCMR => dynamic::run_dynamic(instance, SelectionCriterion::LargestCommunication),
-        Heuristic::SCMR => {
-            dynamic::run_dynamic(instance, SelectionCriterion::SmallestCommunication)
-        }
-        Heuristic::MAMR => dynamic::run_dynamic(instance, SelectionCriterion::MaximumAcceleration),
-        Heuristic::OOLCMR => corrected(CorrectionCriterion::LargestCommunication),
-        Heuristic::OOSCMR => corrected(CorrectionCriterion::SmallestCommunication),
-        Heuristic::OOMAMR => corrected(CorrectionCriterion::MaximumAcceleration),
-    }
+    Plan::new(instance).run(instance, heuristic)
 }
 
 /// Runs every heuristic and returns the one with the smallest makespan,
@@ -248,9 +229,10 @@ pub fn run_heuristic(instance: &Instance, heuristic: Heuristic) -> Result<Schedu
 /// println!("best heuristic on Table 5: {winner}");
 /// ```
 pub fn best_heuristic(instance: &Instance) -> Result<(Heuristic, Schedule)> {
+    let plan = Plan::new(instance);
     let mut best: Option<(Heuristic, Schedule, Time)> = None;
     for &h in &Heuristic::ALL {
-        let schedule = run_heuristic(instance, h)?;
+        let schedule = plan.run(instance, h)?;
         let makespan = schedule.makespan(instance);
         if best.as_ref().is_none_or(|(_, _, m)| makespan < *m) {
             best = Some((h, schedule, makespan));
@@ -261,16 +243,10 @@ pub fn best_heuristic(instance: &Instance) -> Result<(Heuristic, Schedule)> {
 }
 
 /// Runs every heuristic of a category and returns the smallest makespan
-/// achieved (the "best variant" curves of Figs. 10, 12, 13).
+/// achieved (the "best variant" curves of Figs. 10, 12, 13); one
+/// [`Plan::best_in_category`] call on a fresh plan.
 pub fn best_in_category(instance: &Instance, category: HeuristicCategory) -> Result<Time> {
-    let mut best = Time::MAX;
-    for h in Heuristic::in_category(category) {
-        let makespan = run_heuristic(instance, h)?.makespan(instance);
-        if makespan < best {
-            best = makespan;
-        }
-    }
-    Ok(best)
+    Plan::new(instance).best_in_category(instance, category)
 }
 
 #[cfg(test)]
