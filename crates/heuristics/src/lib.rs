@@ -211,7 +211,7 @@ impl fmt::Display for Heuristic {
 /// `heuristic` needs; callers running several heuristics or capacities on
 /// one task table should keep a [`Plan`] instead.
 pub fn run_heuristic(instance: &Instance, heuristic: Heuristic) -> Result<Schedule> {
-    Plan::new(instance).run(instance, heuristic)
+    Plan::new(instance).run_once(instance, heuristic)
 }
 
 /// Runs every heuristic and returns the one with the smallest makespan,

@@ -109,11 +109,34 @@ impl<'a> Plan<'a> {
     /// the plan's, and the errors of the heuristic itself.
     pub fn run(&self, instance: &Instance, heuristic: Heuristic) -> Result<Schedule> {
         self.check_table(instance)?;
-        let dynamic = |criterion: SelectionCriterion| {
-            run_dynamic_with(instance, criterion, self.index(criterion).clone())
-        };
+        self.dispatch(instance, heuristic, |criterion| {
+            self.index(criterion).clone()
+        })
+    }
+
+    /// [`run`](Plan::run) on a plan used for one run only: the candidate
+    /// index is built for the run and handed over, not kept and copied
+    /// (on a 200k-task trace the copy alone costs several milliseconds).
+    pub(crate) fn run_once(self, instance: &Instance, heuristic: Heuristic) -> Result<Schedule> {
+        self.check_table(instance)?;
+        self.dispatch(instance, heuristic, |criterion| {
+            criterion.build_index(self.instance)
+        })
+    }
+
+    /// The one dispatch over every heuristic; `index` yields a fresh
+    /// candidate index for the criterion a dynamic or corrected run
+    /// queries.
+    fn dispatch(
+        &self,
+        instance: &Instance,
+        heuristic: Heuristic,
+        index: impl Fn(SelectionCriterion) -> CandidateIndex,
+    ) -> Result<Schedule> {
+        let dynamic =
+            |criterion: SelectionCriterion| run_dynamic_with(instance, criterion, index(criterion));
         let corrected = |criterion: CorrectionCriterion| {
-            let index = self.index(criterion.into()).clone();
+            let index = index(criterion.into());
             run_corrected_with(instance, self.johnson_order(), criterion, index)
         };
         match heuristic {
