@@ -25,6 +25,22 @@ pub enum SelectionCriterion {
 }
 
 impl SelectionCriterion {
+    /// `true` iff the criterion asks the candidate index ratio queries
+    /// (only MAMR does), so its index needs the ratio trees.
+    pub(crate) fn needs_ratio_trees(self) -> bool {
+        self == SelectionCriterion::MaximumAcceleration
+    }
+
+    /// The candidate index this criterion queries: the full index for
+    /// MAMR, the cheaper communication-only one otherwise.
+    pub(crate) fn build_index(self, instance: &Instance) -> CandidateIndex {
+        if self.needs_ratio_trees() {
+            CandidateIndex::new(instance)
+        } else {
+            CandidateIndex::comm_only(instance)
+        }
+    }
+
     /// Chooses one task among the filtered candidates. Ties are broken by
     /// task id so the heuristics are deterministic.
     pub fn choose(self, instance: &Instance, candidates: &[TaskId]) -> Option<TaskId> {
@@ -64,24 +80,6 @@ impl SelectionCriterion {
 /// [`Instance::with_model`] validation, e.g. deserialized ones).
 pub fn run_dynamic(instance: &Instance, criterion: SelectionCriterion) -> Result<Schedule> {
     run_dynamic_with(instance, criterion, criterion.build_index(instance))
-}
-
-impl SelectionCriterion {
-    /// `true` iff the criterion asks the candidate index ratio queries
-    /// (only MAMR does), so its index needs the ratio trees.
-    pub(crate) fn needs_ratio_trees(self) -> bool {
-        self == SelectionCriterion::MaximumAcceleration
-    }
-
-    /// The candidate index this criterion queries: the full index for
-    /// MAMR, the cheaper communication-only one otherwise.
-    pub(crate) fn build_index(self, instance: &Instance) -> CandidateIndex {
-        if self.needs_ratio_trees() {
-            CandidateIndex::new(instance)
-        } else {
-            CandidateIndex::comm_only(instance)
-        }
-    }
 }
 
 /// [`run_dynamic`]'s loop over a fresh `index` of every task of

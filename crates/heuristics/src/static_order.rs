@@ -65,17 +65,17 @@ pub fn first_fit_order(instance: &Instance) -> Vec<TaskId> {
     let (bin_of, bins) = first_fit(instance);
     // Counting pass: bin `b`'s tasks start at the total size of the bins
     // before it, and keep their submission order within it.
-    let mut next = vec![0u32; bins + 1];
+    let mut next = vec![0usize; bins + 1];
     for &b in &bin_of {
-        next[b as usize + 1] += 1;
+        next[b + 1] += 1;
     }
     for b in 1..=bins {
         next[b] += next[b - 1];
     }
     let mut order = vec![TaskId(0); bin_of.len()];
     for (i, &b) in bin_of.iter().enumerate() {
-        order[next[b as usize] as usize] = TaskId(i);
-        next[b as usize] += 1;
+        order[next[b]] = TaskId(i);
+        next[b] += 1;
     }
     order
 }
@@ -86,7 +86,7 @@ pub fn first_fit_bins(instance: &Instance) -> Vec<Vec<TaskId>> {
     let (bin_of, bins) = first_fit(instance);
     let mut groups = vec![Vec::new(); bins];
     for (i, &b) in bin_of.iter().enumerate() {
-        groups[b as usize].push(TaskId(i));
+        groups[b].push(TaskId(i));
     }
     groups
 }
@@ -101,13 +101,9 @@ pub fn first_fit_bins(instance: &Instance) -> Vec<Vec<TaskId>> {
 /// leaves are the bins in creation order (unopened bins hold load 0), and
 /// a task of size `m` fits in the leftmost bin whose load is at most
 /// `capacity - m`. O(n log n) in all, against O(n · bins) for a scan.
-fn first_fit(instance: &Instance) -> (Vec<u32>, usize) {
+fn first_fit(instance: &Instance) -> (Vec<usize>, usize) {
     let capacity = instance.capacity().bytes();
     let n = instance.len();
-    assert!(
-        u32::try_from(n).is_ok(),
-        "First-Fit supports at most u32::MAX tasks"
-    );
     let base = n.next_power_of_two().max(1);
     let mut min_load = vec![0u64; 2 * base];
     let mut bins = 0usize;
@@ -143,7 +139,7 @@ fn first_fit(instance: &Instance) -> (Vec<u32>, usize) {
             node /= 2;
             min_load[node] = min_load[2 * node].min(min_load[2 * node + 1]);
         }
-        bin_of.push(bin as u32);
+        bin_of.push(bin);
     }
     (bin_of, bins)
 }
