@@ -8,9 +8,9 @@ use dts_bench::bench_traces;
 use dts_chem::Kernel;
 use dts_core::simulate::simulate_sequence;
 use dts_flowshop::johnson::johnson_makespan;
-use dts_heuristics::corrected::{run_corrected, CorrectionCriterion};
+use dts_heuristics::corrected::run_corrected;
 use dts_heuristics::static_order::static_order;
-use dts_heuristics::Heuristic;
+use dts_heuristics::{Heuristic, SelectionCriterion};
 
 fn report() {
     let trace = bench_traces(Kernel::Ccsd).into_iter().next().unwrap();
@@ -33,7 +33,7 @@ fn report() {
         let plain = simulate_sequence(&instance, &order)
             .unwrap()
             .makespan(&instance);
-        let corrected = run_corrected(&instance, &order, CorrectionCriterion::MaximumAcceleration)
+        let corrected = run_corrected(&instance, &order, SelectionCriterion::MaximumAcceleration)
             .unwrap()
             .makespan(&instance);
         println!(
@@ -52,7 +52,7 @@ fn bench(c: &mut Criterion) {
     let order = static_order(&instance, Heuristic::OOSIM).unwrap();
     c.bench_function("ablation/corrections_on_johnson_order", |b| {
         b.iter(|| {
-            run_corrected(&instance, &order, CorrectionCriterion::MaximumAcceleration)
+            run_corrected(&instance, &order, SelectionCriterion::MaximumAcceleration)
                 .unwrap()
                 .makespan(&instance)
         })

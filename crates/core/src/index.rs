@@ -237,18 +237,13 @@ pub struct CandidateIndex {
     outer_min_mem: Vec<u128>,
 }
 
-/// Task indices in `(communication time, index)` order. The keys are
-/// packed integers, `comm << 32 | index`, read in one pass over the task
-/// column and sorted without a comparator reaching back into the tasks.
-/// `tasks` has at most `u32::MAX` entries.
+/// Task indices in `(communication time, index)` order: a stable sort on
+/// the communication time keeps equal times in index order. `tasks` has
+/// at most `u32::MAX` entries.
 fn comm_order(tasks: &[Task]) -> Vec<u32> {
-    let mut keys: Vec<u128> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| u128::from(t.comm_time.ticks()) << 32 | i as u128)
-        .collect();
-    keys.sort_unstable();
-    keys.into_iter().map(|k| k as u32).collect()
+    let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
+    order.sort_by_key(|&i| tasks[i as usize].comm_time);
+    order
 }
 
 impl CandidateIndex {

@@ -1,32 +1,132 @@
-//! Event-driven executors.
+//! The machine every schedule runs on, and the executors built on it.
 //!
-//! The heuristics of the paper (except the MILP) all produce a *sequence* of
-//! tasks which is then executed in the same order on the communication link
-//! and on the processing unit. This module contains the two executors that
-//! turn a sequence into a concrete [`Schedule`]:
+//! Problem `DT` has one machine: a communication link, a processing unit,
+//! and a local memory that a task holds from the start of its transfer to
+//! the end of its computation. The heuristics of the paper only choose the
+//! order in which tasks go to that machine, so it is written once, here,
+//! in two parts:
 //!
-//! * [`simulate_sequence_infinite`] ignores the memory capacity; with the
-//!   Johnson order it produces the `OMIM` lower bound (Algorithm 1 of the
-//!   paper);
-//! * [`simulate_sequence`] enforces the memory capacity: a task's
-//!   communication is delayed until enough previously-acquired memory has
-//!   been released by finished computations. This is the executor used by
-//!   all the static heuristics of Section 4.1.
+//! * `Timing`: when the link (or each channel of a multi-channel model)
+//!   and the processing unit become free, and the one rule, per execution
+//!   model, that commits a task's transfer and computation;
+//! * [`Machine`]: a `Timing` plus the memory ledger, the queue of pending
+//!   releases and the running total of memory held.
 //!
-//! Both executors honor the instance's [`ExecutionModel`] (the paper's
+//! Every executor is a loop over it:
+//!
+//! * [`simulate_sequence_infinite`] drives the `Timing` alone and ignores
+//!   the memory capacity; with the Johnson order it produces the `OMIM`
+//!   lower bound (Algorithm 1 of the paper);
+//! * [`simulate_sequence`] appends the tasks in order with
+//!   [`Machine::append`]: a task's communication is delayed until enough
+//!   previously-acquired memory has been released by finished
+//!   computations. This is the executor behind all the static heuristics
+//!   of Section 4.1;
+//! * the dynamic and corrected heuristics (`dts_heuristics`) release,
+//!   select and [`commit`](Machine::commit) one decision at a time, and the
+//!   `lp.k` windows (`dts_milp`) each run on a clone of the machine the
+//!   previous window left.
+//!
+//! Every executor honors the instance's [`ExecutionModel`] (the paper's
 //! half-duplex [`ExecutionModel::Explicit`] unless one was attached with
 //! [`Instance::with_model`]). Under the multi-channel models (duplex,
-//! streams) transfers are still *issued* in sequence order — transfer
-//! `i + 1` never starts before transfer `i` — but may proceed concurrently
-//! on different channels; under the implicit model each task's transfer
-//! and computation fuse into a single phase.
+//! streams) transfers are still *issued* in order — transfer `i + 1` never
+//! starts before transfer `i` — but may proceed concurrently on different
+//! channels; under the implicit model each task's transfer and computation
+//! fuse into a single phase.
 
 use crate::error::{CoreError, Result};
 use crate::exec::ExecutionModel;
 use crate::instance::Instance;
+use crate::memory::MemSize;
 use crate::schedule::{Schedule, ScheduleEntry};
-use crate::task::TaskId;
+use crate::task::{Task, TaskId};
 use crate::time::Time;
+use std::collections::VecDeque;
+
+/// The link (or channels) and the processing unit of the machine, under
+/// one execution model.
+#[derive(Debug, Clone)]
+struct Timing {
+    model: ExecutionModel,
+    /// Earliest instant the next transfer may be issued: the end of the
+    /// last transfer under the explicit model, the end of the last fused
+    /// phase under the implicit model, and under duplex and streams the
+    /// instant the next transfer's channel frees up, but no earlier than
+    /// the last issue (transfers are issued in order).
+    link_free: Time,
+    /// Instant the processing unit becomes free: the end of the last
+    /// computation.
+    cpu_free: Time,
+    /// Free instants of the channels of the duplex and streams models
+    /// (empty under the single-link models).
+    channels: Vec<Time>,
+    /// The channel the next transfer uses: the duplex model's round-robin
+    /// cursor, or the earliest-free stream (ties to the lowest index).
+    next_channel: usize,
+}
+
+impl Timing {
+    /// Both resources free at instant zero under `model`, which must be
+    /// valid ([`ExecutionModel::validate`]).
+    fn new(model: ExecutionModel) -> Self {
+        debug_assert!(model.validate().is_ok(), "unvalidated execution model");
+        let channels = match model {
+            ExecutionModel::Duplex | ExecutionModel::Streams { .. } => {
+                vec![Time::ZERO; model.channel_count()]
+            }
+            ExecutionModel::Explicit | ExecutionModel::Implicit { .. } => Vec::new(),
+        };
+        Timing {
+            model,
+            link_free: Time::ZERO,
+            cpu_free: Time::ZERO,
+            channels,
+            next_channel: 0,
+        }
+    }
+
+    /// Starts `task`'s transfer at instant `t` (at least `link_free`) and
+    /// its computation as soon as the data is there and the processing
+    /// unit is free, and returns the task's entry; `cpu_free` is then the
+    /// end of that computation.
+    ///
+    /// This is each execution model's one rule (see [`Machine::commit`]).
+    #[inline]
+    fn commit(&mut self, id: TaskId, task: &Task, t: Time) -> ScheduleEntry {
+        debug_assert!(t >= self.link_free, "transfer would start on a busy link");
+        let comm_end = t + task.comm_time;
+        let comp_start = match self.model {
+            ExecutionModel::Explicit => {
+                self.link_free = comm_end;
+                comm_end.max(self.cpu_free)
+            }
+            ExecutionModel::Duplex | ExecutionModel::Streams { .. } => {
+                self.channels[self.next_channel] = comm_end;
+                self.next_channel = if self.model == ExecutionModel::Duplex {
+                    (self.next_channel + 1) % self.channels.len()
+                } else {
+                    earliest_free_channel(&self.channels)
+                };
+                self.link_free = t.max(self.channels[self.next_channel]);
+                comm_end.max(self.cpu_free)
+            }
+            ExecutionModel::Implicit { .. } => {
+                let end = t + self.model.fused_duration(task.comm_time, task.comp_time);
+                self.link_free = end;
+                // The fused phase lasts at least the computation, which
+                // runs at its tail.
+                end - task.comp_time
+            }
+        };
+        self.cpu_free = comp_start + task.comp_time;
+        ScheduleEntry {
+            task: id,
+            comm_start: t,
+            comp_start,
+        }
+    }
+}
 
 /// Index of the earliest-free channel, ties broken toward the lowest
 /// index (the deterministic stream-assignment rule).
@@ -40,44 +140,145 @@ fn earliest_free_channel(channels: &[Time]) -> usize {
     best
 }
 
-/// Transfer-channel occupancy under a (non-explicit) execution model:
-/// per-channel free instants plus the round-robin cursor of the duplex
-/// model and the instant the last transfer was issued (transfers are
-/// issued in sequence order, so the next one never starts earlier).
-struct Channels {
-    free: Vec<Time>,
-    next_duplex: usize,
-    last_issue: Time,
+/// The whole machine: a `Timing` plus the memory ledger, the tasks that
+/// hold memory (transfer started, computation not finished) as a queue of
+/// pending releases.
+///
+/// Releases are queued in commit order, which is also their order in time:
+/// computations run one at a time in commit order (fused phases likewise
+/// end in issue order). So the ledger is a FIFO: [`release_up_to`]
+/// pops its front, and after it [`available`] and [`next_release`] are
+/// O(1).
+///
+/// [`release_up_to`]: Machine::release_up_to
+/// [`available`]: Machine::available
+/// [`next_release`]: Machine::next_release
+#[derive(Debug, Clone)]
+pub struct Machine {
+    timing: Timing,
+    /// Pending releases as `(computation end, memory held)`, in
+    /// non-decreasing order of computation end.
+    releases: VecDeque<(Time, MemSize)>,
+    /// Sum of the memory of the pending releases. Every commit fits, so it
+    /// never exceeds the capacity.
+    held: MemSize,
+    capacity: MemSize,
 }
 
-impl Channels {
-    fn new(model: ExecutionModel) -> Self {
-        Channels {
-            free: vec![Time::ZERO; model.channel_count()],
-            next_duplex: 0,
-            last_issue: Time::ZERO,
+impl Machine {
+    /// An idle machine with `instance`'s memory capacity, under the
+    /// execution model the instance carries. Callers must validate the
+    /// model first ([`ExecutionModel::validate`]); the public executors and
+    /// heuristics do.
+    pub fn new(instance: &Instance) -> Self {
+        Machine {
+            timing: Timing::new(instance.model()),
+            releases: VecDeque::new(),
+            held: MemSize::ZERO,
+            capacity: instance.capacity(),
         }
     }
 
-    /// Picks the channel the next transfer uses and returns it with the
-    /// earliest instant the transfer may start on it.
-    fn next_slot(&mut self, model: ExecutionModel) -> (usize, Time) {
-        let channel = match model {
-            // Consecutive transfers alternate directions.
-            ExecutionModel::Duplex => {
-                let c = self.next_duplex;
-                self.next_duplex = (self.next_duplex + 1) % self.free.len();
-                c
-            }
-            _ => earliest_free_channel(&self.free),
-        };
-        (channel, self.last_issue.max(self.free[channel]))
+    /// Earliest instant the next transfer may start: a transfer committed
+    /// at this instant or later always finds its channel free.
+    #[inline]
+    pub fn link_free(&self) -> Time {
+        self.timing.link_free
     }
 
-    /// Records a transfer occupying `channel` from `start` to `end`.
-    fn commit(&mut self, channel: usize, start: Time, end: Time) {
-        self.last_issue = start;
-        self.free[channel] = end;
+    /// Instant the processing unit becomes free. Right after a
+    /// [`commit`](Machine::commit) it is the end of that task's
+    /// computation.
+    #[inline]
+    pub fn cpu_free(&self) -> Time {
+        self.timing.cpu_free
+    }
+
+    /// Frees the memory of every task whose computation ends at or before
+    /// `t`: a release at exactly `t` is already effective, matching the
+    /// schedules of Figs. 4–6 of the paper, where a transfer may start at
+    /// the very instant a computation releases its memory.
+    #[inline]
+    pub fn release_up_to(&mut self, t: Time) {
+        while let Some(&(end, mem)) = self.releases.front() {
+            if end > t {
+                break;
+            }
+            self.held = self.held.saturating_sub(mem);
+            self.releases.pop_front();
+        }
+    }
+
+    /// Memory free once the releases passed to
+    /// [`release_up_to`](Machine::release_up_to) are done, in O(1). A task
+    /// fits at that instant iff its requirement is at most this value,
+    /// which is what lets the dynamic heuristics select through threshold
+    /// queries on a candidate index.
+    #[inline]
+    pub fn available(&self) -> MemSize {
+        self.capacity.saturating_sub(self.held)
+    }
+
+    /// `true` iff `task` fits in the [`available`](Machine::available)
+    /// memory. Tasks fit one at a time, so the memory held stays an exact
+    /// sum bounded by the capacity.
+    #[inline]
+    pub fn fits(&self, task: &Task) -> bool {
+        task.mem <= self.available()
+    }
+
+    /// The earliest pending release, if any task holds memory. After
+    /// [`release_up_to`](Machine::release_up_to)`(t)` it is the next instant
+    /// after `t` at which memory frees up.
+    #[inline]
+    pub fn next_release(&self) -> Option<Time> {
+        self.releases.front().map(|&(end, _)| end)
+    }
+
+    /// Commits `task` (with id `id`) to start its transfer at instant `t`,
+    /// and its computation as soon as the data is there and the processing
+    /// unit is free, and holds its memory until the computation ends.
+    ///
+    /// Each execution model has one rule here. Explicit: the single link
+    /// is busy until the transfer ends. Duplex and streams: only the chosen
+    /// channel is; the next transfer takes the other direction (duplex) or
+    /// the earliest-free stream. Implicit: transfer and computation fuse
+    /// into one phase that holds the link and the processing unit together.
+    ///
+    /// The caller must have released memory up to `t` and checked that the
+    /// task [`fits`](Machine::fits) (checked in debug builds), and `t` must
+    /// be at least [`link_free`](Machine::link_free).
+    #[inline]
+    pub fn commit(&mut self, id: TaskId, task: &Task, t: Time) -> ScheduleEntry {
+        debug_assert!(self.fits(task), "task does not fit in memory");
+        let entry = self.timing.commit(id, task, t);
+        self.releases.push_back((self.timing.cpu_free, task.mem));
+        self.held = self.held.saturating_add(task.mem);
+        entry
+    }
+
+    /// Commits `task` next in a fixed order: its transfer starts at the
+    /// earliest instant, from [`link_free`](Machine::link_free) on, at
+    /// which it fits in memory. Memory only frees up until the task is
+    /// committed, so waiting on the releases one by one finds that
+    /// instant.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Internal`] if the task cannot fit even in an empty
+    /// memory; callers rule that out with [`Instance::check_tasks_fit`].
+    #[inline]
+    pub fn append(&mut self, id: TaskId, task: &Task) -> Result<ScheduleEntry> {
+        let mut t = self.timing.link_free;
+        self.release_up_to(t);
+        while !self.fits(task) {
+            let (end, mem) = self.releases.pop_front().ok_or_else(|| {
+                CoreError::Internal("task does not fit in an empty memory".into())
+            })?;
+            self.held = self.held.saturating_sub(mem);
+            t = t.max(end);
+        }
+        Ok(self.commit(id, task, t))
     }
 }
 
@@ -108,75 +309,28 @@ pub fn check_permutation(instance: &Instance, order: &[TaskId]) -> Result<()> {
 }
 
 /// Executes `order` on both resources assuming unlimited memory
-/// (Algorithm 1, lines 5–13) under the instance's execution model. The
-/// resulting makespan for the Johnson order under the explicit model is
-/// the `OMIM` lower bound used throughout the paper's evaluation.
+/// (Algorithm 1, lines 5–13) under the instance's execution model: each
+/// transfer starts as soon as the link lets it. The resulting makespan for
+/// the Johnson order under the explicit model is the `OMIM` lower bound
+/// used throughout the paper's evaluation.
 pub fn simulate_sequence_infinite(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
     check_permutation(instance, order)?;
     let model = instance.model();
     model.validate()?;
-    let mut schedule = Schedule::with_capacity(order.len());
-    if model.is_explicit() {
-        let mut link_free = Time::ZERO;
-        let mut cpu_free = Time::ZERO;
-        for &id in order {
-            let task = instance.task(id);
-            let comm_start = link_free;
-            let comm_end = comm_start + task.comm_time;
-            let comp_start = comm_end.max(cpu_free);
-            link_free = comm_end;
-            cpu_free = comp_start + task.comp_time;
-            schedule.push(ScheduleEntry {
-                task: id,
-                comm_start,
-                comp_start,
-            });
-        }
-        return Ok(schedule);
-    }
-    let mut channels = Channels::new(model);
-    let mut cpu_free = Time::ZERO;
-    for &id in order {
-        let task = instance.task(id);
-        let entry = if let ExecutionModel::Implicit { .. } = model {
-            // The fused phase holds link and CPU together.
-            let start = channels.last_issue.max(cpu_free);
-            let end = start + model.fused_duration(task.comm_time, task.comp_time);
-            channels.commit(0, start, end);
-            cpu_free = end;
-            ScheduleEntry {
-                task: id,
-                comm_start: start,
-                comp_start: end - task.comp_time,
-            }
-        } else {
-            let (channel, start) = channels.next_slot(model);
-            let comm_end = start + task.comm_time;
-            channels.commit(channel, start, comm_end);
-            let comp_start = comm_end.max(cpu_free);
-            cpu_free = comp_start + task.comp_time;
-            ScheduleEntry {
-                task: id,
-                comm_start: start,
-                comp_start,
-            }
-        };
-        schedule.push(entry);
-    }
-    Ok(schedule)
+    let mut timing = Timing::new(model);
+    Ok(order
+        .iter()
+        .map(|&id| timing.commit(id, instance.task(id), timing.link_free))
+        .collect())
 }
 
 /// Executes `order` on both resources under the instance's memory capacity.
 ///
-/// The executor keeps the set of *active* tasks (communication started,
-/// computation not yet finished). The next task's communication starts at the
-/// earliest instant `t >= link_free` such that the memory still held at `t`
-/// plus the task's requirement fits in the capacity; releases happening
-/// exactly at `t` are counted as already freed (matching the schedules of
-/// Figs. 4–6 of the paper, where a transfer may start at the very instant a
-/// computation releases its memory). Computations run in the same order,
-/// each starting as soon as its transfer is done and the processing unit is
-/// free.
+/// Each task's communication starts at the earliest instant, once the link
+/// lets it, at which the memory still held plus the task's requirement fits
+/// in the capacity ([`Machine::append`]). Computations run in the same
+/// order, each starting as soon as its transfer is done and the processing
+/// unit is free.
 ///
 /// # Errors
 ///
@@ -189,90 +343,14 @@ pub fn simulate_sequence_infinite(instance: &Instance, order: &[TaskId]) -> Resu
 /// deserialized ones).
 pub fn simulate_sequence(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
     check_permutation(instance, order)?;
-    let model = instance.model();
-    model.validate()?;
-    // A task larger than the whole memory can never fit; waiting for
-    // releases would drain the queue and underflow. Construction enforces
-    // this, but deserialized instances can violate it.
+    instance.model().validate()?;
+    // A task larger than the whole memory can never fit. Construction
+    // enforces this, but deserialized instances can violate it.
     instance.check_tasks_fit()?;
-    let capacity = instance.capacity();
+    let mut machine = Machine::new(instance);
     let mut schedule = Schedule::with_capacity(order.len());
-    let explicit = model.is_explicit();
-    let implicit = matches!(model, ExecutionModel::Implicit { .. });
-    let mut channels = Channels::new(model);
-    let mut link_free = Time::ZERO;
-    let mut cpu_free = Time::ZERO;
-    // Active tasks as (computation end, memory held). Computation ends are
-    // non-decreasing because computations run in sequence order on a single
-    // processing unit (fused phases likewise end in issue order), so this
-    // behaves like a FIFO of pending releases.
-    let mut active: std::collections::VecDeque<(Time, u64)> = std::collections::VecDeque::new();
-    let mut held: u64 = 0;
-
     for &id in order {
-        let task = instance.task(id);
-        let need = task.mem.bytes();
-
-        // Earliest start on the transfer medium.
-        let (channel, floor) = if explicit {
-            (0, link_free)
-        } else if implicit {
-            // The fused phase needs the CPU too.
-            (0, channels.last_issue.max(cpu_free))
-        } else {
-            channels.next_slot(model)
-        };
-        let mut start = floor;
-        // Release everything that completes no later than `start`.
-        while let Some(&(release, mem)) = active.front() {
-            if release <= start {
-                held -= mem;
-                active.pop_front();
-            } else {
-                break;
-            }
-        }
-        // If the task still does not fit, wait for further releases. Memory
-        // only decreases until we acquire, so stepping through release
-        // instants finds the earliest feasible start. The queue cannot run
-        // dry: `need <= capacity` was checked above, so a non-fitting task
-        // implies some memory is still held. An overflowing u64 sum cannot
-        // fit either (`capacity <= u64::MAX`), so treat it as over capacity;
-        // `held` then stays an exact sum, acquisitions are bounded by the
-        // capacity, and the release subtractions below cannot underflow.
-        while held
-            .checked_add(need)
-            .is_none_or(|total| total > capacity.bytes())
-        {
-            let (release, mem) = active.pop_front().ok_or_else(|| {
-                CoreError::Internal("memory accounting desynchronized from the active set".into())
-            })?;
-            held -= mem;
-            start = start.max(release);
-        }
-
-        let comm_start = start;
-        let (comp_start, comp_end) = if implicit {
-            let end = comm_start + model.fused_duration(task.comm_time, task.comp_time);
-            channels.commit(0, comm_start, end);
-            cpu_free = end;
-            (end - task.comp_time, end)
-        } else {
-            let comm_end = comm_start + task.comm_time;
-            channels.commit(channel, comm_start, comm_end);
-            link_free = comm_end;
-            let comp_start = comm_end.max(cpu_free);
-            let comp_end = comp_start + task.comp_time;
-            cpu_free = comp_end;
-            (comp_start, comp_end)
-        };
-        held += need;
-        active.push_back((comp_end, need));
-        schedule.push(ScheduleEntry {
-            task: id,
-            comm_start,
-            comp_start,
-        });
+        schedule.push(machine.append(id, instance.task(id))?);
     }
     Ok(schedule)
 }

@@ -7,111 +7,31 @@
 //! order. If nothing fits, the link stays idle until the next memory
 //! release.
 
-use crate::engine::{select_candidate, EngineState};
+use crate::engine::run_decisions;
 use crate::SelectionCriterion;
-use dts_core::index::CandidateIndex;
 use dts_core::prelude::*;
-use serde::{Deserialize, Serialize};
-
-/// Criterion used when a dynamic correction is needed. The options mirror
-/// [`SelectionCriterion`]; a separate type keeps
-/// the heuristic names (`OOLCMR`/`OOSCMR`/`OOMAMR`) self-documenting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CorrectionCriterion {
-    /// `OOLCMR`: largest communication time.
-    LargestCommunication,
-    /// `OOSCMR`: smallest communication time.
-    SmallestCommunication,
-    /// `OOMAMR`: largest computation/communication ratio.
-    MaximumAcceleration,
-}
-
-impl From<CorrectionCriterion> for SelectionCriterion {
-    fn from(c: CorrectionCriterion) -> SelectionCriterion {
-        match c {
-            CorrectionCriterion::LargestCommunication => SelectionCriterion::LargestCommunication,
-            CorrectionCriterion::SmallestCommunication => SelectionCriterion::SmallestCommunication,
-            CorrectionCriterion::MaximumAcceleration => SelectionCriterion::MaximumAcceleration,
-        }
-    }
-}
 
 /// Runs a static-order-with-dynamic-corrections heuristic following the
-/// precomputed `order`, under the execution model the instance carries
-/// ([`ExecutionModel::Explicit`] unless one was attached). The paper's
-/// OOLCMR/OOSCMR/OOMAMR follow the Johnson order
-/// ([`dts_flowshop::johnson::johnson_order`]); the ablation benchmarks
-/// apply corrections on top of other static orders. As for the dynamic
-/// heuristics, the order-following and correction rules are shared by all
-/// models; only the commit timing differs (see [`EngineState::commit`]).
+/// precomputed `order`, correcting with `criterion`, under the execution
+/// model the instance carries ([`ExecutionModel::Explicit`] unless one was
+/// attached). The paper's OOLCMR/OOSCMR/OOMAMR follow the Johnson order
+/// ([`dts_flowshop::johnson::johnson_order`]) and correct with the
+/// criterion of LCMR/SCMR/MAMR; the ablation benchmarks apply corrections
+/// on top of other static orders. As for the dynamic heuristics, the
+/// order-following and correction rules are shared by all models; only the
+/// commit timing differs (see
+/// [`Machine::commit`](dts_core::simulate::Machine::commit)).
 pub fn run_corrected(
     instance: &Instance,
     order: &[TaskId],
-    criterion: CorrectionCriterion,
+    criterion: SelectionCriterion,
 ) -> Result<Schedule> {
-    let index = SelectionCriterion::from(criterion).build_index(instance);
-    run_corrected_with(instance, order, criterion, index)
-}
-
-/// [`run_corrected`]'s loop over a fresh `index` of every task of
-/// `instance`, built by [`SelectionCriterion::build_index`] there or
-/// cloned from a [`Plan`](crate::Plan).
-pub(crate) fn run_corrected_with(
-    instance: &Instance,
-    order: &[TaskId],
-    criterion: CorrectionCriterion,
-    mut index: CandidateIndex,
-) -> Result<Schedule> {
-    instance.model().validate()?;
-    dts_core::simulate::check_permutation(instance, order)?;
-    instance.check_tasks_fit()?;
-    let selection: SelectionCriterion = criterion.into();
-    let mut state = EngineState::new(instance);
-    // The pending set is the suffix of `order` starting at `cursor`, minus
-    // the positions already scheduled by a dynamic correction; `index`
-    // mirrors it as a memory-indexed structure so a correction is resolved
-    // with O(log n) threshold queries (see `select_candidate`) instead of
-    // scanning the whole suffix.
-    let mut scheduled = vec![false; order.len()];
-    let mut position_of = vec![0usize; order.len()];
-    for (pos, id) in order.iter().enumerate() {
-        position_of[id.index()] = pos;
-    }
-    let mut cursor = 0usize;
-    let mut now = Time::ZERO;
-
-    while !index.is_empty() {
-        now = now.max(state.link_free);
-        state.release_up_to(now);
-        while cursor < order.len() && scheduled[cursor] {
-            cursor += 1;
-        }
-        let next = order[cursor];
-        if state.fits_at(instance.task(next), now) {
-            // Follow the precomputed order.
-            state.commit(instance, next, now);
-            scheduled[cursor] = true;
-            index.remove(next);
-            cursor += 1;
-            continue;
-        }
-        // The next task of the order does not fit: correct dynamically. The
-        // index still contains `next`, but it is never returned here since
-        // the queries only consider tasks that fit.
-        match select_candidate(instance, &state, &index, now, selection) {
-            Some(chosen) => {
-                state.commit(instance, chosen, now);
-                scheduled[position_of[chosen.index()]] = true;
-                index.remove(chosen);
-            }
-            None => {
-                now = state.next_release_after(now).ok_or_else(|| {
-                    CoreError::Internal("no task fits yet no memory is held".into())
-                })?;
-            }
-        }
-    }
-    Ok(state.schedule)
+    run_decisions(
+        instance,
+        Some(order),
+        criterion,
+        criterion.build_index(instance),
+    )
 }
 
 #[cfg(test)]
@@ -125,7 +45,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// The paper's OO* heuristics: corrections on top of the Johnson order.
-    fn johnson_corrected(inst: &Instance, criterion: CorrectionCriterion) -> Schedule {
+    fn johnson_corrected(inst: &Instance, criterion: SelectionCriterion) -> Schedule {
         run_corrected(inst, &johnson_order(inst), criterion).unwrap()
     }
 
@@ -142,7 +62,7 @@ mod tests {
     #[test]
     fn fig6_oolcmr_schedule() {
         let inst = table5();
-        let sched = johnson_corrected(&inst, CorrectionCriterion::LargestCommunication);
+        let sched = johnson_corrected(&inst, SelectionCriterion::LargestCommunication);
         assert_eq!(
             comm_order_names(&inst, &sched),
             vec!["B", "D", "A", "E", "C"]
@@ -154,7 +74,7 @@ mod tests {
     #[test]
     fn fig6_ooscmr_schedule() {
         let inst = table5();
-        let sched = johnson_corrected(&inst, CorrectionCriterion::SmallestCommunication);
+        let sched = johnson_corrected(&inst, SelectionCriterion::SmallestCommunication);
         assert_eq!(
             comm_order_names(&inst, &sched),
             vec!["B", "E", "A", "D", "C"]
@@ -166,7 +86,7 @@ mod tests {
     #[test]
     fn fig6_oomamr_schedule() {
         let inst = table5();
-        let sched = johnson_corrected(&inst, CorrectionCriterion::MaximumAcceleration);
+        let sched = johnson_corrected(&inst, SelectionCriterion::MaximumAcceleration);
         assert_eq!(
             comm_order_names(&inst, &sched),
             vec!["B", "D", "E", "A", "C"]
@@ -181,7 +101,7 @@ mod tests {
         // D comm [2,7) comp [8,12); A comm [8,12) comp [12,13);
         // E comm [12,15) comp [15,17); C comm [17,25) comp [25,33).
         let inst = table5();
-        let sched = johnson_corrected(&inst, CorrectionCriterion::LargestCommunication);
+        let sched = johnson_corrected(&inst, SelectionCriterion::LargestCommunication);
         let by_name = |n: &str| {
             let id = inst
                 .task_ids()
@@ -206,9 +126,9 @@ mod tests {
             let inst = random_instance_decoupled_memory(&mut rng, 12, 1000.0);
             let omim = dts_flowshop::johnson::johnson_makespan(&inst);
             for criterion in [
-                CorrectionCriterion::LargestCommunication,
-                CorrectionCriterion::SmallestCommunication,
-                CorrectionCriterion::MaximumAcceleration,
+                SelectionCriterion::LargestCommunication,
+                SelectionCriterion::SmallestCommunication,
+                SelectionCriterion::MaximumAcceleration,
             ] {
                 let sched = johnson_corrected(&inst, criterion);
                 assert_eq!(sched.makespan(&inst), omim);
@@ -224,9 +144,9 @@ mod tests {
         let johnson = johnson_order(&inst);
         let uncorrected = simulate_sequence(&inst, &johnson).unwrap().makespan(&inst);
         for criterion in [
-            CorrectionCriterion::LargestCommunication,
-            CorrectionCriterion::SmallestCommunication,
-            CorrectionCriterion::MaximumAcceleration,
+            SelectionCriterion::LargestCommunication,
+            SelectionCriterion::SmallestCommunication,
+            SelectionCriterion::MaximumAcceleration,
         ] {
             let corrected = johnson_corrected(&inst, criterion).makespan(&inst);
             assert!(corrected <= uncorrected);
@@ -241,7 +161,7 @@ mod tests {
             // Apply corrections on top of the submission order.
             let order = inst.task_ids();
             let sched =
-                run_corrected(&inst, &order, CorrectionCriterion::MaximumAcceleration).unwrap();
+                run_corrected(&inst, &order, SelectionCriterion::MaximumAcceleration).unwrap();
             assert!(is_feasible(&inst, &sched));
             assert_eq!(sched.len(), inst.len());
         }
@@ -253,7 +173,7 @@ mod tests {
         let err = run_corrected(
             &inst,
             &[TaskId(0), TaskId(1)],
-            CorrectionCriterion::LargestCommunication,
+            SelectionCriterion::LargestCommunication,
         );
         assert!(err.is_err());
     }
@@ -264,7 +184,7 @@ mod tests {
         let err = run_corrected(
             &inst,
             &[TaskId(0), TaskId(1), TaskId(1), TaskId(3), TaskId(4)],
-            CorrectionCriterion::LargestCommunication,
+            SelectionCriterion::LargestCommunication,
         )
         .unwrap_err();
         assert_eq!(err, CoreError::DuplicateTask(TaskId(1)));

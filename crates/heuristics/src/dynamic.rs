@@ -7,7 +7,7 @@
 //! left idle until the next memory release. Communications and computations
 //! happen in the same order.
 
-use crate::engine::{select_candidate, EngineState};
+use crate::engine::run_decisions;
 use dts_core::index::CandidateIndex;
 use dts_core::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -69,7 +69,7 @@ impl SelectionCriterion {
 /// unless one was attached). The selection rule is shared by all models —
 /// tasks are filtered by fit and minimum induced CPU idle, then tie-broken
 /// by `criterion` — while the commit timing is model-specific (see
-/// [`EngineState::commit`]).
+/// [`Machine::commit`](dts_core::simulate::Machine::commit)).
 ///
 /// # Errors
 ///
@@ -79,45 +79,7 @@ impl SelectionCriterion {
 /// (both possible only for instances that bypassed [`Instance::new`] and
 /// [`Instance::with_model`] validation, e.g. deserialized ones).
 pub fn run_dynamic(instance: &Instance, criterion: SelectionCriterion) -> Result<Schedule> {
-    run_dynamic_with(instance, criterion, criterion.build_index(instance))
-}
-
-/// [`run_dynamic`]'s loop over a fresh `index` of every task of
-/// `instance`, built by [`SelectionCriterion::build_index`] here or
-/// cloned from a [`Plan`](crate::Plan).
-pub(crate) fn run_dynamic_with(
-    instance: &Instance,
-    criterion: SelectionCriterion,
-    mut index: CandidateIndex,
-) -> Result<Schedule> {
-    instance.model().validate()?;
-    instance.check_tasks_fit()?;
-    let mut state = EngineState::new(instance);
-    // Remaining tasks, indexed by memory footprint: each decision is
-    // resolved with O(log n) threshold queries instead of scanning every
-    // remaining task (see `select_candidate`).
-    let mut now = Time::ZERO;
-
-    while !index.is_empty() {
-        now = now.max(state.link_free);
-        state.release_up_to(now);
-        match select_candidate(instance, &state, &index, now, criterion) {
-            Some(chosen) => {
-                state.commit(instance, chosen, now);
-                index.remove(chosen);
-            }
-            None => {
-                // No remaining task fits: leave the link idle until the next
-                // memory release. A release always exists here, otherwise
-                // the memory would be empty and every task would fit
-                // (oversized tasks were rejected above).
-                now = state.next_release_after(now).ok_or_else(|| {
-                    CoreError::Internal("no task fits yet no memory is held".into())
-                })?;
-            }
-        }
-    }
-    Ok(state.schedule)
+    run_decisions(instance, None, criterion, criterion.build_index(instance))
 }
 
 #[cfg(test)]

@@ -38,7 +38,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub use batch::{run_heuristic_batched, BatchConfig};
-pub use corrected::CorrectionCriterion;
 pub use dynamic::SelectionCriterion;
 pub use plan::Plan;
 
@@ -205,7 +204,7 @@ impl fmt::Display for Heuristic {
 /// ([`ExecutionModel::Explicit`] unless one was attached). Static orders
 /// only look at task characteristics, so they are the same under every
 /// model and then executed under it; the dynamic and corrected heuristics
-/// thread the model through their decision engines.
+/// take their decisions on the same machine.
 ///
 /// This is [`Plan::run`] on a fresh plan, which builds only what
 /// `heuristic` needs; callers running several heuristics or capacities on

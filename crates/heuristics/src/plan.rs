@@ -31,8 +31,8 @@
 //! }
 //! ```
 
-use crate::corrected::{run_corrected_with, CorrectionCriterion};
-use crate::dynamic::{run_dynamic_with, SelectionCriterion};
+use crate::dynamic::SelectionCriterion;
+use crate::engine::run_decisions;
 use crate::static_order::{
     decreasing_comp_order, decreasing_total_order, first_fit_order, increasing_comm_order,
     increasing_total_order,
@@ -133,21 +133,19 @@ impl<'a> Plan<'a> {
         heuristic: Heuristic,
         index: impl Fn(SelectionCriterion) -> CandidateIndex,
     ) -> Result<Schedule> {
-        let dynamic =
-            |criterion: SelectionCriterion| run_dynamic_with(instance, criterion, index(criterion));
-        let corrected = |criterion: CorrectionCriterion| {
-            let index = index(criterion.into());
-            run_corrected_with(instance, self.johnson_order(), criterion, index)
+        // The OO* heuristics correct the Johnson order; the dynamic ones
+        // follow no order.
+        let (corrects_johnson, criterion) = match heuristic {
+            Heuristic::LCMR => (false, SelectionCriterion::LargestCommunication),
+            Heuristic::SCMR => (false, SelectionCriterion::SmallestCommunication),
+            Heuristic::MAMR => (false, SelectionCriterion::MaximumAcceleration),
+            Heuristic::OOLCMR => (true, SelectionCriterion::LargestCommunication),
+            Heuristic::OOSCMR => (true, SelectionCriterion::SmallestCommunication),
+            Heuristic::OOMAMR => (true, SelectionCriterion::MaximumAcceleration),
+            _ => return simulate_sequence(instance, &self.order(instance, heuristic)?),
         };
-        match heuristic {
-            Heuristic::LCMR => dynamic(SelectionCriterion::LargestCommunication),
-            Heuristic::SCMR => dynamic(SelectionCriterion::SmallestCommunication),
-            Heuristic::MAMR => dynamic(SelectionCriterion::MaximumAcceleration),
-            Heuristic::OOLCMR => corrected(CorrectionCriterion::LargestCommunication),
-            Heuristic::OOSCMR => corrected(CorrectionCriterion::SmallestCommunication),
-            Heuristic::OOMAMR => corrected(CorrectionCriterion::MaximumAcceleration),
-            _ => simulate_sequence(instance, &self.order(instance, heuristic)?),
-        }
+        let order = corrects_johnson.then(|| self.johnson_order());
+        run_decisions(instance, order, criterion, index(criterion))
     }
 
     /// Runs every heuristic of `category` on `instance` and returns the

@@ -16,7 +16,7 @@ use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_order;
 use dts_heuristics::corrected::run_corrected;
 use dts_heuristics::dynamic::run_dynamic;
-use dts_heuristics::{CorrectionCriterion, SelectionCriterion};
+use dts_heuristics::SelectionCriterion;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -179,12 +179,6 @@ const SELECTIONS: [SelectionCriterion; 3] = [
     SelectionCriterion::MaximumAcceleration,
 ];
 
-const CORRECTIONS: [CorrectionCriterion; 3] = [
-    CorrectionCriterion::LargestCommunication,
-    CorrectionCriterion::SmallestCommunication,
-    CorrectionCriterion::MaximumAcceleration,
-];
-
 /// Asserts that both engines produce the exact same schedule (same comm and
 /// comp orders and instants, hence the same makespan) on `instance`.
 fn assert_engines_agree(instance: &Instance, context: &str) {
@@ -193,20 +187,20 @@ fn assert_engines_agree(instance: &Instance, context: &str) {
         let old = reference::run_dynamic(instance, criterion);
         assert_eq!(new, old, "dynamic {criterion:?} diverged on {context}");
     }
-    for (correction, selection) in CORRECTIONS.into_iter().zip(SELECTIONS) {
+    for criterion in SELECTIONS {
         let johnson = johnson_order(instance);
-        let new = run_corrected(instance, &johnson, correction).expect("corrected heuristic runs");
-        let old = reference::run_corrected_with_order(instance, &johnson, selection);
-        assert_eq!(new, old, "corrected {correction:?} diverged on {context}");
+        let new = run_corrected(instance, &johnson, criterion).expect("corrected heuristic runs");
+        let old = reference::run_corrected_with_order(instance, &johnson, criterion);
+        assert_eq!(new, old, "corrected {criterion:?} diverged on {context}");
 
         // Also exercise a non-Johnson precomputed order (submission order).
         let submission = instance.task_ids();
-        let new = run_corrected(instance, &submission, correction)
+        let new = run_corrected(instance, &submission, criterion)
             .expect("corrected-with-order heuristic runs");
-        let old = reference::run_corrected_with_order(instance, &submission, selection);
+        let old = reference::run_corrected_with_order(instance, &submission, criterion);
         assert_eq!(
             new, old,
-            "corrected {correction:?} on submission order diverged on {context}"
+            "corrected {criterion:?} on submission order diverged on {context}"
         );
     }
 }
@@ -279,8 +273,8 @@ fn engines_agree_on_transfer_bound_instances() {
     // The adversarial domains of the execution-model layer: communication
     // dominates computation (so the link is the bottleneck) and capacity
     // slack is tight. The explicit engine must still match the seed
-    // reference exactly on them — the model-aware refactor of
-    // `EngineState::commit` may not perturb the pinned baseline.
+    // reference exactly on them — the model-aware commit rule may not
+    // perturb the pinned baseline.
     use microcheck::Gen;
 
     let mut rng = StdRng::seed_from_u64(4242);
@@ -394,7 +388,7 @@ fn oversized_task_is_rejected_by_dynamic_and_corrected_loops() {
             })
         ));
     }
-    for correction in CORRECTIONS {
+    for correction in SELECTIONS {
         assert!(matches!(
             run_corrected(&instance, &instance.task_ids(), correction),
             Err(CoreError::TaskExceedsCapacity {
@@ -437,7 +431,7 @@ fn u64_scale_memory_never_overlaps_the_full_memory_task() {
         let sched = run_dynamic(&instance, criterion).expect("dynamic heuristic runs");
         schedules.push((format!("dynamic {criterion:?}"), sched));
     }
-    for correction in CORRECTIONS {
+    for correction in SELECTIONS {
         let sched = run_corrected(&instance, &instance.task_ids(), correction)
             .expect("corrected heuristic runs");
         schedules.push((format!("corrected {correction:?}"), sched));

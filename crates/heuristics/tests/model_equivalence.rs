@@ -20,7 +20,7 @@ use dts_core::testgen;
 use dts_flowshop::johnson::johnson_order;
 use dts_heuristics::corrected::run_corrected;
 use dts_heuristics::dynamic::run_dynamic;
-use dts_heuristics::{run_heuristic, CorrectionCriterion, Heuristic, SelectionCriterion};
+use dts_heuristics::{run_heuristic, Heuristic, SelectionCriterion};
 use microcheck::Gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,7 +83,7 @@ fn plain_entry_points_honor_the_instance_model() {
             run_corrected(
                 &duplex,
                 &johnson_order(&duplex),
-                CorrectionCriterion::MaximumAcceleration
+                SelectionCriterion::MaximumAcceleration
             )
             .expect("engine runs")
         );
@@ -167,7 +167,7 @@ fn all_models_stay_memory_feasible_through_every_engine() {
             let schedule = run_corrected(
                 &modeled,
                 &instance.task_ids(),
-                CorrectionCriterion::MaximumAcceleration,
+                SelectionCriterion::MaximumAcceleration,
             )
             .expect("corrected run succeeds");
             let profile = MemoryProfile::of_schedule(&instance, &schedule);
@@ -202,7 +202,7 @@ fn invalid_models_error_cleanly_through_every_entry_point() {
         run_corrected(
             &instance,
             &instance.task_ids(),
-            CorrectionCriterion::LargestCommunication,
+            SelectionCriterion::LargestCommunication,
         ),
         Err(CoreError::InvalidExecutionModel(_))
     ));

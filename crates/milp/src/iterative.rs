@@ -6,9 +6,9 @@
 //! runtime state left by the previous windows (the counterpart of the paper
 //! fixing the events of tasks that started before the window boundary).
 
-use crate::window::{solve_window, WindowState};
-use dts_core::pool::run_indexed_pool;
+use crate::window::solve_window;
 use dts_core::prelude::*;
+use dts_core::simulate::Machine;
 
 /// Configuration of the `lp.k` heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,8 @@ impl Default for LpKConfig {
 }
 
 /// Runs `lp.k`: windows of `config.window` tasks in submission order, each
-/// solved exactly and concatenated.
+/// solved exactly and concatenated, under the execution model the instance
+/// carries.
 ///
 /// ```
 /// use dts_core::instances::table3;
@@ -50,35 +51,27 @@ pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
             config.window
         )));
     }
-    // An oversized task (possible only for deserialized instances) would
-    // drain the window simulator's release queue and panic.
+    instance.model().validate()?;
+    // An oversized task (possible only for deserialized instances) could
+    // never be placed.
     instance.check_tasks_fit()?;
     let ids = instance.task_ids();
-    let mut state = WindowState::default();
+    let mut machine = Machine::new(instance);
     let mut schedule = Schedule::with_capacity(instance.len());
     for window in ids.chunks(config.window) {
-        let solution = solve_window(instance, &state, window);
+        let solution = solve_window(instance, &machine, window)?;
         for entry in solution.entries {
             schedule.push(entry);
         }
-        state = solution.state;
+        machine = solution.machine;
     }
     Ok(schedule)
 }
 
-/// Instance size at or above which [`lp_k_sweep`] solves its window sizes on
-/// separate threads. The window sizes are independent solves over the same
-/// instance, so they parallelize perfectly; below this many tasks a whole
-/// sweep takes well under the cost of spawning threads.
-pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
-
 /// Convenience: runs `lp.k` for every window size of Fig. 7 and returns the
 /// `(k, makespan)` pairs, in the order of
-/// [`LpKConfig::PAPER_WINDOW_SIZES`]. Each window size is an independent
-/// `lp.k` solve, so on instances of at least [`PARALLEL_SWEEP_MIN_TASKS`]
-/// tasks the sizes are solved on scoped threads; results (and the reported
-/// error, if any: the one for the earliest failing size) are identical to
-/// solving the sizes one by one.
+/// [`LpKConfig::PAPER_WINDOW_SIZES`]; the first failing size's error is
+/// returned.
 ///
 /// ```
 /// use dts_core::instances::table3;
@@ -87,19 +80,15 @@ pub const PARALLEL_SWEEP_MIN_TASKS: usize = 16;
 /// assert_eq!(sweep[0].0, 3); // lp.3 first
 /// ```
 pub fn lp_k_sweep(instance: &Instance) -> Result<Vec<(usize, Time)>> {
-    let sizes = LpKConfig::PAPER_WINDOW_SIZES;
-    let threads = if instance.len() < PARALLEL_SWEEP_MIN_TASKS {
-        1
-    } else {
-        sizes
-            .len()
-            .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    };
-    run_indexed_pool(sizes.len(), threads, |index| {
-        let k = sizes[index];
-        let schedule = lp_k(instance, LpKConfig { window: k })?;
-        Ok((k, schedule.makespan(instance)))
-    })
+    LpKConfig::PAPER_WINDOW_SIZES
+        .iter()
+        .map(|&k| {
+            Ok((
+                k,
+                lp_k(instance, LpKConfig { window: k })?.makespan(instance),
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -34,4 +34,4 @@ pub mod iterative;
 pub mod window;
 
 pub use formulation::MilpFormulation;
-pub use iterative::{lp_k, lp_k_sweep, LpKConfig, PARALLEL_SWEEP_MIN_TASKS};
+pub use iterative::{lp_k, lp_k_sweep, LpKConfig};

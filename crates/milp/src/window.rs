@@ -3,106 +3,42 @@
 //! The paper solves the MILP on a small subset of tasks (k = 3..6) at a
 //! time, freezing the events of tasks that started before the window
 //! boundary. Here the same role is played by a branch-and-bound over the
-//! orderings of the window, warm-started from the *runtime state* (link and
+//! orderings of the window, warm-started from the [`Machine`] (link and
 //! processor availability, memory still held by earlier tasks) left by the
 //! previous windows. For the window sizes the paper uses, enumerating
 //! orderings is exact over permutation schedules and takes microseconds.
 
 use dts_core::prelude::*;
-
-/// Runtime state carried across windows: availability of both resources and
-/// the memory still held by tasks scheduled in previous windows.
-#[derive(Debug, Clone, Default)]
-pub struct WindowState {
-    /// Instant at which the communication link becomes free.
-    pub link_free: Time,
-    /// Instant at which the processing unit becomes free.
-    pub cpu_free: Time,
-    /// Releases pending from previous windows: `(computation end, memory)`.
-    pub pending_releases: Vec<(Time, MemSize)>,
-}
-
-impl WindowState {
-    /// Memory still held at instant `t`.
-    pub fn held_at(&self, t: Time) -> MemSize {
-        self.pending_releases
-            .iter()
-            .filter(|(end, _)| *end > t)
-            .map(|(_, m)| *m)
-            .sum()
-    }
-}
+use dts_core::simulate::Machine;
 
 /// Result of scheduling one window.
 #[derive(Debug, Clone)]
 pub struct WindowSolution {
     /// Entries for the window's tasks (global task ids).
     pub entries: Vec<ScheduleEntry>,
-    /// State after the window, to warm-start the next one.
-    pub state: WindowState,
+    /// The machine after the window, to warm-start the next one.
+    pub machine: Machine,
 }
 
-/// Simulates the execution of `order` (tasks of the window, same order on
-/// both resources) starting from `state`. Returns the produced entries and
-/// the resulting state.
+/// Executes `order` (tasks of the window, same order on both resources)
+/// on a copy of `machine`, as [`simulate_sequence`] would continue it.
+/// Returns the produced entries and the machine after them.
+///
+/// # Errors
+///
+/// [`CoreError::Internal`] if a task cannot fit even in an empty memory
+/// (see [`Machine::append`]).
 pub fn simulate_window(
     instance: &Instance,
-    state: &WindowState,
+    machine: &Machine,
     order: &[TaskId],
-) -> (Vec<ScheduleEntry>, WindowState) {
-    let capacity = instance.capacity();
-    let mut link_free = state.link_free;
-    let mut cpu_free = state.cpu_free;
-    let mut active: Vec<(Time, MemSize)> = state.pending_releases.clone();
-    active.sort();
-    let mut entries = Vec::with_capacity(order.len());
-
-    for &id in order {
-        let task = instance.task(id);
-        let mut start = link_free;
-        // Wait for enough memory, stepping through release instants.
-        loop {
-            let held: MemSize = active
-                .iter()
-                .filter(|(end, _)| *end > start)
-                .map(|(_, m)| *m)
-                .sum();
-            if held.saturating_add(task.mem) <= capacity {
-                break;
-            }
-            let next_release = active
-                .iter()
-                .map(|(end, _)| *end)
-                .filter(|end| *end > start)
-                .min()
-                .expect("memory exceeded but nothing to release: task larger than capacity");
-            start = next_release;
-        }
-        let comm_start = start;
-        let comm_end = comm_start + task.comm_time;
-        let comp_start = comm_end.max(cpu_free);
-        let comp_end = comp_start + task.comp_time;
-        link_free = comm_end;
-        cpu_free = comp_end;
-        active.push((comp_end, task.mem));
-        entries.push(ScheduleEntry {
-            task: id,
-            comm_start,
-            comp_start,
-        });
-    }
-
-    // Releases still pending after the window (computations that end after
-    // the link becomes free are the only ones that can constrain the future).
-    let state_after = WindowState {
-        link_free,
-        cpu_free,
-        pending_releases: active
-            .into_iter()
-            .filter(|(end, _)| *end > link_free)
-            .collect(),
-    };
-    (entries, state_after)
+) -> Result<(Vec<ScheduleEntry>, Machine)> {
+    let mut machine = machine.clone();
+    let entries = order
+        .iter()
+        .map(|&id| machine.append(id, instance.task(id)))
+        .collect::<Result<_>>()?;
+    Ok((entries, machine))
 }
 
 /// Finds the best ordering of the window tasks by exhaustive enumeration
@@ -110,7 +46,15 @@ pub fn simulate_window(
 /// completion time of the window's computations, breaking ties by the link
 /// completion time (earlier transfers leave more slack for the next window),
 /// then by enumeration order (first permutation found wins).
-pub fn solve_window(instance: &Instance, state: &WindowState, window: &[TaskId]) -> WindowSolution {
+///
+/// # Errors
+///
+/// As [`simulate_window`].
+pub fn solve_window(
+    instance: &Instance,
+    machine: &Machine,
+    window: &[TaskId],
+) -> Result<WindowSolution> {
     assert!(
         window.len() <= 8,
         "window enumeration is factorial; refusing windows larger than 8 tasks"
@@ -118,28 +62,34 @@ pub fn solve_window(instance: &Instance, state: &WindowState, window: &[TaskId])
     let mut best: Option<WindowSolution> = None;
     let mut order: Vec<TaskId> = window.to_vec();
     permute(&mut order, 0, &mut |candidate| {
-        let (entries, state) = simulate_window(instance, state, candidate);
+        let (entries, machine) = simulate_window(instance, machine, candidate)?;
         // Strictly better only: among key-tied orderings the first one
         // enumerated wins.
-        if best.as_ref().is_none_or(|b| {
-            (state.cpu_free, state.link_free) < (b.state.cpu_free, b.state.link_free)
-        }) {
-            best = Some(WindowSolution { entries, state });
+        let key = |m: &Machine| (m.cpu_free(), m.link_free());
+        if best
+            .as_ref()
+            .is_none_or(|b| key(&machine) < key(&b.machine))
+        {
+            best = Some(WindowSolution { entries, machine });
         }
-    });
-    best.expect("window is non-empty")
+        Ok(())
+    })?;
+    best.ok_or_else(|| CoreError::Internal("no window order was enumerated".into()))
 }
 
-fn permute<F: FnMut(&[TaskId])>(order: &mut Vec<TaskId>, k: usize, f: &mut F) {
+fn permute<F>(order: &mut Vec<TaskId>, k: usize, f: &mut F) -> Result<()>
+where
+    F: FnMut(&[TaskId]) -> Result<()>,
+{
     if k == order.len() {
-        f(order);
-        return;
+        return f(order);
     }
     for i in k..order.len() {
         order.swap(k, i);
-        permute(order, k + 1, f);
+        permute(order, k + 1, f)?;
         order.swap(k, i);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -152,27 +102,31 @@ mod tests {
     fn window_simulation_matches_sequence_executor_from_scratch() {
         let inst = table3();
         let order = inst.task_ids();
-        let (entries, after) = simulate_window(&inst, &WindowState::default(), &order);
+        let (entries, after) = simulate_window(&inst, &Machine::new(&inst), &order).unwrap();
         let reference = simulate_sequence(&inst, &order).unwrap();
         assert_eq!(entries, reference.entries());
-        assert_eq!(after.cpu_free, reference.makespan(&inst));
+        assert_eq!(after.cpu_free(), reference.makespan(&inst));
     }
 
     #[test]
     fn warm_started_window_respects_prior_memory() {
-        // Table 3 (capacity 6). Pretend a previous window left 5 bytes
-        // held until t = 10 and the link free at t = 4.
+        // Table 3 (capacity 6). A previous window left 5 bytes held until
+        // t = 10 and the link free at t = 4: one task of 5 bytes with
+        // transfer [0, 4) and computation [4, 10).
         let inst = table3();
-        let state = WindowState {
-            link_free: Time::units_int(4),
-            cpu_free: Time::units_int(10),
-            pending_releases: vec![(Time::units_int(10), MemSize::from_bytes(5))],
-        };
+        let earlier = InstanceBuilder::new()
+            .capacity(inst.capacity())
+            .task_units("P", 4.0, 6.0, 5)
+            .build()
+            .unwrap();
+        let mut machine = Machine::new(&earlier);
+        machine.append(TaskId(0), earlier.task(TaskId(0))).unwrap();
+        assert_eq!(machine.link_free(), Time::units_int(4));
         // Task C (mem 4) cannot start before t = 10.
-        let (entries, _) = simulate_window(&inst, &state, &[TaskId(2)]);
+        let (entries, _) = simulate_window(&inst, &machine, &[TaskId(2)]).unwrap();
         assert_eq!(entries[0].comm_start, Time::units_int(10));
         // Task B (mem 1) fits immediately at t = 4.
-        let (entries, _) = simulate_window(&inst, &state, &[TaskId(1)]);
+        let (entries, _) = simulate_window(&inst, &machine, &[TaskId(1)]).unwrap();
         assert_eq!(entries[0].comm_start, Time::units_int(4));
     }
 
@@ -180,7 +134,7 @@ mod tests {
     fn solve_window_finds_the_best_order() {
         let inst = table3();
         let window = inst.task_ids();
-        let solution = solve_window(&inst, &WindowState::default(), &window);
+        let solution = solve_window(&inst, &Machine::new(&inst), &window).unwrap();
         // Exhaustive over the same executor: must be at least as good as any
         // fixed order.
         for order in [
@@ -189,7 +143,7 @@ mod tests {
             vec![TaskId(2), TaskId(1), TaskId(0), TaskId(3)],
         ] {
             let reference = simulate_sequence(&inst, &order).unwrap();
-            assert!(solution.state.cpu_free <= reference.makespan(&inst));
+            assert!(solution.machine.cpu_free() <= reference.makespan(&inst));
         }
         assert_eq!(solution.entries.len(), 4);
     }
@@ -199,6 +153,6 @@ mod tests {
     fn oversized_window_rejected() {
         let inst = table3();
         let window: Vec<TaskId> = (0..9).map(TaskId).collect();
-        let _ = solve_window(&inst, &WindowState::default(), &window);
+        let _ = solve_window(&inst, &Machine::new(&inst), &window);
     }
 }
