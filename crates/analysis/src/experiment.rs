@@ -28,12 +28,8 @@ pub struct ExperimentRow {
 
 /// Figs. 9 and 11: every heuristic, every capacity factor, distribution of
 /// the ratio-to-optimal over the traces of a suite.
-pub fn heuristic_experiment(
-    traces: &[Trace],
-    config: &SweepConfig,
-    threads: usize,
-) -> Result<Vec<ExperimentRow>> {
-    let rows = run_suite_sweep(traces, config, threads)?;
+pub fn heuristic_experiment(traces: &[Trace], config: &SweepConfig) -> Result<Vec<ExperimentRow>> {
+    let rows = run_suite_sweep(traces, config)?;
     Ok(aggregate(&rows))
 }
 
@@ -189,7 +185,7 @@ mod tests {
             heuristics: vec![Heuristic::OS, Heuristic::OOLCMR],
             factors: vec![1.0, 2.0],
         };
-        let rows = heuristic_experiment(&traces, &config, 2).unwrap();
+        let rows = heuristic_experiment(&traces, &config).unwrap();
         assert_eq!(rows.len(), 4); // 2 heuristics x 2 factors
         for row in &rows {
             assert_eq!(row.ratios.count, 2); // two traces

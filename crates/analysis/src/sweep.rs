@@ -98,7 +98,7 @@ pub fn run_trace_sweep(trace: &Trace, config: &SweepConfig) -> Result<Vec<SweepR
 }
 
 /// Runs the sweep over a whole suite of traces, spreading the traces over
-/// `threads` worker threads (each trace is independent).
+/// one worker per available core (each trace is independent).
 ///
 /// Workers claim traces one at a time from a shared index instead of being
 /// handed fixed chunks, so a single slow trace (the HF/CCSD suites mix rank
@@ -116,7 +116,7 @@ pub fn run_trace_sweep(trace: &Trace, config: &SweepConfig) -> Result<Vec<SweepR
 /// of poisoning the caller.
 ///
 /// ```
-/// use dts_analysis::sweep::{run_suite_sweep, SweepConfig};
+/// use dts_analysis::sweep::{run_suite_sweep, run_trace_sweep, SweepConfig};
 /// use dts_chem::suite::{generate_partial_suite, SuiteConfig};
 /// use dts_chem::Kernel;
 /// use dts_heuristics::Heuristic;
@@ -126,11 +126,20 @@ pub fn run_trace_sweep(trace: &Trace, config: &SweepConfig) -> Result<Vec<SweepR
 ///     heuristics: vec![Heuristic::MAMR],
 ///     factors: vec![1.0],
 /// };
-/// // Worker count only affects wall-clock time, never the rows.
-/// let parallel = run_suite_sweep(&traces, &config, 2).unwrap();
-/// assert_eq!(parallel, run_suite_sweep(&traces, &config, 1).unwrap());
+/// // The rows are the per-trace sweeps, in trace order.
+/// let rows = run_suite_sweep(&traces, &config).unwrap();
+/// let mut expected = run_trace_sweep(&traces[0], &config).unwrap();
+/// expected.extend(run_trace_sweep(&traces[1], &config).unwrap());
+/// assert_eq!(rows, expected);
 /// ```
-pub fn run_suite_sweep(
+pub fn run_suite_sweep(traces: &[Trace], config: &SweepConfig) -> Result<Vec<SweepRow>> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    suite_sweep_on_workers(traces, config, threads)
+}
+
+/// [`run_suite_sweep`] on `threads` workers (`threads <= 1` sweeps the
+/// traces sequentially).
+fn suite_sweep_on_workers(
     traces: &[Trace],
     config: &SweepConfig,
     threads: usize,
@@ -194,14 +203,15 @@ mod tests {
             heuristics: vec![Heuristic::SCMR, Heuristic::OOSCMR],
             factors: vec![1.0, 1.5],
         };
-        let sequential = run_suite_sweep(&traces, &config, 1).unwrap();
-        let parallel = run_suite_sweep(&traces, &config, 2).unwrap();
+        let sequential = suite_sweep_on_workers(&traces, &config, 1).unwrap();
+        let parallel = suite_sweep_on_workers(&traces, &config, 2).unwrap();
         assert_eq!(sequential.len(), traces.len() * 2 * 2);
         assert_eq!(sequential, parallel);
         // More workers than traces: the extra workers find the queue empty
         // and exit; the rows still come back in sequential order.
-        let oversubscribed = run_suite_sweep(&traces, &config, 64).unwrap();
+        let oversubscribed = suite_sweep_on_workers(&traces, &config, 64).unwrap();
         assert_eq!(sequential, oversubscribed);
+        assert_eq!(sequential, run_suite_sweep(&traces, &config).unwrap());
     }
 
     #[test]
@@ -218,7 +228,7 @@ mod tests {
         for position in 0..=good.len() {
             let mut traces = good.clone();
             traces.insert(position, bad.clone());
-            let err = run_suite_sweep(&traces, &config, 2).unwrap_err();
+            let err = suite_sweep_on_workers(&traces, &config, 2).unwrap_err();
             assert_eq!(err, dts_core::CoreError::EmptyInstance, "{position}");
         }
     }

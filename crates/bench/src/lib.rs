@@ -80,7 +80,7 @@ pub fn run_all_heuristics_experiment(kernel: Kernel, full_sweep: bool) -> Vec<Ex
             quick_factors()
         },
     };
-    let rows = heuristic_experiment(&traces, &config, 4).expect("experiment succeeds");
+    let rows = heuristic_experiment(&traces, &config).expect("experiment succeeds");
     println!(
         "{}",
         experiment_to_markdown(

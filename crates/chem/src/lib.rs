@@ -37,5 +37,5 @@ pub mod trace;
 pub use ccsd::CcsdConfig;
 pub use characterize::{characterize, WorkloadCharacterization};
 pub use hf::HfConfig;
-pub use suite::{generate_suite, Kernel, SuiteConfig};
+pub use suite::{Kernel, SuiteConfig};
 pub use trace::{Trace, TraceTask};

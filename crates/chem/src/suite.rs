@@ -40,9 +40,6 @@ pub struct SuiteConfig {
     pub hf: HfConfig,
     /// CCSD generator parameters.
     pub ccsd: CcsdConfig,
-    /// Number of worker threads used for generation (the ranks are
-    /// independent).
-    pub threads: usize,
 }
 
 impl Default for SuiteConfig {
@@ -53,7 +50,6 @@ impl Default for SuiteConfig {
             cost: CostModel::default(),
             hf: HfConfig::default(),
             ccsd: CcsdConfig::default(),
-            threads: 4,
         }
     }
 }
@@ -69,54 +65,9 @@ impl SuiteConfig {
             },
             hf: HfConfig::small(),
             ccsd: CcsdConfig::small(),
-            threads: 2,
             ..Default::default()
         }
     }
-}
-
-/// Generates one trace per rank for the requested kernel. Ranks are
-/// independent, so generation is spread over `config.threads` threads with
-/// crossbeam's scoped threads.
-pub fn generate_suite(kernel: Kernel, config: &SuiteConfig) -> Vec<Trace> {
-    let n = config.topology.n_processes();
-    let threads = config.threads.clamp(1, n.max(1));
-    let mut traces: Vec<Option<Trace>> = (0..n).map(|_| None).collect();
-
-    crossbeam::thread::scope(|scope| {
-        for (chunk_index, chunk) in traces.chunks_mut(n.div_ceil(threads)).enumerate() {
-            let config = &*config;
-            scope.spawn(move |_| {
-                let base = chunk_index * n.div_ceil(threads);
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    let rank = base + offset;
-                    let trace = match kernel {
-                        Kernel::HartreeFock => generate_hf_trace(
-                            &config.hf,
-                            config.topology,
-                            config.transfer,
-                            config.cost,
-                            rank,
-                        ),
-                        Kernel::Ccsd => generate_ccsd_trace(
-                            &config.ccsd,
-                            config.topology,
-                            config.transfer,
-                            config.cost,
-                            rank,
-                        ),
-                    };
-                    *slot = Some(trace);
-                }
-            });
-        }
-    })
-    .expect("trace-generation threads do not panic");
-
-    traces
-        .into_iter()
-        .map(|t| t.expect("every rank was generated"))
-        .collect()
 }
 
 /// Generates a suite and keeps only the first `n_ranks` traces — handy for
@@ -153,7 +104,7 @@ mod tests {
     fn small_suite_generates_every_rank() {
         let config = SuiteConfig::small();
         for kernel in [Kernel::HartreeFock, Kernel::Ccsd] {
-            let suite = generate_suite(kernel, &config);
+            let suite = generate_partial_suite(kernel, &config, config.topology.n_processes());
             assert_eq!(suite.len(), 6);
             for (rank, trace) in suite.iter().enumerate() {
                 assert_eq!(trace.rank, rank);
@@ -161,15 +112,6 @@ mod tests {
                 assert!(!trace.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn parallel_generation_matches_sequential() {
-        let mut parallel_config = SuiteConfig::small();
-        parallel_config.threads = 3;
-        let parallel = generate_suite(Kernel::HartreeFock, &parallel_config);
-        let sequential = generate_partial_suite(Kernel::HartreeFock, &parallel_config, 6);
-        assert_eq!(parallel, sequential);
     }
 
     #[test]

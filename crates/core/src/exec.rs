@@ -268,8 +268,9 @@ impl ExecutionModel {
     /// Duration of the fused transfer+computation phase of a task under the
     /// [`Implicit`](ExecutionModel::Implicit) model:
     /// `comm + comp - efficiency * min(comm, comp)`. For every other model
-    /// this is simply `comm + comp` (the phases do not fuse); callers use
-    /// it only on the implicit path.
+    /// this is simply `comm + comp` (the phases do not fuse), so under
+    /// every model a computation may start `fused_duration - comp` after
+    /// its transfer starts.
     pub fn fused_duration(&self, comm: Time, comp: Time) -> Time {
         let total = comm + comp;
         match self {
@@ -280,6 +281,15 @@ impl ExecutionModel {
                 total - efficiency.scale(comm.min(comp))
             }
             _ => total,
+        }
+    }
+
+    /// How long a task holds its link channel: its transfer, or under the
+    /// [`Implicit`](ExecutionModel::Implicit) model its whole fused phase.
+    pub fn link_hold(&self, comm: Time, comp: Time) -> Time {
+        match self {
+            ExecutionModel::Implicit { .. } => self.fused_duration(comm, comp),
+            _ => comm,
         }
     }
 }

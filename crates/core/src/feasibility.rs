@@ -3,13 +3,23 @@
 //! A schedule is feasible (Section 3 of the paper) when:
 //!
 //! 1. every task of the instance is scheduled exactly once;
-//! 2. each task's computation starts no earlier than the end of its
-//!    communication (`SCOMP(i) >= SCOMM(i) + CM_i`);
-//! 3. at most one communication is in progress at any time (single link);
+//! 2. each task's computation starts no earlier than its data is there;
+//! 3. at most as many transfers are in progress at any time as the link
+//!    has channels;
 //! 4. at most one computation is in progress at any time (single processing
 //!    unit);
 //! 5. at every instant, the total memory held by *active* tasks — those with
 //!    `SCOMM(i) <= t < SCOMP(i) + CP_i` — does not exceed the capacity `C`.
+//!
+//! Rules 2 and 3 read the instance's [`ExecutionModel`](crate::exec::ExecutionModel):
+//!
+//! | Model | Channels | Link held for | Computation starts from |
+//! | --- | --- | --- | --- |
+//! | explicit (the paper's), duplex, `streams:k` | 1, 2, `k` | `CM_i` | `SCOMM(i) + CM_i` |
+//! | implicit | 1 | the fused phase `F_i` | `SCOMM(i) + F_i - CP_i` |
+//!
+//! where `F_i = CM_i + CP_i - efficiency * min(CM_i, CP_i)`: the
+//! computation runs at the tail of the fused phase.
 
 use crate::instance::Instance;
 use crate::memory::{MemSize, MemoryProfile};
@@ -17,7 +27,8 @@ use crate::schedule::Schedule;
 use crate::task::TaskId;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// A single feasibility violation.
@@ -29,29 +40,33 @@ pub enum Violation {
     DuplicateTask(TaskId),
     /// The schedule references a task id not present in the instance.
     UnknownTask(TaskId),
-    /// A computation starts before its input transfer has completed.
+    /// A computation starts before its input data is there.
     ComputationBeforeTransfer {
         /// Offending task.
         task: TaskId,
-        /// End of the task's communication.
+        /// Earliest instant the computation may start: the end of the
+        /// task's communication, or the start of its fused phase's
+        /// computation tail under the implicit model.
         comm_end: Time,
         /// Start of the task's computation.
         comp_start: Time,
     },
-    /// Two communications overlap on the single link.
+    /// A communication starts while every channel of the link is busy.
     CommunicationOverlap {
-        /// First task (earlier start).
+        /// A task whose communication is still in progress (the first of
+        /// them to end).
         first: TaskId,
-        /// Second task (overlapping start).
+        /// The task whose communication starts on the busy link.
         second: TaskId,
         /// Instant at which the overlap begins.
         at: Time,
     },
     /// Two computations overlap on the single processing unit.
     ComputationOverlap {
-        /// First task (earlier start).
+        /// A task whose computation is still in progress (the first of
+        /// them to end).
         first: TaskId,
-        /// Second task (overlapping start).
+        /// The task whose computation starts on the busy processing unit.
         second: TaskId,
         /// Instant at which the overlap begins.
         at: Time,
@@ -102,18 +117,16 @@ pub fn validate(instance: &Instance, schedule: &Schedule) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     // 1. Permutation of the task set.
-    let mut seen: HashSet<TaskId> = HashSet::with_capacity(schedule.len());
+    let mut seen = vec![false; instance.len()];
     for entry in schedule.entries() {
-        if entry.task.index() >= instance.len() {
-            violations.push(Violation::UnknownTask(entry.task));
-            continue;
-        }
-        if !seen.insert(entry.task) {
-            violations.push(Violation::DuplicateTask(entry.task));
+        match seen.get_mut(entry.task.index()) {
+            None => violations.push(Violation::UnknownTask(entry.task)),
+            Some(true) => violations.push(Violation::DuplicateTask(entry.task)),
+            Some(slot) => *slot = true,
         }
     }
     for id in instance.task_ids() {
-        if !seen.contains(&id) {
+        if !seen[id.index()] {
             violations.push(Violation::MissingTask(id));
         }
     }
@@ -121,74 +134,56 @@ pub fn validate(instance: &Instance, schedule: &Schedule) -> Vec<Violation> {
     // below would be misleading; still run them on the known tasks so the
     // caller gets as much information as possible.
 
-    let known_entries: Vec<_> = schedule
+    let known: Schedule = schedule
         .entries()
         .iter()
         .filter(|e| e.task.index() < instance.len())
+        .copied()
         .collect();
 
-    // 2. Precedence: communication before computation.
-    for entry in &known_entries {
+    // 2. Precedence: the computation starts no earlier than the end of
+    // the transfer, or under the implicit model than the tail of the fused
+    // phase, which lasts at least the computation.
+    let model = instance.model();
+    for entry in known.entries() {
         let task = instance.task(entry.task);
-        let comm_end = entry.comm_start + task.comm_time;
-        if entry.comp_start < comm_end {
+        let ready = entry.comm_start
+            + (model.fused_duration(task.comm_time, task.comp_time) - task.comp_time);
+        if entry.comp_start < ready {
             violations.push(Violation::ComputationBeforeTransfer {
                 task: entry.task,
-                comm_end,
+                comm_end: ready,
                 comp_start: entry.comp_start,
             });
         }
     }
 
-    // 3 & 4. Resource exclusivity. Zero-length occupations never conflict.
-    let mut comm_intervals: Vec<(Time, Time, TaskId)> = known_entries
-        .iter()
-        .map(|e| {
-            let t = instance.task(e.task);
-            (e.comm_start, e.comm_start + t.comm_time, e.task)
-        })
-        .filter(|(s, e, _)| e > s)
-        .collect();
-    comm_intervals.sort();
-    for pair in comm_intervals.windows(2) {
-        let (_, end_a, task_a) = pair[0];
-        let (start_b, _, task_b) = pair[1];
-        if start_b < end_a {
-            violations.push(Violation::CommunicationOverlap {
-                first: task_a,
-                second: task_b,
-                at: start_b,
-            });
-        }
+    // 3 & 4. Resource capacity: the link's channels and the processing
+    // unit.
+    let link = known.entries().iter().map(|e| {
+        let task = instance.task(e.task);
+        (
+            e.comm_start,
+            model.link_hold(task.comm_time, task.comp_time),
+            e.task,
+        )
+    });
+    for (first, second, at) in overlaps(link, model.channel_count()) {
+        violations.push(Violation::CommunicationOverlap { first, second, at });
     }
-
-    let mut comp_intervals: Vec<(Time, Time, TaskId)> = known_entries
+    let cpu = known
+        .entries()
         .iter()
-        .map(|e| {
-            let t = instance.task(e.task);
-            (e.comp_start, e.comp_start + t.comp_time, e.task)
-        })
-        .filter(|(s, e, _)| e > s)
-        .collect();
-    comp_intervals.sort();
-    for pair in comp_intervals.windows(2) {
-        let (_, end_a, task_a) = pair[0];
-        let (start_b, _, task_b) = pair[1];
-        if start_b < end_a {
-            violations.push(Violation::ComputationOverlap {
-                first: task_a,
-                second: task_b,
-                at: start_b,
-            });
-        }
+        .map(|e| (e.comp_start, instance.task(e.task).comp_time, e.task));
+    for (first, second, at) in overlaps(cpu, 1) {
+        violations.push(Violation::ComputationOverlap { first, second, at });
     }
 
     // 5. Memory envelope (computed over the entries that reference known
     // tasks, so that an UnknownTask violation does not prevent reporting the
     // remaining problems).
     if instance.capacity() != MemSize::UNBOUNDED {
-        let known_schedule: Schedule = known_entries.iter().map(|e| **e).collect();
-        let profile = MemoryProfile::of_schedule(instance, &known_schedule);
+        let profile = MemoryProfile::of_schedule(instance, &known);
         if let Some(at) = profile.first_violation(instance.capacity()) {
             violations.push(Violation::MemoryExceeded {
                 at,
@@ -201,6 +196,39 @@ pub fn validate(instance: &Instance, schedule: &Schedule) -> Vec<Violation> {
     violations
 }
 
+/// The instants at which more than `cap` of the half-open intervals
+/// `[start, start + length)` overlap, as `(first, second, at)`: each
+/// interval `second` that starts, at `at`, while `cap` others are still in
+/// progress is reported once, with `first` the one of those that ends
+/// first. Zero-length intervals occupy nothing and never conflict.
+fn overlaps(
+    intervals: impl Iterator<Item = (Time, Time, TaskId)>,
+    cap: usize,
+) -> Vec<(TaskId, TaskId, Time)> {
+    let mut sorted: Vec<(Time, Time, TaskId)> = intervals
+        .filter(|&(_, length, _)| length > Time::ZERO)
+        .map(|(start, length, id)| (start, start + length, id))
+        .collect();
+    sorted.sort_unstable();
+    let mut in_progress: BinaryHeap<Reverse<(Time, TaskId)>> = BinaryHeap::new();
+    let mut found = Vec::new();
+    for (start, end, id) in sorted {
+        while in_progress
+            .peek()
+            .is_some_and(|&Reverse((busy_until, _))| busy_until <= start)
+        {
+            in_progress.pop();
+        }
+        if in_progress.len() >= cap {
+            if let Some(&Reverse((_, first))) = in_progress.peek() {
+                found.push((first, id, start));
+            }
+        }
+        in_progress.push(Reverse((end, id)));
+    }
+    found
+}
+
 /// Convenience wrapper: `true` iff [`validate`] finds no violation.
 pub fn is_feasible(instance: &Instance, schedule: &Schedule) -> bool {
     validate(instance, schedule).is_empty()
@@ -209,6 +237,7 @@ pub fn is_feasible(instance: &Instance, schedule: &Schedule) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecutionModel;
     use crate::instance::InstanceBuilder;
     use crate::schedule::ScheduleEntry;
 
@@ -279,6 +308,38 @@ mod tests {
         assert!(v.iter().any(
             |x| matches!(x, Violation::ComputationBeforeTransfer { task, .. } if *task == TaskId(0))
         ));
+
+        // Under the implicit model the computation runs at the tail of the
+        // fused phase. A (comm 3, comp 2) at full efficiency fuses into
+        // [0, 3), so its computation may start at 1 but not at 0.5; at
+        // half efficiency the phase lasts 4 and the tail starts at 2.
+        let lone = InstanceBuilder::new()
+            .task_units("A", 3.0, 2.0, 3)
+            .build()
+            .unwrap();
+        for (spec, ready) in [("implicit:1", 1.0), ("implicit:0.5", 2.0)] {
+            let model = ExecutionModel::parse(spec).unwrap();
+            let fused = lone.clone().with_model(model).unwrap();
+            let on_time: Schedule = vec![entry(0, 0.0, ready)].into_iter().collect();
+            assert!(
+                is_feasible(&fused, &on_time),
+                "{spec}: {:?}",
+                validate(&fused, &on_time)
+            );
+            let early: Schedule = vec![entry(0, 0.0, ready - 0.5)].into_iter().collect();
+            assert_eq!(
+                validate(&fused, &early),
+                vec![Violation::ComputationBeforeTransfer {
+                    task: TaskId(0),
+                    comm_end: Time::units(ready),
+                    comp_start: Time::units(ready - 0.5),
+                }],
+                "{spec}"
+            );
+        }
+        // The explicit model waits for the whole transfer.
+        let early: Schedule = vec![entry(0, 0.0, 1.0)].into_iter().collect();
+        assert!(!is_feasible(&lone, &early));
     }
 
     #[test]
@@ -291,6 +352,86 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| matches!(x, Violation::CommunicationOverlap { .. })));
+
+        // Two short transfers inside one long one: both overlap it,
+        // although the first short one ends before the second starts.
+        let nested = InstanceBuilder::new()
+            .task_units("A", 10.0, 1.0, 1)
+            .task_units("B", 1.0, 1.0, 1)
+            .task_units("C", 1.0, 1.0, 1)
+            .build()
+            .unwrap();
+        let sched: Schedule = vec![
+            entry(0, 0.0, 10.0),
+            entry(1, 1.0, 11.0),
+            entry(2, 3.0, 12.0),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(
+            validate(&nested, &sched),
+            vec![
+                Violation::CommunicationOverlap {
+                    first: TaskId(0),
+                    second: TaskId(1),
+                    at: Time::units_int(1),
+                },
+                Violation::CommunicationOverlap {
+                    first: TaskId(0),
+                    second: TaskId(2),
+                    at: Time::units_int(3),
+                },
+            ]
+        );
+
+        // `n` transfers of [0, 10) with their computations one after the
+        // other: feasible iff the link has `n` channels.
+        let transfers_at_once = |n: usize, model: ExecutionModel| -> Vec<Violation> {
+            let mut builder = InstanceBuilder::new();
+            for i in 0..n {
+                builder = builder.task_units(&format!("t{i}"), 10.0, 1.0, 1);
+            }
+            let inst = builder.build().unwrap().with_model(model).unwrap();
+            let sched: Schedule = (0..n).map(|i| entry(i, 0.0, 10.0 + i as f64)).collect();
+            validate(&inst, &sched)
+        };
+        let rejects = |v: &[Violation]| {
+            !v.is_empty()
+                && v.iter()
+                    .all(|x| matches!(x, Violation::CommunicationOverlap { .. }))
+        };
+        for (model, channels) in [
+            (ExecutionModel::Explicit, 1),
+            (ExecutionModel::Duplex, 2),
+            (ExecutionModel::Streams { k: 1 }, 1),
+            (ExecutionModel::Streams { k: 3 }, 3),
+            (ExecutionModel::IMPLICIT_FULL, 1),
+        ] {
+            assert_eq!(transfers_at_once(channels, model), vec![], "{model}");
+            let over = transfers_at_once(channels + 1, model);
+            assert!(rejects(&over), "{model}: {over:?}");
+        }
+        // The implicit model holds the link for the whole fused phase:
+        // comm 2, comp 4 at half efficiency fuses into [0, 5), so a second
+        // transfer at 4 still finds the link busy.
+        let inst = InstanceBuilder::new()
+            .task_units("A", 2.0, 4.0, 1)
+            .task_units("B", 1.0, 1.0, 1)
+            .build()
+            .unwrap();
+        let sched: Schedule = vec![entry(0, 0.0, 2.0), entry(1, 4.0, 6.0)]
+            .into_iter()
+            .collect();
+        assert!(is_feasible(&inst, &sched), "{:?}", validate(&inst, &sched));
+        let half = inst
+            .with_model(ExecutionModel::parse("implicit:0.5").unwrap())
+            .unwrap();
+        let v = validate(&half, &sched);
+        assert!(v.contains(&Violation::CommunicationOverlap {
+            first: TaskId(0),
+            second: TaskId(1),
+            at: Time::units_int(4),
+        }));
     }
 
     #[test]
@@ -317,6 +458,31 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| matches!(x, Violation::MemoryExceeded { .. })));
+
+        // Past `i64::MAX` bytes: two tasks that each fill the capacity
+        // overlap from t=1, and their sum exceeds even `u64::MAX`.
+        let huge = u64::MAX - 10;
+        let inst = InstanceBuilder::new()
+            .capacity(MemSize::from_bytes(huge))
+            .task_units("A", 1.0, 2.0, huge)
+            .task_units("B", 1.0, 2.0, huge)
+            .build()
+            .unwrap();
+        let sched: Schedule = vec![entry(0, 0.0, 1.0), entry(1, 1.0, 3.0)]
+            .into_iter()
+            .collect();
+        assert_eq!(
+            validate(&inst, &sched),
+            vec![Violation::MemoryExceeded {
+                at: Time::units_int(1),
+                used: MemSize::UNBOUNDED,
+                capacity: MemSize::from_bytes(huge),
+            }]
+        );
+        let one_at_a_time: Schedule = vec![entry(0, 0.0, 1.0), entry(1, 3.0, 4.0)]
+            .into_iter()
+            .collect();
+        assert!(is_feasible(&inst, &one_at_a_time));
     }
 
     #[test]

@@ -147,8 +147,7 @@ fn prefix_best(tree: &[RatioBest], size: usize, k: usize) -> RatioBest {
 /// `(communication time, id)` and searchable by memory threshold.
 ///
 /// Construction is O(n) beyond its sorts; [`remove`](CandidateIndex::remove)
-/// and [`restore`](CandidateIndex::restore) are O(log n); the
-/// communication-time queries are O(log n) and the ratio query is
+/// and the communication-time queries are O(log n), and the ratio query is
 /// output-sensitive — see the [module documentation](self) for how the
 /// queries map onto the paper's selection rules, and
 /// [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within)
@@ -178,13 +177,10 @@ pub struct CandidateIndex {
     base: usize,
     /// Min-memory segment tree over positions (`2 * base` slots).
     min_mem: Vec<u128>,
-    /// Acceleration ratio at each position (empty for
-    /// [`comm_only`](CandidateIndex::comm_only) indexes, like every other
-    /// ratio-machinery field below); needed to rebuild a leaf's aggregate
-    /// key on [`restore`](CandidateIndex::restore).
-    ratio: Vec<f64>,
     /// Memory-order ratio tree, indexed like `min_mem`: leaf `r` holds the
-    /// key of the task at rank `r` of the `(memory, position)` order.
+    /// key of the task at rank `r` of the `(memory, position)` order
+    /// (empty for [`comm_only`](CandidateIndex::comm_only) indexes, like
+    /// every other ratio-machinery field below).
     mem_tree: Vec<RatioBest>,
     /// Memory requirement at each rank of the `(memory, position)` order
     /// (non-decreasing; a free-memory threshold maps to a prefix of it).
@@ -313,7 +309,6 @@ impl CandidateIndex {
             len: n,
             base,
             min_mem,
-            ratio: Vec::new(),
             mem_tree: Vec::new(),
             mem_sorted: Vec::new(),
             mem_rank_of: Vec::new(),
@@ -339,19 +334,18 @@ impl CandidateIndex {
         index
     }
 
-    /// Builds the ratio machinery: the per-position ratios, the
-    /// memory-order tree, the per-run trees and the outer champion tree.
-    /// O(n) beyond the `(memory, position)` sorts.
+    /// Builds the ratio machinery: the memory-order tree, the per-run
+    /// trees and the outer champion tree. O(n) beyond the
+    /// `(memory, position)` sorts.
     fn build_ratio_trees(&mut self, instance: &Instance) {
         let n = self.comm.len();
         let base = self.base;
-        self.ratio = self
+        let ratio: Vec<f64> = self
             .id_at
             .iter()
             .map(|&id| instance.task(id).acceleration_ratio())
             .collect();
-        let key_of =
-            |pos: usize| -> RatioBest { (self.ratio[pos], self.id_at[pos].index() as u32) };
+        let key_of = |pos: usize| -> RatioBest { (ratio[pos], self.id_at[pos].index() as u32) };
 
         // Memory-order tree: leaves follow the global (memory, position)
         // sort so a free-memory threshold is a canonical prefix.
@@ -528,7 +522,9 @@ impl CandidateIndex {
         self.present[self.pos_of[id.index()] as usize]
     }
 
-    /// Removes a task from the index (it has been scheduled). O(log n).
+    /// Removes a task from the index (it has been scheduled) and
+    /// re-aggregates every tree along the root paths of its leaves.
+    /// O(log n).
     ///
     /// # Panics
     ///
@@ -538,36 +534,9 @@ impl CandidateIndex {
         assert!(self.present[pos], "task {id} removed twice");
         self.present[pos] = false;
         self.len -= 1;
-        self.write_leaf(pos, MEM_ABSENT, RATIO_NEUTRAL);
-    }
 
-    /// Puts a previously [`remove`](CandidateIndex::remove)d task back into
-    /// the index — the inverse operation, used when a speculative scheduling
-    /// decision is rolled back. O(log n), like removal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task is still present.
-    pub fn restore(&mut self, id: TaskId) {
-        let pos = self.pos_of[id.index()] as usize;
-        assert!(!self.present[pos], "task {id} restored while present");
-        self.present[pos] = true;
-        self.len += 1;
-        let key = (
-            self.ratio.get(pos).copied().unwrap_or(f64::NEG_INFINITY),
-            self.id_at[pos].index() as u32,
-        );
-        self.write_leaf(pos, u128::from(self.mem[pos]), key);
-    }
-
-    /// Writes a position's leaf values — the memory sentinel/value and the
-    /// ratio key — and re-aggregates every tree along the root paths. The
-    /// single update ladder behind both [`remove`](CandidateIndex::remove)
-    /// and [`restore`](CandidateIndex::restore). `key` is ignored for
-    /// [`comm_only`](CandidateIndex::comm_only) indexes.
-    fn write_leaf(&mut self, pos: usize, mem_leaf: u128, key: RatioBest) {
         let mut i = self.base + pos;
-        self.min_mem[i] = mem_leaf;
+        self.min_mem[i] = MEM_ABSENT;
         while i > 1 {
             i >>= 1;
             self.min_mem[i] = self.min_mem[2 * i].min(self.min_mem[2 * i + 1]);
@@ -578,7 +547,7 @@ impl CandidateIndex {
 
         // Memory-order tree.
         let mut i = self.base + self.mem_rank_of[pos] as usize;
-        self.mem_tree[i] = key;
+        self.mem_tree[i] = RATIO_NEUTRAL;
         while i > 1 {
             i >>= 1;
             self.mem_tree[i] = key_combine(self.mem_tree[2 * i], self.mem_tree[2 * i + 1]);
@@ -590,8 +559,8 @@ impl CandidateIndex {
         let s = self.block_start[b + 1] as usize - start;
         let off = 2 * start;
         let mut i = s + self.rank_in_block[pos] as usize;
-        self.block_keys[off + i] = key;
-        self.block_min_mem[off + i] = mem_leaf;
+        self.block_keys[off + i] = RATIO_NEUTRAL;
+        self.block_min_mem[off + i] = MEM_ABSENT;
         while i > 1 {
             i >>= 1;
             self.block_keys[off + i] = key_combine(
@@ -606,8 +575,8 @@ impl CandidateIndex {
         let s = gend - gstart;
         let off = 2 * gstart;
         let mut i = s + self.rank_in_bucket[pos] as usize;
-        self.bucket_keys[off + i] = key;
-        self.bucket_min_mem[off + i] = mem_leaf;
+        self.bucket_keys[off + i] = RATIO_NEUTRAL;
+        self.bucket_min_mem[off + i] = MEM_ABSENT;
         while i > 1 {
             i >>= 1;
             self.bucket_keys[off + i] = key_combine(
@@ -1069,43 +1038,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_undoes_removal_for_every_query() {
-        let inst = table4();
-        let mut index = CandidateIndex::new(&inst);
-        let all = MemSize::from_bytes(6);
-        let bound = Time::units_int(5);
-
-        index.remove(TaskId(1));
-        index.remove(TaskId(2));
-        assert_eq!(index.len(), 2);
-        assert_eq!(index.min_comm_candidate(all), Some(TaskId(0)));
-
-        // Restoring B re-establishes the original answers.
-        index.restore(TaskId(1));
-        assert!(index.contains(TaskId(1)));
-        assert_eq!(index.len(), 3);
-        assert_eq!(index.min_comm_candidate(all), Some(TaskId(1)));
-        assert_eq!(
-            index.best_ratio_candidate_within(all, bound),
-            Some(TaskId(1))
-        );
-
-        index.restore(TaskId(2));
-        assert_eq!(
-            index.max_comm_candidate_within(all, Time::units_int(4)),
-            Some(TaskId(2))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "restored while present")]
-    fn restoring_a_present_task_panics() {
-        let inst = table4();
-        let mut index = CandidateIndex::new(&inst);
-        index.restore(TaskId(0));
-    }
-
-    #[test]
     #[should_panic(expected = "removed twice")]
     fn double_removal_panics() {
         let inst = table4();
@@ -1156,11 +1088,6 @@ mod tests {
         assert_eq!(
             index.best_ratio_candidate_within(one, bound),
             Some(TaskId(3))
-        );
-        index.restore(TaskId(1));
-        assert_eq!(
-            index.best_ratio_candidate_within(one, bound),
-            Some(TaskId(1))
         );
     }
 

@@ -378,6 +378,25 @@ mod tests {
             let sched = simulate_sequence(&inst, &order).unwrap();
             assert!(is_feasible(&inst, &sched));
             assert_eq!(sched.makespan(&inst), Time::units_int(15));
+
+            // The same order is feasible under every execution model, with
+            // the checker reading the instance's model.
+            for spec in [
+                "duplex",
+                "streams:2",
+                "streams:3",
+                "implicit:1",
+                "implicit:0.5",
+            ] {
+                let model = crate::exec::ExecutionModel::parse(spec).unwrap();
+                let modeled = inst.clone().with_model(model).unwrap();
+                let sched = simulate_sequence(&modeled, &order).unwrap();
+                assert!(
+                    is_feasible(&modeled, &sched),
+                    "{spec}: {:?}",
+                    validate(&modeled, &sched)
+                );
+            }
         }
     }
 

@@ -35,8 +35,9 @@
 //! * [`sync`] — the compile-time façade that lets the pool, the cache and
 //!   the gate run on either `std` primitives or the `microloom` model
 //!   checker's instrumented types,
-//! * [`feasibility`] — the feasibility checker for schedules (link and CPU
-//!   exclusivity, precedence, memory envelope),
+//! * [`feasibility`] — the feasibility checker for schedules under the
+//!   instance's execution model (link channels, CPU, precedence, memory
+//!   envelope),
 //! * [`memory`] — memory-occupation profiles,
 //! * [`perfmodel`] — calibrated cost models (analytic, history-based and
 //!   regression backends) with a versioned model-file format and integer

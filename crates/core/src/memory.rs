@@ -189,9 +189,13 @@ pub struct MemoryProfile {
 
 impl MemoryProfile {
     /// Builds the memory profile of `schedule` on `instance`.
+    ///
+    /// The sum is exact over the whole `u64` byte range: it is formed in
+    /// `u128`, and a step whose sum exceeds `u64::MAX` (more than any
+    /// capacity) reads [`MemSize::UNBOUNDED`].
     pub fn of_schedule(instance: &Instance, schedule: &Schedule) -> Self {
-        // Event-sweep: +mem at comm start, -mem at comp end.
-        let mut events: Vec<(Time, i64)> = Vec::with_capacity(schedule.len() * 2);
+        // Event sweep: acquire at comm start, release at comp end.
+        let mut events: Vec<(Time, bool, u64)> = Vec::with_capacity(schedule.len() * 2);
         for entry in schedule.entries() {
             let task = instance.task(entry.task);
             let acquire = entry.comm_start;
@@ -200,27 +204,29 @@ impl MemoryProfile {
             // communication start; clamp so the profile stays well-formed
             // and the checker can keep reporting the other violations.
             let release = (entry.comp_start + task.comp_time).max(acquire);
-            events.push((acquire, task.mem.bytes() as i64));
-            events.push((release, -(task.mem.bytes() as i64)));
+            events.push((acquire, false, task.mem.bytes()));
+            events.push((release, true, task.mem.bytes()));
         }
-        // Releases are processed before acquisitions at the same instant: the
-        // paper's examples (e.g. OOSIM on Table 3) start a communication at
-        // the exact instant a previous computation frees its memory.
-        events.sort_by_key(|&(t, delta)| (t, delta));
+        // Acquisitions sort first at each instant, so the sum never drops
+        // below zero, but a step records only the net of all of an
+        // instant's events: releases take effect before acquisitions. The
+        // paper's examples (e.g. OOSIM on Table 3) start a communication
+        // at the exact instant a previous computation frees its memory.
+        events.sort_by_key(|&(t, release, _)| (t, release));
         let mut steps = Vec::new();
-        let mut used: i64 = 0;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            while i < events.len() && events[i].0 == t {
-                used += events[i].1;
-                i += 1;
+        let mut used: u128 = 0;
+        for (i, &(time, release, bytes)) in events.iter().enumerate() {
+            if release {
+                used -= u128::from(bytes);
+            } else {
+                used += u128::from(bytes);
             }
-            debug_assert!(used >= 0, "memory profile went negative at {t}");
-            steps.push(MemoryStep {
-                time: t,
-                used: MemSize(used.max(0) as u64),
-            });
+            if events.get(i + 1).is_none_or(|&(next, _, _)| next != time) {
+                steps.push(MemoryStep {
+                    time,
+                    used: MemSize(u64::try_from(used).unwrap_or(u64::MAX)),
+                });
+            }
         }
         MemoryProfile { steps }
     }
@@ -331,6 +337,22 @@ mod tests {
             profile.first_violation(MemSize::from_bytes(5)),
             Some(Time::units(2.0))
         );
+
+        // A task past `i64::MAX` bytes is held at its true amount.
+        let huge = MemSize::from_bytes(u64::MAX - 10);
+        let inst = InstanceBuilder::new()
+            .capacity(huge)
+            .task_units("H", 2.0, 2.0, huge.bytes())
+            .build()
+            .unwrap();
+        let mut sched = Schedule::new();
+        sched.push(ScheduleEntryHelper::entry(0, 1.0, 3.0));
+        let profile = MemoryProfile::of_schedule(&inst, &sched);
+        assert_eq!(profile.usage_at(Time::units(0.0)), MemSize::ZERO);
+        assert_eq!(profile.usage_at(Time::units(2.0)), huge);
+        assert_eq!(profile.usage_at(Time::units(5.0)), MemSize::ZERO);
+        assert_eq!(profile.peak(), huge);
+        assert_eq!(profile.first_violation(huge), None);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Timing {
                 comm_end.max(self.cpu_free)
             }
             ExecutionModel::Implicit { .. } => {
-                let end = t + self.model.fused_duration(task.comm_time, task.comp_time);
+                let end = t + self.model.link_hold(task.comm_time, task.comp_time);
                 self.link_free = end;
                 // The fused phase lasts at least the computation, which
                 // runs at its tail.

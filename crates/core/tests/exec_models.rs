@@ -1,6 +1,6 @@
 //! Property tests for the execution-model layer: dominance of the overlap
 //! models over the explicit baseline, exact equivalence of single-stream
-//! execution, and memory feasibility under every model.
+//! execution, and feasibility under every model.
 //!
 //! The broken-claim tests at the bottom deliberately check false lemmas
 //! ("duplex is never worse than two streams", "zero-efficiency implicit
@@ -8,7 +8,7 @@
 //! the shrinker reaches, so regressions in either the models or the
 //! shrinker surface as readable witnesses.
 
-use dts_core::memory::MemoryProfile;
+use dts_core::feasibility::validate;
 use dts_core::prelude::*;
 use dts_core::testgen::{self, InstanceSpec};
 use rand::prelude::*;
@@ -92,8 +92,9 @@ microcheck::property! {
         microcheck::prop_assert_eq!(explicit.entries(), one_stream.entries());
     }
 
-    /// Every model respects the memory capacity: the held-memory profile of
-    /// any produced schedule never exceeds the instance's capacity.
+    /// Every model's schedules are feasible under that model: the link,
+    /// the processing unit, precedence and the memory capacity, on both
+    /// executors (the infinite-memory one against an unbounded capacity).
     fn all_models_respect_memory_feasibility(
         (spec, order_seed) in (
             testgen::transfer_bound_instance_gen(1..=24),
@@ -106,26 +107,31 @@ microcheck::property! {
         for model in [
             ExecutionModel::Explicit,
             ExecutionModel::Duplex,
+            ExecutionModel::Streams { k: 1 },
             ExecutionModel::Streams { k: 3 },
             ExecutionModel::IMPLICIT_FULL,
             ExecutionModel::Implicit {
                 efficiency: OverlapEfficiency::from_ppm(500_000).expect("half is in range"),
             },
         ] {
-            let schedule = instance
+            let modeled = instance
                 .clone()
                 .with_model(model)
-                .and_then(|modeled| simulate_sequence(&modeled, &order))
                 .map_err(|e| format!("{model}: {e}"))?;
-            microcheck::prop_assert_eq!(schedule.len(), instance.len());
-            let profile = MemoryProfile::of_schedule(&instance, &schedule);
-            microcheck::prop_assert!(
-                profile.peak() <= instance.capacity(),
-                "{model}: peak {} exceeds capacity {}",
-                profile.peak(),
-                instance.capacity()
-            );
-            microcheck::prop_assert_eq!(profile.first_violation(instance.capacity()), None);
+            let unbounded = modeled
+                .with_capacity(MemSize::UNBOUNDED)
+                .map_err(|e| format!("{model}: {e}"))?;
+            for (executor, instance, schedule) in [
+                ("bounded", &modeled, simulate_sequence(&modeled, &order)),
+                ("unbounded", &unbounded, simulate_sequence_infinite(&unbounded, &order)),
+            ] {
+                let schedule = schedule.map_err(|e| format!("{model} {executor}: {e}"))?;
+                let violations = validate(instance, &schedule);
+                microcheck::prop_assert!(
+                    violations.is_empty(),
+                    "{model} {executor}: {violations:?}"
+                );
+            }
         }
     }
 }

@@ -259,7 +259,7 @@ fn ratio_query_on_comm_only_index_panics() {
     let _ = index.best_ratio_candidate_within(MemSize::from_bytes(6), Time::units_int(1));
 }
 
-/// Replays a seeded interleaving of removals, restores and query probes on
+/// Replays a seeded interleaving of removals and query probes on
 /// a generated instance, checking every probe against the naive oracle.
 /// Pure function of `(spec, op_seed)`, so a failing interleaving shrinks
 /// with the instance.
@@ -293,15 +293,6 @@ fn check_interleaved(spec: &dts_core::testgen::InstanceSpec, op_seed: u64) -> Re
                     alive[victim] = false;
                 }
             }
-            // Restore a random removed task.
-            1 => {
-                let candidates: Vec<usize> = (0..alive.len()).filter(|&i| !alive[i]).collect();
-                if let Some(&revived) = candidates.get(rng.gen_range(0..candidates.len().max(1))) {
-                    index.restore(TaskId(revived));
-                    comm_only.restore(TaskId(revived));
-                    alive[revived] = true;
-                }
-            }
             // Probe all queries with random thresholds.
             _ => {
                 let free = MemSize::from_bytes(rng.gen_range(0..=max_mem.saturating_add(1)));
@@ -322,7 +313,7 @@ fn check_interleaved(spec: &dts_core::testgen::InstanceSpec, op_seed: u64) -> Re
 }
 
 microcheck::property! {
-    /// Random remove/restore/query interleavings on the default task
+    /// Random remove/query interleavings on the default task
     /// domain agree with the naive oracle at every step.
     fn interleavings_agree_with_the_oracle(
         (spec, op_seed) in (

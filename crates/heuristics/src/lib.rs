@@ -277,13 +277,34 @@ mod tests {
     #[test]
     fn all_heuristics_feasible_on_random_instances() {
         let mut rng = StdRng::seed_from_u64(99);
+        let models = [
+            "explicit",
+            "duplex",
+            "streams:1",
+            "streams:3",
+            "implicit:0.5",
+            "implicit:1",
+        ]
+        .map(|spec| ExecutionModel::parse(spec).unwrap());
         for _ in 0..25 {
             let inst = random_instance_decoupled_memory(&mut rng, 12, 1.3);
             let omim = johnson_makespan(&inst);
-            for &h in &Heuristic::ALL {
-                let sched = run_heuristic(&inst, h).unwrap();
-                assert!(is_feasible(&inst, &sched), "{h} infeasible");
-                assert!(sched.makespan(&inst) >= omim, "{h} beat the lower bound");
+            for model in models {
+                let modeled = inst.clone().with_model(model).unwrap();
+                for &h in &Heuristic::ALL {
+                    let sched = run_heuristic(&modeled, h).unwrap();
+                    assert!(
+                        is_feasible(&modeled, &sched),
+                        "{h} infeasible under {model}"
+                    );
+                    // Johnson's bound holds for the paper's single link.
+                    if matches!(
+                        model,
+                        ExecutionModel::Explicit | ExecutionModel::Streams { k: 1 }
+                    ) {
+                        assert!(sched.makespan(&inst) >= omim, "{h} beat the lower bound");
+                    }
+                }
             }
         }
     }

@@ -9,12 +9,12 @@
 //!   actually change the dynamic decisions on transfer-bound instances,
 //!   not just re-time the same order (earlier releases open different
 //!   candidate sets);
-//! * **feasibility and dominance** — every model's schedule respects the
-//!   memory capacity, and the overlap models never end later than the
-//!   explicit baseline under the *same* decision rule and order-free
-//!   dynamic selection.
+//! * **feasibility and dominance** — every model's schedule is feasible
+//!   under that model (link, processing unit, precedence and memory), and
+//!   the overlap models never end later than the explicit baseline under
+//!   the *same* decision rule and order-free dynamic selection.
 
-use dts_core::memory::MemoryProfile;
+use dts_core::feasibility::validate;
 use dts_core::prelude::*;
 use dts_core::testgen;
 use dts_flowshop::johnson::johnson_order;
@@ -151,6 +151,7 @@ fn all_models_stay_memory_feasible_through_every_engine() {
         ExecutionModel::Duplex,
         ExecutionModel::Streams { k: 2 },
         ExecutionModel::IMPLICIT_FULL,
+        ExecutionModel::parse("implicit:0.5").expect("valid model"),
     ];
     for instance in transfer_bound_instances(71, 20) {
         for model in models {
@@ -158,10 +159,10 @@ fn all_models_stay_memory_feasible_through_every_engine() {
             for criterion in SELECTIONS {
                 let schedule = run_dynamic(&modeled, criterion).expect("dynamic run succeeds");
                 assert_eq!(schedule.len(), instance.len());
-                let profile = MemoryProfile::of_schedule(&instance, &schedule);
+                let violations = validate(&modeled, &schedule);
                 assert!(
-                    profile.peak() <= instance.capacity(),
-                    "dynamic {criterion:?} under {model} violates memory"
+                    violations.is_empty(),
+                    "dynamic {criterion:?} under {model}: {violations:?}"
                 );
             }
             let schedule = run_corrected(
@@ -170,10 +171,10 @@ fn all_models_stay_memory_feasible_through_every_engine() {
                 SelectionCriterion::MaximumAcceleration,
             )
             .expect("corrected run succeeds");
-            let profile = MemoryProfile::of_schedule(&instance, &schedule);
+            let violations = validate(&modeled, &schedule);
             assert!(
-                profile.peak() <= instance.capacity(),
-                "corrected under {model} violates memory"
+                violations.is_empty(),
+                "corrected under {model}: {violations:?}"
             );
         }
     }

@@ -4,14 +4,16 @@
 //! A plan shares its orders and candidate indexes between runs; a run that
 //! mutated shared state (say, removed tasks from the plan's own index
 //! instead of a copy) would change every later run. Each check therefore
-//! visits all 14 heuristics × 9 capacity factors × 4 execution models in a
+//! visits all 14 heuristics × 9 capacity factors × 5 execution models in a
 //! seeded shuffled order, so every heuristic runs after others that share
 //! its structures, and compares each schedule (or error) with a fresh run
-//! on the same instance.
+//! on the same instance. Each schedule must also be feasible under its
+//! model.
 
 use dts_chem::ccsd::generate_ccsd_trace;
 use dts_chem::hf::generate_hf_trace;
 use dts_chem::{SuiteConfig, Trace};
+use dts_core::feasibility::validate;
 use dts_core::instances::{table4, table5};
 use dts_core::prelude::*;
 use dts_core::testgen;
@@ -24,23 +26,29 @@ use rand::SeedableRng;
 /// The paper's capacity sweep: `mc` to `2·mc` in steps of `0.125·mc`.
 const FACTORS: [f64; 9] = [1.0, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 1.875, 2.0];
 
-const MODELS: [ExecutionModel; 4] = [
-    ExecutionModel::Explicit,
-    ExecutionModel::Duplex,
-    ExecutionModel::Streams { k: 4 },
-    ExecutionModel::IMPLICIT_FULL,
-];
+/// The execution models every check visits (`streams:1` runs the
+/// explicit model's schedules, see `model_equivalence.rs`).
+fn models() -> [ExecutionModel; 5] {
+    [
+        ExecutionModel::Explicit,
+        ExecutionModel::Duplex,
+        ExecutionModel::Streams { k: 4 },
+        ExecutionModel::IMPLICIT_FULL,
+        ExecutionModel::parse("implicit:0.5").expect("valid model"),
+    ]
+}
 
 /// Runs every (factor, model, heuristic) triple through one plan built
-/// from `base`, in an order shuffled by `seed`, against fresh runs.
-/// `at_factor` builds the instance at a capacity factor; it must keep
-/// `base`'s tasks.
+/// from `base`, in an order shuffled by `seed`, against fresh runs, and
+/// checks each schedule feasible under its model. `at_factor` builds the
+/// instance at a capacity factor; it must keep `base`'s tasks.
 fn check_reuse(label: &str, base: &Instance, seed: u64, at_factor: impl Fn(f64) -> Instance) {
+    let models = models();
     let instances: Vec<Vec<Instance>> = FACTORS
         .iter()
         .map(|&factor| {
             let scaled = at_factor(factor);
-            MODELS
+            models
                 .iter()
                 .map(|&model| scaled.clone().with_model(model).expect("model is valid"))
                 .collect()
@@ -48,7 +56,7 @@ fn check_reuse(label: &str, base: &Instance, seed: u64, at_factor: impl Fn(f64) 
         .collect();
     let mut runs = Vec::new();
     for f in 0..FACTORS.len() {
-        for m in 0..MODELS.len() {
+        for m in 0..models.len() {
             for heuristic in Heuristic::ALL {
                 runs.push((f, m, heuristic));
             }
@@ -59,13 +67,20 @@ fn check_reuse(label: &str, base: &Instance, seed: u64, at_factor: impl Fn(f64) 
     let plan = Plan::new(base);
     for (f, m, heuristic) in runs {
         let instance = &instances[f][m];
+        let fresh = run_heuristic(instance, heuristic);
+        let at = format!(
+            "{label}: {heuristic} at {} x mc under {}",
+            FACTORS[f], models[m]
+        );
         assert_eq!(
             plan.run(instance, heuristic),
-            run_heuristic(instance, heuristic),
-            "{label}: {heuristic} at {} x mc under {} diverged from a fresh run",
-            FACTORS[f],
-            MODELS[m],
+            fresh,
+            "{at} diverged from a fresh run"
         );
+        if let Ok(schedule) = fresh {
+            let violations = validate(instance, &schedule);
+            assert!(violations.is_empty(), "{at}: {violations:?}");
+        }
     }
 }
 
@@ -131,6 +146,12 @@ fn generated_instances_reuse_one_plan() {
     check_generated("tie-heavy", &tie_heavy, 6, 400);
     let transfer_bound = testgen::transfer_bound_instance_gen(1..=60);
     check_generated("transfer-bound", &transfer_bound, 6, 500);
+    let u64_scale = testgen::instance_gen_with(
+        testgen::task_gen(0..=3, 0..=3, u64::MAX - 3..=u64::MAX),
+        1..=8,
+        0..=3,
+    );
+    check_generated("u64-scale", &u64_scale, 6, 600);
 }
 
 #[test]

@@ -8,11 +8,12 @@
 //! `lp.k` with its full scan of the active tasks. The tests check the
 //! machine-based executors against them schedule for schedule, under the
 //! six model points the equivalence suites use, and pin what `lp.k` gains
-//! from running on the machine: the instance's execution model.
+//! from running on the machine: the instance's execution model. Every
+//! schedule the machine-based executors produce must also pass the
+//! feasibility checker under its model.
 
-use dts_core::feasibility::is_feasible;
+use dts_core::feasibility::validate;
 use dts_core::instances::random_instance_decoupled_memory;
-use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
 use dts_core::simulate::{simulate_sequence, simulate_sequence_infinite, Machine};
 use dts_core::testgen;
@@ -362,25 +363,38 @@ fn sequence_executors_match_the_oracles_under_every_model() {
             order.shuffle(&mut rng);
             for model in models() {
                 let modeled = under(&instance, model);
+                let bounded = simulate_sequence(&modeled, &order);
                 assert_eq!(
-                    simulate_sequence(&modeled, &order),
+                    bounded,
                     oracle::simulate_sequence(&modeled, &order),
                     "bounded executor, round {round}, {model}, order {order:?}"
                 );
+                let unbounded = simulate_sequence_infinite(&modeled, &order);
                 assert_eq!(
-                    simulate_sequence_infinite(&modeled, &order),
+                    unbounded,
                     oracle::simulate_sequence_infinite(&modeled, &order),
                     "unbounded executor, round {round}, {model}, order {order:?}"
                 );
+                // Both schedules are feasible under the model, the
+                // unbounded one against an unbounded capacity.
+                let without_limit = modeled
+                    .with_capacity(MemSize::UNBOUNDED)
+                    .expect("an unbounded capacity holds every task");
+                for (instance, schedule) in [(&modeled, bounded), (&without_limit, unbounded)] {
+                    let violations = validate(instance, &schedule.expect("order runs"));
+                    assert!(
+                        violations.is_empty(),
+                        "round {round}, {model}, order {order:?}: {violations:?}"
+                    );
+                }
             }
         }
     }
 }
 
-/// The seeded instances whose memories sum to at most `i64::MAX` bytes.
-/// The window oracle tests fit with a saturating sum, which differs from
-/// the machine's exact sum only past `u64::MAX`, and the memory profile
-/// the feasibility checks build counts in `i64`.
+/// The seeded instances whose memories sum to at most `u64::MAX` bytes.
+/// The window oracle fits with a saturating sum, which differs from the
+/// machine's exact sum only past `u64::MAX`.
 fn window_instances(seed: u64) -> Vec<Instance> {
     seeded_instances(seed, 25)
         .into_iter()
@@ -388,9 +402,7 @@ fn window_instances(seed: u64) -> Vec<Instance> {
             instance
                 .tasks()
                 .iter()
-                .try_fold(0i64, |sum, task| {
-                    sum.checked_add(i64::try_from(task.mem.bytes()).ok()?)
-                })
+                .try_fold(0u64, |sum, task| sum.checked_add(task.mem.bytes()))
                 .is_some()
         })
         .collect()
@@ -453,12 +465,12 @@ fn warm_started_windows_match_the_window_oracle() {
 
 #[test]
 fn lp_k_runs_under_the_instance_model() {
-    // Eight lp.k runs per window size and instance: a shorter list.
-    for (round, instance) in window_instances(1904).into_iter().take(24).enumerate() {
+    // Eight lp.k runs per window size and instance, so a shorter list:
+    // five instances of each domain, u64-scale memories included.
+    for (round, instance) in seeded_instances(1904, 5).into_iter().enumerate() {
         for k in LpKConfig::PAPER_WINDOW_SIZES {
             let config = LpKConfig { window: k };
             let explicit = lp_k(&instance, config).expect("lp.k runs");
-            assert!(is_feasible(&instance, &explicit), "lp.{k}, round {round}");
             let one_stream = under(&instance, ExecutionModel::Streams { k: 1 });
             assert_eq!(
                 lp_k(&one_stream, config).expect("lp.k runs"),
@@ -468,10 +480,10 @@ fn lp_k_runs_under_the_instance_model() {
             for model in models() {
                 let modeled = under(&instance, model);
                 let schedule = lp_k(&modeled, config).expect("lp.k runs");
-                assert_eq!(schedule.len(), instance.len());
+                let violations = validate(&modeled, &schedule);
                 assert!(
-                    MemoryProfile::of_schedule(&modeled, &schedule).peak() <= instance.capacity(),
-                    "lp.{k} under {model} overflows the memory, round {round}"
+                    violations.is_empty(),
+                    "lp.{k} under {model}, round {round}: {violations:?}"
                 );
             }
         }
