@@ -25,29 +25,6 @@ pub fn sweep_to_csv(rows: &[SweepRow]) -> String {
     out
 }
 
-/// Renders aggregated experiment rows as CSV (one line per heuristic ×
-/// factor with the box-plot summary).
-pub fn experiment_to_csv(rows: &[ExperimentRow]) -> String {
-    let mut out = String::from("kernel,factor,label,count,mean,min,q1,median,q3,max\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}",
-            r.kernel,
-            r.factor,
-            r.label,
-            r.ratios.count,
-            r.ratios.mean,
-            r.ratios.min,
-            r.ratios.q1,
-            r.ratios.median,
-            r.ratios.q3,
-            r.ratios.max
-        );
-    }
-    out
-}
-
 /// Renders aggregated experiment rows as a Markdown table grouped by factor,
 /// the format used in `EXPERIMENTS.md`.
 pub fn experiment_to_markdown(title: &str, rows: &[ExperimentRow]) -> String {
@@ -98,9 +75,6 @@ mod tests {
         assert!(csv.starts_with("kernel,rank,factor"));
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.contains("OOLCMR"));
-        let csv = experiment_to_csv(&[experiment_row()]);
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("1.25"));
     }
 
     #[test]

@@ -146,11 +146,6 @@ pub fn run_characterization(kernel: Kernel) -> Vec<dts_chem::WorkloadCharacteriz
     out
 }
 
-/// A small instance reused by the micro-benchmarks (Table 3 of the paper).
-pub fn micro_instance() -> Instance {
-    dts_core::instances::table3()
-}
-
 /// Builds an `n_tasks`-task instance by tiling a kernel's first bench trace
 /// (the real per-task time/memory distribution of the chemistry workload)
 /// until the target size is reached, at a capacity of `factor · mc`. Used

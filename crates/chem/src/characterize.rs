@@ -65,11 +65,6 @@ pub fn characterize_instance(instance: &Instance) -> WorkloadCharacterization {
     }
 }
 
-/// Mean characterization over a suite of traces (one value per Fig. 8 bar).
-pub fn characterize_suite(traces: &[Trace]) -> Result<Vec<WorkloadCharacterization>> {
-    traces.iter().map(characterize).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,13 +116,5 @@ mod tests {
             assert!(c.sum_comp_ratio > 0.4, "{c:?}");
             assert!(c.max_overlap_gain() > 0.25, "{c:?}");
         }
-    }
-
-    #[test]
-    fn suite_characterization_covers_every_trace() {
-        let config = SuiteConfig::small();
-        let traces = generate_partial_suite(Kernel::Ccsd, &config, 4);
-        let characterizations = characterize_suite(&traces).unwrap();
-        assert_eq!(characterizations.len(), 4);
     }
 }

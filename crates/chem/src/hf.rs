@@ -105,7 +105,7 @@ pub fn generate_hf_trace(
         let aux_micros = if aux_bytes == 0 {
             0
         } else {
-            transfer.micros(aux_bytes, false)
+            transfer.micros(aux_bytes)
         };
 
         let mut comm_micros = get_a.transfer_micros + get_b.transfer_micros + aux_micros;

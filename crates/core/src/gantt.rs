@@ -94,11 +94,6 @@ pub fn render(instance: &Instance, schedule: &Schedule, options: GanttOptions) -
     out
 }
 
-/// Renders with default options.
-pub fn render_default(instance: &Instance, schedule: &Schedule) -> String {
-    render(instance, schedule, GanttOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,7 +111,7 @@ mod tests {
             .build()
             .unwrap();
         let sched = simulate_sequence(&inst, &[TaskId(1), TaskId(0)]).unwrap();
-        let text = render_default(&inst, &sched);
+        let text = render(&inst, &sched, GanttOptions::default());
         assert!(text.contains("comm |"));
         assert!(text.contains("comp |"));
         assert!(text.contains('A'));
@@ -151,7 +146,7 @@ mod tests {
             .task_units("A", 3.0, 2.0, 3)
             .build()
             .unwrap();
-        let text = render_default(&inst, &Schedule::new());
+        let text = render(&inst, &Schedule::new(), GanttOptions::default());
         assert!(text.contains("empty"));
     }
 }

@@ -379,15 +379,6 @@ impl InstanceStats {
     pub fn sequential_upper_bound(&self) -> Time {
         self.sum_comm + self.sum_comp
     }
-
-    /// Fraction of tasks that are compute intensive.
-    pub fn compute_intensive_fraction(&self) -> f64 {
-        if self.n_tasks == 0 {
-            0.0
-        } else {
-            self.compute_intensive as f64 / self.n_tasks as f64
-        }
-    }
 }
 
 /// Fluent builder for [`Instance`].
@@ -506,7 +497,6 @@ mod tests {
         assert_eq!(stats.communication_intensive, 2); // A and D
         assert_eq!(stats.resource_lower_bound(), Time::units_int(10));
         assert_eq!(stats.sequential_upper_bound(), Time::units_int(20));
-        assert!((stats.compute_intensive_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

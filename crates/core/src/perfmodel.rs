@@ -336,30 +336,6 @@ impl HistoryTable {
         }
         best.mean_us
     }
-
-    /// Merges new observations into the table, combining per-bucket means
-    /// weighted by sample count (the `dts calibrate --update` path).
-    pub fn merged_with(&self, other: &HistoryTable) -> HistoryTable {
-        let mut buckets = self.buckets.clone();
-        for add in &other.buckets {
-            match buckets.binary_search_by_key(&add.bucket, |b| b.bucket) {
-                Ok(i) => {
-                    let old = buckets[i];
-                    let total = old.samples.saturating_add(add.samples);
-                    let weighted = u128::from(old.mean_us) * u128::from(old.samples)
-                        + u128::from(add.mean_us) * u128::from(add.samples);
-                    buckets[i] = HistoryBucket {
-                        bucket: old.bucket,
-                        mean_us: ((weighted + u128::from(total) / 2) / u128::from(total.max(1)))
-                            .min(u128::from(u64::MAX)) as u64,
-                        samples: total,
-                    };
-                }
-                Err(i) => buckets.insert(i, *add),
-            }
-        }
-        HistoryTable { buckets }
-    }
 }
 
 /// Fits a history table to observations: observations are grouped by
@@ -461,16 +437,6 @@ macro_rules! fitted_model_impl {
                     "compute",
                 )?;
                 Ok($model { transfer, compute })
-            }
-
-            /// The per-link transfer entries, in canonical order.
-            pub fn transfer_entries(&self) -> &[(LinkClass, $entry)] {
-                &self.transfer
-            }
-
-            /// The per-backend compute entries, in canonical order.
-            pub fn compute_entries(&self) -> &[(ComputeBackend, $entry)] {
-                &self.compute
             }
 
             /// The entry for `link`, falling back to the guaranteed
@@ -1278,18 +1244,6 @@ mod tests {
         assert_eq!(table.buckets()[0].samples, 2);
         assert_eq!(table.buckets()[1].bucket, 10);
         assert_eq!(table.buckets()[1].mean_us, 100);
-    }
-
-    #[test]
-    fn history_merge_weights_by_samples() {
-        let a = fit_history(&[(4, 10), (4, 10)]).unwrap();
-        let b = fit_history(&[(4, 40), (1024, 9)]).unwrap();
-        let merged = a.merged_with(&b);
-        assert_eq!(merged.buckets().len(), 2);
-        // (10·2 + 40·1) / 3 = 20.
-        assert_eq!(merged.buckets()[0].mean_us, 20);
-        assert_eq!(merged.buckets()[0].samples, 3);
-        assert_eq!(merged.buckets()[1].mean_us, 9);
     }
 
     #[test]

@@ -355,12 +355,6 @@ pub fn simulate_sequence(instance: &Instance, order: &[TaskId]) -> Result<Schedu
     Ok(schedule)
 }
 
-/// Makespan of [`simulate_sequence`] without materializing the schedule.
-/// Convenience for solvers that evaluate many orders.
-pub fn sequence_makespan(instance: &Instance, order: &[TaskId]) -> Result<Time> {
-    Ok(simulate_sequence(instance, order)?.makespan(instance))
-}
-
 /// Makespan of [`simulate_sequence_infinite`] without materializing the
 /// schedule.
 pub fn sequence_makespan_infinite(instance: &Instance, order: &[TaskId]) -> Result<Time> {
@@ -443,7 +437,7 @@ mod tests {
         let mut order = inst.task_ids();
         for _ in 0..50 {
             order.shuffle(&mut rng);
-            let finite = sequence_makespan(&inst, &order).unwrap();
+            let finite = simulate_sequence(&inst, &order).unwrap().makespan(&inst);
             let infinite = sequence_makespan_infinite(&inst, &order).unwrap();
             assert!(finite >= infinite);
         }
@@ -496,10 +490,6 @@ mod tests {
             CoreError::DuplicateTask(TaskId(1))
         );
         assert_eq!(
-            sequence_makespan(&inst, &dup).unwrap_err(),
-            CoreError::DuplicateTask(TaskId(1))
-        );
-        assert_eq!(
             sequence_makespan_infinite(&inst, &dup).unwrap_err(),
             CoreError::DuplicateTask(TaskId(1))
         );
@@ -527,13 +517,6 @@ mod tests {
         let order = inst.task_ids();
         assert_eq!(
             simulate_sequence(&inst, &order).unwrap_err(),
-            CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                name: "huge".into(),
-            }
-        );
-        assert_eq!(
-            sequence_makespan(&inst, &order).unwrap_err(),
             CoreError::TaskExceedsCapacity {
                 task: TaskId(1),
                 name: "huge".into(),

@@ -99,12 +99,6 @@ impl Task {
         }
     }
 
-    /// `true` iff the task is compute intensive.
-    #[inline]
-    pub fn is_compute_intensive(&self) -> bool {
-        self.intensity() == TaskIntensity::ComputeIntensive
-    }
-
     /// Acceleration ratio `CP / CM`, used by the MAMR/OOMAMR heuristics.
     /// Follows the conventions of [`Time::ratio`].
     #[inline]
@@ -245,8 +239,6 @@ mod tests {
         assert_eq!(comm.intensity(), TaskIntensity::CommunicationIntensive);
         // Equality counts as compute intensive (CP >= CM).
         assert_eq!(balanced.intensity(), TaskIntensity::ComputeIntensive);
-        assert!(compute.is_compute_intensive());
-        assert!(!comm.is_compute_intensive());
     }
 
     #[test]

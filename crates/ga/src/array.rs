@@ -70,31 +70,6 @@ impl GlobalArray {
         assert!(index < self.n_tiles(), "tile index {index} out of range");
         index % self.n_processes
     }
-
-    /// Total size of the array in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.tile_shapes.iter().map(|s| s.bytes()).sum()
-    }
-
-    /// Bytes owned by a given process rank.
-    pub fn bytes_owned_by(&self, rank: usize) -> u64 {
-        self.tile_shapes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.owner_of(*i) == rank)
-            .map(|(_, s)| s.bytes())
-            .sum()
-    }
-
-    /// Largest tile in bytes (relevant for the minimum memory capacity of
-    /// the traces).
-    pub fn max_tile_bytes(&self) -> u64 {
-        self.tile_shapes
-            .iter()
-            .map(|s| s.bytes())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl Tiled for GlobalArray {
@@ -143,9 +118,6 @@ mod tests {
         let ga = sample();
         assert_eq!(ga.tile_bytes(0), 80_000);
         assert_eq!(ga.tile_bytes(3), 20_000);
-        assert_eq!(ga.total_bytes(), 80_000 + 40_000 + 40_000 + 20_000);
-        assert_eq!(ga.bytes_owned_by(0), 80_000 + 20_000);
-        assert_eq!(ga.max_tile_bytes(), 80_000);
     }
 
     #[test]
@@ -153,11 +125,14 @@ mod tests {
         // With homogeneous tiles every process owns (almost) the same amount.
         let shapes = vec![TileShape::matrix(64, 64); 100];
         let ga = GlobalArray::new("dense", shapes, 7);
-        let per_rank: Vec<u64> = (0..7).map(|r| ga.bytes_owned_by(r)).collect();
+        let mut per_rank = [0u64; 7];
+        for tile in 0..ga.n_tiles() {
+            per_rank[ga.owner_of(tile)] += ga.tile_bytes(tile);
+        }
         let min = per_rank.iter().min().unwrap();
         let max = per_rank.iter().max().unwrap();
         assert!(max - min <= TileShape::matrix(64, 64).bytes());
-        assert_eq!(per_rank.iter().sum::<u64>(), ga.total_bytes());
+        assert_eq!(per_rank.iter().sum::<u64>(), 100 * 64 * 64 * 8);
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! The real machine (PNNL Cascade) is not available, so this crate models
 //! the parts that matter for the traces:
 //!
-//! * [`topology`] — nodes, cores per process, process-to-node placement
-//!   (10 nodes × 15 worker cores in the paper's setup);
+//! * [`topology`] — nodes and worker processes per node (10 nodes × 15
+//!   workers in the paper's setup);
 //! * [`mod@array`] — tiled global arrays with a deterministic owner map;
 //! * [`transfer`] — the single-route transfer-cost model of Section 5
 //!   (every transfer between a process and the GA memory takes the same
 //!   route, so cost = latency + bytes/bandwidth);
-//! * [`runtime`] — per-process accounting of `get` operations, producing the
+//! * [`runtime`] — the cost of a one-sided `get`, producing the
 //!   `(bytes, transfer time)` pairs the trace generators consume.
 
 #![warn(missing_docs)]

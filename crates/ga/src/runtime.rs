@@ -1,9 +1,8 @@
-//! Per-process Global-Arrays runtime: one-sided `get` accounting.
+//! Global-Arrays runtime: the cost of one-sided `get`s.
 
 use crate::array::Tiled;
 use crate::topology::Topology;
 use crate::transfer::TransferModel;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a `get` of one tile from a global array.
@@ -18,98 +17,34 @@ pub struct GetOutcome {
     pub local: bool,
 }
 
-/// Aggregate communication statistics of one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CommStats {
-    /// Number of remote `get` operations.
-    pub remote_gets: u64,
-    /// Number of local (free) accesses.
-    pub local_gets: u64,
-    /// Total bytes moved over the interconnect.
-    pub remote_bytes: u64,
-    /// Total transfer time in microseconds.
-    pub transfer_micros: u64,
-}
-
-/// The Global-Arrays runtime: topology + transfer model + per-process
-/// statistics. Statistics are behind a mutex so that trace generation can
-/// run one thread per group of processes.
+/// The Global-Arrays runtime: a topology and a transfer model. A `get` is
+/// a pure function of the runtime, the array and the tile.
 #[derive(Debug)]
 pub struct GaRuntime {
     topology: Topology,
     model: TransferModel,
-    stats: Vec<Mutex<CommStats>>,
 }
 
 impl GaRuntime {
     /// Creates a runtime for a topology and transfer model.
     pub fn new(topology: Topology, model: TransferModel) -> Self {
-        let stats = (0..topology.n_processes())
-            .map(|_| Mutex::new(CommStats::default()))
-            .collect();
-        GaRuntime {
-            topology,
-            model,
-            stats,
-        }
+        GaRuntime { topology, model }
     }
 
-    /// The runtime's topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The runtime's transfer model.
-    pub fn model(&self) -> TransferModel {
-        self.model
-    }
-
-    /// Process `rank` fetches tile `tile` of `array`. Returns the bytes and
-    /// transfer time and updates the per-process statistics.
+    /// Process `rank` fetches tile `tile` of `array`: the bytes moved and
+    /// the transfer time, which is zero when `rank` owns the tile.
     pub fn get(&self, rank: usize, array: &impl Tiled, tile: usize) -> GetOutcome {
         assert!(
             rank < self.topology.n_processes(),
             "rank {rank} out of range"
         );
-        let owner = array.owner_of(tile);
         let bytes = array.tile_bytes(tile);
-        let mut stats = self.stats[rank].lock();
-        if owner == rank {
-            stats.local_gets += 1;
-            return GetOutcome {
-                bytes,
-                transfer_micros: 0,
-                local: true,
-            };
-        }
-        let same_node = self.topology.same_node(rank, owner);
-        let micros = self.model.micros(bytes, same_node);
-        stats.remote_gets += 1;
-        stats.remote_bytes += bytes;
-        stats.transfer_micros += micros;
+        let local = array.owner_of(tile) == rank;
         GetOutcome {
             bytes,
-            transfer_micros: micros,
-            local: false,
+            transfer_micros: if local { 0 } else { self.model.micros(bytes) },
+            local,
         }
-    }
-
-    /// Statistics accumulated by a process so far.
-    pub fn stats_of(&self, rank: usize) -> CommStats {
-        *self.stats[rank].lock()
-    }
-
-    /// Sum of the statistics of every process.
-    pub fn total_stats(&self) -> CommStats {
-        let mut total = CommStats::default();
-        for s in &self.stats {
-            let s = s.lock();
-            total.remote_gets += s.remote_gets;
-            total.local_gets += s.local_gets;
-            total.remote_bytes += s.remote_bytes;
-            total.transfer_micros += s.transfer_micros;
-        }
-        total
     }
 }
 
@@ -141,8 +76,7 @@ mod tests {
         let out = rt.get(1, &ga, 1);
         assert!(out.local);
         assert_eq!(out.transfer_micros, 0);
-        assert_eq!(rt.stats_of(1).local_gets, 1);
-        assert_eq!(rt.stats_of(1).remote_gets, 0);
+        assert_eq!(out.bytes, 80_000);
     }
 
     #[test]
@@ -156,47 +90,9 @@ mod tests {
         // Single-route model: same cost regardless of the node.
         let out2 = rt.get(0, &ga, 2); // owner 2, other node
         assert_eq!(out.transfer_micros, out2.transfer_micros);
-        let stats = rt.stats_of(0);
-        assert_eq!(stats.remote_gets, 2);
-        assert_eq!(stats.remote_bytes, 160_000);
-        assert_eq!(
-            stats.transfer_micros,
-            out.transfer_micros + out2.transfer_micros
-        );
-    }
-
-    #[test]
-    fn total_stats_aggregate_over_processes() {
-        let rt = runtime();
-        let ga = array();
-        rt.get(0, &ga, 1);
-        rt.get(1, &ga, 2);
-        rt.get(2, &ga, 2); // local for rank 2
-        let total = rt.total_stats();
-        assert_eq!(total.remote_gets, 2);
-        assert_eq!(total.local_gets, 1);
-    }
-
-    #[test]
-    fn runtime_is_shareable_across_threads() {
-        let rt = std::sync::Arc::new(runtime());
-        let ga = std::sync::Arc::new(array());
-        let mut handles = Vec::new();
-        for rank in 0..4 {
-            let rt = rt.clone();
-            let ga = ga.clone();
-            handles.push(std::thread::spawn(move || {
-                for tile in 0..ga.n_tiles() {
-                    rt.get(rank, &*ga, tile);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = rt.total_stats();
-        assert_eq!(total.remote_gets + total.local_gets, 4 * 8);
-        assert_eq!(total.local_gets, 8); // each rank owns 2 of the 8 tiles
+        // The transfer time is the model's, and a repeated get costs the same.
+        assert_eq!(out.transfer_micros, TransferModel::default().micros(80_000));
+        assert_eq!(rt.get(0, &ga, 1), out);
     }
 
     #[test]

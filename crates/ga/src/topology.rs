@@ -1,4 +1,4 @@
-//! Cluster topology: nodes and process placement.
+//! Cluster topology: nodes and worker processes per node.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,18 +28,6 @@ impl Topology {
     pub fn n_processes(&self) -> usize {
         self.nodes * self.workers_per_node
     }
-
-    /// Node hosting a given process rank (block placement: ranks
-    /// `0..workers_per_node` on node 0, and so on).
-    pub fn node_of(&self, rank: usize) -> usize {
-        assert!(rank < self.n_processes(), "rank {rank} out of range");
-        rank / self.workers_per_node
-    }
-
-    /// `true` iff two ranks live on the same node.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
 }
 
 impl Default for Topology {
@@ -56,17 +44,5 @@ mod tests {
     fn cascade_topology_matches_paper() {
         let t = Topology::cascade_10_nodes();
         assert_eq!(t.n_processes(), 150);
-        assert_eq!(t.node_of(0), 0);
-        assert_eq!(t.node_of(14), 0);
-        assert_eq!(t.node_of(15), 1);
-        assert_eq!(t.node_of(149), 9);
-        assert!(t.same_node(0, 14));
-        assert!(!t.same_node(14, 15));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_rank_panics() {
-        Topology::cascade_10_nodes().node_of(150);
     }
 }

@@ -1,27 +1,22 @@
 //! # dts-tensor
 //!
-//! Dense tensor-tile kernels used by the molecular-chemistry workload
+//! Tile shapes and kernel cost models for the molecular-chemistry workload
 //! generators. NWChem's Hartree–Fock and CCSD kernels spend their time in
 //! two operations on tiles of distributed tensors: **tensor transposes**
-//! (index permutations, memory-bound) and **tensor contractions**
-//! (block matrix multiplications, compute-bound). This crate provides those
-//! kernels on real `f64` buffers, counts their flops and bytes, and offers a
-//! calibrated cost model that converts the counts into execution times — the
-//! quantity the data-transfer traces need.
-//!
-//! The kernels are genuinely executed in the unit tests (so the flop
-//! accounting is validated against a naive reference); the trace generators
-//! in `dts-chem` use the [`cost`] model rather than timing every kernel,
-//! which keeps trace generation fast and deterministic.
+//! (index permutations, memory-bound) and **tensor contractions** (block
+//! matrix multiplications, compute-bound). The generators in `dts-chem`
+//! never execute these kernels: they describe each task by its tile
+//! [`TileShape`]s and [`ContractionSpec`], count its flops and bytes as a
+//! [`KernelCost`], and turn the counts into an execution time with the
+//! roofline [`CostModel`], which keeps trace generation fast and
+//! deterministic.
 
 #![warn(missing_docs)]
 
 pub mod contraction;
 pub mod cost;
 pub mod tile;
-pub mod transpose;
 
-pub use contraction::{contract, ContractionSpec};
+pub use contraction::ContractionSpec;
 pub use cost::{CostModel, KernelCost};
-pub use tile::{Tile, TileShape};
-pub use transpose::transpose;
+pub use tile::TileShape;

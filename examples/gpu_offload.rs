@@ -15,9 +15,13 @@ use transfer_sched::prelude::*;
 
 fn main() {
     // Device-offload flavour of the CCSD workload: transfers go through one
-    // PCIe 3.0 x16 copy engine instead of the InfiniBand fabric.
+    // PCIe 3.0 x16 copy engine (10 µs launch latency, 12 GB/s) instead of
+    // the InfiniBand fabric.
     let mut config = SuiteConfig::small();
-    config.transfer = TransferModel::pcie_gen3();
+    config.transfer = TransferModel {
+        latency: 10.0e-6,
+        bandwidth: 12.0e9,
+    };
     let trace = generate_partial_suite(Kernel::Ccsd, &config, 1)
         .into_iter()
         .next()
