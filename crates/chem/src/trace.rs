@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn cost_model_is_optional_in_json_and_materializes_times() {
-        use dts_core::perfmodel::{LinearFit, RegressionModel, PS_PER_MICRO};
+        use dts_core::perfmodel::{LinearFit, PS_PER_MICRO};
 
         // Model-less traces keep serializing without a `cost_model` key.
         let mut trace = sample();
@@ -732,27 +732,18 @@ mod tests {
         assert_eq!(Trace::from_json(&json).unwrap().cost_model, None);
 
         // A stamped model round-trips and rewrites the instance durations.
-        let spec = CostModelSpec::Regression(
-            RegressionModel::new(
-                vec![(
-                    LinkClass::HostToDevice,
-                    LinearFit {
-                        alpha_us: 10,
-                        beta_ps_per_byte: PS_PER_MICRO / 1000, // 1 µs per KB
-                        samples: 2,
-                    },
-                )],
-                vec![(
-                    ComputeBackend::Cpu,
-                    LinearFit {
-                        alpha_us: 40,
-                        beta_ps_per_byte: 0,
-                        samples: 2,
-                    },
-                )],
-            )
-            .unwrap(),
-        );
+        let spec = CostModelSpec::Regression {
+            transfer: LinearFit {
+                alpha_us: 10,
+                beta_ps_per_byte: PS_PER_MICRO / 1000, // 1 µs per KB
+                samples: 2,
+            },
+            compute: LinearFit {
+                alpha_us: 40,
+                beta_ps_per_byte: 0,
+                samples: 2,
+            },
+        };
         trace.cost_model = Some(spec.clone());
         let back = Trace::from_json(&trace.to_json().unwrap()).unwrap();
         assert_eq!(back.cost_model, Some(spec.clone()));

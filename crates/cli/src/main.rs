@@ -47,7 +47,7 @@ use dts_chem::{characterize, Kernel, Trace};
 use dts_core::gantt;
 use dts_core::metrics::ScheduleMetrics;
 use dts_core::perfmodel::{self, CalibrationObservations};
-use dts_core::{CoreError, CostModel, CostModelSpec, ExecutionModel, MemSize, Task, Time};
+use dts_core::{CoreError, CostModelSpec, ExecutionModel, MemSize, Task, Time};
 use dts_flowshop::johnson::johnson_makespan;
 use dts_heuristics::{run_heuristic, Heuristic};
 use dts_server::{Client, Server, ServerConfig, SolveRequest, TraceSource};
@@ -55,7 +55,7 @@ use dts_workloads::corpus;
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
 use dts_workloads::format;
 use serde::{Deserialize, Value};
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// Extracts an optional `--model <spec>` / `--model=<spec>` flag from `args`
@@ -125,31 +125,44 @@ fn take_bool_flag(args: &[String], name: &str) -> (Vec<String>, bool) {
     (rest, present)
 }
 
+/// Why a command failed: a message for the `error:` line, or the
+/// `io::Error` of a failed write to stdout.
+type Failure = Box<dyn std::error::Error>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every command writes through this one handle, so a write error is a
+    // value, not the panic `println!` turns it into.
+    let mut stdout = io::stdout().lock();
+    let out: &mut dyn Write = &mut stdout;
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("characterize") => cmd_characterize(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("calibrate") => cmd_calibrate(&args[1..]),
-        Some("corpus") => cmd_corpus(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("request") => cmd_request(&args[1..]),
-        Some("demo") => cmd_demo(),
+        Some("generate") => cmd_generate(out, &args[1..]),
+        Some("characterize") => cmd_characterize(out, &args[1..]),
+        Some("run") => cmd_run(out, &args[1..]),
+        Some("sweep") => cmd_sweep(out, &args[1..]),
+        Some("trace") => cmd_trace(out, &args[1..]),
+        Some("calibrate") => cmd_calibrate(out, &args[1..]),
+        Some("corpus") => cmd_corpus(out, &args[1..]),
+        Some("serve") => cmd_serve(out, &args[1..]),
+        Some("request") => cmd_request(out, &args[1..]),
+        Some("demo") => cmd_demo(out),
         _ => {
             eprint!("{}", usage());
             return ExitCode::from(2);
         }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
+    let Err(e) = result.and_then(|()| Ok(out.flush()?)) else {
+        return ExitCode::SUCCESS;
+    };
+    // The reader went away (`dts sweep t.json | head`): nothing is left to
+    // say to anyone, so stop quietly.
+    if e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+    {
+        return ExitCode::SUCCESS;
     }
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
 }
 
 /// The usage text, with every generator source enumerated: the chemistry
@@ -213,7 +226,7 @@ fn usage() -> String {
     )
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
+fn cmd_generate(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, model) = take_model_flag(args)?;
     let (args, tasks_flag) = take_value_flag(&args, "tasks")?;
     let (args, seed_flag) = take_value_flag(&args, "seed")?;
@@ -231,7 +244,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "unknown generator source '{source}'; expected hf, ccsd, {}",
             names.join(", ")
-        ));
+        )
+        .into());
     }
     if kernel.is_some() {
         // The chemistry suites are fixed reproductions of the paper's
@@ -247,7 +261,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             if value.is_some() {
                 return Err(format!(
                     "{flag} only applies to the synthetic families, not the '{source}' kernel"
-                ));
+                )
+                .into());
             }
         }
     }
@@ -262,6 +277,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     }
     if let Some(family) = family {
         return generate_family_suite(
+            out,
             family,
             dir,
             n_ranks,
@@ -287,7 +303,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             "{n_ranks} ranks requested, but the largest topology has only {max_ranks} \
              processes ({} nodes x {} workers)",
             config.topology.nodes, config.topology.workers_per_node
-        ));
+        )
+        .into());
     }
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let mut traces = generate_partial_suite(kernel, &config, n_ranks);
@@ -306,16 +323,18 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             trace.rank
         );
         trace.save(&path).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "wrote {path} ({} tasks, mc = {})",
             trace.len(),
             trace.min_capacity()
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "generated {} of {n_ranks} requested ranks in {dir}",
         traces.len()
-    );
+    )?;
     Ok(())
 }
 
@@ -325,6 +344,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 /// library reports.
 #[allow(clippy::too_many_arguments)]
 fn generate_family_suite(
+    out: &mut dyn Write,
     family: WorkloadFamily,
     dir: &str,
     n_ranks: usize,
@@ -333,7 +353,7 @@ fn generate_family_suite(
     skew_flag: &Option<String>,
     bandwidth_flag: &Option<String>,
     model: Option<ExecutionModel>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let mut config = GeneratorConfig::new(family);
     if let Some(tasks) = tasks_flag {
         config.n_tasks = tasks
@@ -365,17 +385,18 @@ fn generate_family_suite(
         }
         let path = format!("{dir}/{}-rank{rank:03}.json", family.name());
         trace.save(&path).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "wrote {path} ({} tasks, mc = {})",
             trace.len(),
             trace.min_capacity()
-        );
+        )?;
     }
-    println!("generated {n_ranks} {family} ranks in {dir}");
+    writeln!(out, "generated {n_ranks} {family} ranks in {dir}")?;
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
+fn cmd_trace(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (verb, input, output) = match (args.first(), args.get(1), args.get(2)) {
         (Some(verb), Some(input), Some(output)) if args.len() == 3 => {
             (verb.as_str(), input, output)
@@ -388,11 +409,12 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             let trace = load_trace(input)?;
             format::export_file(&trace, output)
                 .map_err(|e| format!("cannot export {input}: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "exported {input} -> {output} (dts-trace v{}, {} tasks)",
                 format::FORMAT_VERSION,
                 trace.len()
-            );
+            )?;
         }
         "import" => {
             // Strictly validate the versioned file, re-emit what the rest
@@ -400,17 +422,19 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             let trace =
                 format::import_file(input).map_err(|e| format!("cannot import {input}: {e}"))?;
             trace.save(output).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "imported {input} -> {output} ({} tasks, kernel {}, mc = {})",
                 trace.len(),
                 trace.kernel,
                 trace.min_capacity()
-            );
+            )?;
         }
         other => {
             return Err(format!(
                 "unknown trace subcommand '{other}'; expected 'import' or 'export'"
-            ))
+            )
+            .into())
         }
     }
     Ok(())
@@ -434,7 +458,7 @@ fn apply_cost_model_override(trace: &mut Trace, arg: &str) -> Result<(), String>
     Ok(())
 }
 
-fn cmd_calibrate(args: &[String]) -> Result<(), String> {
+fn cmd_calibrate(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, backend_flag) = take_value_flag(args, "backend")?;
     let (args, out_flag) = take_value_flag(&args, "out")?;
     if args.is_empty() {
@@ -455,15 +479,13 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
             .to_instance_scaled(1.0)
             .map_err(|e| format!("cannot build an instance from {path}: {e}"))?;
         observations.extend(perfmodel::observations_of(&instance));
-        println!("loaded             {path} ({} tasks)", instance.len());
+        writeln!(out, "loaded             {path} ({} tasks)", instance.len())?;
     }
     let spec = match backend {
         "regression" => observations.fit_regression(),
         "history" => observations.fit_history(),
         other => {
-            return Err(format!(
-                "unknown backend '{other}'; expected regression or history"
-            ))
+            return Err(format!("unknown backend '{other}'; expected regression or history").into())
         }
     }
     .map_err(|e| e.to_string())?;
@@ -479,29 +501,28 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
         )
     };
     let transfer = perfmodel::fit_quality(&observations.transfer, |bytes| {
-        spec.transfer_time(&probe(bytes), perfmodel::LinkClass::HostToDevice)
-            .ticks()
+        spec.transfer_time(&probe(bytes)).ticks()
     });
     let compute = perfmodel::fit_quality(&observations.compute, |bytes| {
-        spec.compute_time(&probe(bytes), perfmodel::ComputeBackend::Cpu)
-            .ticks()
+        spec.compute_time(&probe(bytes)).ticks()
     });
-    println!("backend            {}", spec.backend_name());
+    writeln!(out, "backend            {}", spec.backend_name())?;
     for (kind, report) in [("transfer fit", &transfer), ("compute fit", &compute)] {
-        println!(
+        writeln!(
+            out,
             "{kind:<18} samples={} skipped_zero={} mean_rel_err_bp={} r2_ppm={}",
             report.samples, report.skipped_zero, report.mean_rel_err_bp, report.r2_ppm
-        );
+        )?;
     }
-    if let Some(out) = out_flag {
-        perfmodel::export_model_file(&spec, std::path::Path::new(&out))
+    if let Some(path) = out_flag {
+        perfmodel::export_model_file(&spec, std::path::Path::new(&path))
             .map_err(|e| e.to_string())?;
-        println!("wrote              {out}");
+        writeln!(out, "wrote              {path}")?;
     }
     Ok(())
 }
 
-fn cmd_corpus(args: &[String]) -> Result<(), String> {
+fn cmd_corpus(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, update) = take_bool_flag(args, "update-golden");
     let (args, golden_flag) = take_value_flag(&args, "golden")?;
     let (args, cost_model_flag) = take_value_flag(&args, "cost-model")?;
@@ -509,7 +530,8 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "unexpected argument '{stray}'; usage: dts corpus [--update-golden] [--golden <path>] \
              [--cost-model <file|analytic>]"
-        ));
+        )
+        .into());
     }
     if let Some(arg) = &cost_model_flag {
         let spec = load_cost_model(arg)?;
@@ -528,12 +550,13 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
             // rendered in the golden format but never compared against
             // (or written to) the golden file.
             let current = corpus::run_corpus_with(Some(&spec)).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "what-if corpus under the {} cost model ({} entries, not diffed against the golden):",
                 spec.backend_name(),
                 current.len()
-            );
-            print!("{}", corpus::render_golden(&current));
+            )?;
+            write!(out, "{}", corpus::render_golden(&current))?;
             return Ok(());
         }
     }
@@ -543,11 +566,12 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
     let current = corpus::run_corpus().map_err(|e| e.to_string())?;
     if update {
         std::fs::write(&golden_path, corpus::render_golden(&current)).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "blessed {} corpus entries into {}",
             current.len(),
             golden_path.display()
-        );
+        )?;
         return Ok(());
     }
     let golden_json = std::fs::read_to_string(&golden_path).map_err(|e| {
@@ -559,14 +583,15 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
     let golden = corpus::parse_golden(&golden_json).map_err(|e| e.to_string())?;
     let report = corpus::compare(&current, &golden);
     if report.is_clean() {
-        println!(
+        writeln!(
+            out,
             "corpus clean: {} entries match {}",
             current.len(),
             golden_path.display()
-        );
+        )?;
         Ok(())
     } else {
-        Err(format!("corpus drifted from golden:\n{}", report.render()))
+        Err(format!("corpus drifted from golden:\n{}", report.render()).into())
     }
 }
 
@@ -577,7 +602,7 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String
         .map_err(|_| format!("--{flag} expects a number, got '{value}'"))
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, addr_flag) = take_value_flag(args, "addr")?;
     let (args, threads_flag) = take_value_flag(&args, "threads")?;
     let (args, depth_flag) = take_value_flag(&args, "queue-depth")?;
@@ -587,7 +612,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "unexpected argument '{stray}'; usage: dts serve [--addr <host:port>] \
              [--threads <n>] [--queue-depth <n>] [--max-tasks <n>] [--cache-entries <n>]"
-        ));
+        )
+        .into());
     }
     let mut config = ServerConfig {
         addr: addr_flag.unwrap_or_else(|| "127.0.0.1:7421".to_string()),
@@ -608,15 +634,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let handle = Server::start(config).map_err(|e| format!("cannot start daemon: {e}"))?;
     // The bound address is the first line of output, so scripts (and the
     // e2e tests) can bind port 0 and discover the port.
-    println!("dts serve listening on {}", handle.local_addr());
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    writeln!(out, "dts serve listening on {}", handle.local_addr())?;
+    out.flush()?;
     // Serve until killed; the daemon threads own all the work.
     loop {
         std::thread::park();
     }
 }
 
-fn cmd_request(args: &[String]) -> Result<(), String> {
+fn cmd_request(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, model) = take_model_flag(args)?;
     let (args, cost_model_flag) = take_value_flag(&args, "cost-model")?;
     let (args, tasks_flag) = take_value_flag(&args, "tasks")?;
@@ -662,7 +688,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
             ("--rank", &rank_flag),
         ] {
             if value.is_some() {
-                return Err(format!("{flag} only applies to family requests"));
+                return Err(format!("{flag} only applies to family requests").into());
             }
         }
         // Mirror the daemon's typed error shape for a trace that cannot
@@ -694,11 +720,11 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
     let mut client = Client::connect(addr.as_str())
         .map_err(|e| format!("cannot reach daemon at {addr}: {e}"))?;
     let response = client.send_request(&request).map_err(|e| e.to_string())?;
-    print_response(&response)
+    print_response(out, &response)
 }
 
 /// Renders a daemon response; error replies become the process error.
-fn print_response(response: &Value) -> Result<(), String> {
+fn print_response(out: &mut dyn Write, response: &Value) -> Result<(), Failure> {
     let text = |name: &str| -> Result<String, String> {
         response
             .field(name)
@@ -707,11 +733,7 @@ fn print_response(response: &Value) -> Result<(), String> {
             .ok_or_else(|| format!("malformed daemon response: missing '{name}'"))
     };
     if text("status")? != "ok" {
-        return Err(format!(
-            "daemon error [{}]: {}",
-            text("code")?,
-            text("message")?
-        ));
+        return Err(format!("daemon error [{}]: {}", text("code")?, text("message")?).into());
     }
     let cached = response
         .field("cached")
@@ -735,15 +757,15 @@ fn print_response(response: &Value) -> Result<(), String> {
             .and_then(|v| u64::from_value(v).ok())
             .ok_or_else(|| format!("malformed daemon response: missing result '{name}'"))
     };
-    println!("status             ok");
-    println!("cached             {cached}");
-    println!("digest             {}", text("digest")?);
-    println!("heuristic          {}", result_text("heuristic")?);
-    println!("model              {}", result_text("model")?);
-    println!("tasks              {}", result_u64("n_tasks")?);
-    println!("makespan           {} us", result_u64("makespan_us")?);
-    println!("comm idle          {} us", result_u64("comm_idle_us")?);
-    println!("comp idle          {} us", result_u64("comp_idle_us")?);
+    writeln!(out, "status             ok")?;
+    writeln!(out, "cached             {cached}")?;
+    writeln!(out, "digest             {}", text("digest")?)?;
+    writeln!(out, "heuristic          {}", result_text("heuristic")?)?;
+    writeln!(out, "model              {}", result_text("model")?)?;
+    writeln!(out, "tasks              {}", result_u64("n_tasks")?)?;
+    writeln!(out, "makespan           {} us", result_u64("makespan_us")?)?;
+    writeln!(out, "comm idle          {} us", result_u64("comm_idle_us")?)?;
+    writeln!(out, "comp idle          {} us", result_u64("comp_idle_us")?)?;
     Ok(())
 }
 
@@ -751,24 +773,28 @@ fn load_trace(path: &str) -> Result<Trace, String> {
     Trace::load(path).map_err(|e| format!("cannot load {path}: {e}"))
 }
 
-fn cmd_characterize(args: &[String]) -> Result<(), String> {
+fn cmd_characterize(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let path = args.first().ok_or("expected a trace file")?;
     let trace = load_trace(path)?;
     let c = characterize(&trace).map_err(|e| e.to_string())?;
-    println!("kernel             {}", trace.kernel);
-    println!("rank               {}", trace.rank);
-    println!("tasks              {}", c.n_tasks);
-    println!("OMIM               {} us", c.omim.ticks());
-    println!("sum comm / OMIM    {:.4}", c.sum_comm_ratio);
-    println!("sum comp / OMIM    {:.4}", c.sum_comp_ratio);
-    println!("max / OMIM         {:.4}", c.max_ratio);
-    println!("sum / OMIM         {:.4}", c.sum_ratio);
-    println!("max overlap gain   {:.1} %", 100.0 * c.max_overlap_gain());
-    println!("mc                 {}", c.min_capacity);
+    writeln!(out, "kernel             {}", trace.kernel)?;
+    writeln!(out, "rank               {}", trace.rank)?;
+    writeln!(out, "tasks              {}", c.n_tasks)?;
+    writeln!(out, "OMIM               {} us", c.omim.ticks())?;
+    writeln!(out, "sum comm / OMIM    {:.4}", c.sum_comm_ratio)?;
+    writeln!(out, "sum comp / OMIM    {:.4}", c.sum_comp_ratio)?;
+    writeln!(out, "max / OMIM         {:.4}", c.max_ratio)?;
+    writeln!(out, "sum / OMIM         {:.4}", c.sum_ratio)?;
+    writeln!(
+        out,
+        "max overlap gain   {:.1} %",
+        100.0 * c.max_overlap_gain()
+    )?;
+    writeln!(out, "mc                 {}", c.min_capacity)?;
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, model_override) = take_model_flag(args)?;
     let (args, cost_model_flag) = take_value_flag(&args, "cost-model")?;
     let path = args.first().ok_or("expected a trace file")?;
@@ -781,7 +807,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // `to_instance_scaled` reports this too, but catching it before the
     // trace is even loaded gives a faster failure with the same message.
     if !factor.is_finite() || factor < 0.0 {
-        return Err(CoreError::InvalidCapacityFactor(factor.to_string()).to_string());
+        return Err(CoreError::InvalidCapacityFactor(factor.to_string())
+            .to_string()
+            .into());
     }
     let heuristic = Heuristic::from_name(heuristic_name)
         .ok_or_else(|| format!("unknown heuristic '{heuristic_name}'"))?;
@@ -798,26 +826,28 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let omim = johnson_makespan(&instance);
     let schedule = run_heuristic(&instance, heuristic).map_err(|e| e.to_string())?;
     let makespan = schedule.makespan(&instance);
-    println!("heuristic          {heuristic}");
-    println!("model              {}", instance.model());
-    println!("cost model         {}", instance.cost_model());
-    println!(
+    writeln!(out, "heuristic          {heuristic}")?;
+    writeln!(out, "model              {}", instance.model())?;
+    writeln!(out, "cost model         {}", instance.cost_model())?;
+    writeln!(
+        out,
         "capacity           {} ({}x mc)",
         instance.capacity(),
         factor
-    );
-    println!("makespan           {} us", makespan.ticks());
-    println!("OMIM               {} us", omim.ticks());
-    println!("ratio to optimal   {:.4}", makespan.ratio(omim));
+    )?;
+    writeln!(out, "makespan           {} us", makespan.ticks())?;
+    writeln!(out, "OMIM               {} us", omim.ticks())?;
+    writeln!(out, "ratio to optimal   {:.4}", makespan.ratio(omim))?;
     let metrics = ScheduleMetrics::of(&instance, &schedule);
-    println!(
+    writeln!(
+        out,
         "overlap fraction   {:.1} %",
         100.0 * metrics.overlap_fraction()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let path = args.first().ok_or("expected a trace file")?;
     let trace = load_trace(path)?;
     let config = SweepConfig {
@@ -825,21 +855,22 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         factors: capacity_factors(),
     };
     let rows = run_trace_sweep(&trace, &config).map_err(|e| e.to_string())?;
-    print!("{}", sweep_to_csv(&rows));
+    write!(out, "{}", sweep_to_csv(&rows))?;
     Ok(())
 }
 
-fn cmd_demo() -> Result<(), String> {
+fn cmd_demo(out: &mut dyn Write) -> Result<(), Failure> {
     for (label, instance) in [
         ("Table 3 (capacity 6)", dts_core::instances::table3()),
         ("Table 4 (capacity 6)", dts_core::instances::table4()),
         ("Table 5 (capacity 9)", dts_core::instances::table5()),
     ] {
-        println!("== {label} ==");
+        writeln!(out, "== {label} ==")?;
         let omim = johnson_makespan(&instance);
         for heuristic in [Heuristic::OOSIM, Heuristic::MAMR, Heuristic::OOLCMR] {
             let schedule = run_heuristic(&instance, heuristic).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "{} — makespan {} (OMIM {}):\n{}",
                 heuristic,
                 schedule.makespan(&instance),
@@ -852,7 +883,7 @@ fn cmd_demo() -> Result<(), String> {
                         with_table: false
                     }
                 )
-            );
+            )?;
         }
     }
     Ok(())

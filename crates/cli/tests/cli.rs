@@ -11,10 +11,12 @@
 //!   wrote 150 files and exited 0;
 //! * `dts run <trace> <heuristic> 1.0` used to fail with "requires more
 //!   memory than the capacity" when the largest task passed 2^53 bytes,
-//!   because the capacity factor was applied through `f64`.
+//!   because the capacity factor was applied through `f64`;
+//! * `dts run` and `dts sweep` used to exit 101 with a `failed printing to
+//!   stdout: Broken pipe` panic when their reader had gone away (`| head`).
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn dts(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dts"))
@@ -688,6 +690,62 @@ fn run_rejects_a_missing_cost_model_file() {
         message.contains("/no/such/model.json"),
         "diagnostic does not name the file: {message:?}"
     );
+}
+
+#[test]
+fn calibrate_history_model_drives_a_run() {
+    let scratch = ScratchDir::new("calibrate-history");
+    let trace = generate_bandwidth_trace(scratch.path());
+    let trace = trace.to_str().unwrap();
+    let model = scratch.path().join("m.json");
+    let model = model.to_str().unwrap();
+    let output = dts(&["calibrate", trace, "--backend", "history", "--out", model]);
+    assert!(output.status.success(), "calibrate: {}", stderr(&output));
+    assert!(
+        stdout(&output).contains("backend            history"),
+        "{}",
+        stdout(&output)
+    );
+    let output = dts(&["run", trace, "LCMR", "--cost-model", model]);
+    assert!(output.status.success(), "run: {}", stderr(&output));
+    assert!(
+        stdout(&output).contains("cost model         history"),
+        "{}",
+        stdout(&output)
+    );
+}
+
+/// Runs `dts` with `stdout` as its standard output and returns its exit
+/// code and standard error.
+fn dts_into(args: &[&str], stdout: Stdio) -> (Option<i32>, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_dts"))
+        .args(args)
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("the dts binary runs");
+    (output.status.code(), stderr(&output))
+}
+
+#[test]
+fn closed_stdout_ends_quietly_and_other_write_errors_are_reported() {
+    let trace = small_trace();
+    let trace = trace.to_str().unwrap();
+    for args in [&["run", trace, "LCMR"][..], &["sweep", trace]] {
+        // The read end is gone before the child starts, so its first
+        // write fails with a broken pipe every time.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let (code, message) = dts_into(args, writer.into());
+        assert_eq!(code, Some(0), "{args:?}: {message}");
+        assert_eq!(message, "", "{args:?}");
+    }
+    // Any other write error is a plain `error:` line.
+    if let Ok(full) = std::fs::File::create("/dev/full") {
+        let (code, message) = dts_into(&["run", trace, "LCMR"], full.into());
+        assert_eq!(code, Some(1), "{message}");
+        assert!(message.starts_with("error: "), "{message}");
+    }
 }
 
 /// The committed small trace whose `dts run` output is pinned.

@@ -3,7 +3,7 @@
 use crate::error::{CoreError, Result};
 use crate::exec::ExecutionModel;
 use crate::memory::MemSize;
-use crate::perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
+use crate::perfmodel::CostModelSpec;
 use crate::task::{Task, TaskId, TaskIntensity, TaskTable};
 use crate::time::Time;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -164,7 +164,6 @@ impl Instance {
     /// predictions, so it is a typed error — re-apply to the source trace
     /// instead.
     pub fn with_cost_model(&self, spec: &CostModelSpec) -> Result<Self> {
-        spec.validate()?;
         if spec.is_analytic() {
             return Ok(self.clone());
         }
@@ -178,8 +177,8 @@ impl Instance {
         let mut sum_comm = Time::ZERO;
         let mut sum_comp = Time::ZERO;
         for task in instance.table.tasks_mut() {
-            task.comm_time = spec.transfer_time(task, LinkClass::HostToDevice);
-            task.comp_time = spec.compute_time(task, ComputeBackend::Cpu);
+            task.comm_time = spec.transfer_time(task);
+            task.comp_time = spec.compute_time(task);
             sum_comm = sum_comm.checked_add(task.comm_time).ok_or_else(|| {
                 CoreError::InvalidCostModel(
                     "modeled communication times overflow the u64 tick range".into(),
@@ -603,28 +602,19 @@ mod tests {
     }
 
     fn sample_regression_spec() -> CostModelSpec {
-        use crate::perfmodel::{LinearFit, RegressionModel, PS_PER_MICRO};
-        CostModelSpec::Regression(
-            RegressionModel::new(
-                vec![(
-                    LinkClass::HostToDevice,
-                    LinearFit {
-                        alpha_us: 100,
-                        beta_ps_per_byte: PS_PER_MICRO,
-                        samples: 4,
-                    },
-                )],
-                vec![(
-                    ComputeBackend::Cpu,
-                    LinearFit {
-                        alpha_us: 50,
-                        beta_ps_per_byte: 0,
-                        samples: 4,
-                    },
-                )],
-            )
-            .unwrap(),
-        )
+        use crate::perfmodel::{LinearFit, PS_PER_MICRO};
+        CostModelSpec::Regression {
+            transfer: LinearFit {
+                alpha_us: 100,
+                beta_ps_per_byte: PS_PER_MICRO,
+                samples: 4,
+            },
+            compute: LinearFit {
+                alpha_us: 50,
+                beta_ps_per_byte: 0,
+                samples: 4,
+            },
+        }
     }
 
     #[test]

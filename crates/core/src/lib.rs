@@ -82,7 +82,7 @@ pub use hash::{Digest128, StableHasher};
 pub use index::CandidateIndex;
 pub use instance::{Instance, InstanceBuilder, InstanceStats};
 pub use memory::MemSize;
-pub use perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
+pub use perfmodel::CostModelSpec;
 pub use schedule::{Schedule, ScheduleEntry};
 pub use task::{Task, TaskId, TaskIntensity, TaskTable};
 pub use time::Time;
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::instance::{Instance, InstanceBuilder, InstanceStats};
     pub use crate::memory::MemSize;
     pub use crate::metrics::ScheduleMetrics;
-    pub use crate::perfmodel::{ComputeBackend, CostModel, CostModelSpec, LinkClass};
+    pub use crate::perfmodel::CostModelSpec;
     pub use crate::schedule::{Schedule, ScheduleEntry};
     pub use crate::simulate::{simulate_sequence, simulate_sequence_infinite};
     pub use crate::task::{Task, TaskId, TaskIntensity, TaskTable};

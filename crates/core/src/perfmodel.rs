@@ -5,28 +5,30 @@
 //! performance models change scheduling decisions* — and the related work
 //! (StarPU's history/regression models, the Cray XE piecewise-linear
 //! communication fits) builds those models from measurements. This module
-//! is that layer:
+//! is that layer, one [`CostModelSpec`] with three cases:
 //!
-//! * [`CostModel`] — the trait every backend implements:
-//!   `transfer_time(task, link)` and `compute_time(task, backend)`.
-//! * [`Analytic`] — the paper's numbers verbatim: the task's own
+//! * `Analytic` — the paper's numbers verbatim: the task's own
 //!   `comm_time` / `comp_time` fields. This is the **normalized default**:
 //!   an instance or trace carrying an explicit `Analytic` spec serializes
 //!   exactly like one carrying none, so every pre-existing golden file,
 //!   digest and `Eq` comparison is untouched by this layer's existence.
-//! * [`HistoryModel`] — StarPU-style per-(link class, size bucket) tables
-//!   of observed mean durations.
-//! * [`RegressionModel`] — a least-squares `t = α + β·bytes` fit per link
-//!   class, fitted and evaluated in pure integer arithmetic (the slope is
-//!   stored in picoseconds per byte) so predictions are bit-identical
-//!   across platforms and libm versions.
+//! * `History` — StarPU-style tables of observed mean durations by
+//!   power-of-two size bucket ([`HistoryTable`]).
+//! * `Regression` — a least-squares `t = α + β·bytes` line ([`LinearFit`]),
+//!   fitted and evaluated in pure integer arithmetic (the slope is stored
+//!   in picoseconds per byte) so predictions are bit-identical across
+//!   platforms and libm versions.
 //!
-//! Model files are versioned JSON with the same strict dual-direction
-//! validation discipline as the dts-trace format: unknown keys, unknown
-//! versions, float/negative coefficients and empty history tables are
-//! typed [`CoreError::InvalidCostModel`] errors on import, export refuses
-//! to render a model that would not re-import, and export → import →
-//! export is byte-identical.
+//! Problem DT has one transfer link and one processing unit, so a fitted
+//! spec holds exactly one fit for transfers and one for computations;
+//! both read only the task's memory footprint (`bytes → time`).
+//!
+//! Model files are versioned JSON with the same strict validation
+//! discipline as the dts-trace format: unknown keys, unknown versions,
+//! float/negative coefficients, empty history tables and any section
+//! other than a single `h2d` transfer entry and a single `cpu` compute
+//! entry are typed [`CoreError::InvalidCostModel`] errors on import, and
+//! export → import → export is byte-identical.
 //!
 //! Times are **materialized once per instance**, at model-application
 //! time ([`crate::instance::Instance::with_cost_model`]): the model
@@ -59,108 +61,6 @@ pub const R2_SCALE_PPM: u64 = 1_000_000;
 
 fn invalid(msg: impl Into<String>) -> CoreError {
     CoreError::InvalidCostModel(msg.into())
-}
-
-/// The link class a transfer runs on. The pipeline of the paper has a
-/// single host-to-device input link; the device-to-host class exists so
-/// model files stay forward-compatible with output transfers, and
-/// predictions for it fall back to the host-to-device fit when a model
-/// carries no explicit entry (symmetric-link assumption).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LinkClass {
-    /// Input transfers into device memory (the paper's only link).
-    HostToDevice,
-    /// Output transfers back to the host.
-    DeviceToHost,
-}
-
-impl LinkClass {
-    /// Every link class, in canonical model-file order.
-    pub const ALL: [LinkClass; 2] = [LinkClass::HostToDevice, LinkClass::DeviceToHost];
-
-    /// Model-file name of the link class.
-    pub fn name(self) -> &'static str {
-        match self {
-            LinkClass::HostToDevice => "h2d",
-            LinkClass::DeviceToHost => "d2h",
-        }
-    }
-
-    /// Parses a model-file link name (case-insensitive).
-    pub fn from_name(name: &str) -> Option<LinkClass> {
-        let lower = name.to_ascii_lowercase();
-        LinkClass::ALL.iter().copied().find(|l| l.name() == lower)
-    }
-}
-
-impl fmt::Display for LinkClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The compute backend a computation runs on. The paper's node model has
-/// one processing unit; the enum keeps the model-file schema explicit
-/// about what was calibrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ComputeBackend {
-    /// The single processing unit of the paper's node model.
-    Cpu,
-}
-
-impl ComputeBackend {
-    /// Every compute backend, in canonical model-file order.
-    pub const ALL: [ComputeBackend; 1] = [ComputeBackend::Cpu];
-
-    /// Model-file name of the backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            ComputeBackend::Cpu => "cpu",
-        }
-    }
-
-    /// Parses a model-file backend name (case-insensitive).
-    pub fn from_name(name: &str) -> Option<ComputeBackend> {
-        let lower = name.to_ascii_lowercase();
-        ComputeBackend::ALL
-            .iter()
-            .copied()
-            .find(|b| b.name() == lower)
-    }
-}
-
-impl fmt::Display for ComputeBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A performance model: predicts the transfer and computation duration of
-/// a task. Fitted backends ([`HistoryModel`], [`RegressionModel`]) read
-/// only the task's memory footprint (`bytes → time`); [`Analytic`] reads
-/// the task's own recorded durations.
-pub trait CostModel {
-    /// Predicted duration of the task's input transfer on `link`.
-    fn transfer_time(&self, task: &Task, link: LinkClass) -> Time;
-
-    /// Predicted duration of the task's computation on `backend`.
-    fn compute_time(&self, task: &Task, backend: ComputeBackend) -> Time;
-}
-
-/// The paper's analytic model: every duration is the task's own recorded
-/// value. This backend is the identity of the cost-model layer — applying
-/// it never changes an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Analytic;
-
-impl CostModel for Analytic {
-    fn transfer_time(&self, task: &Task, _link: LinkClass) -> Time {
-        task.comm_time
-    }
-
-    fn compute_time(&self, task: &Task, _backend: ComputeBackend) -> Time {
-        task.comp_time
-    }
 }
 
 /// One least-squares line `t_us = alpha_us + beta·bytes`, with the slope
@@ -276,9 +176,8 @@ pub struct HistoryBucket {
     pub samples: u64,
 }
 
-/// A per-link-class (or per-backend) history table: mean observed
-/// durations by power-of-two size bucket, strictly ascending and
-/// non-empty by construction.
+/// A history table: mean observed durations by power-of-two size bucket,
+/// strictly ascending and non-empty by construction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HistoryTable {
     buckets: Vec<HistoryBucket>,
@@ -367,144 +266,31 @@ pub fn fit_history(samples: &[(u64, u64)]) -> Result<HistoryTable> {
     )
 }
 
-/// Checks the per-link / per-backend entry lists shared by both fitted
-/// backends: non-empty, unique, in canonical declaration order, and
-/// carrying the required default entry (`h2d` for transfers, `cpu` for
-/// compute) so predictions are total.
-fn check_entries<K: Copy + Eq + fmt::Display>(
-    entries: &[(K, impl Sized)],
-    all: &[K],
-    required: K,
-    section: &str,
-) -> Result<()> {
-    if entries.is_empty() {
-        return Err(invalid(format!("model {section} section is empty")));
-    }
-    let position = |k: K| all.iter().position(|&a| a == k).unwrap_or(usize::MAX);
-    for pair in entries.windows(2) {
-        if position(pair[1].0) <= position(pair[0].0) {
-            return Err(invalid(format!(
-                "model {section} entries must be unique and in canonical order, \
-                 got {} after {}",
-                pair[1].0, pair[0].0
-            )));
-        }
-    }
-    if !entries.iter().any(|(k, _)| *k == required) {
-        return Err(invalid(format!(
-            "model {section} section must cover `{required}`"
-        )));
-    }
-    Ok(())
-}
-
-/// A history-based cost model: one [`HistoryTable`] per link class and
-/// compute backend.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct HistoryModel {
-    transfer: Vec<(LinkClass, HistoryTable)>,
-    compute: Vec<(ComputeBackend, HistoryTable)>,
-}
-
-/// A regression cost model: one [`LinearFit`] per link class and compute
-/// backend.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RegressionModel {
-    transfer: Vec<(LinkClass, LinearFit)>,
-    compute: Vec<(ComputeBackend, LinearFit)>,
-}
-
-macro_rules! fitted_model_impl {
-    ($model:ident, $entry:ty) => {
-        impl $model {
-            /// Builds the model, enforcing the entry invariants:
-            /// canonical order, uniqueness, and the required `h2d` /
-            /// `cpu` default entries.
-            pub fn new(
-                transfer: Vec<(LinkClass, $entry)>,
-                compute: Vec<(ComputeBackend, $entry)>,
-            ) -> Result<Self> {
-                check_entries(
-                    &transfer,
-                    &LinkClass::ALL,
-                    LinkClass::HostToDevice,
-                    "transfer",
-                )?;
-                check_entries(
-                    &compute,
-                    &ComputeBackend::ALL,
-                    ComputeBackend::Cpu,
-                    "compute",
-                )?;
-                Ok($model { transfer, compute })
-            }
-
-            /// The entry for `link`, falling back to the guaranteed
-            /// host-to-device entry (symmetric-link assumption).
-            pub fn transfer_entry(&self, link: LinkClass) -> &$entry {
-                self.transfer
-                    .iter()
-                    .find(|(l, _)| *l == link)
-                    .or_else(|| {
-                        self.transfer
-                            .iter()
-                            .find(|(l, _)| *l == LinkClass::HostToDevice)
-                    })
-                    .map(|(_, e)| e)
-                    // lint: allow(L001) check_entries enforces the h2d entry at construction
-                    .expect("construction guarantees an h2d entry")
-            }
-
-            /// The entry for `backend` (guaranteed by construction).
-            pub fn compute_entry(&self, backend: ComputeBackend) -> &$entry {
-                self.compute
-                    .iter()
-                    .find(|(b, _)| *b == backend)
-                    .or_else(|| self.compute.iter().find(|(b, _)| *b == ComputeBackend::Cpu))
-                    .map(|(_, e)| e)
-                    // lint: allow(L001) check_entries enforces the cpu entry at construction
-                    .expect("construction guarantees a cpu entry")
-            }
-        }
-    };
-}
-
-fitted_model_impl!(HistoryModel, HistoryTable);
-fitted_model_impl!(RegressionModel, LinearFit);
-
-impl CostModel for HistoryModel {
-    fn transfer_time(&self, task: &Task, link: LinkClass) -> Time {
-        Time::from_micros(self.transfer_entry(link).predict_us(task.mem.bytes()))
-    }
-
-    fn compute_time(&self, task: &Task, backend: ComputeBackend) -> Time {
-        Time::from_micros(self.compute_entry(backend).predict_us(task.mem.bytes()))
-    }
-}
-
-impl CostModel for RegressionModel {
-    fn transfer_time(&self, task: &Task, link: LinkClass) -> Time {
-        Time::from_micros(self.transfer_entry(link).predict_us(task.mem.bytes()))
-    }
-
-    fn compute_time(&self, task: &Task, backend: ComputeBackend) -> Time {
-        Time::from_micros(self.compute_entry(backend).predict_us(task.mem.bytes()))
-    }
-}
-
-/// The cost-model spec an instance, trace or solve request carries: the
-/// analytic default or one of the fitted backends. Mirrors
+/// The cost model an instance, trace or solve request carries: the
+/// analytic default or a fitted backend with one fit for the transfer
+/// link and one for the processing unit. Mirrors
 /// [`crate::exec::ExecutionModel`]: `Analytic` is the normalized default
 /// that never appears in serialized form.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum CostModelSpec {
-    /// The paper's fixed analytic durations (the default).
+    /// The paper's fixed analytic durations: every duration is the task's
+    /// own recorded value, so applying it never changes an instance.
     #[default]
     Analytic,
     /// A history-based model.
-    History(HistoryModel),
+    History {
+        /// Transfer durations by size bucket.
+        transfer: HistoryTable,
+        /// Computation durations by size bucket.
+        compute: HistoryTable,
+    },
     /// A regression model.
-    Regression(RegressionModel),
+    Regression {
+        /// Transfer duration line.
+        transfer: LinearFit,
+        /// Computation duration line.
+        compute: LinearFit,
+    },
 }
 
 impl CostModelSpec {
@@ -512,8 +298,8 @@ impl CostModelSpec {
     pub fn backend_name(&self) -> &'static str {
         match self {
             CostModelSpec::Analytic => "analytic",
-            CostModelSpec::History(_) => "history",
-            CostModelSpec::Regression(_) => "regression",
+            CostModelSpec::History { .. } => "history",
+            CostModelSpec::Regression { .. } => "regression",
         }
     }
 
@@ -524,37 +310,22 @@ impl CostModelSpec {
         matches!(self, CostModelSpec::Analytic)
     }
 
-    /// Re-checks the structural invariants (constructed models always
-    /// pass; specs assembled by hand or through serde funnels are
-    /// re-validated before use).
-    pub fn validate(&self) -> Result<()> {
-        match self {
-            CostModelSpec::Analytic => Ok(()),
-            CostModelSpec::History(m) => {
-                HistoryModel::new(m.transfer.clone(), m.compute.clone()).map(|_| ())
-            }
-            CostModelSpec::Regression(m) => {
-                RegressionModel::new(m.transfer.clone(), m.compute.clone()).map(|_| ())
-            }
-        }
-    }
-}
-
-impl CostModel for CostModelSpec {
-    fn transfer_time(&self, task: &Task, link: LinkClass) -> Time {
-        match self {
-            CostModelSpec::Analytic => Analytic.transfer_time(task, link),
-            CostModelSpec::History(m) => m.transfer_time(task, link),
-            CostModelSpec::Regression(m) => m.transfer_time(task, link),
-        }
+    /// Predicted duration of the task's input transfer.
+    pub fn transfer_time(&self, task: &Task) -> Time {
+        Time::from_micros(match self {
+            CostModelSpec::Analytic => return task.comm_time,
+            CostModelSpec::History { transfer, .. } => transfer.predict_us(task.mem.bytes()),
+            CostModelSpec::Regression { transfer, .. } => transfer.predict_us(task.mem.bytes()),
+        })
     }
 
-    fn compute_time(&self, task: &Task, backend: ComputeBackend) -> Time {
-        match self {
-            CostModelSpec::Analytic => Analytic.compute_time(task, backend),
-            CostModelSpec::History(m) => m.compute_time(task, backend),
-            CostModelSpec::Regression(m) => m.compute_time(task, backend),
-        }
+    /// Predicted duration of the task's computation.
+    pub fn compute_time(&self, task: &Task) -> Time {
+        Time::from_micros(match self {
+            CostModelSpec::Analytic => return task.comp_time,
+            CostModelSpec::History { compute, .. } => compute.predict_us(task.mem.bytes()),
+            CostModelSpec::Regression { compute, .. } => compute.predict_us(task.mem.bytes()),
+        })
     }
 }
 
@@ -565,12 +336,46 @@ impl fmt::Display for CostModelSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Model-file rendering (the export half of the dual-direction validation).
+// Model-file sections. Each holds exactly one entry: the fit for the one
+// transfer link (`h2d`) or for the one processing unit (`cpu`).
 // ---------------------------------------------------------------------------
 
-fn linear_fit_value(fit: &LinearFit, key: &str, name: &str) -> Value {
+/// One section of a model file and the name of its single entry.
+struct Section {
+    /// Section key in the file.
+    key: &'static str,
+    /// Entry field naming what the entry covers.
+    name_key: &'static str,
+    /// The only accepted name (case-insensitive), as written on export.
+    name: &'static str,
+    /// What the name denotes, for error messages.
+    kind: &'static str,
+}
+
+const TRANSFER: Section = Section {
+    key: "transfer",
+    name_key: "link",
+    name: "h2d",
+    kind: "link class",
+};
+
+const COMPUTE: Section = Section {
+    key: "compute",
+    name_key: "backend",
+    name: "cpu",
+    kind: "compute backend",
+};
+
+// ---------------------------------------------------------------------------
+// Model-file rendering (the export half).
+// ---------------------------------------------------------------------------
+
+fn linear_fit_value(fit: &LinearFit, section: &Section) -> Value {
     Value::Object(vec![
-        (key.to_string(), Value::Str(name.to_string())),
+        (
+            section.name_key.to_string(),
+            Value::Str(section.name.to_string()),
+        ),
         ("alpha_us".to_string(), Value::UInt(fit.alpha_us)),
         (
             "beta_ps_per_byte".to_string(),
@@ -580,9 +385,12 @@ fn linear_fit_value(fit: &LinearFit, key: &str, name: &str) -> Value {
     ])
 }
 
-fn history_table_value(table: &HistoryTable, key: &str, name: &str) -> Value {
+fn history_table_value(table: &HistoryTable, section: &Section) -> Value {
     Value::Object(vec![
-        (key.to_string(), Value::Str(name.to_string())),
+        (
+            section.name_key.to_string(),
+            Value::Str(section.name.to_string()),
+        ),
         (
             "buckets".to_string(),
             Value::Array(
@@ -604,37 +412,22 @@ fn history_table_value(table: &HistoryTable, key: &str, name: &str) -> Value {
 
 /// Renders a fitted model as its versioned file [`Value`].
 ///
-/// Returns [`CoreError::InvalidCostModel`] for the analytic spec (it has
-/// no file form — absence *is* its serialized form) or a spec that fails
-/// [`CostModelSpec::validate`]: a file that would not re-import is never
-/// rendered.
+/// Returns [`CoreError::InvalidCostModel`] for the analytic spec: it has
+/// no file form — absence *is* its serialized form.
 pub fn model_value(spec: &CostModelSpec) -> Result<Value> {
-    spec.validate()?;
     let (transfer, compute) = match spec {
         CostModelSpec::Analytic => {
             return Err(invalid(
                 "the analytic model has no file form; pass `analytic` instead of a path",
             ))
         }
-        CostModelSpec::History(m) => (
-            m.transfer
-                .iter()
-                .map(|(l, t)| history_table_value(t, "link", l.name()))
-                .collect::<Vec<_>>(),
-            m.compute
-                .iter()
-                .map(|(b, t)| history_table_value(t, "backend", b.name()))
-                .collect::<Vec<_>>(),
+        CostModelSpec::History { transfer, compute } => (
+            history_table_value(transfer, &TRANSFER),
+            history_table_value(compute, &COMPUTE),
         ),
-        CostModelSpec::Regression(m) => (
-            m.transfer
-                .iter()
-                .map(|(l, f)| linear_fit_value(f, "link", l.name()))
-                .collect::<Vec<_>>(),
-            m.compute
-                .iter()
-                .map(|(b, f)| linear_fit_value(f, "backend", b.name()))
-                .collect::<Vec<_>>(),
+        CostModelSpec::Regression { transfer, compute } => (
+            linear_fit_value(transfer, &TRANSFER),
+            linear_fit_value(compute, &COMPUTE),
         ),
     };
     Ok(Value::Object(vec![
@@ -644,8 +437,8 @@ pub fn model_value(spec: &CostModelSpec) -> Result<Value> {
             "backend".to_string(),
             Value::Str(spec.backend_name().to_string()),
         ),
-        ("transfer".to_string(), Value::Array(transfer)),
-        ("compute".to_string(), Value::Array(compute)),
+        ("transfer".to_string(), Value::Array(vec![transfer])),
+        ("compute".to_string(), Value::Array(vec![compute])),
     ]))
 }
 
@@ -726,29 +519,63 @@ fn str_field<'v>(fields: &'v [(String, Value)], key: &str, what: &str) -> Result
     }
 }
 
-fn import_linear_entry(value: &Value, key: &str, what: &str) -> Result<(String, LinearFit)> {
-    let fields = expect_object(value, what)?;
-    check_keys(
-        fields,
-        &[key, "alpha_us", "beta_ps_per_byte", "samples"],
-        what,
-    )?;
-    let name = str_field(fields, key, what)?.to_string();
-    Ok((
-        name,
-        LinearFit {
-            alpha_us: uint_field(fields, "alpha_us", what)?,
-            beta_ps_per_byte: uint_field(fields, "beta_ps_per_byte", what)?,
-            samples: uint_field(fields, "samples", what)?,
+/// The single entry of a model-file section: the section must be an
+/// array of exactly one object, and that object must name the system's
+/// one transfer link or its one processing unit.
+fn single_entry<'v>(
+    fields: &'v [(String, Value)],
+    section: &Section,
+) -> Result<&'v [(String, Value)]> {
+    let key = section.key;
+    let what = format!("{key} entry");
+    let entry = match require(fields, key, "cost-model file")? {
+        Value::Array(items) => match items.as_slice() {
+            [entry] => expect_object(entry, &what)?,
+            [] => return Err(invalid(format!("model {key} section is empty"))),
+            more => {
+                return Err(invalid(format!(
+                    "model {key} section must hold exactly one entry (one {} `{}`), got {}",
+                    section.kind,
+                    section.name,
+                    more.len()
+                )))
+            }
         },
-    ))
+        other => {
+            return Err(invalid(format!(
+                "cost-model `{key}` section must be an array, got {}",
+                other.kind()
+            )))
+        }
+    };
+    let name = str_field(entry, section.name_key, &what)?;
+    if !name.eq_ignore_ascii_case(section.name) {
+        return Err(invalid(format!(
+            "{what} names unknown {} `{name}` (known: {})",
+            section.kind, section.name
+        )));
+    }
+    Ok(entry)
 }
 
-fn import_history_entry(value: &Value, key: &str, what: &str) -> Result<(String, HistoryTable)> {
-    let fields = expect_object(value, what)?;
-    check_keys(fields, &[key, "buckets"], what)?;
-    let name = str_field(fields, key, what)?.to_string();
-    let buckets = match require(fields, "buckets", what)? {
+fn import_linear_entry(fields: &[(String, Value)], section: &Section) -> Result<LinearFit> {
+    let what = format!("{} entry", section.key);
+    check_keys(
+        fields,
+        &[section.name_key, "alpha_us", "beta_ps_per_byte", "samples"],
+        &what,
+    )?;
+    Ok(LinearFit {
+        alpha_us: uint_field(fields, "alpha_us", &what)?,
+        beta_ps_per_byte: uint_field(fields, "beta_ps_per_byte", &what)?,
+        samples: uint_field(fields, "samples", &what)?,
+    })
+}
+
+fn import_history_entry(fields: &[(String, Value)], section: &Section) -> Result<HistoryTable> {
+    let what = format!("{} entry", section.key);
+    check_keys(fields, &[section.name_key, "buckets"], &what)?;
+    let buckets = match require(fields, "buckets", &what)? {
         Value::Array(items) => items,
         other => {
             return Err(invalid(format!(
@@ -770,39 +597,14 @@ fn import_history_entry(value: &Value, key: &str, what: &str) -> Result<(String,
             samples: uint_field(bfields, "samples", &bucket_what)?,
         });
     }
-    Ok((name, HistoryTable::new(imported)?))
-}
-
-fn section<'v>(fields: &'v [(String, Value)], key: &str) -> Result<&'v [Value]> {
-    match require(fields, key, "cost-model file")? {
-        Value::Array(items) => Ok(items),
-        other => Err(invalid(format!(
-            "cost-model `{key}` section must be an array, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn link_of(name: &str, what: &str) -> Result<LinkClass> {
-    LinkClass::from_name(name).ok_or_else(|| {
-        invalid(format!(
-            "{what} names unknown link class `{name}` (known: h2d, d2h)"
-        ))
-    })
-}
-
-fn backend_of(name: &str, what: &str) -> Result<ComputeBackend> {
-    ComputeBackend::from_name(name).ok_or_else(|| {
-        invalid(format!(
-            "{what} names unknown compute backend `{name}` (known: cpu)"
-        ))
-    })
+    HistoryTable::new(imported)
 }
 
 /// Parses a model-file [`Value`] with the full strict validation: exact
 /// format/version envelope, no unknown or duplicate keys anywhere,
-/// integer-only coefficients, canonical entry order, non-empty history
-/// tables. Every failure is a typed [`CoreError::InvalidCostModel`].
+/// integer-only coefficients, exactly one `h2d` transfer entry and one
+/// `cpu` compute entry, non-empty history tables. Every failure is a
+/// typed [`CoreError::InvalidCostModel`].
 pub fn model_from_value(value: &Value) -> Result<CostModelSpec> {
     let fields = expect_object(value, "cost-model file")?;
     check_keys(
@@ -824,46 +626,21 @@ pub fn model_from_value(value: &Value) -> Result<CostModelSpec> {
         )));
     }
     let backend = str_field(fields, "backend", "cost-model file")?;
-    let transfer = section(fields, "transfer")?;
-    let compute = section(fields, "compute")?;
-    let spec = match backend {
-        "regression" => {
-            let mut t = Vec::with_capacity(transfer.len());
-            for (i, item) in transfer.iter().enumerate() {
-                let what = format!("transfer entry #{i}");
-                let (name, fit) = import_linear_entry(item, "link", &what)?;
-                t.push((link_of(&name, &what)?, fit));
-            }
-            let mut c = Vec::with_capacity(compute.len());
-            for (i, item) in compute.iter().enumerate() {
-                let what = format!("compute entry #{i}");
-                let (name, fit) = import_linear_entry(item, "backend", &what)?;
-                c.push((backend_of(&name, &what)?, fit));
-            }
-            CostModelSpec::Regression(RegressionModel::new(t, c)?)
-        }
-        "history" => {
-            let mut t = Vec::with_capacity(transfer.len());
-            for (i, item) in transfer.iter().enumerate() {
-                let what = format!("transfer entry #{i}");
-                let (name, table) = import_history_entry(item, "link", &what)?;
-                t.push((link_of(&name, &what)?, table));
-            }
-            let mut c = Vec::with_capacity(compute.len());
-            for (i, item) in compute.iter().enumerate() {
-                let what = format!("compute entry #{i}");
-                let (name, table) = import_history_entry(item, "backend", &what)?;
-                c.push((backend_of(&name, &what)?, table));
-            }
-            CostModelSpec::History(HistoryModel::new(t, c)?)
-        }
-        other => {
-            return Err(invalid(format!(
-                "unknown cost-model backend `{other}` (known: history, regression)"
-            )))
-        }
-    };
-    Ok(spec)
+    let transfer = single_entry(fields, &TRANSFER)?;
+    let compute = single_entry(fields, &COMPUTE)?;
+    match backend {
+        "regression" => Ok(CostModelSpec::Regression {
+            transfer: import_linear_entry(transfer, &TRANSFER)?,
+            compute: import_linear_entry(compute, &COMPUTE)?,
+        }),
+        "history" => Ok(CostModelSpec::History {
+            transfer: import_history_entry(transfer, &TRANSFER)?,
+            compute: import_history_entry(compute, &COMPUTE)?,
+        }),
+        other => Err(invalid(format!(
+            "unknown cost-model backend `{other}` (known: history, regression)"
+        ))),
+    }
 }
 
 /// Parses model-file JSON text ([`model_from_value`] after JSON parsing;
@@ -886,13 +663,8 @@ pub fn import_model_file(path: &Path) -> Result<CostModelSpec> {
 // the exact same strict validation as the standalone file.
 impl Serialize for CostModelSpec {
     fn to_value(&self) -> Value {
-        match model_value(self) {
-            Ok(value) => value,
-            // Analytic is the only infallible-at-validate spec without a
-            // file form; broken hand-assembled specs are caught at
-            // validate() before any serialization path reaches here.
-            Err(_) => Value::Str("analytic".to_string()),
-        }
+        // Analytic is the only spec without a file form.
+        model_value(self).unwrap_or_else(|_| Value::Str("analytic".to_string()))
     }
 }
 
@@ -1013,22 +785,20 @@ impl CalibrationObservations {
         self.compute.extend(other.compute);
     }
 
-    /// Fits a [`RegressionModel`] spec to the observations.
+    /// Fits a regression spec to the observations.
     pub fn fit_regression(&self) -> Result<CostModelSpec> {
-        let model = RegressionModel::new(
-            vec![(LinkClass::HostToDevice, fit_linear(&self.transfer)?)],
-            vec![(ComputeBackend::Cpu, fit_linear(&self.compute)?)],
-        )?;
-        Ok(CostModelSpec::Regression(model))
+        Ok(CostModelSpec::Regression {
+            transfer: fit_linear(&self.transfer)?,
+            compute: fit_linear(&self.compute)?,
+        })
     }
 
-    /// Fits a [`HistoryModel`] spec to the observations.
+    /// Fits a history spec to the observations.
     pub fn fit_history(&self) -> Result<CostModelSpec> {
-        let model = HistoryModel::new(
-            vec![(LinkClass::HostToDevice, fit_history(&self.transfer)?)],
-            vec![(ComputeBackend::Cpu, fit_history(&self.compute)?)],
-        )?;
-        Ok(CostModelSpec::History(model))
+        Ok(CostModelSpec::History {
+            transfer: fit_history(&self.transfer)?,
+            compute: fit_history(&self.compute)?,
+        })
     }
 }
 
@@ -1046,74 +816,51 @@ mod tests {
     }
 
     fn regression_spec() -> CostModelSpec {
-        CostModelSpec::Regression(
-            RegressionModel::new(
-                vec![(
-                    LinkClass::HostToDevice,
-                    LinearFit {
-                        alpha_us: 5,
-                        beta_ps_per_byte: 2 * PS_PER_MICRO,
-                        samples: 10,
-                    },
-                )],
-                vec![(
-                    ComputeBackend::Cpu,
-                    LinearFit {
-                        alpha_us: 1,
-                        beta_ps_per_byte: 0,
-                        samples: 10,
-                    },
-                )],
-            )
-            .unwrap(),
-        )
+        CostModelSpec::Regression {
+            transfer: LinearFit {
+                alpha_us: 5,
+                beta_ps_per_byte: 2 * PS_PER_MICRO,
+                samples: 10,
+            },
+            compute: LinearFit {
+                alpha_us: 1,
+                beta_ps_per_byte: 0,
+                samples: 10,
+            },
+        }
     }
 
     fn history_spec() -> CostModelSpec {
-        CostModelSpec::History(
-            HistoryModel::new(
-                vec![(
-                    LinkClass::HostToDevice,
-                    HistoryTable::new(vec![
-                        HistoryBucket {
-                            bucket: 2,
-                            mean_us: 40,
-                            samples: 3,
-                        },
-                        HistoryBucket {
-                            bucket: 5,
-                            mean_us: 300,
-                            samples: 2,
-                        },
-                    ])
-                    .unwrap(),
-                )],
-                vec![(
-                    ComputeBackend::Cpu,
-                    HistoryTable::new(vec![HistoryBucket {
-                        bucket: 0,
-                        mean_us: 7,
-                        samples: 1,
-                    }])
-                    .unwrap(),
-                )],
-            )
+        CostModelSpec::History {
+            transfer: HistoryTable::new(vec![
+                HistoryBucket {
+                    bucket: 2,
+                    mean_us: 40,
+                    samples: 3,
+                },
+                HistoryBucket {
+                    bucket: 5,
+                    mean_us: 300,
+                    samples: 2,
+                },
+            ])
             .unwrap(),
-        )
+            compute: HistoryTable::new(vec![HistoryBucket {
+                bucket: 0,
+                mean_us: 7,
+                samples: 1,
+            }])
+            .unwrap(),
+        }
     }
 
     #[test]
     fn analytic_is_the_identity() {
         let t = task(100, 30, 20);
-        assert_eq!(
-            Analytic.transfer_time(&t, LinkClass::HostToDevice),
-            Time::from_micros(30)
-        );
-        assert_eq!(
-            Analytic.compute_time(&t, ComputeBackend::Cpu),
-            Time::from_micros(20)
-        );
-        assert!(CostModelSpec::default().is_analytic());
+        let analytic = CostModelSpec::default();
+        assert!(analytic.is_analytic());
+        assert_eq!(analytic.transfer_time(&t), Time::from_micros(30));
+        assert_eq!(analytic.compute_time(&t), Time::from_micros(20));
     }
 
     #[test]
@@ -1121,19 +868,8 @@ mod tests {
         let spec = regression_spec();
         // 5 + 2·bytes µs.
         let t = task(100, 0, 0);
-        assert_eq!(
-            spec.transfer_time(&t, LinkClass::HostToDevice),
-            Time::from_micros(205)
-        );
-        assert_eq!(
-            spec.compute_time(&t, ComputeBackend::Cpu),
-            Time::from_micros(1)
-        );
-        // The d2h class falls back to the h2d fit.
-        assert_eq!(
-            spec.transfer_time(&t, LinkClass::DeviceToHost),
-            Time::from_micros(205)
-        );
+        assert_eq!(spec.transfer_time(&t), Time::from_micros(205));
+        assert_eq!(spec.compute_time(&t), Time::from_micros(1));
     }
 
     #[test]
@@ -1159,25 +895,13 @@ mod tests {
     fn history_uses_nearest_bucket() {
         let spec = history_spec();
         // bytes 4..7 → bucket 2 exactly.
-        assert_eq!(
-            spec.transfer_time(&task(5, 0, 0), LinkClass::HostToDevice),
-            Time::from_micros(40)
-        );
+        assert_eq!(spec.transfer_time(&task(5, 0, 0)), Time::from_micros(40));
         // bucket 3 is unrecorded; nearest is 2.
-        assert_eq!(
-            spec.transfer_time(&task(10, 0, 0), LinkClass::HostToDevice),
-            Time::from_micros(40)
-        );
+        assert_eq!(spec.transfer_time(&task(10, 0, 0)), Time::from_micros(40));
         // bucket 4 → nearest is 5.
-        assert_eq!(
-            spec.transfer_time(&task(20, 0, 0), LinkClass::HostToDevice),
-            Time::from_micros(300)
-        );
+        assert_eq!(spec.transfer_time(&task(20, 0, 0)), Time::from_micros(300));
         // bucket 6 → nearest is 5.
-        assert_eq!(
-            spec.transfer_time(&task(100, 0, 0), LinkClass::HostToDevice),
-            Time::from_micros(300)
-        );
+        assert_eq!(spec.transfer_time(&task(100, 0, 0)), Time::from_micros(300));
         // bucket 3 ties between 2 and 4; ties go to the smaller bucket.
         let tie = HistoryTable::new(vec![
             HistoryBucket {
@@ -1254,6 +978,73 @@ mod tests {
             assert_eq!(back, spec);
             assert_eq!(export_model(&back).unwrap(), rendered);
         }
+    }
+
+    /// The exact bytes of both sample files, recorded before the layer
+    /// lost its link-class and backend axes: the round-trip test above
+    /// only compares the exporter with itself, so a drift in the format
+    /// would pass it.
+    #[test]
+    fn model_files_keep_their_exact_bytes() {
+        const REGRESSION: &str = r#"{
+  "format": "dts-cost-model",
+  "version": 1,
+  "backend": "regression",
+  "transfer": [
+    {
+      "link": "h2d",
+      "alpha_us": 5,
+      "beta_ps_per_byte": 2000000,
+      "samples": 10
+    }
+  ],
+  "compute": [
+    {
+      "backend": "cpu",
+      "alpha_us": 1,
+      "beta_ps_per_byte": 0,
+      "samples": 10
+    }
+  ]
+}
+"#;
+        const HISTORY: &str = r#"{
+  "format": "dts-cost-model",
+  "version": 1,
+  "backend": "history",
+  "transfer": [
+    {
+      "link": "h2d",
+      "buckets": [
+        {
+          "bucket": 2,
+          "mean_us": 40,
+          "samples": 3
+        },
+        {
+          "bucket": 5,
+          "mean_us": 300,
+          "samples": 2
+        }
+      ]
+    }
+  ],
+  "compute": [
+    {
+      "backend": "cpu",
+      "buckets": [
+        {
+          "bucket": 0,
+          "mean_us": 7,
+          "samples": 1
+        }
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(export_model(&regression_spec()).unwrap(), REGRESSION);
+        assert_eq!(export_model(&history_spec()).unwrap(), HISTORY);
     }
 
     #[test]
@@ -1336,14 +1127,29 @@ mod tests {
 
     #[test]
     fn importer_requires_the_default_entries() {
-        let json = r#"{
+        let file = |transfer: &str| {
+            format!(
+                r#"{{
   "format": "dts-cost-model",
   "version": 1,
   "backend": "regression",
-  "transfer": [ { "link": "d2h", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1 } ],
-  "compute": [ { "backend": "cpu", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1 } ]
-}"#;
-        reject(json, "must cover `h2d`");
+  "transfer": [ {transfer} ],
+  "compute": [ {{ "backend": "cpu", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1 }} ]
+}}"#
+            )
+        };
+        let entry = |link: &str| {
+            format!(r#"{{ "link": "{link}", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1 }}"#)
+        };
+        reject(&file(&entry("d2h")), "unknown link class `d2h`");
+        // One link means one entry: a `d2h` entry beside `h2d`, or a
+        // repeated `h2d`, is rejected rather than silently ignored.
+        for pair in [["h2d", "d2h"], ["h2d", "h2d"]] {
+            let section = format!("{}, {}", entry(pair[0]), entry(pair[1]));
+            reject(&file(&section), "exactly one entry");
+        }
+        // Names stay case-insensitive.
+        assert!(import_model(&file(&entry("H2D"))).is_ok());
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //! minimal malformed witness, and a calibrate → save → load → predict
 //! property proves fitted models survive the disk round trip bit-exactly.
 
-use dts_core::perfmodel::{
-    self, CalibrationObservations, ComputeBackend, CostModel, CostModelSpec, LinearFit, LinkClass,
-    RegressionModel,
-};
+use dts_core::perfmodel::{self, CalibrationObservations, CostModelSpec, LinearFit};
 use dts_core::{CoreError, MemSize, Task, Time};
 use microcheck::{gens, prop_assert, property, Config};
 
@@ -25,13 +22,10 @@ fn valid_json() -> String {
         beta_ps_per_byte,
         samples: 12,
     };
-    let spec = CostModelSpec::Regression(
-        RegressionModel::new(
-            vec![(LinkClass::HostToDevice, fit(7, 1_500_000))],
-            vec![(ComputeBackend::Cpu, fit(3, 250_000))],
-        )
-        .expect("the sample model is well-formed"),
-    );
+    let spec = CostModelSpec::Regression {
+        transfer: fit(7, 1_500_000),
+        compute: fit(3, 250_000),
+    };
     perfmodel::export_model(&spec).expect("well-formed models export")
 }
 
@@ -214,10 +208,8 @@ property! {
                 MemSize::from_bytes(bytes),
             );
             prop_assert!(
-                spec.transfer_time(&probe, LinkClass::HostToDevice)
-                    == back.transfer_time(&probe, LinkClass::HostToDevice)
-                    && spec.compute_time(&probe, ComputeBackend::Cpu)
-                        == back.compute_time(&probe, ComputeBackend::Cpu),
+                spec.transfer_time(&probe) == back.transfer_time(&probe)
+                    && spec.compute_time(&probe) == back.compute_time(&probe),
                 "predictions diverged after the round trip at {bytes} bytes"
             );
         }

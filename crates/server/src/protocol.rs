@@ -392,17 +392,12 @@ fn parse_members(
     };
 
     let cost_model = match value.field("cost_model") {
-        Ok(v) => {
-            let spec = CostModelSpec::from_value(v).map_err(|e| {
-                ErrorReply::new(
-                    ErrorCode::InvalidCostModel,
-                    format!("invalid cost model: {e}"),
-                )
-            })?;
-            spec.validate()
-                .map_err(|e| ErrorReply::new(ErrorCode::InvalidCostModel, e.to_string()))?;
-            Some(spec)
-        }
+        Ok(v) => Some(CostModelSpec::from_value(v).map_err(|e| {
+            ErrorReply::new(
+                ErrorCode::InvalidCostModel,
+                format!("invalid cost model: {e}"),
+            )
+        })?),
         Err(_) => None,
     };
 
@@ -573,7 +568,7 @@ mod tests {
     use super::*;
     use dts_chem::trace::TaskKind;
     use dts_chem::TraceTask;
-    use dts_core::perfmodel::{ComputeBackend, LinearFit, LinkClass, RegressionModel};
+    use dts_core::perfmodel::LinearFit;
 
     fn sample_cost_model() -> CostModelSpec {
         let fit = |alpha_us| LinearFit {
@@ -581,13 +576,10 @@ mod tests {
             beta_ps_per_byte: 2_000_000,
             samples: 4,
         };
-        CostModelSpec::Regression(
-            RegressionModel::new(
-                vec![(LinkClass::HostToDevice, fit(10))],
-                vec![(ComputeBackend::Cpu, fit(5))],
-            )
-            .unwrap(),
-        )
+        CostModelSpec::Regression {
+            transfer: fit(10),
+            compute: fit(5),
+        }
     }
 
     fn family_request_value() -> Value {
@@ -956,16 +948,27 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_cost_models_with_a_typed_code() {
-        let mut v = family_request_value();
-        if let Value::Object(fields) = &mut v {
-            fields.push((
-                "cost_model".to_string(),
-                Value::Str("warp-drive".to_string()),
-            ));
+        // A `d2h` entry beside `h2d`: the system has one link, so one
+        // transfer entry.
+        let two_links: Value =
+            serde_json::from_str(&render(&sample_cost_model().to_value()).replacen(
+                "\"transfer\":[",
+                r#""transfer":[{"link":"d2h","alpha_us":1,"beta_ps_per_byte":1,"samples":1},"#,
+                1,
+            ))
+            .unwrap();
+        for (cost_model, needle) in [
+            (Value::Str("warp-drive".to_string()), "warp-drive"),
+            (two_links, "exactly one entry"),
+        ] {
+            let mut v = family_request_value();
+            if let Value::Object(fields) = &mut v {
+                fields.push(("cost_model".to_string(), cost_model));
+            }
+            let err = parse_request(&v).unwrap_err();
+            assert_eq!(err.code, ErrorCode::InvalidCostModel);
+            assert!(err.message.contains(needle), "{}", err.message);
         }
-        let err = parse_request(&v).unwrap_err();
-        assert_eq!(err.code, ErrorCode::InvalidCostModel);
-        assert!(err.message.contains("warp-drive"), "{}", err.message);
     }
 
     #[test]

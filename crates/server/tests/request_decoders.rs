@@ -110,6 +110,10 @@ const OTHER_TRACE: &str = r#"{"kernel": "K", "rank": 2, "tasks": []}"#;
 /// A trace the decoder refuses (no `kernel`), with valid syntax.
 const BAD_TRACE: &str = r#"{"rank": 1, "tasks": []}"#;
 
+/// A regression model file with a `d2h` transfer entry beside `h2d`; the
+/// system has one link, so the importer refuses it.
+const TWO_LINK_MODEL: &str = r#"{"format": "dts-cost-model", "version": 1, "backend": "regression", "transfer": [{"link": "h2d", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1}, {"link": "d2h", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1}], "compute": [{"backend": "cpu", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1}]}"#;
+
 #[test]
 fn every_truncation_agrees() {
     let payload = compact(&paper_request());
@@ -369,6 +373,10 @@ fn schema_violations_agree() {
         ),
         (
             format!(r#""heuristic": "OS", "cost_model": "warp", "trace": {BAD_TRACE}"#),
+            ErrorCode::InvalidCostModel,
+        ),
+        (
+            format!(r#""heuristic": "OS", "cost_model": {TWO_LINK_MODEL}, "trace": {BAD_TRACE}"#),
             ErrorCode::InvalidCostModel,
         ),
         (

@@ -99,7 +99,6 @@ fn validate_semantics(trace: &Trace) -> Result<()> {
         model.validate()?;
     }
     if let Some(cost_model) = &trace.cost_model {
-        cost_model.validate()?;
         if cost_model.is_analytic() {
             return Err(CoreError::InvalidCostModel(
                 "an explicit analytic spec must be normalized to absence before export".into(),
@@ -232,11 +231,7 @@ pub fn import_trace(json: &str) -> Result<Trace> {
     let cost_model = match lookup(fields, "cost_model") {
         None => None,
         Some(Value::Str(s)) if s == "analytic" => None,
-        Some(value) => {
-            let spec = perfmodel::model_from_value(value)?;
-            spec.validate()?;
-            Some(spec)
-        }
+        Some(value) => Some(perfmodel::model_from_value(value)?),
     };
 
     let tasks = match require(fields, "tasks")? {
@@ -436,31 +431,21 @@ mod tests {
 
     #[test]
     fn embedded_cost_models_round_trip_and_validate() {
-        use dts_core::perfmodel::{CostModelSpec, LinearFit, RegressionModel, PS_PER_MICRO};
-        use dts_core::{ComputeBackend, LinkClass};
+        use dts_core::perfmodel::{CostModelSpec, LinearFit, PS_PER_MICRO};
 
         let mut trace = sample();
-        trace.cost_model = Some(CostModelSpec::Regression(
-            RegressionModel::new(
-                vec![(
-                    LinkClass::HostToDevice,
-                    LinearFit {
-                        alpha_us: 3,
-                        beta_ps_per_byte: PS_PER_MICRO,
-                        samples: 4,
-                    },
-                )],
-                vec![(
-                    ComputeBackend::Cpu,
-                    LinearFit {
-                        alpha_us: 9,
-                        beta_ps_per_byte: 0,
-                        samples: 4,
-                    },
-                )],
-            )
-            .unwrap(),
-        ));
+        trace.cost_model = Some(CostModelSpec::Regression {
+            transfer: LinearFit {
+                alpha_us: 3,
+                beta_ps_per_byte: PS_PER_MICRO,
+                samples: 4,
+            },
+            compute: LinearFit {
+                alpha_us: 9,
+                beta_ps_per_byte: 0,
+                samples: 4,
+            },
+        });
         let json = export_trace(&trace).unwrap();
         let back = import_trace(&json).unwrap();
         assert_eq!(back, trace);
@@ -489,6 +474,17 @@ mod tests {
         broken.replace_range(idx.."\"version\": 1".len() + idx, "\"version\": 7");
         assert!(matches!(
             import_trace(&broken),
+            Err(CoreError::InvalidCostModel(_))
+        ));
+        // So is an embedded model with a `d2h` entry beside `h2d`.
+        let two_links = json.replacen(
+            "\"transfer\": [",
+            r#""transfer": [ { "link": "d2h", "alpha_us": 1, "beta_ps_per_byte": 1, "samples": 1 },"#,
+            1,
+        );
+        assert_ne!(two_links, json);
+        assert!(matches!(
+            import_trace(&two_links),
             Err(CoreError::InvalidCostModel(_))
         ));
     }

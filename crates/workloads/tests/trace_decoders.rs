@@ -9,8 +9,8 @@
 
 use dts_chem::trace::TaskKind;
 use dts_chem::{Trace, TraceTask};
-use dts_core::perfmodel::{LinearFit, RegressionModel, PS_PER_MICRO};
-use dts_core::{ComputeBackend, CoreError, CostModelSpec, ExecutionModel, LinkClass};
+use dts_core::perfmodel::{LinearFit, PS_PER_MICRO};
+use dts_core::{CoreError, CostModelSpec, ExecutionModel};
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
 use dts_workloads::format::export_trace;
 use microcheck::{gens, prop_assert, property};
@@ -59,27 +59,18 @@ fn agree(json: &str) -> Option<Trace> {
 }
 
 fn regression_spec() -> CostModelSpec {
-    CostModelSpec::Regression(
-        RegressionModel::new(
-            vec![(
-                LinkClass::HostToDevice,
-                LinearFit {
-                    alpha_us: 10,
-                    beta_ps_per_byte: PS_PER_MICRO / 1000,
-                    samples: 2,
-                },
-            )],
-            vec![(
-                ComputeBackend::Cpu,
-                LinearFit {
-                    alpha_us: 40,
-                    beta_ps_per_byte: 0,
-                    samples: 2,
-                },
-            )],
-        )
-        .expect("valid regression model"),
-    )
+    CostModelSpec::Regression {
+        transfer: LinearFit {
+            alpha_us: 10,
+            beta_ps_per_byte: PS_PER_MICRO / 1000,
+            samples: 2,
+        },
+        compute: LinearFit {
+            alpha_us: 40,
+            beta_ps_per_byte: 0,
+            samples: 2,
+        },
+    }
 }
 
 fn small_trace() -> Trace {
@@ -370,7 +361,15 @@ fn model_and_cost_model_present_null_or_analytic() {
         (trace.model, trace.cost_model),
         (None, full.cost_model.clone())
     );
+    // A `d2h` entry beside `h2d` is refused: one link, one transfer entry.
+    let two_links = cost.replacen(
+        "\"transfer\":[",
+        r#""transfer":[{"link":"d2h","alpha_us":1,"beta_ps_per_byte":1,"samples":1},"#,
+        1,
+    );
+    assert_ne!(two_links, cost);
     for (model, cost_model) in [
+        ("null", two_links.as_str()),
         (r#""Bogus""#, "null"),
         ("7", "null"),
         ("null", r#""bogus""#),
