@@ -389,10 +389,13 @@ impl Trace {
 
     /// Writes the trace as JSON to a file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let mut file =
-            std::fs::File::create(path).map_err(|e| CoreError::Serialization(e.to_string()))?;
+        let path = path.as_ref();
+        let cannot_write = |e: std::io::Error| {
+            CoreError::Serialization(format!("cannot write {}: {e}", path.display()))
+        };
+        let mut file = std::fs::File::create(path).map_err(cannot_write)?;
         file.write_all(self.to_json()?.as_bytes())
-            .map_err(|e| CoreError::Serialization(e.to_string()))
+            .map_err(cannot_write)
     }
 
     /// Reads a trace from a JSON file.

@@ -125,6 +125,15 @@ fn take_bool_flag(args: &[String], name: &str) -> (Vec<String>, bool) {
     (rest, present)
 }
 
+/// Fails on the first positional argument beyond the `max` a command
+/// takes, so a mistyped flag is not silently ignored.
+fn reject_extra(args: &[String], max: usize, usage: &str) -> Result<(), String> {
+    match args.get(max) {
+        Some(stray) => Err(format!("unexpected argument '{stray}'; usage: {usage}")),
+        None => Ok(()),
+    }
+}
+
 /// Why a command failed: a message for the `error:` line, or the
 /// `io::Error` of a failed write to stdout.
 type Failure = Box<dyn std::error::Error>;
@@ -306,7 +315,7 @@ fn cmd_generate(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
         )
         .into());
     }
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
     let mut traces = generate_partial_suite(kernel, &config, n_ranks);
     if let Some(model) = model {
         // Stamp the requested execution model into every trace so later
@@ -377,7 +386,7 @@ fn generate_family_suite(
         })?);
     }
     config.validate().map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
     for rank in 0..n_ranks {
         let mut trace = generate_trace(&config, rank).map_err(|e| e.to_string())?;
         if let Some(model) = model {
@@ -526,13 +535,11 @@ fn cmd_corpus(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, update) = take_bool_flag(args, "update-golden");
     let (args, golden_flag) = take_value_flag(&args, "golden")?;
     let (args, cost_model_flag) = take_value_flag(&args, "cost-model")?;
-    if let Some(stray) = args.first() {
-        return Err(format!(
-            "unexpected argument '{stray}'; usage: dts corpus [--update-golden] [--golden <path>] \
-             [--cost-model <file|analytic>]"
-        )
-        .into());
-    }
+    reject_extra(
+        &args,
+        0,
+        "dts corpus [--update-golden] [--golden <path>] [--cost-model <file|analytic>]",
+    )?;
     if let Some(arg) = &cost_model_flag {
         let spec = load_cost_model(arg)?;
         if update {
@@ -565,7 +572,8 @@ fn cmd_corpus(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
         .unwrap_or_else(corpus::default_golden_path);
     let current = corpus::run_corpus().map_err(|e| e.to_string())?;
     if update {
-        std::fs::write(&golden_path, corpus::render_golden(&current)).map_err(|e| e.to_string())?;
+        std::fs::write(&golden_path, corpus::render_golden(&current))
+            .map_err(|e| format!("cannot write {}: {e}", golden_path.display()))?;
         writeln!(
             out,
             "blessed {} corpus entries into {}",
@@ -608,13 +616,12 @@ fn cmd_serve(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, depth_flag) = take_value_flag(&args, "queue-depth")?;
     let (args, tasks_flag) = take_value_flag(&args, "max-tasks")?;
     let (args, cache_flag) = take_value_flag(&args, "cache-entries")?;
-    if let Some(stray) = args.first() {
-        return Err(format!(
-            "unexpected argument '{stray}'; usage: dts serve [--addr <host:port>] \
-             [--threads <n>] [--queue-depth <n>] [--max-tasks <n>] [--cache-entries <n>]"
-        )
-        .into());
-    }
+    reject_extra(
+        &args,
+        0,
+        "dts serve [--addr <host:port>] [--threads <n>] [--queue-depth <n>] \
+         [--max-tasks <n>] [--cache-entries <n>]",
+    )?;
     let mut config = ServerConfig {
         addr: addr_flag.unwrap_or_else(|| "127.0.0.1:7421".to_string()),
         ..ServerConfig::default()
@@ -774,6 +781,7 @@ fn load_trace(path: &str) -> Result<Trace, String> {
 }
 
 fn cmd_characterize(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
+    reject_extra(args, 1, "dts characterize <trace.json>")?;
     let path = args.first().ok_or("expected a trace file")?;
     let trace = load_trace(path)?;
     let c = characterize(&trace).map_err(|e| e.to_string())?;
@@ -797,6 +805,12 @@ fn cmd_characterize(out: &mut dyn Write, args: &[String]) -> Result<(), Failure>
 fn cmd_run(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, model_override) = take_model_flag(args)?;
     let (args, cost_model_flag) = take_value_flag(&args, "cost-model")?;
+    reject_extra(
+        &args,
+        3,
+        "dts run <trace.json> <heuristic> [factor] [--model <spec>] \
+         [--cost-model <file|analytic>]",
+    )?;
     let path = args.first().ok_or("expected a trace file")?;
     let heuristic_name = args.get(1).ok_or("expected a heuristic name")?;
     let factor: f64 = args
@@ -848,6 +862,7 @@ fn cmd_run(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_sweep(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
+    reject_extra(args, 1, "dts sweep <trace.json>")?;
     let path = args.first().ok_or("expected a trace file")?;
     let trace = load_trace(path)?;
     let config = SweepConfig {

@@ -813,3 +813,69 @@ fn run_at_factor_one_fits_a_task_past_f64_precision() {
         assert!(stdout(&output).contains(&format!("({}x mc)", factor.trim_end_matches(".0"))));
     }
 }
+
+#[test]
+fn write_errors_name_the_failing_path() {
+    let scratch = ScratchDir::new("write-errors");
+    let trace = small_trace();
+    let trace = trace.to_str().unwrap();
+    let versioned = scratch.path().join("v.json");
+    let versioned = versioned.to_str().unwrap();
+    let output = dts(&["trace", "export", trace, versioned]);
+    assert!(output.status.success(), "{}", stderr(&output));
+    // `generate` creates missing directories, so it needs a path that
+    // cannot become one: a directory under a regular file.
+    let file = scratch.path().join("file");
+    std::fs::write(&file, "").unwrap();
+    let blocked = file.join("out");
+    let blocked = blocked.to_str().unwrap();
+    let missing = scratch.path().join("missing").join("out.json");
+    let missing = missing.to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (&["generate", "md", blocked, "1"], blocked),
+        (&["generate", "hf", blocked, "1"], blocked),
+        (&["trace", "export", trace, missing], missing),
+        (&["trace", "import", versioned, missing], missing),
+        (&["calibrate", trace, "--out", missing], missing),
+        (&["corpus", "--update-golden", "--golden", missing], missing),
+    ];
+    for (args, path) in cases {
+        let output = dts(args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let message = stderr(&output);
+        assert!(
+            message.starts_with("error: ") && message.contains(path),
+            "{args:?}: {message}"
+        );
+    }
+}
+
+#[test]
+fn commands_reject_stray_arguments() {
+    let trace = small_trace();
+    let trace = trace.to_str().unwrap();
+    for (args, stray) in [
+        (
+            &["run", trace, "LCMR", "1.5", "--modle", "duplex"][..],
+            "--modle",
+        ),
+        (&["run", trace, "LCMR", "1.5", "extra"], "extra"),
+        (&["sweep", trace, "--model", "duplex"], "--model"),
+        (&["characterize", trace, "extra"], "extra"),
+    ] {
+        let output = dts(args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        assert_eq!(stdout(&output), "", "{args:?}");
+        let message = stderr(&output);
+        assert!(
+            message.contains(&format!(
+                "unexpected argument '{stray}'; usage: dts {}",
+                args[0]
+            )),
+            "{args:?}: {message}"
+        );
+    }
+    // Flags are not positionals: the full `run` form still works.
+    let output = dts(&["run", trace, "LCMR", "1.5", "--model", "duplex"]);
+    assert!(output.status.success(), "{}", stderr(&output));
+}

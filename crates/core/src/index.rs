@@ -15,42 +15,40 @@
 //! the common case (see
 //! [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within)
 //! for the exact bound). It keeps the tasks of an instance sorted by
-//! `(communication time, id)` and maintains three structures over that
-//! order:
+//! `(communication time, id)`, a task's *position*, and maintains two
+//! structures over that order:
 //!
 //! * a **min-memory segment tree**: each node stores the smallest memory
 //!   requirement among its still-present tasks, which lets directed descents
 //!   find the leftmost/rightmost fitting task of any communication-time
 //!   range in O(log n);
-//! * a **memory-order ratio tree**: a segment tree whose leaves are the
-//!   tasks sorted by `(memory, position)`, aggregating the best present
-//!   `(acceleration ratio, id)` pair. A memory threshold is a *canonical
-//!   prefix* of this order, so "best ratio among all fitting tasks" is a
-//!   plain prefix-maximum query — O(log n) worst case, no search;
-//! * a **block-priority ratio tree**: the communication order splits into
-//!   runs of equal communication time, and every communication-time bound
-//!   cuts exactly at a run boundary. Each run keeps its own small
-//!   memory-sorted prefix-maximum tree, consecutive runs group into
-//!   ⌈√m⌉-wide *buckets* (m the run count) that each keep a second
-//!   memory-sorted prefix-maximum tree over all their tasks, and an outer
-//!   tree over the buckets stores each subtree's *champion* — its best
-//!   present `(ratio, id)` — heap-ordered down every root path like a
-//!   priority search tree over `(memory, ratio)`. A run-aligned range is
-//!   searched champion-first through the outer tree: a champion that fits
-//!   in memory dominates its whole subtree and is taken without
-//!   descending, a blocked bucket resolves *exactly* via its own
-//!   prefix-maximum tree, and the at most two partially covered boundary
-//!   buckets resolve run by run via the per-run trees. Memory-blocked
-//!   high-ratio tasks therefore cost at most O(√m) exact O(log n) probes
-//!   per query — not one probe per distinct communication time, which
-//!   degenerated to a linear scan on continuous-communication traces
-//!   under memory pressure.
+//! * the **ratio machinery**, which works on ranks. At build time every
+//!   task gets a *ratio rank* in the MAMR order (acceleration ratio
+//!   descending, id ascending) and a *memory rank* in the
+//!   `(memory, position)` order. A free-memory threshold is then a count
+//!   `k` of memory ranks, a task fits iff its memory rank is below `k`,
+//!   and the MAMR choice among any set of tasks is the fitting one with
+//!   the smallest ratio rank. Every tree node stores the smallest ratio
+//!   rank (its subtree's *champion*) and the smallest memory rank of its
+//!   present tasks. The trees come in *groups*: consecutive position
+//!   ranges, each with its own tree whose leaves follow memory rank, so a
+//!   group's fitting tasks are a prefix of its leaves and their best is a
+//!   prefix-minimum query. Three groupings are kept. All tasks as one group
+//!   answer the query with the communication bound ignored. One group per
+//!   run of equal communication time matches the bounds, since every
+//!   communication-time bound cuts at a run boundary. One group per
+//!   *bucket* of ⌈√m⌉ consecutive runs feeds an outer tree over the bucket
+//!   roots. A range of runs is searched champion-first: a subtree whose
+//!   champion fits is taken without descending, a bucket or run whose
+//!   champion is memory-blocked resolves exactly by its own prefix query,
+//!   and the at most two partially covered boundary buckets resolve run by
+//!   run. Memory-blocked high-ratio tasks therefore cost at most O(√m)
+//!   exact O(log n) probes per query, even on continuous-communication
+//!   traces under memory pressure.
 //!
-//! All structures store O(1) words per task slot (the runs partition the
-//! tasks and so do the buckets), so the index takes O(n) memory and
-//! O(log n) per update, where the previous merge-sort ratio tree paid
-//! O(n log n) memory and O(log² n) per update; construction is O(n)
-//! beyond its sorts.
+//! Each grouping partitions the tasks and every structure stores O(1) words
+//! per task, so the index takes O(n) memory and O(log n) per update;
+//! construction is O(n) beyond its sorts.
 //!
 //! ```
 //! use dts_core::index::CandidateIndex;
@@ -74,41 +72,81 @@
 //! );
 //! ```
 
+use std::ops::Range;
+
 use crate::instance::Instance;
 use crate::memory::MemSize;
 use crate::task::{Task, TaskId};
 use crate::time::Time;
 
-/// Aggregate of the ratio trees: the best `(acceleration ratio, id)` pair
-/// of a set of tasks, where "best" is the largest ratio and ties prefer
-/// the smallest id — exactly the MAMR/OOMAMR choice rule.
-/// [`Time::ratio`] never produces NaN, so `f64` comparisons are total here.
-type RatioBest = (f64, u32);
-
-/// Neutral element of [`RatioBest`]: worse than every real task (real ratios
-/// are non-negative) and losing every id tie.
-const RATIO_NEUTRAL: RatioBest = (f64::NEG_INFINITY, u32::MAX);
-
-/// `true` iff `a` is a strictly better MAMR choice than `b` (larger ratio,
-/// or the same ratio with a smaller id).
-#[inline]
-fn key_beats(a: RatioBest, b: RatioBest) -> bool {
-    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
-}
-
-#[inline]
-fn key_combine(a: RatioBest, b: RatioBest) -> RatioBest {
-    if key_beats(b, a) {
-        b
-    } else {
-        a
-    }
-}
-
-/// Sentinel stored in the min-memory trees for removed tasks and padding
+/// Sentinel stored in the min-memory tree for removed tasks and padding
 /// leaves. `u128` so that it compares above every real memory requirement,
 /// including a legitimate `u64::MAX`-byte task.
 const MEM_ABSENT: u128 = u128::MAX;
+
+/// A node of the ratio machinery's trees: the smallest ratio rank and the
+/// smallest memory rank among the present tasks below it, both `u32::MAX`
+/// when there are none. Ranks are below the task count, which fits in
+/// `u32`, so `u32::MAX` is never a real rank.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    best: u32,
+    min_mem: u32,
+}
+
+impl Node {
+    const EMPTY: Node = Node {
+        best: u32::MAX,
+        min_mem: u32::MAX,
+    };
+
+    #[inline]
+    fn join(self, other: Node) -> Node {
+        Node {
+            best: self.best.min(other.best),
+            min_mem: self.min_mem.min(other.min_mem),
+        }
+    }
+}
+
+/// Joins the inner nodes of a bottom-up tree whose `size` leaves are
+/// `tree[size..2 * size]`. Slot 1 is the root for every size (a one-leaf
+/// tree keeps its leaf there).
+fn build_tree(tree: &mut [Node], size: usize) {
+    for i in (1..size).rev() {
+        tree[i] = tree[2 * i].join(tree[2 * i + 1]);
+    }
+}
+
+/// Stores `node` in slot `i` of a bottom-up tree and re-joins the path to
+/// the root.
+fn set_leaf(tree: &mut [Node], mut i: usize, node: Node) {
+    tree[i] = node;
+    while i > 1 {
+        i >>= 1;
+        tree[i] = tree[2 * i].join(tree[2 * i + 1]);
+    }
+}
+
+/// The smallest ratio rank among the first `k` leaves of a bottom-up tree
+/// with `size` leaves.
+fn prefix_best(tree: &[Node], size: usize, k: usize) -> u32 {
+    let mut best = u32::MAX;
+    let (mut l, mut r) = (size, size + k);
+    while l < r {
+        if l & 1 == 1 {
+            best = best.min(tree[l].best);
+            l += 1;
+        }
+        if r & 1 == 1 {
+            r -= 1;
+            best = best.min(tree[r].best);
+        }
+        l >>= 1;
+        r >>= 1;
+    }
+    best
+}
 
 /// Smallest `r >= 1` with `r · r >= m`: the bucket width (in runs) that
 /// balances the outer tree's leaf count against the boundary-bucket
@@ -121,26 +159,304 @@ fn isqrt_ceil(m: usize) -> usize {
     r
 }
 
-/// Standard iterative prefix-maximum over a key segment tree with `size`
-/// leaves (stored in `tree[size..2 size]`): the best key among the first
-/// `k` leaves. Shared by the global memory-order tree and every per-run
-/// and per-bucket tree.
-fn prefix_best(tree: &[RatioBest], size: usize, k: usize) -> RatioBest {
-    let mut best = RATIO_NEUTRAL;
-    let (mut l, mut r) = (size, size + k);
-    while l < r {
-        if l & 1 == 1 {
-            best = key_combine(best, tree[l]);
-            l += 1;
+/// Consecutive position ranges (*groups*), each with a bottom-up tree whose
+/// leaves are the group's tasks in memory-rank order, so the tasks of a
+/// group that fit in memory are a prefix of its leaves.
+#[derive(Debug, Clone)]
+struct Groups {
+    /// First position of each group, then the task count.
+    start: Vec<u32>,
+    /// Group of each position.
+    group_of: Vec<u32>,
+    /// Leaf of each position in its group's tree.
+    leaf_of: Vec<u32>,
+    /// Memory rank of each leaf, concatenated: group `g` owns
+    /// `start[g]..start[g + 1]` (ascending within a group).
+    leaf_mem: Vec<u32>,
+    /// The trees, concatenated: group `g` of `s` tasks owns the `2 s` slots
+    /// from `2 * start[g]`, leaves in the upper half.
+    tree: Vec<Node>,
+}
+
+impl Groups {
+    /// Builds the groups beginning at `start` (ascending from 0, closed by
+    /// the task count) in one pass over `by_mem`, the positions in
+    /// memory-rank order; `ratio_rank` is the ratio rank of each position.
+    fn new(start: Vec<u32>, by_mem: &[u32], ratio_rank: &[u32]) -> Self {
+        let n = by_mem.len();
+        let mut group_of = vec![0u32; n];
+        for (g, w) in start.windows(2).enumerate() {
+            group_of[w[0] as usize..w[1] as usize].fill(g as u32);
         }
-        if r & 1 == 1 {
-            r -= 1;
-            best = key_combine(best, tree[r]);
+        // The next unfilled leaf of each group, as a position.
+        let mut next = start.clone();
+        let mut leaf_of = vec![0u32; n];
+        let mut leaf_mem = vec![0u32; n];
+        let mut tree = vec![Node::EMPTY; 2 * n];
+        for (rank, &pos) in by_mem.iter().enumerate() {
+            let g = group_of[pos as usize] as usize;
+            let (lo, size) = (start[g] as usize, (start[g + 1] - start[g]) as usize);
+            let at = next[g] as usize;
+            next[g] += 1;
+            leaf_of[pos as usize] = (at - lo) as u32;
+            leaf_mem[at] = rank as u32;
+            tree[lo + size + at] = Node {
+                best: ratio_rank[pos as usize],
+                min_mem: rank as u32,
+            };
         }
-        l >>= 1;
-        r >>= 1;
+        let mut groups = Groups {
+            start,
+            group_of,
+            leaf_of,
+            leaf_mem,
+            tree,
+        };
+        for g in 0..groups.len() {
+            let span = groups.span(g);
+            build_tree(&mut groups.tree[2 * span.start..2 * span.end], span.len());
+        }
+        groups
     }
-    best
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The positions of group `g`.
+    #[inline]
+    fn span(&self, g: usize) -> Range<usize> {
+        self.start[g] as usize..self.start[g + 1] as usize
+    }
+
+    /// The root of group `g`'s tree.
+    #[inline]
+    fn root(&self, g: usize) -> Node {
+        self.tree[2 * self.start[g] as usize + 1]
+    }
+
+    /// The smallest ratio rank among the present tasks of group `g` whose
+    /// memory rank is below `k`. O(log of the group size).
+    fn best(&self, g: usize, k: u32) -> u32 {
+        let span = self.span(g);
+        let fit = self.leaf_mem[span.clone()].partition_point(|&r| r < k);
+        prefix_best(&self.tree[2 * span.start..2 * span.end], span.len(), fit)
+    }
+
+    /// Removes the task at `pos` and returns its group.
+    fn remove(&mut self, pos: usize) -> usize {
+        let g = self.group_of[pos] as usize;
+        let span = self.span(g);
+        let tree = &mut self.tree[2 * span.start..2 * span.end];
+        set_leaf(tree, span.len() + self.leaf_of[pos] as usize, Node::EMPTY);
+        g
+    }
+
+    /// The groups lying entirely inside the positions `lo..hi`.
+    fn within(&self, lo: usize, hi: usize) -> Range<usize> {
+        if lo >= hi {
+            return 0..0;
+        }
+        let (a, b) = (self.group_of[lo] as usize, self.group_of[hi - 1] as usize);
+        let first = a + usize::from(self.start[a] as usize != lo);
+        let end = b + usize::from(self.start[b + 1] as usize == hi);
+        first..end
+    }
+}
+
+/// The ratio machinery of a full [`CandidateIndex`] (see the
+/// [module documentation](self)).
+#[derive(Debug, Clone)]
+struct RatioIndex {
+    /// Memory requirement at each memory rank (non-decreasing, so a
+    /// free-memory threshold maps to a count of ranks).
+    mem_sorted: Vec<u64>,
+    /// Position of the task at each ratio rank.
+    pos_by_ratio: Vec<u32>,
+    /// Memory rank of the task at each ratio rank.
+    mem_by_ratio: Vec<u32>,
+    /// All tasks as one group: the query with the communication bound
+    /// ignored.
+    all: Groups,
+    /// One group per run of equal communication time.
+    runs: Groups,
+    /// One group per bucket of ⌈√m⌉ consecutive runs.
+    buckets: Groups,
+    /// Bottom-up tree over the buckets: leaf `g` mirrors bucket `g`'s root.
+    outer: Vec<Node>,
+}
+
+impl RatioIndex {
+    /// Ranks the tasks and builds the three groupings; `order` holds the
+    /// task index at each position and `pos_of` its inverse.
+    fn new(tasks: &[Task], order: &[u32], pos_of: &[u32]) -> Self {
+        let n = order.len();
+        let task = |pos: u32| &tasks[order[pos as usize] as usize];
+
+        // Ratio ranks: a stable sort keeps equal ratios in id order, and
+        // `Time::ratio` never produces NaN, so `total_cmp` is the plain
+        // numeric order.
+        let ratio: Vec<f64> = tasks.iter().map(Task::acceleration_ratio).collect();
+        let mut by_ratio: Vec<u32> = (0..n as u32).collect();
+        by_ratio.sort_by(|&a, &b| ratio[b as usize].total_cmp(&ratio[a as usize]));
+        let pos_by_ratio: Vec<u32> = by_ratio.iter().map(|&i| pos_of[i as usize]).collect();
+        let mut ratio_rank = vec![0u32; n];
+        for (rank, &pos) in pos_by_ratio.iter().enumerate() {
+            ratio_rank[pos as usize] = rank as u32;
+        }
+
+        // Memory ranks: a stable sort of the positions by memory.
+        let mut by_mem: Vec<u32> = (0..n as u32).collect();
+        by_mem.sort_by_key(|&pos| task(pos).mem);
+        let mut mem_by_ratio = vec![0u32; n];
+        for (rank, &pos) in by_mem.iter().enumerate() {
+            mem_by_ratio[ratio_rank[pos as usize] as usize] = rank as u32;
+        }
+        let mem_sorted = by_mem.iter().map(|&pos| task(pos).mem.bytes()).collect();
+
+        // Equal-communication runs are contiguous in the (comm, id) order,
+        // and buckets take every ⌈√m⌉-th run start.
+        let run_start: Vec<u32> = (0..n as u32)
+            .filter(|&pos| pos == 0 || task(pos).comm_time != task(pos - 1).comm_time)
+            .chain([n as u32])
+            .collect();
+        let m = run_start.len() - 1;
+        let bucket_start: Vec<u32> = run_start[..m]
+            .iter()
+            .step_by(isqrt_ceil(m))
+            .copied()
+            .chain([n as u32])
+            .collect();
+
+        let all = Groups::new(vec![0, n as u32], &by_mem, &ratio_rank);
+        let runs = Groups::new(run_start, &by_mem, &ratio_rank);
+        let buckets = Groups::new(bucket_start, &by_mem, &ratio_rank);
+        let count = buckets.len();
+        let mut outer = vec![Node::EMPTY; 2 * count];
+        for g in 0..count {
+            outer[count + g] = buckets.root(g);
+        }
+        build_tree(&mut outer, count);
+        RatioIndex {
+            mem_sorted,
+            pos_by_ratio,
+            mem_by_ratio,
+            all,
+            runs,
+            buckets,
+            outer,
+        }
+    }
+
+    /// Removes the task at `pos` from every grouping and the outer tree.
+    fn remove(&mut self, pos: usize) {
+        self.all.remove(pos);
+        self.runs.remove(pos);
+        let g = self.buckets.remove(pos);
+        let count = self.buckets.len();
+        set_leaf(&mut self.outer, count + g, self.buckets.root(g));
+    }
+
+    /// The position of the best present task of the run-aligned position
+    /// range `lo..hi` that needs at most `free` bytes, by the two-stage
+    /// search of
+    /// [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within).
+    fn best_in(&self, free: u64, lo: usize, hi: usize) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        let k = self.mem_sorted.partition_point(|&m| m <= free) as u32;
+        // Stage 1: the best fitting task regardless of communication time.
+        // If it lands in the range it dominates the whole query set; if
+        // nothing fits at all, the range holds no candidate either.
+        let winner = self.all.best(0, k);
+        if winner == u32::MAX {
+            return None;
+        }
+        let pos = self.pos_by_ratio[winner as usize] as usize;
+        if (lo..hi).contains(&pos) {
+            return Some(pos);
+        }
+        // Stage 2: the whole buckets of the range go champion-first
+        // through the outer tree's canonical decomposition, then the runs
+        // of the at most two partially covered boundary buckets one by one.
+        let mut best = u32::MAX;
+        let whole = self.buckets.within(lo, hi);
+        let count = self.buckets.len();
+        let (mut l, mut r) = (count + whole.start, count + whole.end);
+        while l < r {
+            if l & 1 == 1 {
+                self.outer_search(l, k, &mut best);
+                l += 1;
+            }
+            if r & 1 == 1 {
+                r -= 1;
+                self.outer_search(r, k, &mut best);
+            }
+            l >>= 1;
+            r >>= 1;
+        }
+        let (mid_lo, mid_hi) = if whole.is_empty() {
+            (hi, hi)
+        } else {
+            let first = |g: usize| self.buckets.start[g] as usize;
+            (first(whole.start), first(whole.end))
+        };
+        for (a, b) in [(lo, mid_lo), (mid_hi, hi)] {
+            for run in self.runs.within(a, b) {
+                self.group_search(&self.runs, run, k, &mut best);
+            }
+        }
+        (best != u32::MAX).then(|| self.pos_by_ratio[best as usize] as usize)
+    }
+
+    /// Settles a subtree by its root `node` where the root decides,
+    /// tightening `best` in place: a subtree with no fitting present task
+    /// or whose champion cannot beat `best` is skipped, and a fitting
+    /// champion dominates its subtree and is taken. Returns `true` iff the
+    /// champion is memory-blocked but would beat `best`, so the subtree
+    /// must be searched below its root.
+    fn must_descend(&self, node: Node, k: u32, best: &mut u32) -> bool {
+        if node.min_mem >= k || node.best >= *best {
+            return false;
+        }
+        if self.mem_by_ratio[node.best as usize] < k {
+            *best = node.best;
+            return false;
+        }
+        true
+    }
+
+    /// Champion check of group `g`, resolving a memory-blocked champion
+    /// exactly by the group's prefix query.
+    fn group_search(&self, groups: &Groups, g: usize, k: u32, best: &mut u32) {
+        if self.must_descend(groups.root(g), k, best) {
+            *best = (*best).min(groups.best(g, k));
+        }
+    }
+
+    /// Champion-first search of one outer subtree, whose leaves are the
+    /// buckets.
+    fn outer_search(&self, node: usize, k: u32, best: &mut u32) {
+        let count = self.buckets.len();
+        if node >= count {
+            return self.group_search(&self.buckets, node - count, k, best);
+        }
+        if !self.must_descend(self.outer[node], k, best) {
+            return;
+        }
+        let (a, b) = (2 * node, 2 * node + 1);
+        // Search the better-ranked child first so the second is usually
+        // pruned by the tightened `best`.
+        let (first, second) = if self.outer[b].best < self.outer[a].best {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        self.outer_search(first, k, best);
+        self.outer_search(second, k, best);
+    }
 }
 
 /// An index over the not-yet-scheduled tasks of an instance, ordered by
@@ -155,8 +471,8 @@ fn prefix_best(tree: &[RatioBest], size: usize, k: usize) -> RatioBest {
 ///
 /// Selection rules that never ask ratio queries — the
 /// largest/smallest-communication criteria — should build the index with
-/// [`comm_only`](CandidateIndex::comm_only), which skips the two ratio
-/// trees and the per-task acceleration ratios entirely.
+/// [`comm_only`](CandidateIndex::comm_only), which skips the ratio
+/// machinery and the per-task acceleration ratios entirely.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     /// Communication time at each position of the `(comm, id)` order
@@ -164,73 +480,20 @@ pub struct CandidateIndex {
     comm: Vec<Time>,
     /// Task id at each position.
     id_at: Vec<TaskId>,
-    /// Memory requirement at each position.
-    mem: Vec<u64>,
     /// Position of each task id.
     pos_of: Vec<u32>,
     /// Which positions still hold a task.
     present: Vec<bool>,
     /// Number of tasks still present.
     len: usize,
-    /// Leaf offset of the min-memory and memory-order trees
-    /// (`next_power_of_two` of the task count).
+    /// Leaf offset of the min-memory tree (`next_power_of_two` of the task
+    /// count).
     base: usize,
     /// Min-memory segment tree over positions (`2 * base` slots).
     min_mem: Vec<u128>,
-    /// Memory-order ratio tree, indexed like `min_mem`: leaf `r` holds the
-    /// key of the task at rank `r` of the `(memory, position)` order
-    /// (empty for [`comm_only`](CandidateIndex::comm_only) indexes, like
-    /// every other ratio-machinery field below).
-    mem_tree: Vec<RatioBest>,
-    /// Memory requirement at each rank of the `(memory, position)` order
-    /// (non-decreasing; a free-memory threshold maps to a prefix of it).
-    mem_sorted: Vec<u64>,
-    /// Rank of each position in the `(memory, position)` order.
-    mem_rank_of: Vec<u32>,
-    /// Equal-communication-time run containing each position.
-    block_of_pos: Vec<u32>,
-    /// First position of each run (`m + 1` entries, last one `n`).
-    block_start: Vec<u32>,
-    /// Rank of each position within its run's `(memory, position)` order.
-    rank_in_block: Vec<u32>,
-    /// Per-run sorted memory requirements, concatenated; run `b` owns
-    /// `block_start[b]..block_start[b + 1]`.
-    block_mem_sorted: Vec<u64>,
-    /// Per-run prefix-maximum trees over the per-run memory order,
-    /// concatenated; run `b` (size `s`) owns the `2 s` slots starting at
-    /// `2 * block_start[b]`, leaves in the upper half.
-    block_keys: Vec<RatioBest>,
-    /// Per-run min-memory trees with the same layout as `block_keys`.
-    block_min_mem: Vec<u128>,
-    /// Bucket containing each run: consecutive runs group into ⌈√m⌉-wide
-    /// buckets so a memory-blocked query resolves in O(√m · log n) probes
-    /// worst case instead of one probe per run.
-    bucket_of_block: Vec<u32>,
-    /// First run of each bucket (`g + 1` entries, last one `m`).
-    bucket_start_block: Vec<u32>,
-    /// Rank of each position within its bucket's `(memory, position)`
-    /// order.
-    rank_in_bucket: Vec<u32>,
-    /// Per-bucket sorted memory requirements, concatenated; bucket `g`
-    /// owns the positions of [`bucket_pos_range`](Self::bucket_pos_range).
-    bucket_mem_sorted: Vec<u64>,
-    /// Per-bucket prefix-maximum trees over the per-bucket memory order,
-    /// laid out like `block_keys` (the buckets also partition the tasks,
-    /// so these pack into exactly 2n slots); each root feeds the outer
-    /// tree's key leaf.
-    bucket_keys: Vec<RatioBest>,
-    /// Per-bucket min-memory trees with the same layout as `bucket_keys`;
-    /// each root feeds the outer tree's min-memory leaf.
-    bucket_min_mem: Vec<u128>,
-    /// Leaf offset of the outer trees (`next_power_of_two` of the bucket
-    /// count).
-    outer_base: usize,
-    /// Outer champion tree over the buckets: each node stores the best
-    /// present key of its bucket range (leaf `g` mirrors bucket `g`'s
-    /// root).
-    outer_keys: Vec<RatioBest>,
-    /// Outer min-memory tree over the buckets, indexed like `outer_keys`.
-    outer_min_mem: Vec<u128>,
+    /// The ratio machinery; `None` for
+    /// [`comm_only`](CandidateIndex::comm_only) indexes.
+    ratio: Option<RatioIndex>,
 }
 
 /// Task indices in `(communication time, index)` order: a stable sort on
@@ -244,7 +507,7 @@ fn comm_order(tasks: &[Task]) -> Vec<u32> {
 
 impl CandidateIndex {
     /// Builds the full index over every task of `instance`, including the
-    /// ratio trees behind
+    /// ratio machinery behind
     /// [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within).
     ///
     /// # Panics
@@ -256,7 +519,7 @@ impl CandidateIndex {
         Self::build(instance, true)
     }
 
-    /// Builds the index without the ratio trees or the per-task
+    /// Builds the index without the ratio machinery or the per-task
     /// acceleration ratios — for selection rules that only need the
     /// communication-time queries.
     ///
@@ -270,7 +533,7 @@ impl CandidateIndex {
         Self::build(instance, false)
     }
 
-    fn build(instance: &Instance, with_ratio_trees: bool) -> Self {
+    fn build(instance: &Instance, with_ratio: bool) -> Self {
         let n = instance.len();
         assert!(
             u32::try_from(n).is_ok(),
@@ -279,229 +542,33 @@ impl CandidateIndex {
         let tasks = instance.tasks();
         let order = comm_order(tasks);
 
+        let base = n.next_power_of_two().max(1);
         let mut comm = Vec::with_capacity(n);
         let mut id_at = Vec::with_capacity(n);
-        let mut mem = Vec::with_capacity(n);
         let mut pos_of = vec![0u32; n];
+        let mut min_mem = vec![MEM_ABSENT; 2 * base];
         for (pos, &i) in order.iter().enumerate() {
             let task = &tasks[i as usize];
             comm.push(task.comm_time);
             id_at.push(TaskId(i as usize));
-            mem.push(task.mem.bytes());
             pos_of[i as usize] = pos as u32;
-        }
-
-        let base = n.next_power_of_two().max(1);
-        let mut min_mem = vec![MEM_ABSENT; 2 * base];
-        for (pos, &m) in mem.iter().enumerate() {
-            min_mem[base + pos] = u128::from(m);
+            min_mem[base + pos] = u128::from(task.mem.bytes());
         }
         for i in (1..base).rev() {
             min_mem[i] = min_mem[2 * i].min(min_mem[2 * i + 1]);
         }
+        let ratio = with_ratio.then(|| RatioIndex::new(tasks, &order, &pos_of));
 
-        let mut index = CandidateIndex {
+        CandidateIndex {
             comm,
             id_at,
-            mem,
             pos_of,
             present: vec![true; n],
             len: n,
             base,
             min_mem,
-            mem_tree: Vec::new(),
-            mem_sorted: Vec::new(),
-            mem_rank_of: Vec::new(),
-            block_of_pos: Vec::new(),
-            block_start: Vec::new(),
-            rank_in_block: Vec::new(),
-            block_mem_sorted: Vec::new(),
-            block_keys: Vec::new(),
-            block_min_mem: Vec::new(),
-            bucket_of_block: Vec::new(),
-            bucket_start_block: Vec::new(),
-            rank_in_bucket: Vec::new(),
-            bucket_mem_sorted: Vec::new(),
-            bucket_keys: Vec::new(),
-            bucket_min_mem: Vec::new(),
-            outer_base: 0,
-            outer_keys: Vec::new(),
-            outer_min_mem: Vec::new(),
-        };
-        if with_ratio_trees {
-            index.build_ratio_trees(instance);
+            ratio,
         }
-        index
-    }
-
-    /// Builds the ratio machinery: the memory-order tree, the per-run
-    /// trees and the outer champion tree. O(n) beyond the
-    /// `(memory, position)` sorts.
-    fn build_ratio_trees(&mut self, instance: &Instance) {
-        let n = self.comm.len();
-        let base = self.base;
-        let ratio: Vec<f64> = self
-            .id_at
-            .iter()
-            .map(|&id| instance.task(id).acceleration_ratio())
-            .collect();
-        let key_of = |pos: usize| -> RatioBest { (ratio[pos], self.id_at[pos].index() as u32) };
-
-        // Memory-order tree: leaves follow the global (memory, position)
-        // sort so a free-memory threshold is a canonical prefix.
-        let mut by_mem: Vec<u32> = (0..n as u32).collect();
-        by_mem.sort_unstable_by_key(|&pos| (self.mem[pos as usize], pos));
-        self.mem_sorted = Vec::with_capacity(n);
-        self.mem_rank_of = vec![0u32; n];
-        self.mem_tree = vec![RATIO_NEUTRAL; 2 * base];
-        for (rank, &pos) in by_mem.iter().enumerate() {
-            self.mem_sorted.push(self.mem[pos as usize]);
-            self.mem_rank_of[pos as usize] = rank as u32;
-            self.mem_tree[base + rank] = key_of(pos as usize);
-        }
-        for i in (1..base).rev() {
-            self.mem_tree[i] = key_combine(self.mem_tree[2 * i], self.mem_tree[2 * i + 1]);
-        }
-
-        // Equal-communication runs. The (comm, id) order makes them
-        // contiguous, and every communication bound cuts at a run boundary.
-        self.block_of_pos = vec![0u32; n];
-        self.block_start = vec![0u32];
-        for pos in 0..n {
-            if pos > 0 && self.comm[pos] != self.comm[pos - 1] {
-                self.block_start.push(pos as u32);
-            }
-            self.block_of_pos[pos] = (self.block_start.len() - 1) as u32;
-        }
-        self.block_start.push(n as u32);
-        let m = self.block_start.len() - 1;
-
-        // Per-run memory-sorted prefix-maximum trees, flat: run `b` of
-        // size `s` owns slots `2 * block_start[b] ..` (2s of them, leaves
-        // in the upper half) — the runs partition the tasks, so the trees
-        // pack into exactly 2n slots.
-        self.rank_in_block = vec![0u32; n];
-        self.block_mem_sorted = vec![0u64; n];
-        self.block_keys = vec![RATIO_NEUTRAL; 2 * n];
-        self.block_min_mem = vec![MEM_ABSENT; 2 * n];
-        for b in 0..m {
-            let (start, end) = (
-                self.block_start[b] as usize,
-                self.block_start[b + 1] as usize,
-            );
-            let s = end - start;
-            let mut run: Vec<u32> = (start as u32..end as u32).collect();
-            run.sort_unstable_by_key(|&pos| (self.mem[pos as usize], pos));
-            let off = 2 * start;
-            for (r, &pos) in run.iter().enumerate() {
-                self.rank_in_block[pos as usize] = r as u32;
-                self.block_mem_sorted[start + r] = self.mem[pos as usize];
-                self.block_keys[off + s + r] = key_of(pos as usize);
-                self.block_min_mem[off + s + r] = u128::from(self.mem[pos as usize]);
-            }
-            for i in (1..s).rev() {
-                self.block_keys[off + i] = key_combine(
-                    self.block_keys[off + 2 * i],
-                    self.block_keys[off + 2 * i + 1],
-                );
-                self.block_min_mem[off + i] =
-                    self.block_min_mem[off + 2 * i].min(self.block_min_mem[off + 2 * i + 1]);
-            }
-        }
-
-        // ⌈√m⌉-wide buckets of consecutive runs. Communication bounds cut
-        // at run boundaries, so a query covers at most two buckets
-        // partially; everything between is whole buckets for the outer
-        // tree.
-        let runs_per_bucket = isqrt_ceil(m);
-        self.bucket_of_block = vec![0u32; m];
-        self.bucket_start_block = Vec::with_capacity(m / runs_per_bucket + 2);
-        for b in 0..m {
-            if b % runs_per_bucket == 0 {
-                self.bucket_start_block.push(b as u32);
-            }
-            self.bucket_of_block[b] = (self.bucket_start_block.len() - 1) as u32;
-        }
-        self.bucket_start_block.push(m as u32);
-        let g_count = self.bucket_start_block.len() - 1;
-
-        // Per-bucket memory-sorted prefix-maximum trees, flat like the
-        // per-run ones: bucket `g` of `s` positions owns 2s slots starting
-        // at twice its first position — the buckets partition the tasks,
-        // so the trees pack into exactly 2n slots again.
-        self.rank_in_bucket = vec![0u32; n];
-        self.bucket_mem_sorted = vec![0u64; n];
-        self.bucket_keys = vec![RATIO_NEUTRAL; 2 * n];
-        self.bucket_min_mem = vec![MEM_ABSENT; 2 * n];
-        for g in 0..g_count {
-            let (start, end) = self.bucket_pos_range(g);
-            let s = end - start;
-            let mut span: Vec<u32> = (start as u32..end as u32).collect();
-            span.sort_unstable_by_key(|&pos| (self.mem[pos as usize], pos));
-            let off = 2 * start;
-            for (r, &pos) in span.iter().enumerate() {
-                self.rank_in_bucket[pos as usize] = r as u32;
-                self.bucket_mem_sorted[start + r] = self.mem[pos as usize];
-                self.bucket_keys[off + s + r] = key_of(pos as usize);
-                self.bucket_min_mem[off + s + r] = u128::from(self.mem[pos as usize]);
-            }
-            for i in (1..s).rev() {
-                self.bucket_keys[off + i] = key_combine(
-                    self.bucket_keys[off + 2 * i],
-                    self.bucket_keys[off + 2 * i + 1],
-                );
-                self.bucket_min_mem[off + i] =
-                    self.bucket_min_mem[off + 2 * i].min(self.bucket_min_mem[off + 2 * i + 1]);
-            }
-        }
-
-        // Outer trees over the buckets; leaf `g` mirrors bucket `g`'s root.
-        self.outer_base = g_count.next_power_of_two().max(1);
-        self.outer_keys = vec![RATIO_NEUTRAL; 2 * self.outer_base];
-        self.outer_min_mem = vec![MEM_ABSENT; 2 * self.outer_base];
-        for g in 0..g_count {
-            self.outer_keys[self.outer_base + g] = self.bucket_root_key(g);
-            self.outer_min_mem[self.outer_base + g] = self.bucket_root_min_mem(g);
-        }
-        for i in (1..self.outer_base).rev() {
-            self.outer_keys[i] = key_combine(self.outer_keys[2 * i], self.outer_keys[2 * i + 1]);
-            self.outer_min_mem[i] = self.outer_min_mem[2 * i].min(self.outer_min_mem[2 * i + 1]);
-        }
-    }
-
-    /// Root aggregate of run `b`'s key tree (its best present key). Local
-    /// index 1 is the root for every run size — a size-1 run stores its
-    /// single leaf there.
-    #[inline]
-    fn block_root_key(&self, b: usize) -> RatioBest {
-        self.block_keys[2 * self.block_start[b] as usize + 1]
-    }
-
-    /// Root aggregate of run `b`'s min-memory tree.
-    #[inline]
-    fn block_root_min_mem(&self, b: usize) -> u128 {
-        self.block_min_mem[2 * self.block_start[b] as usize + 1]
-    }
-
-    /// The position range `[start, end)` bucket `g` covers.
-    #[inline]
-    fn bucket_pos_range(&self, g: usize) -> (usize, usize) {
-        (
-            self.block_start[self.bucket_start_block[g] as usize] as usize,
-            self.block_start[self.bucket_start_block[g + 1] as usize] as usize,
-        )
-    }
-
-    /// Root aggregate of bucket `g`'s key tree (its best present key).
-    #[inline]
-    fn bucket_root_key(&self, g: usize) -> RatioBest {
-        self.bucket_keys[2 * self.bucket_pos_range(g).0 + 1]
-    }
-
-    /// Root aggregate of bucket `g`'s min-memory tree.
-    #[inline]
-    fn bucket_root_min_mem(&self, g: usize) -> u128 {
-        self.bucket_min_mem[2 * self.bucket_pos_range(g).0 + 1]
     }
 
     /// Number of tasks still present.
@@ -541,58 +608,8 @@ impl CandidateIndex {
             i >>= 1;
             self.min_mem[i] = self.min_mem[2 * i].min(self.min_mem[2 * i + 1]);
         }
-        if self.mem_tree.is_empty() {
-            return;
-        }
-
-        // Memory-order tree.
-        let mut i = self.base + self.mem_rank_of[pos] as usize;
-        self.mem_tree[i] = RATIO_NEUTRAL;
-        while i > 1 {
-            i >>= 1;
-            self.mem_tree[i] = key_combine(self.mem_tree[2 * i], self.mem_tree[2 * i + 1]);
-        }
-
-        // The position's run, then its bucket, then the outer trees above.
-        let b = self.block_of_pos[pos] as usize;
-        let start = self.block_start[b] as usize;
-        let s = self.block_start[b + 1] as usize - start;
-        let off = 2 * start;
-        let mut i = s + self.rank_in_block[pos] as usize;
-        self.block_keys[off + i] = RATIO_NEUTRAL;
-        self.block_min_mem[off + i] = MEM_ABSENT;
-        while i > 1 {
-            i >>= 1;
-            self.block_keys[off + i] = key_combine(
-                self.block_keys[off + 2 * i],
-                self.block_keys[off + 2 * i + 1],
-            );
-            self.block_min_mem[off + i] =
-                self.block_min_mem[off + 2 * i].min(self.block_min_mem[off + 2 * i + 1]);
-        }
-        let g = self.bucket_of_block[b] as usize;
-        let (gstart, gend) = self.bucket_pos_range(g);
-        let s = gend - gstart;
-        let off = 2 * gstart;
-        let mut i = s + self.rank_in_bucket[pos] as usize;
-        self.bucket_keys[off + i] = RATIO_NEUTRAL;
-        self.bucket_min_mem[off + i] = MEM_ABSENT;
-        while i > 1 {
-            i >>= 1;
-            self.bucket_keys[off + i] = key_combine(
-                self.bucket_keys[off + 2 * i],
-                self.bucket_keys[off + 2 * i + 1],
-            );
-            self.bucket_min_mem[off + i] =
-                self.bucket_min_mem[off + 2 * i].min(self.bucket_min_mem[off + 2 * i + 1]);
-        }
-        let mut i = self.outer_base + g;
-        self.outer_keys[i] = self.bucket_root_key(g);
-        self.outer_min_mem[i] = self.bucket_root_min_mem(g);
-        while i > 1 {
-            i >>= 1;
-            self.outer_keys[i] = key_combine(self.outer_keys[2 * i], self.outer_keys[2 * i + 1]);
-            self.outer_min_mem[i] = self.outer_min_mem[2 * i].min(self.outer_min_mem[2 * i + 1]);
+        if let Some(ratio) = &mut self.ratio {
+            ratio.remove(pos);
         }
     }
 
@@ -647,24 +664,20 @@ impl CandidateIndex {
     /// [`best_ratio_candidate_at`](CandidateIndex::best_ratio_candidate_at)
     /// states that case more directly).
     ///
-    /// The query runs in two stages. First, a prefix-maximum probe of the
-    /// memory-order ratio tree yields the best-ratio fitting task with the
+    /// The query runs in two stages. First, a prefix query over all tasks
+    /// in memory-rank order yields the best-ratio fitting task with the
     /// communication bound ignored — whenever that winner also satisfies
     /// the bound (every decision where the processing-unit backlog covers
     /// the candidates' communication times), it dominates the constrained
-    /// set and is returned after two O(log n) probes. Otherwise the range
-    /// of equal-communication runs under the bound — whole ⌈√m⌉-run
-    /// buckets plus at most two partially covered boundary buckets — is
-    /// searched champion-first: a champion that fits is taken without
-    /// descending, a subtree with no fitting present task is skipped
-    /// (outer min-memory pruning), a bucket whose champion is
-    /// memory-blocked resolves exactly via its own prefix-maximum tree,
-    /// and the boundary buckets resolve their covered runs one at a time
-    /// the same way. Worst case that is O(√m · log n) with `m` the number
-    /// of distinct communication times — bounded even on
-    /// continuous-communication traces under memory pressure, where the
-    /// previous run-granular search paid one probe per distinct
-    /// communication time and degenerated to a linear scan.
+    /// set and is returned after two O(log n) probes. Otherwise the runs
+    /// under the bound — whole ⌈√m⌉-run buckets plus at most two partially
+    /// covered boundary buckets — are searched champion-first: a subtree
+    /// with no fitting present task or an out-ranked champion is skipped, a
+    /// fitting champion is taken without descending, and a bucket or
+    /// boundary run whose champion is memory-blocked resolves exactly by
+    /// its own prefix query. Worst case that is O(√m · log n) with `m` the
+    /// number of distinct communication times, even on
+    /// continuous-communication traces under memory pressure.
     ///
     /// # Panics
     ///
@@ -698,183 +711,15 @@ impl CandidateIndex {
         self.best_ratio_in_range(free, lo, hi)
     }
 
-    /// The two-stage ratio query over the position range `[lo, hi)`, which
-    /// is always aligned to equal-communication run boundaries.
+    /// The ratio query over the position range `[lo, hi)`, which is always
+    /// aligned to equal-communication run boundaries.
     fn best_ratio_in_range(&self, free: MemSize, lo: usize, hi: usize) -> Option<TaskId> {
+        let ratio = self.ratio.as_ref();
         assert!(
-            !self.mem_tree.is_empty(),
+            ratio.is_some(),
             "ratio query on an index built with CandidateIndex::comm_only"
         );
-        if lo >= hi {
-            return None;
-        }
-        let free = free.bytes();
-        // Stage 1: the best fitting task regardless of communication time.
-        // If it lands in the queried range it dominates the whole query
-        // set; if nothing fits at all, the constrained set is empty too.
-        let k = self.mem_sorted.partition_point(|&m| m <= free);
-        let unconstrained = self.mem_prefix_best(k);
-        if unconstrained == RATIO_NEUTRAL {
-            return None;
-        }
-        let winner_pos = self.pos_of[unconstrained.1 as usize] as usize;
-        if (lo..hi).contains(&winner_pos) {
-            return Some(TaskId(unconstrained.1 as usize));
-        }
-        // Stage 2: the winner lies outside the range; search the runs of
-        // the range. The range is run-aligned, so it decomposes into a
-        // (possibly empty) span of whole buckets plus at most two
-        // partially covered boundary buckets. The whole buckets go
-        // champion-first through the outer tree (canonical decomposition
-        // below: at most one node per side per level, so the fixed stack
-        // suffices, cf. `directed_search`); the boundary buckets resolve
-        // their at most ⌈√m⌉ covered runs each one run at a time.
-        let limit = u128::from(free);
-        let blo = self.block_of_pos[lo] as usize;
-        let bhi = self.block_of_pos[hi - 1] as usize + 1;
-        let glo = self.bucket_of_block[blo] as usize;
-        let ghi = self.bucket_of_block[bhi - 1] as usize;
-        let gfull_lo = if blo == self.bucket_start_block[glo] as usize {
-            glo
-        } else {
-            glo + 1
-        };
-        let gfull_hi = if bhi == self.bucket_start_block[ghi + 1] as usize {
-            ghi + 1
-        } else {
-            ghi
-        };
-        let mut best = RATIO_NEUTRAL;
-        if gfull_lo < gfull_hi {
-            let mut nodes = [0usize; 64];
-            let mut n_nodes = 0;
-            let (mut l, mut r) = (self.outer_base + gfull_lo, self.outer_base + gfull_hi);
-            while l < r {
-                if l & 1 == 1 {
-                    nodes[n_nodes] = l;
-                    n_nodes += 1;
-                    l += 1;
-                }
-                if r & 1 == 1 {
-                    r -= 1;
-                    nodes[n_nodes] = r;
-                    n_nodes += 1;
-                }
-                l >>= 1;
-                r >>= 1;
-            }
-            for &node in &nodes[..n_nodes] {
-                self.outer_search(node, limit, free, &mut best);
-            }
-        }
-        for g in [glo, ghi] {
-            if g >= gfull_lo && g < gfull_hi {
-                // Fully covered: the outer search above handled it.
-                continue;
-            }
-            let run_lo = blo.max(self.bucket_start_block[g] as usize);
-            let run_hi = bhi.min(self.bucket_start_block[g + 1] as usize);
-            for b in run_lo..run_hi {
-                self.run_search(b, limit, free, &mut best);
-            }
-            if glo == ghi {
-                break;
-            }
-        }
-        (best != RATIO_NEUTRAL).then_some(TaskId(best.1 as usize))
-    }
-
-    /// Champion-first search of one outer subtree, tightening `best` in
-    /// place: skips subtrees with no fitting present task or whose champion
-    /// cannot out-rank `best`, accepts a fitting champion without
-    /// descending, and resolves a memory-blocked bucket exactly via the
-    /// bucket's prefix-maximum tree.
-    fn outer_search(&self, node: usize, limit: u128, free: u64, best: &mut RatioBest) {
-        // No present task of the subtree fits in the free memory…
-        if self.outer_min_mem[node] > limit {
-            return;
-        }
-        let champ = self.outer_keys[node];
-        // …or even its best-ranked task would lose to the current best.
-        if !key_beats(champ, *best) {
-            return;
-        }
-        if self.mem[self.pos_of[champ.1 as usize] as usize] <= free {
-            // The champion fits and dominates its whole subtree.
-            *best = champ;
-            return;
-        }
-        if node >= self.outer_base {
-            // A bucket whose champion is memory-blocked: resolve it
-            // exactly.
-            let key = self.bucket_best(node - self.outer_base, free);
-            if key_beats(key, *best) {
-                *best = key;
-            }
-            return;
-        }
-        let (a, b) = (2 * node, 2 * node + 1);
-        // Search the better-ranked child first so the second is usually
-        // pruned by the tightened `best`.
-        let (first, second) = if key_beats(self.outer_keys[b], self.outer_keys[a]) {
-            (b, a)
-        } else {
-            (a, b)
-        };
-        self.outer_search(first, limit, free, best);
-        self.outer_search(second, limit, free, best);
-    }
-
-    /// Champion check of one equal-communication run, tightening `best` in
-    /// place — the boundary-bucket counterpart of
-    /// [`outer_search`](Self::outer_search)'s leaf case: skip a run with
-    /// no fitting present task or an out-ranked champion, take a fitting
-    /// champion outright, resolve a memory-blocked one exactly via the
-    /// run's prefix-maximum tree.
-    fn run_search(&self, b: usize, limit: u128, free: u64, best: &mut RatioBest) {
-        if self.block_root_min_mem(b) > limit {
-            return;
-        }
-        let champ = self.block_root_key(b);
-        if !key_beats(champ, *best) {
-            return;
-        }
-        if self.mem[self.pos_of[champ.1 as usize] as usize] <= free {
-            *best = champ;
-            return;
-        }
-        let key = self.block_best(b, free);
-        if key_beats(key, *best) {
-            *best = key;
-        }
-    }
-
-    /// Best present key among the tasks of run `b` with memory requirement
-    /// at most `free`: a prefix-maximum over the run's memory-sorted
-    /// leaves. O(log of the run size), worst case — the memory threshold
-    /// is a canonical prefix of the run's leaf order.
-    fn block_best(&self, b: usize, free: u64) -> RatioBest {
-        let start = self.block_start[b] as usize;
-        let s = self.block_start[b + 1] as usize - start;
-        let k = self.block_mem_sorted[start..start + s].partition_point(|&m| m <= free);
-        prefix_best(&self.block_keys[2 * start..], s, k)
-    }
-
-    /// Best present key among the tasks of bucket `g` with memory
-    /// requirement at most `free`: a prefix-maximum over the bucket's
-    /// memory-sorted leaves. O(log of the bucket size), worst case.
-    fn bucket_best(&self, g: usize, free: u64) -> RatioBest {
-        let (start, end) = self.bucket_pos_range(g);
-        let s = end - start;
-        let k = self.bucket_mem_sorted[start..end].partition_point(|&m| m <= free);
-        prefix_best(&self.bucket_keys[2 * start..], s, k)
-    }
-
-    /// Best present key among the first `k` ranks of the global
-    /// `(memory, position)` order — the fitting tasks under a memory
-    /// threshold, communication bound ignored.
-    fn mem_prefix_best(&self, k: usize) -> RatioBest {
-        prefix_best(&self.mem_tree, self.base, k)
+        Some(self.id_at[ratio?.best_in(free.bytes(), lo, hi)?])
     }
 
     /// Leftmost position in `[lo, hi)` whose present task needs at most
@@ -1116,31 +961,40 @@ mod tests {
         }
         let instance = builder.build().unwrap();
         let mut index = CandidateIndex::new(&instance);
-        let naive = |index: &CandidateIndex, free: u64, bound: u64| -> Option<TaskId> {
-            (0..n as usize)
-                .filter(|&i| index.contains(TaskId(i)))
-                .map(|i| (i, instance.task(TaskId(i))))
-                .filter(|(_, t)| {
-                    t.mem <= MemSize::from_bytes(free) && t.comm_time <= Time::units_int(bound)
-                })
-                .min_by(|(a_id, a), (b_id, b)| {
-                    b.acceleration_ratio()
-                        .partial_cmp(&a.acceleration_ratio())
-                        .expect("ratios are never NaN")
-                        .then(a_id.cmp(b_id))
-                })
-                .map(|(i, _)| TaskId(i))
-        };
+        // The best present task under `free` whose communication time is at
+        // most `bound`, or exactly `bound` when `exact`.
+        let naive =
+            |index: &CandidateIndex, free: u64, bound: u64, exact: bool| -> Option<TaskId> {
+                let bound = Time::units_int(bound);
+                (0..n as usize)
+                    .filter(|&i| index.contains(TaskId(i)))
+                    .map(|i| (i, instance.task(TaskId(i))))
+                    .filter(|(_, t)| {
+                        t.mem <= MemSize::from_bytes(free)
+                            && (t.comm_time == bound || (!exact && t.comm_time < bound))
+                    })
+                    .min_by(|(a_id, a), (b_id, b)| {
+                        b.acceleration_ratio()
+                            .partial_cmp(&a.acceleration_ratio())
+                            .expect("ratios are never NaN")
+                            .then(a_id.cmp(b_id))
+                    })
+                    .map(|(i, _)| TaskId(i))
+            };
         for round in 0..3 {
             for bound in 0..=n + 1 {
                 for free in [0, 1, 500] {
+                    let (mem, comm) = (MemSize::from_bytes(free), Time::units_int(bound));
                     assert_eq!(
-                        index.best_ratio_candidate_within(
-                            MemSize::from_bytes(free),
-                            Time::units_int(bound)
-                        ),
-                        naive(&index, free, bound),
-                        "round {round} free {free} bound {bound}"
+                        index.best_ratio_candidate_within(mem, comm),
+                        naive(&index, free, bound, false),
+                        "within: round {round} free {free} bound {bound}"
+                    );
+                    // A single-run range, which mostly starts mid-bucket.
+                    assert_eq!(
+                        index.best_ratio_candidate_at(mem, comm),
+                        naive(&index, free, bound, true),
+                        "at: round {round} free {free} comm {bound}"
                     );
                 }
             }

@@ -453,7 +453,8 @@ pub fn export_model(spec: &CostModelSpec) -> Result<String> {
 /// Writes a model file ([`export_model`] to disk).
 pub fn export_model_file(spec: &CostModelSpec, path: &Path) -> Result<()> {
     let rendered = export_model(spec)?;
-    std::fs::write(path, rendered).map_err(|e| CoreError::Serialization(e.to_string()))
+    std::fs::write(path, rendered)
+        .map_err(|e| CoreError::Serialization(format!("cannot write {}: {e}", path.display())))
 }
 
 // ---------------------------------------------------------------------------

@@ -26,15 +26,15 @@ pub enum SelectionCriterion {
 
 impl SelectionCriterion {
     /// `true` iff the criterion asks the candidate index ratio queries
-    /// (only MAMR does), so its index needs the ratio trees.
-    pub(crate) fn needs_ratio_trees(self) -> bool {
+    /// (only MAMR does), so its index needs the ratio machinery.
+    pub(crate) fn needs_ratio_queries(self) -> bool {
         self == SelectionCriterion::MaximumAcceleration
     }
 
     /// The candidate index this criterion queries: the full index for
     /// MAMR, the cheaper communication-only one otherwise.
     pub(crate) fn build_index(self, instance: &Instance) -> CandidateIndex {
-        if self.needs_ratio_trees() {
+        if self.needs_ratio_queries() {
             CandidateIndex::new(instance)
         } else {
             CandidateIndex::comm_only(instance)

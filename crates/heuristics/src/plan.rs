@@ -190,7 +190,7 @@ impl<'a> Plan<'a> {
 
     /// The index `criterion` queries, built on first use.
     fn index(&self, criterion: SelectionCriterion) -> &CandidateIndex {
-        let cell = if criterion.needs_ratio_trees() {
+        let cell = if criterion.needs_ratio_queries() {
             &self.full_index
         } else {
             &self.comm_index

@@ -391,7 +391,9 @@ fn uint_field(fields: &[(String, Value)], key: &str, at: &str) -> Result<u64> {
 /// Writes a trace to `path` in the versioned format.
 pub fn export_file(trace: &Trace, path: impl AsRef<Path>) -> Result<()> {
     let json = export_trace(trace)?;
-    std::fs::write(path, json).map_err(|e| CoreError::Serialization(e.to_string()))
+    let path = path.as_ref();
+    std::fs::write(path, json)
+        .map_err(|e| CoreError::Serialization(format!("cannot write {}: {e}", path.display())))
 }
 
 /// Reads and strictly validates a versioned trace file.
