@@ -4,14 +4,19 @@
 //! Three series per size on the same seeded `md` trace file text:
 //!
 //! * `ingest/value_path_md_<n>tasks` — `serde_json::from_str::<Value>`
-//!   then `Trace::from_value`: the tree path request frames still take;
+//!   then `Trace::from_value`: the tree decoder, which no hot path takes
+//!   any more (request frames decode with `decode_request`; the daemon
+//!   re-runs the tree decoder only to word the error for a refused
+//!   inline trace), kept as the reference the scanner is measured
+//!   against;
 //! * `ingest/from_json_md_<n>tasks` — `Trace::from_json`, which decodes
 //!   straight from the bytes with `serde_json::Reader`: the path of
 //!   `Trace::load` and so of `dts run`, `characterize`, `sweep`,
 //!   `calibrate`, `trace export` and `request <file>`;
 //! * `ingest/load_instance_md_<n>tasks` — `Trace::from_json` then
-//!   `Trace::to_instance_scaled(1.5)`: the decode side of `dts run`, from
-//!   text to the instance the heuristics read.
+//!   `Trace::into_instance_scaled(1.5)`, which moves the task table into
+//!   the instance: the decode side of `dts run`, from text to the
+//!   instance the heuristics read.
 //!
 //! All three start from the file contents in memory, so the gap between
 //! the first two is the decoding work alone, and the third adds the
@@ -80,7 +85,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 Trace::from_json(&json)
                     .expect("valid trace")
-                    .to_instance_scaled(1.5)
+                    .into_instance_scaled(1.5)
                     .expect("feasible at 1.5 mc")
                     .len()
             })

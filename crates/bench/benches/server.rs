@@ -10,6 +10,10 @@
 //! solves; later rounds repeat the same keys so the cache-hit path
 //! dominates.
 //!
+//! Latencies are raw frame round trips (`Client::send_text`): payloads
+//! are rendered before the timer and responses checked after it, so the
+//! client's own JSON work is not counted.
+//!
 //! Three series go through the shared harness, one sample per round:
 //!
 //! * `server/request_p50` — per-round median request latency,
@@ -24,6 +28,7 @@
 
 use criterion::{criterion_group, Criterion};
 use dts_heuristics::Heuristic;
+use dts_server::protocol::request_to_value;
 use dts_server::{Client, Server, ServerConfig, SolveRequest, TraceSource};
 use dts_workloads::{GeneratorConfig, WorkloadFamily};
 use std::net::SocketAddr;
@@ -66,6 +71,10 @@ fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
 /// One load round: `CLIENTS` connections, each sending
 /// `requests_per_client` requests back to back, every request's latency
 /// recorded. Seeds are per-slot, so every round re-asks the same keys.
+///
+/// Each payload is rendered before its timer starts and the response is
+/// checked after it stops, so a latency is the raw frame round trip: the
+/// daemon's work and the loopback, not the client's JSON.
 fn load_round(addr: SocketAddr, requests_per_client: usize) -> Vec<f64> {
     let workers: Vec<_> = (0..CLIENTS)
         .map(|client_idx| {
@@ -74,13 +83,14 @@ fn load_round(addr: SocketAddr, requests_per_client: usize) -> Vec<f64> {
                 let mut latencies = Vec::with_capacity(requests_per_client);
                 for slot in 0..requests_per_client {
                     let request = request((client_idx * requests_per_client + slot) as u64);
+                    let payload = serde_json::to_string(&request_to_value(&request))
+                        .expect("requests render");
                     let start = Instant::now();
-                    let response = client.send_request(&request).expect("request round-trips");
+                    let response = client.send_text(&payload).expect("request round-trips");
                     latencies.push(start.elapsed().as_nanos() as f64);
-                    let status = response.field("status").expect("response carries a status");
                     assert!(
-                        matches!(status, serde::Value::Str(s) if s == "ok"),
-                        "daemon refused a load request: {response:?}"
+                        response.starts_with(r#"{"status":"ok","#),
+                        "daemon refused a load request: {response}"
                     );
                 }
                 latencies

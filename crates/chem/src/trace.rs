@@ -57,7 +57,8 @@ impl TraceTask<'_> {
 /// The tasks are stored as columns: the [`TaskTable`] an [`Instance`] is
 /// built from (24-byte [`Task`] records and one name arena) plus a
 /// [`TaskKind`] column, so [`Trace::to_instance`] copies buffers instead
-/// of converting tasks one by one.
+/// of converting tasks one by one, and [`Trace::into_instance`] moves
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Kernel that produced the trace (`"HF"` or `"CCSD"`).
@@ -279,7 +280,8 @@ impl Trace {
     /// A model carried by the trace is attached to the instance, so every
     /// executor and heuristic honors it; a cost model carried by the trace
     /// is materialized into the task durations here — once per instance,
-    /// never per scheduling decision.
+    /// never per scheduling decision. [`Trace::into_instance`] does the
+    /// same without the copy.
     ///
     /// # Errors
     ///
@@ -290,8 +292,27 @@ impl Trace {
     /// malformed or its predictions overflow the clock.
     pub fn to_instance(&self, capacity: MemSize) -> Result<Instance> {
         self.check_time_totals()?;
+        self.instance_of(self.table.clone(), capacity)
+    }
+
+    /// [`Trace::to_instance`] for an owner that is done with the trace:
+    /// the task table moves into the instance instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// As [`Trace::to_instance`].
+    pub fn into_instance(mut self, capacity: MemSize) -> Result<Instance> {
+        self.check_time_totals()?;
+        let table = std::mem::take(&mut self.table);
+        self.instance_of(table, capacity)
+    }
+
+    /// The one body of [`Trace::to_instance`] and
+    /// [`Trace::into_instance`]: `table` (the trace's own, copied or
+    /// moved out) under the trace's label, model and cost model.
+    fn instance_of(&self, table: TaskTable, capacity: MemSize) -> Result<Instance> {
         let instance = Instance::with_label(
-            self.table.clone(),
+            table,
             capacity,
             format!("{}-rank{}", self.kernel, self.rank),
         )?;
@@ -315,10 +336,27 @@ impl Trace {
     /// and a user-supplied factor (e.g. from the `dts run` command line)
     /// must surface as an error, not a panic.
     pub fn to_instance_scaled(&self, factor: f64) -> Result<Instance> {
+        self.to_instance(self.scaled_capacity(factor)?)
+    }
+
+    /// [`Trace::to_instance_scaled`] for an owner that is done with the
+    /// trace: the task table moves into the instance instead of being
+    /// copied.
+    ///
+    /// # Errors
+    ///
+    /// As [`Trace::to_instance_scaled`].
+    pub fn into_instance_scaled(self, factor: f64) -> Result<Instance> {
+        let capacity = self.scaled_capacity(factor)?;
+        self.into_instance(capacity)
+    }
+
+    /// `factor · mc`, for a finite, non-negative `factor`.
+    fn scaled_capacity(&self, factor: f64) -> Result<MemSize> {
         if !factor.is_finite() || factor < 0.0 {
             return Err(CoreError::InvalidCapacityFactor(factor.to_string()));
         }
-        self.to_instance(self.min_capacity().scale(factor))
+        Ok(self.min_capacity().scale(factor))
     }
 
     /// Serializes the trace to JSON.
@@ -623,6 +661,37 @@ mod tests {
         assert_eq!(inst.capacity(), MemSize::from_bytes(264_192));
         // Factor 1.0 is exactly feasible.
         assert!(trace.to_instance_scaled(1.0).is_ok());
+    }
+
+    #[test]
+    fn moving_the_table_builds_the_copied_instance() {
+        let mut trace = sample();
+        trace.model = Some(ExecutionModel::Duplex);
+        for factor in [1.0, 1.5] {
+            assert_eq!(
+                trace.clone().into_instance_scaled(factor),
+                trace.to_instance_scaled(factor)
+            );
+        }
+        let capacity = MemSize::from_bytes(400_000);
+        assert_eq!(
+            trace.clone().into_instance(capacity),
+            trace.to_instance(capacity)
+        );
+        // The checks run before the table moves, in the same order.
+        assert_eq!(
+            trace.clone().into_instance_scaled(f64::NAN),
+            trace.to_instance_scaled(f64::NAN)
+        );
+        trace.tasks_mut()[0].comm_time = Time::from_micros(u64::MAX);
+        assert_eq!(
+            trace.clone().into_instance_scaled(0.0),
+            trace.to_instance_scaled(0.0)
+        );
+        assert!(matches!(
+            trace.into_instance_scaled(0.0),
+            Err(CoreError::InvalidTrace(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Makespan, idle-time and overlap metrics for schedules.
 
 use crate::instance::Instance;
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, ScheduleEntry};
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 
@@ -34,54 +34,73 @@ impl ScheduleMetrics {
     /// The schedule is assumed feasible (exclusive resources); overlapping
     /// intervals would make the busy-time accounting meaningless.
     pub fn of(instance: &Instance, schedule: &Schedule) -> Self {
-        let makespan = schedule.makespan(instance);
-        let comm_busy: Time = schedule
-            .entries()
-            .iter()
-            .map(|e| instance.task(e.task).comm_time)
-            .sum();
-        let comp_busy: Time = schedule
-            .entries()
-            .iter()
-            .map(|e| instance.task(e.task).comp_time)
-            .sum();
+        // A task's transfer and computation as half-open intervals.
+        let intervals = |e: &ScheduleEntry| {
+            let task = instance.task(e.task);
+            (
+                (e.comm_start, e.comm_start + task.comm_time),
+                (e.comp_start, e.comp_start + task.comp_time),
+            )
+        };
+        let nonempty = |&(start, end): &(Time, Time)| end > start;
+
+        // One pass for the busy sums and the last ends, which also finds
+        // whether both streams of nonempty intervals are already in start
+        // order, as executor schedules list them.
+        let (mut comm_busy, mut comp_busy) = (Time::ZERO, Time::ZERO);
+        let (mut comm_finish, mut makespan) = (Time::ZERO, Time::ZERO);
+        let (mut last_comm, mut last_comp) = (None, None);
+        let mut in_order = true;
+        for e in schedule.entries() {
+            let (comm, comp) = intervals(e);
+            comm_busy += comm.1 - comm.0;
+            comp_busy += comp.1 - comp.0;
+            comm_finish = comm_finish.max(comm.1);
+            makespan = makespan.max(comp.1);
+            for (interval, last) in [(comm, &mut last_comm), (comp, &mut last_comp)] {
+                if nonempty(&interval) {
+                    in_order &= *last <= Some(interval);
+                    *last = Some(interval);
+                }
+            }
+        }
 
         // Overlap: total measure of instants where a transfer and a
-        // computation are simultaneously in progress. Computed by sweeping
-        // the merged interval boundaries.
-        let mut comm_intervals: Vec<(Time, Time)> = schedule
-            .entries()
-            .iter()
-            .map(|e| {
-                let t = instance.task(e.task);
-                (e.comm_start, e.comm_start + t.comm_time)
-            })
-            .filter(|(s, e)| e > s)
-            .collect();
-        let mut comp_intervals: Vec<(Time, Time)> = schedule
-            .entries()
-            .iter()
-            .map(|e| {
-                let t = instance.task(e.task);
-                (e.comp_start, e.comp_start + t.comp_time)
-            })
-            .filter(|(s, e)| e > s)
-            .collect();
-        comm_intervals.sort();
-        comp_intervals.sort();
-        let overlap = interval_intersection(&comm_intervals, &comp_intervals);
-
-        let comm_finish = schedule.comm_finish(instance);
-        let comm_idle = comm_finish.saturating_sub(comm_busy);
-        let comp_idle = makespan.saturating_sub(comp_busy);
+        // computation are simultaneously in progress, merged from the two
+        // interval lists in start order. Streams already in that order
+        // are merged as they stand, since sorting would change nothing;
+        // any other schedule is sorted first.
+        let comm_intervals = || {
+            schedule
+                .entries()
+                .iter()
+                .map(|e| intervals(e).0)
+                .filter(nonempty)
+        };
+        let comp_intervals = || {
+            schedule
+                .entries()
+                .iter()
+                .map(|e| intervals(e).1)
+                .filter(nonempty)
+        };
+        let overlap = if in_order {
+            interval_intersection(comm_intervals(), comp_intervals())
+        } else {
+            let mut comm: Vec<(Time, Time)> = comm_intervals().collect();
+            let mut comp: Vec<(Time, Time)> = comp_intervals().collect();
+            comm.sort();
+            comp.sort();
+            interval_intersection(comm, comp)
+        };
 
         ScheduleMetrics {
             makespan,
             comm_busy,
             comp_busy,
             overlap,
-            comm_idle,
-            comp_idle,
+            comm_idle: comm_finish.saturating_sub(comm_busy),
+            comp_idle: makespan.saturating_sub(comp_busy),
         }
     }
 
@@ -104,19 +123,23 @@ impl ScheduleMetrics {
 
 /// Total measure of the intersection of two sorted lists of disjoint
 /// half-open intervals.
-fn interval_intersection(a: &[(Time, Time)], b: &[(Time, Time)]) -> Time {
+fn interval_intersection(
+    a: impl IntoIterator<Item = (Time, Time)>,
+    b: impl IntoIterator<Item = (Time, Time)>,
+) -> Time {
+    let (mut a, mut b) = (a.into_iter(), b.into_iter());
+    let (mut x, mut y) = (a.next(), b.next());
     let mut total = Time::ZERO;
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let start = a[i].0.max(b[j].0);
-        let end = a[i].1.min(b[j].1);
+    while let (Some((x_start, x_end)), Some((y_start, y_end))) = (x, y) {
+        let start = x_start.max(y_start);
+        let end = x_end.min(y_end);
         if end > start {
             total += end - start;
         }
-        if a[i].1 <= b[j].1 {
-            i += 1;
+        if x_end <= y_end {
+            x = a.next();
         } else {
-            j += 1;
+            y = b.next();
         }
     }
     total
@@ -125,10 +148,15 @@ fn interval_intersection(a: &[(Time, Time)], b: &[(Time, Time)]) -> Time {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecutionModel;
     use crate::instance::InstanceBuilder;
+    use crate::instances::{random_instance, RandomInstanceConfig};
     use crate::memory::MemSize;
     use crate::simulate::{simulate_sequence, simulate_sequence_infinite};
     use crate::task::TaskId;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     fn table3() -> Instance {
         InstanceBuilder::new()
@@ -176,9 +204,89 @@ mod tests {
             (Time::units_int(1), Time::units_int(2)),
             (Time::units_int(4), Time::units_int(9)),
         ];
-        assert_eq!(interval_intersection(&a, &b), Time::units_int(2));
-        assert_eq!(interval_intersection(&b, &a), Time::units_int(2));
-        assert_eq!(interval_intersection(&a, &[]), Time::ZERO);
+        assert_eq!(
+            interval_intersection(a.clone(), b.clone()),
+            Time::units_int(2)
+        );
+        assert_eq!(interval_intersection(b, a.clone()), Time::units_int(2));
+        assert_eq!(interval_intersection(a, []), Time::ZERO);
+    }
+
+    /// The overlap by the collect-and-sort computation: both interval
+    /// lists collected, sorted and merged by index.
+    fn sorted_overlap(instance: &Instance, schedule: &Schedule) -> Time {
+        let intervals = |span: fn(&ScheduleEntry, &Instance) -> (Time, Time)| {
+            let mut list: Vec<(Time, Time)> = schedule
+                .entries()
+                .iter()
+                .map(|e| span(e, instance))
+                .filter(|(s, e)| e > s)
+                .collect();
+            list.sort();
+            list
+        };
+        let a = intervals(|e, inst| (e.comm_start, e.comm_start + inst.task(e.task).comm_time));
+        let b = intervals(|e, inst| (e.comp_start, e.comp_start + inst.task(e.task).comp_time));
+        let mut total = Time::ZERO;
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let start = a[i].0.max(b[j].0);
+            let end = a[i].1.min(b[j].1);
+            if end > start {
+                total += end - start;
+            }
+            if a[i].1 <= b[j].1 {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn entry_order_does_not_change_the_metrics() {
+        // Executor schedules take the in-place merge; their shuffled
+        // entries take the sorting path, as do `streams:2` schedules
+        // whose transfers start together and end out of order. Both
+        // paths must read what collect-and-sort reads.
+        let mut rng = StdRng::seed_from_u64(17);
+        for spec in ["explicit", "duplex", "streams:2", "implicit:0.5"] {
+            let model = ExecutionModel::parse(spec).unwrap();
+            for n in [1, 3, 8, 30] {
+                let inst = random_instance(
+                    &mut rng,
+                    RandomInstanceConfig {
+                        n_tasks: n,
+                        capacity_factor: 1.5,
+                        ..Default::default()
+                    },
+                )
+                .with_model(model)
+                .unwrap();
+                let mut order = inst.task_ids();
+                order.shuffle(&mut rng);
+                for sched in [
+                    simulate_sequence(&inst, &order).unwrap(),
+                    simulate_sequence_infinite(&inst, &order).unwrap(),
+                ] {
+                    let m = ScheduleMetrics::of(&inst, &sched);
+                    assert_eq!(
+                        m.overlap,
+                        sorted_overlap(&inst, &sched),
+                        "{spec}, {n} tasks"
+                    );
+                    let mut entries = sched.entries().to_vec();
+                    entries.shuffle(&mut rng);
+                    let shuffled: Schedule = entries.into_iter().collect();
+                    assert_eq!(
+                        ScheduleMetrics::of(&inst, &shuffled),
+                        m,
+                        "{spec}, {n} tasks"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

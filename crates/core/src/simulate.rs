@@ -314,14 +314,35 @@ pub fn check_permutation(instance: &Instance, order: &[TaskId]) -> Result<()> {
 /// the Johnson order under the explicit model is the `OMIM` lower bound
 /// used throughout the paper's evaluation.
 pub fn simulate_sequence_infinite(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
+    Ok(commits_infinite(instance, order)?
+        .map(|(entry, _)| entry)
+        .collect())
+}
+
+/// Makespan of [`simulate_sequence_infinite`] without materializing the
+/// schedule: the same commits, folded into the latest computation end.
+pub fn sequence_makespan_infinite(instance: &Instance, order: &[TaskId]) -> Result<Time> {
+    Ok(
+        commits_infinite(instance, order)?.fold(Time::ZERO, |makespan, (entry, task)| {
+            makespan.max(entry.comp_start + task.comp_time)
+        }),
+    )
+}
+
+/// The commits of the infinite-memory executors: each task of `order`,
+/// with its entry, as the `Timing` alone places it.
+fn commits_infinite<'a>(
+    instance: &'a Instance,
+    order: &'a [TaskId],
+) -> Result<impl Iterator<Item = (ScheduleEntry, &'a Task)> + 'a> {
     check_permutation(instance, order)?;
     let model = instance.model();
     model.validate()?;
     let mut timing = Timing::new(model);
-    Ok(order
-        .iter()
-        .map(|&id| timing.commit(id, instance.task(id), timing.link_free))
-        .collect())
+    Ok(order.iter().map(move |&id| {
+        let task = instance.task(id);
+        (timing.commit(id, task, timing.link_free), task)
+    }))
 }
 
 /// Executes `order` on both resources under the instance's memory capacity.
@@ -353,12 +374,6 @@ pub fn simulate_sequence(instance: &Instance, order: &[TaskId]) -> Result<Schedu
         schedule.push(machine.append(id, instance.task(id))?);
     }
     Ok(schedule)
-}
-
-/// Makespan of [`simulate_sequence_infinite`] without materializing the
-/// schedule.
-pub fn sequence_makespan_infinite(instance: &Instance, order: &[TaskId]) -> Result<Time> {
-    Ok(simulate_sequence_infinite(instance, order)?.makespan(instance))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! heuristic of the paper is normalized.
 
 use dts_core::prelude::*;
-use dts_core::simulate::simulate_sequence_infinite;
+use dts_core::simulate::{sequence_makespan_infinite, simulate_sequence_infinite};
 
 /// Returns the Johnson order for `instance`.
 ///
@@ -41,9 +41,12 @@ pub fn johnson_schedule(instance: &Instance) -> Schedule {
 }
 
 /// The `OMIM` lower bound: optimal makespan of the infinite-memory
-/// relaxation.
+/// relaxation, under the instance's execution model. The Johnson order
+/// is executed without materializing its schedule.
 pub fn johnson_makespan(instance: &Instance) -> Time {
-    johnson_schedule(instance).makespan(instance)
+    sequence_makespan_infinite(instance, &johnson_order(instance))
+        // lint: allow(L001) the order is a permutation by construction, as in `johnson_schedule`
+        .expect("johnson_order is a permutation of the instance's tasks")
 }
 
 #[cfg(test)]
@@ -52,7 +55,6 @@ mod tests {
     use dts_core::instances::{
         random_instance, table2, table3, table4, table5, RandomInstanceConfig,
     };
-    use dts_core::simulate::sequence_makespan_infinite;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -154,6 +156,50 @@ mod tests {
             let stats = inst.stats();
             assert!(johnson_makespan(&inst) >= stats.resource_lower_bound());
             assert!(johnson_makespan(&inst) <= stats.sequential_upper_bound());
+        }
+    }
+
+    #[test]
+    fn omim_folds_follow_the_execution_model() {
+        // Both folds must equal the makespan of the materialized
+        // infinite-memory schedule under every model, not only the
+        // explicit link.
+        let mut rng = StdRng::seed_from_u64(31);
+        for spec in [
+            "explicit",
+            "duplex",
+            "streams:2",
+            "streams:3",
+            "implicit:1",
+            "implicit:0.5",
+        ] {
+            let model = ExecutionModel::parse(spec).unwrap();
+            for n in [1, 2, 5, 12, 40] {
+                let inst = random_instance(
+                    &mut rng,
+                    RandomInstanceConfig {
+                        n_tasks: n,
+                        ..Default::default()
+                    },
+                )
+                .with_model(model)
+                .unwrap();
+                let order = johnson_order(&inst);
+                let want = simulate_sequence_infinite(&inst, &order)
+                    .unwrap()
+                    .makespan(&inst);
+                assert_eq!(johnson_makespan(&inst), want, "{spec}, {n} tasks");
+                let mut shuffled = order.clone();
+                shuffled.rotate_left(n / 2);
+                shuffled.swap(0, n - 1);
+                assert_eq!(
+                    sequence_makespan_infinite(&inst, &shuffled).unwrap(),
+                    simulate_sequence_infinite(&inst, &shuffled)
+                        .unwrap()
+                        .makespan(&inst),
+                    "{spec}, {n} tasks"
+                );
+            }
         }
     }
 

@@ -254,7 +254,7 @@ fn handle_payload(shared: &Shared, payload: &[u8]) -> String {
             .gate
             .enter()
             .map_err(|shed| shed_reply(shed, shared.config.queue_depth))?;
-        solve_contained(&request).map(|json| Arc::from(json.as_str()))
+        solve_contained(request).map(|json| Arc::from(json.as_str()))
     });
     match solved {
         Ok((payload, cached)) => ok_response_json(&payload, cached, digest),
@@ -272,7 +272,7 @@ fn shed_reply(shed: Shed, depth: usize) -> ErrorReply {
 
 /// [`solve_request`] with a panicking solve contained as an `internal`
 /// reply, so its client is still answered and its gate slot released.
-fn solve_contained(request: &SolveRequest) -> Result<String, ErrorReply> {
+fn solve_contained(request: SolveRequest) -> Result<String, ErrorReply> {
     match catch_unwind(AssertUnwindSafe(|| solve_request(request))) {
         Ok(solved) => solved.map_err(|err| ErrorReply::from_core(&err)),
         Err(payload) => {
@@ -291,11 +291,12 @@ fn solve_contained(request: &SolveRequest) -> Result<String, ErrorReply> {
 
 /// Resolves the trace, builds the instance, runs the heuristic and
 /// renders the result object. The rendered string is what the cache
-/// stores, so repeats are byte-identical by construction.
-fn solve_request(request: &SolveRequest) -> CoreResult<String> {
-    let mut trace = match &request.source {
-        TraceSource::Inline(trace) => trace.clone(),
-        TraceSource::Family { config, rank } => generate_trace(config, *rank)?,
+/// stores, so repeats are byte-identical by construction. The request is
+/// spent: its trace's task table moves into the instance.
+fn solve_request(request: SolveRequest) -> CoreResult<String> {
+    let mut trace = match request.source {
+        TraceSource::Inline(trace) => trace,
+        TraceSource::Family { config, rank } => generate_trace(&config, rank)?,
     };
     if let Some(spec) = &request.cost_model {
         // Cost-model override: a fitted spec replaces whatever the trace
@@ -307,7 +308,7 @@ fn solve_request(request: &SolveRequest) -> CoreResult<String> {
         // Execution-model override, stamped the same way.
         trace.model = Some(model);
     }
-    let instance = trace.to_instance_scaled(request.factor)?;
+    let instance = trace.into_instance_scaled(request.factor)?;
     let model = instance.model();
     let schedule = run_heuristic(&instance, request.heuristic)?;
     let metrics = ScheduleMetrics::of(&instance, &schedule);
