@@ -111,6 +111,7 @@ fn bench(c: &mut Criterion) {
         let actual = makespan_under(&instance);
         for (backend, spec) in backends(&instance) {
             let modeled = instance
+                .clone()
                 .with_cost_model(&spec)
                 .expect("an analytic instance accepts any valid model");
             let predicted = makespan_under(&modeled);
@@ -122,6 +123,7 @@ fn bench(c: &mut Criterion) {
             c.bench_function(&format!("model_accuracy/{workload}_{backend}"), |b| {
                 b.iter(|| {
                     let modeled = instance
+                        .clone()
                         .with_cost_model(&spec)
                         .expect("an analytic instance accepts any valid model");
                     makespan_under(&modeled)

@@ -41,6 +41,21 @@ pub struct TraceTask<'a> {
     pub mem_bytes: u64,
 }
 
+/// The task's JSON object, keys in file order: `name`, `kind`,
+/// `comm_micros`, `comp_micros`, `mem_bytes`. Both trace formats, bare and
+/// versioned, write their tasks with it.
+impl Serialize for TraceTask<'_> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), Value::Str(self.name.to_string())),
+            ("kind".to_string(), Value::Str(self.kind.name().to_string())),
+            ("comm_micros".to_string(), self.comm_micros.to_value()),
+            ("comp_micros".to_string(), self.comp_micros.to_value()),
+            ("mem_bytes".to_string(), self.mem_bytes.to_value()),
+        ])
+    }
+}
+
 impl TraceTask<'_> {
     /// The scheduling record: one tick per microsecond, memory in bytes.
     fn task(&self) -> Task {
@@ -85,18 +100,7 @@ pub struct Trace {
 // layer existed keep loading unchanged.
 impl Serialize for Trace {
     fn to_value(&self) -> Value {
-        let tasks = self
-            .iter()
-            .map(|t| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(t.name.to_string())),
-                    ("kind".to_string(), t.kind.to_value()),
-                    ("comm_micros".to_string(), t.comm_micros.to_value()),
-                    ("comp_micros".to_string(), t.comp_micros.to_value()),
-                    ("mem_bytes".to_string(), t.mem_bytes.to_value()),
-                ])
-            })
-            .collect();
+        let tasks = self.iter().map(|t| t.to_value()).collect();
         let mut fields = vec![
             ("kernel".to_string(), self.kernel.to_value()),
             ("rank".to_string(), self.rank.to_value()),
@@ -448,6 +452,13 @@ impl Trace {
 }
 
 impl TaskKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [TaskKind; 3] = [
+        TaskKind::Contraction,
+        TaskKind::Transpose,
+        TaskKind::FusedTransposeContraction,
+    ];
+
     /// The kind's JSON name, as the derived `Serialize` writes it.
     pub fn name(self) -> &'static str {
         match self {
@@ -462,11 +473,9 @@ impl TaskKind {
     /// text, is left to the derived `Deserialize`, so the two cannot
     /// disagree on which names are accepted.
     fn from_name(name: Cow<'_, str>) -> std::result::Result<Self, SerdeError> {
-        match &*name {
-            "Contraction" => Ok(TaskKind::Contraction),
-            "Transpose" => Ok(TaskKind::Transpose),
-            "FusedTransposeContraction" => Ok(TaskKind::FusedTransposeContraction),
-            _ => TaskKind::from_owned(Value::Str(name.into_owned())),
+        match TaskKind::ALL.into_iter().find(|kind| kind.name() == name) {
+            Some(kind) => Ok(kind),
+            None => TaskKind::from_owned(Value::Str(name.into_owned())),
         }
     }
 }
@@ -678,6 +687,24 @@ mod tests {
             trace.clone().into_instance(capacity),
             trace.to_instance(capacity)
         );
+        // A stamped cost model rewrites the moved table as it does the
+        // copied one.
+        let mut modeled = trace.clone();
+        modeled.cost_model = Some(CostModelSpec::Regression {
+            transfer: dts_core::perfmodel::LinearFit {
+                alpha_us: 10,
+                beta_ps_per_byte: dts_core::perfmodel::PS_PER_MICRO / 1000,
+                samples: 2,
+            },
+            compute: dts_core::perfmodel::LinearFit {
+                alpha_us: 40,
+                beta_ps_per_byte: 0,
+                samples: 2,
+            },
+        });
+        let moved = modeled.clone().into_instance_scaled(1.5).unwrap();
+        assert_eq!(moved, modeled.to_instance_scaled(1.5).unwrap());
+        assert_eq!(moved.task(TaskId(0)).comm_time, Time::from_micros(170));
         // The checks run before the table moves, in the same order.
         assert_eq!(
             trace.clone().into_instance_scaled(f64::NAN),
@@ -757,11 +784,7 @@ mod tests {
 
     #[test]
     fn kind_names_are_the_serialized_names() {
-        for kind in [
-            TaskKind::Contraction,
-            TaskKind::Transpose,
-            TaskKind::FusedTransposeContraction,
-        ] {
+        for kind in TaskKind::ALL {
             assert_eq!(kind.to_value(), Value::Str(kind.name().into()));
             assert_eq!(TaskKind::from_name(kind.name().into()), Ok(kind));
         }

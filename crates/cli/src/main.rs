@@ -241,6 +241,12 @@ fn cmd_generate(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, seed_flag) = take_value_flag(&args, "seed")?;
     let (args, skew_flag) = take_value_flag(&args, "skew")?;
     let (args, bandwidth_flag) = take_value_flag(&args, "bandwidth")?;
+    reject_extra(
+        &args,
+        3,
+        "dts generate <source> <dir> [n_ranks] [--model <spec>] [--tasks <n>] \
+         [--seed <s>] [--skew <x>] [--bandwidth <b>]",
+    )?;
     let source = args.first().map(String::as_str).unwrap_or("");
     let kernel = match source {
         "hf" => Some(Kernel::HartreeFock),
@@ -656,6 +662,12 @@ fn cmd_request(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, seed_flag) = take_value_flag(&args, "seed")?;
     let (args, skew_flag) = take_value_flag(&args, "skew")?;
     let (args, rank_flag) = take_value_flag(&args, "rank")?;
+    reject_extra(
+        &args,
+        4,
+        "dts request <addr> <source> <heuristic> [factor] [--model <spec>] \
+         [--cost-model <file|analytic>] [--tasks <n>] [--seed <s>] [--skew <x>] [--rank <r>]",
+    )?;
     let addr = args
         .first()
         .ok_or("expected a daemon address (host:port)")?;

@@ -854,6 +854,8 @@ fn write_errors_name_the_failing_path() {
 fn commands_reject_stray_arguments() {
     let trace = small_trace();
     let trace = trace.to_str().unwrap();
+    let out_dir = std::env::temp_dir().join(format!("dts-stray-generate-{}", std::process::id()));
+    let out_dir = out_dir.to_str().unwrap();
     for (args, stray) in [
         (
             &["run", trace, "LCMR", "1.5", "--modle", "duplex"][..],
@@ -862,6 +864,15 @@ fn commands_reject_stray_arguments() {
         (&["run", trace, "LCMR", "1.5", "extra"], "extra"),
         (&["sweep", trace, "--model", "duplex"], "--model"),
         (&["characterize", trace, "extra"], "extra"),
+        // A mistyped `--seed` must not fall back to the default seed.
+        (
+            &["generate", "md", out_dir, "1", "--tasks", "5", "--sed", "9"],
+            "--sed",
+        ),
+        (
+            &["request", "127.0.0.1:1", "md", "LCMR", "1.5", "extra"],
+            "extra",
+        ),
     ] {
         let output = dts(args);
         assert_eq!(output.status.code(), Some(1), "{args:?}");
@@ -875,6 +886,10 @@ fn commands_reject_stray_arguments() {
             "{args:?}: {message}"
         );
     }
+    assert!(
+        !std::path::Path::new(out_dir).exists(),
+        "a refused generate wrote nothing"
+    );
     // Flags are not positionals: the full `run` form still works.
     let output = dts(&["run", trace, "LCMR", "1.5", "--model", "duplex"]);
     assert!(output.status.success(), "{}", stderr(&output));

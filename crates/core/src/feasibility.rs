@@ -26,13 +26,12 @@ use crate::memory::{MemSize, MemoryProfile};
 use crate::schedule::Schedule;
 use crate::task::TaskId;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
 /// A single feasibility violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// A task of the instance is missing from the schedule.
     MissingTask(TaskId),

@@ -6,11 +6,23 @@ use crate::memory::MemSize;
 use crate::perfmodel::CostModelSpec;
 use crate::task::{Task, TaskId, TaskIntensity, TaskTable};
 use crate::time::Time;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// An instance of problem `DT`: independent tasks, a single communication
 /// link, a single processing unit and a local memory of capacity
 /// [`capacity`](Instance::capacity).
+///
+/// An instance is valid by construction: it has at least one task, every
+/// task fits in the capacity on its own, and its execution model is valid.
+/// [`Instance::new`], [`Instance::with_label`], [`InstanceBuilder::build`],
+/// [`Instance::with_capacity`] and [`Instance::with_model`] check this, and
+/// there is no other way to make one — in particular no JSON form, so the
+/// executors never re-check it. Outside data (traces, daemon requests)
+/// reaches an instance only through those constructors.
+///
+/// ```compile_fail
+/// let json = r#"{"tasks":[],"capacity":6,"label":""}"#;
+/// let _ = serde_json::from_str::<dts_core::Instance>(json);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     /// The tasks and their names, indexable by [`TaskId`].
@@ -19,89 +31,11 @@ pub struct Instance {
     /// Optional label (trace file name, table number, ...).
     pub label: String,
     /// Execution model the instance is meant to run under; absent (the
-    /// common case, and every pre-existing serialized instance) means the
-    /// paper's [`ExecutionModel::Explicit`].
+    /// common case) means the paper's [`ExecutionModel::Explicit`].
     model: Option<ExecutionModel>,
     /// Cost model the task durations were materialized under; absent means
     /// the analytic default (the durations are the trace's own numbers).
     cost_model: Option<CostModelSpec>,
-}
-
-// Hand-written (de)serialization so the `model` key is omitted when absent
-// and optional when read: every instance serialized before the
-// execution-model layer existed keeps loading (and printing) unchanged.
-impl Serialize for Instance {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("tasks".to_string(), tasks_to_value(&self.table)),
-            ("capacity".to_string(), self.capacity.to_value()),
-            ("label".to_string(), self.label.to_value()),
-        ];
-        if let Some(model) = &self.model {
-            fields.push(("model".to_string(), model.to_value()));
-        }
-        if let Some(cost_model) = &self.cost_model {
-            fields.push(("cost_model".to_string(), cost_model.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Instance {
-    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
-        let model = match value.field("model") {
-            Ok(v) => Option::<ExecutionModel>::from_value(v)?,
-            Err(_) => None,
-        };
-        let cost_model = match value.field("cost_model") {
-            Ok(v) => Option::<CostModelSpec>::from_value(v)?.filter(|m| !m.is_analytic()),
-            Err(_) => None,
-        };
-        Ok(Instance {
-            table: tasks_from_value(value.field("tasks")?)?,
-            capacity: Deserialize::from_value(value.field("capacity")?)?,
-            label: Deserialize::from_value(value.field("label")?)?,
-            model,
-            cost_model,
-        })
-    }
-}
-
-/// The serialized task list: one object per task, keys `name`,
-/// `comm_time`, `comp_time`, `mem`.
-fn tasks_to_value(table: &TaskTable) -> Value {
-    Value::Array(
-        table
-            .iter()
-            .map(|(name, task)| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(name.to_string())),
-                    ("comm_time".to_string(), task.comm_time.to_value()),
-                    ("comp_time".to_string(), task.comp_time.to_value()),
-                    ("mem".to_string(), task.mem.to_value()),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// [`tasks_to_value`]'s inverse; a task's fields are read, and their
-/// errors reported, in key order.
-fn tasks_from_value(value: &Value) -> std::result::Result<TaskTable, SerdeError> {
-    let Value::Array(items) = value else {
-        return SerdeError::unexpected("array", value);
-    };
-    let mut table = TaskTable::with_capacity(items.len());
-    for item in items {
-        let name = match item.field("name")? {
-            Value::Str(name) => name,
-            other => return SerdeError::unexpected("string", other),
-        };
-        if !table.try_push(name, Task::from_value(item)?) {
-            return Err(SerdeError::custom("task names exceed u32::MAX bytes"));
-        }
-    }
-    Ok(table)
 }
 
 impl Instance {
@@ -129,7 +63,7 @@ impl Instance {
 
     /// The execution model the instance runs under;
     /// [`ExecutionModel::Explicit`] unless one was attached with
-    /// [`Instance::with_model`] (or carried by the serialized form).
+    /// [`Instance::with_model`].
     #[inline]
     pub fn model(&self) -> ExecutionModel {
         self.model.unwrap_or_default()
@@ -146,26 +80,25 @@ impl Instance {
 
     /// The cost model the task durations were materialized under;
     /// [`CostModelSpec::Analytic`] unless one was applied with
-    /// [`Instance::with_cost_model`] (or carried by the serialized form).
+    /// [`Instance::with_cost_model`].
     #[inline]
     pub fn cost_model(&self) -> CostModelSpec {
         self.cost_model.clone().unwrap_or_default()
     }
 
-    /// Returns a copy of this instance with every task's communication and
+    /// Returns this instance with every task's communication and
     /// computation time **materialized once** from `spec`. Downstream
     /// consumers — executors, heuristics, the O(log n) candidate index —
     /// keep reading plain task fields and never query a model per decision.
     ///
-    /// Applying [`CostModelSpec::Analytic`] is the identity (and keeps the
-    /// copy `Eq` to the original). A fitted model can only be applied to an
+    /// Applying [`CostModelSpec::Analytic`] is the identity. A fitted model can only be applied to an
     /// instance still carrying its analytic durations: re-modeling an
     /// already-materialized instance would silently stack predictions on
     /// predictions, so it is a typed error — re-apply to the source trace
     /// instead.
-    pub fn with_cost_model(&self, spec: &CostModelSpec) -> Result<Self> {
+    pub fn with_cost_model(mut self, spec: &CostModelSpec) -> Result<Self> {
         if spec.is_analytic() {
-            return Ok(self.clone());
+            return Ok(self);
         }
         if let Some(applied) = &self.cost_model {
             return Err(CoreError::InvalidCostModel(format!(
@@ -173,10 +106,9 @@ impl Instance {
                  apply the new model to the source trace instead"
             )));
         }
-        let mut instance = self.clone();
         let mut sum_comm = Time::ZERO;
         let mut sum_comp = Time::ZERO;
-        for task in instance.table.tasks_mut() {
+        for task in self.table.tasks_mut() {
             task.comm_time = spec.transfer_time(task);
             task.comp_time = spec.compute_time(task);
             sum_comm = sum_comm.checked_add(task.comm_time).ok_or_else(|| {
@@ -190,16 +122,14 @@ impl Instance {
                 )
             })?;
         }
-        instance.cost_model = Some(spec.clone());
-        Ok(instance)
+        self.cost_model = Some(spec.clone());
+        Ok(self)
     }
 
     /// Checks that every task individually fits in the capacity, returning
-    /// [`CoreError::TaskExceedsCapacity`] for the lowest-id violator.
-    /// Construction enforces this invariant, but instances deserialized from
-    /// untrusted sources bypass it, so executors re-validate before running —
-    /// an oversized task can never be scheduled, only waited on forever.
-    pub fn check_tasks_fit(&self) -> Result<()> {
+    /// [`CoreError::TaskExceedsCapacity`] for the lowest-id violator: an
+    /// oversized task could never be scheduled, only waited on forever.
+    fn check_tasks_fit(&self) -> Result<()> {
         match self
             .tasks()
             .iter()
@@ -345,7 +275,7 @@ impl Instance {
 
 /// Aggregate characteristics of an instance, matching the quantities plotted
 /// in Fig. 8 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstanceStats {
     /// Number of tasks.
     pub n_tasks: usize,
@@ -474,12 +404,35 @@ mod tests {
 
     #[test]
     fn oversized_task_rejected() {
+        // Every public constructor refuses a task larger than the capacity
+        // (reporting the lowest-id one), and `with_model` an invalid model:
+        // construction is the only place an instance is checked.
+        let mut table = TaskTable::new();
+        table.push("small", Task::from_units(1.0, 1.0, 2));
+        table.push("big", Task::from_units(5.0, 1.0, 5));
+        table.push("bigger", Task::from_units(6.0, 1.0, 6));
+        let two = MemSize::from_bytes(2);
+        let oversized = CoreError::TaskExceedsCapacity {
+            task: TaskId(1),
+            name: "big".into(),
+        };
+        assert_eq!(Instance::new(table.clone(), two).unwrap_err(), oversized);
+        assert_eq!(
+            Instance::with_label(table.clone(), two, "l".into()).unwrap_err(),
+            oversized
+        );
         let err = InstanceBuilder::new()
-            .capacity(MemSize::from_bytes(2))
+            .capacity(two)
             .task_units("big", 5.0, 1.0, 5)
             .build()
             .unwrap_err();
         assert!(matches!(err, CoreError::TaskExceedsCapacity { .. }));
+        let fits = Instance::new(table, MemSize::from_bytes(6)).unwrap();
+        assert_eq!(fits.with_capacity(two).unwrap_err(), oversized);
+        assert!(matches!(
+            fits.with_model(ExecutionModel::Streams { k: 0 }),
+            Err(CoreError::InvalidExecutionModel(_))
+        ));
     }
 
     #[test]
@@ -525,72 +478,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let inst = sample();
-        let json = serde_json::to_string(&inst).unwrap();
-        let back: Instance = serde_json::from_str(&json).unwrap();
-        assert_eq!(inst, back);
-    }
-
-    #[test]
-    fn serialized_bytes_are_pinned() {
-        // The wire form keeps one object per task with its name first,
-        // whatever the in-memory layout.
-        let json = serde_json::to_string(&crate::instances::table3()).unwrap();
-        assert_eq!(
-            json,
-            r#"{"tasks":[{"name":"A","comm_time":3000,"comp_time":2000,"mem":3},{"name":"B","comm_time":1000,"comp_time":3000,"mem":1},{"name":"C","comm_time":4000,"comp_time":4000,"mem":4},{"name":"D","comm_time":2000,"comp_time":1000,"mem":2}],"capacity":6,"label":"paper-table3"}"#
-        );
-    }
-
-    #[test]
-    fn task_fields_decode_in_key_order() {
-        let decode = |tasks: &str| {
-            serde_json::from_str::<Instance>(&format!(
-                r#"{{"tasks":{tasks},"capacity":6,"label":""}}"#
-            ))
-            .map_err(|e| e.to_string())
-        };
-        let inst =
-            decode(r#"[{"mem":3,"comp_time":2,"comm_time":1,"name":"x","extra":0}]"#).unwrap();
-        assert_eq!(inst.name(TaskId(0)), "x");
-        assert_eq!(
-            *inst.task(TaskId(0)),
-            Task::new(Time(1), Time(2), MemSize::from_bytes(3))
-        );
-        for (tasks, want) in [
-            ("{}", "expected array, got object"),
-            ("[3]", "expected object, got integer"),
-            (r#"[{"comm_time":1}]"#, "missing field `name`"),
-            (
-                r#"[{"name":1,"comm_time":"x"}]"#,
-                "expected string, got integer",
-            ),
-            (
-                r#"[{"name":"x","comp_time":1}]"#,
-                "missing field `comm_time`",
-            ),
-        ] {
-            let err = decode(tasks).unwrap_err();
-            assert!(err.contains(want), "{tasks}: {err}");
-        }
-    }
-
-    #[test]
     fn model_defaults_to_explicit_and_round_trips() {
-        use crate::exec::ExecutionModel;
         let inst = sample();
         assert_eq!(inst.model(), ExecutionModel::Explicit);
-        // Plain instances serialize without a model key, so pre-existing
-        // JSON fixtures keep deserializing (and comparing) unchanged.
-        let json = serde_json::to_string(&inst).unwrap();
-        assert!(!json.contains("model"));
 
         let duplex = inst.clone().with_model(ExecutionModel::Duplex).unwrap();
         assert_eq!(duplex.model(), ExecutionModel::Duplex);
-        let back: Instance =
-            serde_json::from_str(&serde_json::to_string(&duplex).unwrap()).unwrap();
-        assert_eq!(back.model(), ExecutionModel::Duplex);
         // Attaching Explicit is a no-op that keeps equality with the plain
         // instance.
         assert_eq!(
@@ -622,11 +515,14 @@ mod tests {
         let inst = sample();
         assert!(inst.cost_model().is_analytic());
         // Analytic is the identity and keeps equality.
-        let same = inst.with_cost_model(&CostModelSpec::Analytic).unwrap();
+        let same = inst
+            .clone()
+            .with_cost_model(&CostModelSpec::Analytic)
+            .unwrap();
         assert_eq!(same, inst);
 
         let spec = sample_regression_spec();
-        let modeled = inst.with_cost_model(&spec).unwrap();
+        let modeled = inst.clone().with_cost_model(&spec).unwrap();
         assert_eq!(modeled.cost_model(), spec);
         // Task A: mem 3 bytes → comm 100 + 3 µs, comp 50 µs.
         assert_eq!(modeled.task(TaskId(0)).comm_time, Time::from_micros(103));
@@ -636,7 +532,7 @@ mod tests {
         // Re-modeling a materialized instance is a typed error, not a
         // silent prediction-on-prediction stack.
         assert!(matches!(
-            modeled.with_cost_model(&spec),
+            modeled.clone().with_cost_model(&spec),
             Err(CoreError::InvalidCostModel(_))
         ));
     }
@@ -644,14 +540,10 @@ mod tests {
     #[test]
     fn cost_model_round_trips_and_stays_absent_by_default() {
         let inst = sample();
-        let json = serde_json::to_string(&inst).unwrap();
-        assert!(!json.contains("cost_model"));
+        assert!(inst.cost_model().is_analytic());
 
         let modeled = inst.with_cost_model(&sample_regression_spec()).unwrap();
-        let back: Instance =
-            serde_json::from_str(&serde_json::to_string(&modeled).unwrap()).unwrap();
-        assert_eq!(back, modeled);
-        assert_eq!(back.cost_model(), sample_regression_spec());
+        assert_eq!(modeled.cost_model(), sample_regression_spec());
     }
 
     #[test]
@@ -666,7 +558,6 @@ mod tests {
 
     #[test]
     fn model_survives_capacity_changes_and_sub_instances() {
-        use crate::exec::ExecutionModel;
         let inst = sample()
             .with_model(ExecutionModel::Streams { k: 3 })
             .unwrap();

@@ -169,7 +169,7 @@ impl fmt::Display for MemSize {
 
 /// A step in a memory-occupation profile: the amount of memory in use from
 /// `time` (inclusive) until the next step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryStep {
     /// Instant at which the occupation changes to `used`.
     pub time: Time,
@@ -182,7 +182,7 @@ pub struct MemoryStep {
 /// A task occupies its memory from the start of its communication to the end
 /// of its computation (problem `DT`'s memory model). The profile is the sum
 /// of these occupation intervals, represented as a sorted list of steps.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemoryProfile {
     steps: Vec<MemoryStep>,
 }

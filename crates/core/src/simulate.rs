@@ -67,10 +67,8 @@ struct Timing {
 }
 
 impl Timing {
-    /// Both resources free at instant zero under `model`, which must be
-    /// valid ([`ExecutionModel::validate`]).
+    /// Both resources free at instant zero under `model`.
     fn new(model: ExecutionModel) -> Self {
-        debug_assert!(model.validate().is_ok(), "unvalidated execution model");
         let channels = match model {
             ExecutionModel::Duplex | ExecutionModel::Streams { .. } => {
                 vec![Time::ZERO; model.channel_count()]
@@ -167,9 +165,7 @@ pub struct Machine {
 
 impl Machine {
     /// An idle machine with `instance`'s memory capacity, under the
-    /// execution model the instance carries. Callers must validate the
-    /// model first ([`ExecutionModel::validate`]); the public executors and
-    /// heuristics do.
+    /// execution model the instance carries.
     pub fn new(instance: &Instance) -> Self {
         Machine {
             timing: Timing::new(instance.model()),
@@ -261,24 +257,23 @@ impl Machine {
     /// earliest instant, from [`link_free`](Machine::link_free) on, at
     /// which it fits in memory. Memory only frees up until the task is
     /// committed, so waiting on the releases one by one finds that
-    /// instant.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Internal`] if the task cannot fit even in an empty
-    /// memory; callers rule that out with [`Instance::check_tasks_fit`].
+    /// instant. `task` must fit in the machine's capacity, as every task
+    /// of an [`Instance`] with that capacity does; it then fits in the
+    /// empty memory at the latest.
     #[inline]
-    pub fn append(&mut self, id: TaskId, task: &Task) -> Result<ScheduleEntry> {
+    pub fn append(&mut self, id: TaskId, task: &Task) -> ScheduleEntry {
         let mut t = self.timing.link_free;
         self.release_up_to(t);
         while !self.fits(task) {
-            let (end, mem) = self.releases.pop_front().ok_or_else(|| {
-                CoreError::Internal("task does not fit in an empty memory".into())
-            })?;
+            // Every task fits in the empty memory, so the loop ends before
+            // the queue runs out.
+            let Some((end, mem)) = self.releases.pop_front() else {
+                break;
+            };
             self.held = self.held.saturating_sub(mem);
             t = t.max(end);
         }
-        Ok(self.commit(id, task, t))
+        self.commit(id, task, t)
     }
 }
 
@@ -336,9 +331,7 @@ fn commits_infinite<'a>(
     order: &'a [TaskId],
 ) -> Result<impl Iterator<Item = (ScheduleEntry, &'a Task)> + 'a> {
     check_permutation(instance, order)?;
-    let model = instance.model();
-    model.validate()?;
-    let mut timing = Timing::new(model);
+    let mut timing = Timing::new(instance.model());
     Ok(order.iter().map(move |&id| {
         let task = instance.task(id);
         (timing.commit(id, task, timing.link_free), task)
@@ -356,22 +349,15 @@ fn commits_infinite<'a>(
 /// # Errors
 ///
 /// Returns [`CoreError::NotAPermutation`], [`CoreError::DuplicateTask`] or
-/// [`CoreError::UnknownTask`] for an invalid order, and
-/// [`CoreError::TaskExceedsCapacity`] if a task can never fit in the
-/// instance's memory, and [`CoreError::InvalidExecutionModel`] for an
-/// invalid model (both possible only for instances that bypassed
-/// [`Instance::new`] and [`Instance::with_model`] validation, e.g.
-/// deserialized ones).
+/// [`CoreError::UnknownTask`] for an invalid order. The instance itself
+/// needs no check: construction guarantees that every task fits and that
+/// the model is valid.
 pub fn simulate_sequence(instance: &Instance, order: &[TaskId]) -> Result<Schedule> {
     check_permutation(instance, order)?;
-    instance.model().validate()?;
-    // A task larger than the whole memory can never fit. Construction
-    // enforces this, but deserialized instances can violate it.
-    instance.check_tasks_fit()?;
     let mut machine = Machine::new(instance);
     let mut schedule = Schedule::with_capacity(order.len());
     for &id in order {
-        schedule.push(machine.append(id, instance.task(id))?);
+        schedule.push(machine.append(id, instance.task(id)));
     }
     Ok(schedule)
 }
@@ -515,52 +501,22 @@ mod tests {
     }
 
     #[test]
-    fn oversized_task_returns_error_instead_of_panicking() {
-        // `Instance::new` rejects tasks larger than the capacity, but an
-        // instance deserialized from untrusted JSON can carry one; the
-        // executor must fail cleanly rather than drain the release queue and
-        // panic.
-        let json = r#"{
-            "tasks": [
-                {"name": "small", "comm_time": 1000, "comp_time": 1000, "mem": 2},
-                {"name": "huge", "comm_time": 2000, "comp_time": 1000, "mem": 9}
-            ],
-            "capacity": 4,
-            "label": "malformed"
-        }"#;
-        let inst: Instance = serde_json::from_str(json).unwrap();
-        let order = inst.task_ids();
-        assert_eq!(
-            simulate_sequence(&inst, &order).unwrap_err(),
-            CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                name: "huge".into(),
-            }
-        );
-        // The infinite-memory executor ignores the capacity by design.
-        assert!(simulate_sequence_infinite(&inst, &order).is_ok());
-    }
-
-    #[test]
     fn u64_scale_memory_does_not_overflow_the_accounting() {
         // Each task fits the capacity on its own, but their sum overflows
         // u64. The overflowing sum must count as "does not fit" (an exact
         // sum would exceed any u64 capacity), so the executor serializes the
         // tasks instead of panicking or wrapping into a full-memory-is-free
         // schedule; the release bookkeeping must then drain exactly.
-        let huge = u64::MAX;
-        let json = format!(
-            r#"{{
-                "tasks": [
-                    {{"name": "a", "comm_time": 1000, "comp_time": 1000, "mem": {huge}}},
-                    {{"name": "b", "comm_time": 1000, "comp_time": 1000, "mem": 2}},
-                    {{"name": "c", "comm_time": 1000, "comp_time": 1000, "mem": 2}}
-                ],
-                "capacity": {huge},
-                "label": "u64-scale"
-            }}"#
-        );
-        let inst: Instance = serde_json::from_str(&json).unwrap();
+        let huge = MemSize::from_bytes(u64::MAX);
+        let tick = Time::from_ticks(1000);
+        let inst = InstanceBuilder::new()
+            .capacity(huge)
+            .label("u64-scale")
+            .task("a", Task::new(tick, tick, huge))
+            .task("b", Task::new(tick, tick, MemSize::from_bytes(2)))
+            .task("c", Task::new(tick, tick, MemSize::from_bytes(2)))
+            .build()
+            .unwrap();
         let sched = simulate_sequence(&inst, &inst.task_ids()).unwrap();
         assert_eq!(sched.len(), 3);
         // b must wait for a's computation to release the whole memory.
@@ -654,44 +610,16 @@ mod tests {
     #[test]
     fn model_carried_by_the_instance_is_honored() {
         use crate::exec::ExecutionModel;
-        // The executors learn the model from the instance alone, including
-        // one that arrives through the serialized form.
+        // The executors learn the model from the instance alone.
         let inst = table3();
         let duplex = inst.clone().with_model(ExecutionModel::Duplex).unwrap();
-        let back: Instance =
-            serde_json::from_str(&serde_json::to_string(&duplex).unwrap()).unwrap();
         let order = ids(&[1, 2, 0, 3]);
         let sched = simulate_sequence(&duplex, &order).unwrap();
         assert_eq!(sched.makespan(&inst), Time::units_int(14));
-        assert_eq!(simulate_sequence(&back, &order).unwrap(), sched);
         // Unlimited memory: A issues on the free upload channel at 1 while C
         // still transfers, so duplex ends at 11 against explicit's 12.
         let infinite = simulate_sequence_infinite(&duplex, &order).unwrap();
         assert_eq!(infinite.makespan(&inst), Time::units_int(11));
-        assert_eq!(simulate_sequence_infinite(&back, &order).unwrap(), infinite);
-    }
-
-    #[test]
-    fn invalid_model_rejected_not_panicking() {
-        // `with_model` refuses a zero stream count, but a deserialized
-        // instance can still carry one; both executors must reject it.
-        let json = serde_json::to_string(
-            &table3()
-                .with_model(crate::exec::ExecutionModel::Streams { k: 1 })
-                .unwrap(),
-        )
-        .unwrap()
-        .replace(r#""k":1"#, r#""k":0"#);
-        let inst: Instance = serde_json::from_str(&json).unwrap();
-        let order = inst.task_ids();
-        assert!(matches!(
-            simulate_sequence(&inst, &order),
-            Err(CoreError::InvalidExecutionModel(_))
-        ));
-        assert!(matches!(
-            simulate_sequence_infinite(&inst, &order),
-            Err(CoreError::InvalidExecutionModel(_))
-        ));
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl fmt::Display for TaskId {
 /// Classification of a task following the paper: a task is *compute
 /// intensive* if its computation time is at least its communication time,
 /// and *communication intensive* otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskIntensity {
     /// `CP >= CM`.
     ComputeIntensive,
@@ -58,7 +58,7 @@ impl fmt::Display for TaskIntensity {
 ///
 /// The record holds exactly the three numbers the heuristics read, 24
 /// bytes; the task's name lives in its owner's [`TaskTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Task {
     /// Input-data transfer time `CM_i`.
     pub comm_time: Time,
@@ -248,14 +248,6 @@ mod tests {
         assert_eq!(t.total_time(), Time::units_int(3));
         let zero_comm = Task::from_units(0.0, 3.0, 0);
         assert_eq!(zero_comm.acceleration_ratio(), f64::INFINITY);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = Task::from_units(3.0, 2.0, 3);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Task = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 
     #[test]

@@ -233,38 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_batches_report_the_earliest_failing_batch() {
-        // Task 5 (batch #1 of size-4 batches) exceeds the capacity; both the
-        // sequential and the pooled run must surface that batch's error.
-        let json = format!(
-            r#"{{
-                "tasks": [{}],
-                "capacity": 4,
-                "label": "malformed"
-            }}"#,
-            (0..12)
-                .map(|i| format!(
-                    r#"{{"name": "t{i}", "comm_time": 1000, "comp_time": 1000, "mem": {}}}"#,
-                    if i == 5 { 9 } else { 2 }
-                ))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let inst: Instance = serde_json::from_str(&json).unwrap();
-        let config = BatchConfig { batch_size: 4 };
-        let sequential = batched_on_workers(&inst, Heuristic::LCMR, config, 1).unwrap_err();
-        let pooled = batched_on_workers(&inst, Heuristic::LCMR, config, 4).unwrap_err();
-        assert_eq!(sequential, pooled);
-        assert!(matches!(
-            pooled,
-            CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn zero_batch_size_rejected() {
         let mut rng = StdRng::seed_from_u64(11);
         let inst = random_instance_decoupled_memory(&mut rng, 5, 1.5);

@@ -73,11 +73,9 @@ impl SelectionCriterion {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::TaskExceedsCapacity`] if a task can never fit in the
-/// instance's memory — such a task would otherwise stall the selection loop
-/// forever — and [`CoreError::InvalidExecutionModel`] for an invalid model
-/// (both possible only for instances that bypassed [`Instance::new`] and
-/// [`Instance::with_model`] validation, e.g. deserialized ones).
+/// Only [`CoreError::Internal`], if the loop finds nothing to commit and no
+/// memory to wait for. That cannot happen: construction guarantees that
+/// every task fits in the empty memory and that the model is valid.
 pub fn run_dynamic(instance: &Instance, criterion: SelectionCriterion) -> Result<Schedule> {
     run_decisions(instance, None, criterion, criterion.build_index(instance))
 }

@@ -45,12 +45,9 @@ pub(crate) fn run_decisions(
     criterion: SelectionCriterion,
     mut index: CandidateIndex,
 ) -> Result<Schedule> {
-    instance.model().validate()?;
     if let Some(order) = order {
         dts_core::simulate::check_permutation(instance, order)?;
     }
-    // An oversized task would stall the loop: nothing fits, nothing is held.
-    instance.check_tasks_fit()?;
     let order = order.unwrap_or_default();
     let mut machine = Machine::new(instance);
     let mut schedule = Schedule::with_capacity(instance.len());
@@ -92,7 +89,7 @@ pub(crate) fn run_decisions(
             }
             None => {
                 // A release exists: with no memory held, every task would
-                // fit (oversized tasks were rejected above).
+                // fit (every task of an instance fits in its capacity).
                 now = machine.next_release().ok_or_else(|| {
                     CoreError::Internal("no task fits yet no memory is held".into())
                 })?;

@@ -93,9 +93,7 @@ pub fn first_fit_bins(instance: &Instance) -> Vec<Vec<TaskId>> {
 
 /// First-Fit packing in submission order: the bin of every task and the
 /// number of bins. A task goes to the first bin whose load plus the task's
-/// memory (saturating) is at most the capacity, or opens a new bin. A task
-/// larger than the capacity opens its own bin, which then takes nothing
-/// more, not even a zero-size task.
+/// memory (saturating) is at most the capacity, or opens a new bin.
 ///
 /// A min-load tree over the bins finds that first bin in O(log n): the
 /// leaves are the bins in creation order (unopened bins hold load 0), and
@@ -111,27 +109,23 @@ fn first_fit(instance: &Instance) -> (Vec<usize>, usize) {
     for (_, task) in instance.iter() {
         let mem = task.mem.bytes();
         // The largest load the task still fits on; with an unbounded
-        // capacity the saturating sum fits everywhere.
+        // capacity the saturating sum fits everywhere. Every task fits in
+        // the capacity, and an unopened bin always remains (fewer bins than
+        // tasks so far), so the leftmost such bin exists.
         let limit = if capacity == u64::MAX {
-            Some(u64::MAX)
+            u64::MAX
         } else {
-            capacity.checked_sub(mem)
+            capacity - mem
         };
-        let bin = match limit {
-            Some(limit) if min_load[1] <= limit => {
-                let mut node = 1;
-                while node < base {
-                    node = if min_load[2 * node] <= limit {
-                        2 * node
-                    } else {
-                        2 * node + 1
-                    };
-                }
-                node - base
-            }
-            // Fits nowhere, not even in an empty bin: a bin of its own.
-            _ => bins,
-        };
+        let mut node = 1;
+        while node < base {
+            node = if min_load[2 * node] <= limit {
+                2 * node
+            } else {
+                2 * node + 1
+            };
+        }
+        let bin = node - base;
         bins = bins.max(bin + 1);
         let mut node = base + bin;
         min_load[node] = min_load[node].saturating_add(mem);
@@ -240,21 +234,23 @@ mod tests {
         bins.into_iter().map(|(_, members)| members).collect()
     }
 
-    /// An instance with the given task sizes and capacity, through the
-    /// deserializer so that tasks larger than the capacity get in.
+    /// An instance with the given task sizes and a capacity of at least
+    /// `capacity`, raised to the largest task if need be.
     fn packing_instance(mems: &[u64], capacity: u64) -> Instance {
-        let tasks: Vec<String> = mems
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                format!(r#"{{"name": "t{i}", "comm_time": 1, "comp_time": 1, "mem": {m}}}"#)
-            })
-            .collect();
-        let json = format!(
-            r#"{{"tasks": [{}], "capacity": {capacity}, "label": ""}}"#,
-            tasks.join(",")
-        );
-        serde_json::from_str(&json).expect("instance parses")
+        let largest = mems.iter().copied().max().unwrap_or(0);
+        let mut builder =
+            InstanceBuilder::new().capacity(MemSize::from_bytes(capacity.max(largest)));
+        for (i, &m) in mems.iter().enumerate() {
+            builder = builder.task(
+                &format!("t{i}"),
+                Task::new(
+                    Time::from_ticks(1),
+                    Time::from_ticks(1),
+                    MemSize::from_bytes(m),
+                ),
+            );
+        }
+        builder.build().expect("every task fits")
     }
 
     /// A size drawn as `(kind, raw)`: zero, small, or anywhere in `u64`.
@@ -270,12 +266,12 @@ mod tests {
         /// The min-load tree packs every task into the bin the scan picks,
         /// and the order is the bins' concatenation. Sizes mix zero-size
         /// tasks, small ones and `u64`-scale ones, so bins overflow `u64`
-        /// sums and tasks larger than the capacity occur. The capacity
-        /// stays below `u64::MAX`, where the scan's own sum could wrap.
+        /// sums. The capacity (at least the largest task) stays below
+        /// `u64::MAX`, where the scan's own sum could wrap.
         fn first_fit_matches_the_scan(
             (sizes, capacity) in (
                 microcheck::gens::vec_of(
-                    (microcheck::gens::u64_in(0..=2), microcheck::gens::u64_in(0..=u64::MAX)),
+                    (microcheck::gens::u64_in(0..=2), microcheck::gens::u64_in(0..=u64::MAX - 1)),
                     1..=40,
                 ),
                 (microcheck::gens::u64_in(1..=2), microcheck::gens::u64_in(0..=u64::MAX - 1)),
@@ -291,10 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn oversized_task_bin_takes_nothing_more() {
-        // Capacity 4: `big` opens bin 1 past the capacity, and neither the
-        // zero-size task nor the one-byte task may join it.
-        let inst = packing_instance(&[3, 9, 0, 1, 1], 4);
+    fn full_bin_takes_only_zero_size_tasks() {
+        // Capacity 4: the 4-byte task fills bin 1, the zero-size and the
+        // first one-byte task join bin 0, and the last one opens bin 2.
+        let inst = packing_instance(&[3, 4, 0, 1, 1], 4);
         let bins = first_fit_bins(&inst);
         assert_eq!(bins, first_fit_bins_by_scan(&inst));
         assert_eq!(
@@ -305,14 +301,15 @@ mod tests {
                 vec![TaskId(4)]
             ]
         );
-        let inst = packing_instance(&[9, 0], 4);
-        assert_eq!(
-            first_fit_bins(&inst),
-            vec![vec![TaskId(0)], vec![TaskId(1)]]
-        );
-        // Zero-size tasks fit in the first bin, even a full one.
+        // Zero-size tasks fit in the first bin, even a full one; a
+        // one-byte task does not.
         let inst = packing_instance(&[4, 0, 0], 4);
         assert_eq!(first_fit_bins(&inst), vec![inst.task_ids()]);
+        let inst = packing_instance(&[4, 1, 0], 4);
+        assert_eq!(
+            first_fit_bins(&inst),
+            vec![vec![TaskId(0), TaskId(2)], vec![TaskId(1)]]
+        );
     }
 
     #[test]

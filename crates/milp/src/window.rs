@@ -23,22 +23,17 @@ pub struct WindowSolution {
 /// Executes `order` (tasks of the window, same order on both resources)
 /// on a copy of `machine`, as [`simulate_sequence`] would continue it.
 /// Returns the produced entries and the machine after them.
-///
-/// # Errors
-///
-/// [`CoreError::Internal`] if a task cannot fit even in an empty memory
-/// (see [`Machine::append`]).
 pub fn simulate_window(
     instance: &Instance,
     machine: &Machine,
     order: &[TaskId],
-) -> Result<(Vec<ScheduleEntry>, Machine)> {
+) -> (Vec<ScheduleEntry>, Machine) {
     let mut machine = machine.clone();
     let entries = order
         .iter()
         .map(|&id| machine.append(id, instance.task(id)))
-        .collect::<Result<_>>()?;
-    Ok((entries, machine))
+        .collect();
+    (entries, machine)
 }
 
 /// Finds the best ordering of the window tasks by exhaustive enumeration
@@ -49,7 +44,7 @@ pub fn simulate_window(
 ///
 /// # Errors
 ///
-/// As [`simulate_window`].
+/// [`CoreError::Internal`] if no order was enumerated.
 pub fn solve_window(
     instance: &Instance,
     machine: &Machine,
@@ -62,7 +57,7 @@ pub fn solve_window(
     let mut best: Option<WindowSolution> = None;
     let mut order: Vec<TaskId> = window.to_vec();
     permute(&mut order, 0, &mut |candidate| {
-        let (entries, machine) = simulate_window(instance, machine, candidate)?;
+        let (entries, machine) = simulate_window(instance, machine, candidate);
         // Strictly better only: among key-tied orderings the first one
         // enumerated wins.
         let key = |m: &Machine| (m.cpu_free(), m.link_free());
@@ -72,24 +67,22 @@ pub fn solve_window(
         {
             best = Some(WindowSolution { entries, machine });
         }
-        Ok(())
-    })?;
+    });
     best.ok_or_else(|| CoreError::Internal("no window order was enumerated".into()))
 }
 
-fn permute<F>(order: &mut Vec<TaskId>, k: usize, f: &mut F) -> Result<()>
+fn permute<F>(order: &mut Vec<TaskId>, k: usize, f: &mut F)
 where
-    F: FnMut(&[TaskId]) -> Result<()>,
+    F: FnMut(&[TaskId]),
 {
     if k == order.len() {
         return f(order);
     }
     for i in k..order.len() {
         order.swap(k, i);
-        permute(order, k + 1, f)?;
+        permute(order, k + 1, f);
         order.swap(k, i);
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -102,7 +95,7 @@ mod tests {
     fn window_simulation_matches_sequence_executor_from_scratch() {
         let inst = table3();
         let order = inst.task_ids();
-        let (entries, after) = simulate_window(&inst, &Machine::new(&inst), &order).unwrap();
+        let (entries, after) = simulate_window(&inst, &Machine::new(&inst), &order);
         let reference = simulate_sequence(&inst, &order).unwrap();
         assert_eq!(entries, reference.entries());
         assert_eq!(after.cpu_free(), reference.makespan(&inst));
@@ -120,13 +113,13 @@ mod tests {
             .build()
             .unwrap();
         let mut machine = Machine::new(&earlier);
-        machine.append(TaskId(0), earlier.task(TaskId(0))).unwrap();
+        machine.append(TaskId(0), earlier.task(TaskId(0)));
         assert_eq!(machine.link_free(), Time::units_int(4));
         // Task C (mem 4) cannot start before t = 10.
-        let (entries, _) = simulate_window(&inst, &machine, &[TaskId(2)]).unwrap();
+        let (entries, _) = simulate_window(&inst, &machine, &[TaskId(2)]);
         assert_eq!(entries[0].comm_start, Time::units_int(10));
         // Task B (mem 1) fits immediately at t = 4.
-        let (entries, _) = simulate_window(&inst, &machine, &[TaskId(1)]).unwrap();
+        let (entries, _) = simulate_window(&inst, &machine, &[TaskId(1)]);
         assert_eq!(entries[0].comm_start, Time::units_int(4));
     }
 

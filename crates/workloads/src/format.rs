@@ -50,7 +50,7 @@ use dts_chem::trace::TaskKind;
 use dts_chem::{Trace, TraceTask};
 use dts_core::perfmodel;
 use dts_core::prelude::*;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -132,21 +132,7 @@ pub fn export_trace(trace: &Trace) -> Result<String> {
             perfmodel::model_value(cost_model)?,
         ));
     }
-    let tasks = trace
-        .iter()
-        .map(|t| {
-            Value::Object(vec![
-                ("name".to_string(), Value::Str(t.name.to_string())),
-                (
-                    "kind".to_string(),
-                    Value::Str(kind_name(t.kind).to_string()),
-                ),
-                ("comm_micros".to_string(), Value::UInt(t.comm_micros)),
-                ("comp_micros".to_string(), Value::UInt(t.comp_micros)),
-                ("mem_bytes".to_string(), Value::UInt(t.mem_bytes)),
-            ])
-        })
-        .collect();
+    let tasks = trace.iter().map(|t| t.to_value()).collect();
     fields.push(("tasks".to_string(), Value::Array(tasks)));
     serde_json::to_string_pretty(&Value::Object(fields))
         .map_err(|e| CoreError::Serialization(e.to_string()))
@@ -278,12 +264,15 @@ fn import_task(value: &Value, i: usize, trace: &mut Trace) -> Result<()> {
         }
     };
     let kind = match require_at(fields, "kind", &at)? {
-        Value::Str(s) => kind_from_name(s).ok_or_else(|| {
-            invalid(format!(
-                "{at}.kind is `{s}`; expected one of {}",
-                KIND_NAMES.join(", ")
-            ))
-        })?,
+        Value::Str(s) => TaskKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == s)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "{at}.kind is `{s}`; expected one of {}",
+                    TaskKind::ALL.map(TaskKind::name).join(", ")
+                ))
+            })?,
         other => {
             return Err(invalid(format!(
                 "{at}.kind must be a string, got {}",
@@ -302,27 +291,6 @@ fn import_task(value: &Value, i: usize, trace: &mut Trace) -> Result<()> {
         return Err(invalid(format!("task names exceed u32::MAX bytes at {at}")));
     }
     Ok(())
-}
-
-/// The `kind` strings of the format, matching the derived [`TaskKind`]
-/// serialization so legacy and versioned files agree on spelling.
-pub const KIND_NAMES: [&str; 3] = ["Contraction", "Transpose", "FusedTransposeContraction"];
-
-fn kind_name(kind: TaskKind) -> &'static str {
-    match kind {
-        TaskKind::Contraction => KIND_NAMES[0],
-        TaskKind::Transpose => KIND_NAMES[1],
-        TaskKind::FusedTransposeContraction => KIND_NAMES[2],
-    }
-}
-
-fn kind_from_name(name: &str) -> Option<TaskKind> {
-    match name {
-        "Contraction" => Some(TaskKind::Contraction),
-        "Transpose" => Some(TaskKind::Transpose),
-        "FusedTransposeContraction" => Some(TaskKind::FusedTransposeContraction),
-        _ => None,
-    }
 }
 
 fn expect_object<'v>(value: &'v Value, at: &str) -> Result<&'v [(String, Value)]> {
