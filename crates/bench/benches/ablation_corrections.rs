@@ -1,6 +1,6 @@
 //! Ablation: what the dynamic-correction step buys on top of each static
 //! order (not a paper figure — a design-choice ablation listed in
-//! DESIGN.md). Compares every static order executed as-is against the same
+//! ARCHITECTURE.md). Compares every static order executed as-is against the same
 //! order with dynamic corrections.
 
 use criterion::{criterion_group, Criterion};

@@ -24,8 +24,9 @@
 //!   of Section 4.1;
 //! * the dynamic and corrected heuristics (`dts_heuristics`) release,
 //!   select and [`commit`](Machine::commit) one decision at a time, and the
-//!   `lp.k` windows (`dts_milp`) each run on a clone of the machine the
-//!   previous window left.
+//!   exact same-order search (`dts_flowshop::exact::best_same_order`, behind
+//!   the permutation optimum and every `lp.k` window of `dts_milp`) appends
+//!   tasks to one clone of the machine per search depth.
 //!
 //! Every executor honors the instance's [`ExecutionModel`] (the paper's
 //! half-duplex [`ExecutionModel::Explicit`] unless one was attached with

@@ -2,10 +2,10 @@
 //!
 //! Two flavours are provided:
 //!
-//! * [`optimal_same_order`] — best *permutation schedule* (same order of
-//!   tasks on the communication link and on the processing unit), found by
-//!   branch-and-bound over sequences evaluated with the memory-constrained
-//!   executor;
+//! * [`best_same_order`] — best common order of some tasks on the link and
+//!   the processing unit, by a pruned depth-first search over appends to a
+//!   [`Machine`]. [`optimal_same_order`] (the best *permutation schedule*)
+//!   and each `lp.k` window of `dts_milp` run it;
 //! * [`optimal_free_order`] — best schedule when the two orders may differ
 //!   (the general problem; Proposition 1 shows this can be strictly better).
 //!   Found by enumerating pairs of orders and scheduling each pair greedily,
@@ -17,7 +17,7 @@
 //! and to reproduce the paper's Fig. 3.
 
 use dts_core::prelude::*;
-use dts_core::simulate::simulate_sequence;
+use dts_core::simulate::Machine;
 
 /// An exact solution: the best schedule found together with its makespan.
 #[derive(Debug, Clone)]
@@ -28,65 +28,88 @@ pub struct ExactSolution {
     pub makespan: Time,
 }
 
-/// Exhaustive/branch-and-bound search over permutation schedules.
+/// The best order of `tasks` appended to `machine`, the same order on both
+/// resources: the one whose last computation ends first, ties broken by
+/// the earlier link release (earlier transfers leave more slack for what
+/// follows), then by the swap-enumeration order (the first order found
+/// wins; `tasks` as given is the first). Returns the tasks' entries in
+/// that order and the machine after them.
 ///
-/// The search explores sequences depth-first, pruning a partial sequence as
-/// soon as its partial makespan (a lower bound on any completion, since
-/// appending tasks never reduces it) reaches the best makespan found so far.
-pub fn optimal_same_order(instance: &Instance) -> ExactSolution {
-    let n = instance.len();
+/// The search goes depth-first over the swap enumeration, with one machine
+/// per depth. It cuts a prefix as soon as its `(cpu_free, link_free)` is
+/// no better than the best complete order's: appending a task never moves
+/// either back, under every execution model, so no cut order could have
+/// been strictly better. It panics past 12 tasks: the search is factorial.
+pub fn best_same_order(
+    instance: &Instance,
+    machine: &Machine,
+    tasks: &[TaskId],
+) -> (Vec<ScheduleEntry>, Machine) {
+    let n = tasks.len();
     assert!(
         n <= 12,
-        "optimal_same_order is exponential; refusing more than 12 tasks (got {n})"
+        "the same-order search is exponential; refusing more than 12 tasks (got {n})"
     );
-    let mut best_makespan = Time::MAX;
-    let mut best_order: Vec<TaskId> = instance.task_ids();
+    // `tasks` as given is the first order enumerated: the first incumbent.
+    let mut best = append_all(instance, machine, tasks);
+    let mut order = tasks.to_vec();
+    let mut machines = vec![machine.clone(); n + 1];
+    descend(instance, &mut order, 0, &mut machines, &mut best);
+    best
+}
 
-    // Depth-first enumeration with pruning on the partial schedule makespan.
-    let mut order: Vec<TaskId> = instance.task_ids();
-    fn rec(
-        instance: &Instance,
-        order: &mut Vec<TaskId>,
-        depth: usize,
-        best_makespan: &mut Time,
-        best_order: &mut Vec<TaskId>,
-    ) {
-        let prefix = &order[..depth];
-        if depth > 0 {
-            // Evaluate the prefix alone: its makespan only grows when more
-            // tasks are appended, so it is a valid pruning bound.
-            let sub = instance
-                .sub_instance(prefix)
-                .expect("prefix tasks belong to the instance");
-            let prefix_order: Vec<TaskId> = (0..depth).map(TaskId).collect();
-            let prefix_makespan = simulate_sequence(&sub, &prefix_order)
-                .expect("prefix order is a permutation")
-                .makespan(&sub);
-            if prefix_makespan >= *best_makespan {
-                return;
-            }
-        }
-        if depth == order.len() {
-            let makespan = simulate_sequence(instance, order)
-                .expect("full order is a permutation")
-                .makespan(instance);
-            if makespan < *best_makespan {
-                *best_makespan = makespan;
-                best_order.copy_from_slice(order);
-            }
-            return;
-        }
-        for i in depth..order.len() {
-            order.swap(depth, i);
-            rec(instance, order, depth + 1, best_makespan, best_order);
-            order.swap(depth, i);
-        }
+/// `order` appended to a copy of `machine`: the entries and the machine
+/// after them.
+fn append_all(
+    instance: &Instance,
+    machine: &Machine,
+    order: &[TaskId],
+) -> (Vec<ScheduleEntry>, Machine) {
+    let mut machine = machine.clone();
+    let entries = order
+        .iter()
+        .map(|&id| machine.append(id, instance.task(id)))
+        .collect();
+    (entries, machine)
+}
+
+/// One level of [`best_same_order`]'s search: `machines[depth]` is
+/// `machines[0]` after the prefix `order[..depth]`, which below the root is
+/// strictly better than `best`.
+fn descend(
+    instance: &Instance,
+    order: &mut [TaskId],
+    depth: usize,
+    machines: &mut [Machine],
+    best: &mut (Vec<ScheduleEntry>, Machine),
+) {
+    if depth == order.len() {
+        *best = append_all(instance, &machines[0], order);
+        return;
     }
-    rec(instance, &mut order, 0, &mut best_makespan, &mut best_order);
+    let key = |m: &Machine| (m.cpu_free(), m.link_free());
+    for i in depth..order.len() {
+        order.swap(depth, i);
+        let (done, next) = machines.split_at_mut(depth + 1);
+        next[0].clone_from(&done[depth]);
+        next[0].append(order[depth], instance.task(order[depth]));
+        if key(&next[0]) < key(&best.1) {
+            descend(instance, order, depth + 1, machines, best);
+        }
+        order.swap(depth, i);
+    }
+}
 
-    let schedule = simulate_sequence(instance, &best_order).expect("best order is a permutation");
-    let makespan = schedule.makespan(instance);
-    ExactSolution { schedule, makespan }
+/// The best permutation schedule: [`best_same_order`] over every task from
+/// the idle machine, under the instance's execution model (so it panics
+/// past 12 tasks). Its makespan is the end of the last computation.
+pub fn optimal_same_order(instance: &Instance) -> ExactSolution {
+    let (entries, machine) =
+        best_same_order(instance, &Machine::new(instance), &instance.task_ids());
+    ExactSolution {
+        schedule: entries.into_iter().collect(),
+        makespan: machine.cpu_free(),
+    }
 }
 
 /// Greedy earliest-start schedule for a fixed pair of orders (communication
@@ -255,8 +278,34 @@ mod tests {
     use dts_core::feasibility::is_feasible;
     use dts_core::instance::InstanceBuilder;
     use dts_core::instances::{random_instance_decoupled_memory, table2, table3};
+    use dts_core::simulate::simulate_sequence;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// `n` tasks with times drawn from 0..=9, so zero-length transfers and
+    /// computations are common, and memories of 1..=6 bytes under a
+    /// capacity between the largest task and their sum.
+    fn zero_heavy_instance(rng: &mut StdRng, n: usize) -> Instance {
+        let mut builder = InstanceBuilder::new();
+        let mut mems = Vec::new();
+        for i in 0..n {
+            let mem = rng.gen_range(1..=6u64);
+            mems.push(mem);
+            builder = builder.task_units(
+                &format!("t{i}"),
+                rng.gen_range(0..=9) as f64,
+                rng.gen_range(0..=9) as f64,
+                mem,
+            );
+        }
+        let largest = *mems.iter().max().unwrap();
+        let capacity = rng.gen_range(largest..=mems.iter().sum::<u64>());
+        builder
+            .capacity(MemSize::from_bytes(capacity))
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn table2_permutation_optimum() {
@@ -272,6 +321,13 @@ mod tests {
         assert_eq!(sol.makespan, Time::units(22.5));
         assert!(is_feasible(&inst, &sol.schedule));
         assert!(sol.schedule.is_permutation_schedule());
+        let order: Vec<&str> = sol
+            .schedule
+            .entries()
+            .iter()
+            .map(|entry| inst.name(entry.task))
+            .collect();
+        assert_eq!(order, ["A", "B", "D", "F", "C", "E"]);
     }
 
     #[test]
@@ -316,16 +372,23 @@ mod tests {
     #[test]
     fn fixed_orders_scheduler_matches_sequence_executor() {
         // When both orders are equal, the greedy two-order scheduler must
-        // reproduce the same makespan as the sequence executor.
+        // reproduce the sequence executor's schedule, zero-length phases
+        // included.
         let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..20 {
-            let inst = random_instance_decoupled_memory(&mut rng, 6, 1.5);
-            let order = inst.task_ids();
-            let a = simulate_sequence(&inst, &order).unwrap().makespan(&inst);
-            let b = schedule_for_orders(&inst, &order, &order)
-                .unwrap()
-                .makespan(&inst);
-            assert_eq!(a, b, "instance {:?}", inst);
+        for _ in 0..1500 {
+            let n = rng.gen_range(1..=7);
+            let factor = 1.0 + f64::from(rng.gen_range(0..=10u32)) / 10.0;
+            for inst in [
+                random_instance_decoupled_memory(&mut rng, n, factor),
+                zero_heavy_instance(&mut rng, n),
+            ] {
+                let mut order = inst.task_ids();
+                order.shuffle(&mut rng);
+                let mut expected = simulate_sequence(&inst, &order).unwrap();
+                expected.normalize();
+                let schedule = schedule_for_orders(&inst, &order, &order);
+                assert_eq!(schedule, Some(expected), "{inst:?}, order {order:?}");
+            }
         }
     }
 
@@ -356,28 +419,10 @@ mod tests {
         // Times drawn from 0..=9 make zero-length transfers and computations
         // common; the free-order optimum must exist and sit between OMIM and
         // the permutation optimum.
-        use rand::Rng;
         let mut rng = StdRng::seed_from_u64(41);
         for _ in 0..300 {
             let n = rng.gen_range(2..=4);
-            let mut builder = InstanceBuilder::new();
-            let mut mems = Vec::new();
-            for i in 0..n {
-                let mem = rng.gen_range(1..=6u64);
-                mems.push(mem);
-                builder = builder.task_units(
-                    &format!("t{i}"),
-                    rng.gen_range(0..=9) as f64,
-                    rng.gen_range(0..=9) as f64,
-                    mem,
-                );
-            }
-            let largest = *mems.iter().max().unwrap();
-            let capacity = rng.gen_range(largest..=mems.iter().sum::<u64>());
-            let inst = builder
-                .capacity(MemSize::from_bytes(capacity))
-                .build()
-                .unwrap();
+            let inst = zero_heavy_instance(&mut rng, n);
             let free = optimal_free_order(&inst);
             assert!(is_feasible(&inst, &free.schedule), "{inst:?}");
             assert!(free.makespan >= johnson_makespan(&inst), "{inst:?}");
@@ -386,6 +431,42 @@ mod tests {
                 "{inst:?}"
             );
         }
+    }
+
+    #[test]
+    fn warm_started_search_respects_prior_memory() {
+        // Table 3 (capacity 6). A previous window left 5 bytes held until
+        // t = 10 and the link free at t = 4: one task of 5 bytes with
+        // transfer [0, 4) and computation [4, 10).
+        let inst = table3();
+        let earlier = InstanceBuilder::new()
+            .capacity(inst.capacity())
+            .task_units("P", 4.0, 6.0, 5)
+            .build()
+            .unwrap();
+        let mut machine = Machine::new(&earlier);
+        machine.append(TaskId(0), earlier.task(TaskId(0)));
+        assert_eq!(machine.link_free(), Time::units_int(4));
+        // Task C (mem 4) cannot start before t = 10.
+        let (entries, _) = best_same_order(&inst, &machine, &[TaskId(2)]);
+        assert_eq!(entries[0].comm_start, Time::units_int(10));
+        // Task B (mem 1) fits immediately at t = 4.
+        let (entries, _) = best_same_order(&inst, &machine, &[TaskId(1)]);
+        assert_eq!(entries[0].comm_start, Time::units_int(4));
+    }
+
+    #[test]
+    fn same_order_search_finds_the_best_order() {
+        // Every order of Table 3 run from the idle machine: none ends its
+        // computations earlier than the search's order.
+        let inst = table3();
+        let (entries, machine) = best_same_order(&inst, &Machine::new(&inst), &inst.task_ids());
+        assert_eq!(entries.len(), 4);
+        let mut order = inst.task_ids();
+        permute_all(&mut order, 0, &mut |order| {
+            let reference = simulate_sequence(&inst, order).unwrap();
+            assert!(machine.cpu_free() <= reference.makespan(&inst), "{order:?}");
+        });
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! The submission order is split into consecutive windows of `k` tasks
 //! ("the subsets are formed in the order in which tasks are submitted, which
-//! is arbitrary"); each window is solved exactly, warm-started from the
-//! runtime state left by the previous windows (the counterpart of the paper
-//! fixing the events of tasks that started before the window boundary).
+//! is arbitrary"); each window is solved exactly by the same-order search
+//! [`best_same_order`], warm-started from the [`Machine`] the previous
+//! windows left (the counterpart of the paper fixing the events of tasks
+//! that started before the window boundary).
 
-use crate::window::solve_window;
 use dts_core::prelude::*;
 use dts_core::simulate::Machine;
+use dts_flowshop::exact::best_same_order;
 
 /// Configuration of the `lp.k` heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,8 +30,9 @@ impl Default for LpKConfig {
 }
 
 /// Runs `lp.k`: windows of `config.window` tasks in submission order, each
-/// solved exactly and concatenated, under the execution model the instance
-/// carries.
+/// solved exactly by [`best_same_order`] and concatenated, under the
+/// execution model the instance carries. A window size of 0, or above 8
+/// (the search is factorial), is a [`CoreError::Infeasible`] error.
 ///
 /// ```
 /// use dts_core::instances::table3;
@@ -55,11 +57,11 @@ pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
     let mut machine = Machine::new(instance);
     let mut schedule = Schedule::with_capacity(instance.len());
     for window in ids.chunks(config.window) {
-        let solution = solve_window(instance, &machine, window)?;
-        for entry in solution.entries {
+        let (entries, after) = best_same_order(instance, &machine, window);
+        for entry in entries {
             schedule.push(entry);
         }
-        machine = solution.machine;
+        machine = after;
     }
     Ok(schedule)
 }

@@ -16,22 +16,21 @@
 //! * [`formulation`] encodes the MILP symbolically (variables, constraints)
 //!   and can check a concrete schedule against it — the executable
 //!   counterpart of the paper's formulation;
-//! * [`window`] contains the exact window solver (branch-and-bound over the
-//!   orderings of a window, warm-started from the state left by previous
-//!   windows), which plays the role GLPK played in the paper;
 //! * [`iterative`] assembles the `lp.k` heuristic: split the submission
 //!   order into windows of `k` tasks, solve each window exactly, concatenate.
+//!   The exact search (`dts_flowshop::exact::best_same_order`, over the
+//!   window's orders from the machine the earlier windows left) plays the
+//!   role GLPK played in the paper.
 //!
-//! The substitution (branch-and-bound instead of GLPK) is documented in
-//! `DESIGN.md`; for the window sizes used by the paper (≤ 6 tasks) the
-//! solver is exact over permutation schedules, which is all that matters for
+//! The substitution (an exact search instead of GLPK) is documented in
+//! `ARCHITECTURE.md`; for the window sizes used by the paper (≤ 6 tasks) the
+//! search is exact over permutation schedules, which is all that matters for
 //! reproducing Fig. 7.
 
 #![warn(missing_docs)]
 
 pub mod formulation;
 pub mod iterative;
-pub mod window;
 
 pub use formulation::MilpFormulation;
 pub use iterative::{lp_k, lp_k_sweep, LpKConfig};

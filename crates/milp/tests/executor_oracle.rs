@@ -10,14 +10,16 @@
 //! six model points the equivalence suites use, and pin what `lp.k` gains
 //! from running on the machine: the instance's execution model. Every
 //! schedule the machine-based executors produce must also pass the
-//! feasibility checker under its model.
+//! feasibility checker under its model, and the pruned same-order search
+//! (`dts_flowshop::exact::best_same_order`) must pick the order an
+//! exhaustive enumeration over the same machine picks, under every model.
 
 use dts_core::feasibility::validate;
 use dts_core::instances::random_instance_decoupled_memory;
 use dts_core::prelude::*;
 use dts_core::simulate::{simulate_sequence, simulate_sequence_infinite, Machine};
 use dts_core::testgen;
-use dts_milp::window::{simulate_window, solve_window};
+use dts_flowshop::exact::best_same_order;
 use dts_milp::{lp_k, LpKConfig};
 use microcheck::Gen;
 use rand::prelude::*;
@@ -281,7 +283,7 @@ mod oracle {
         best.expect("window is non-empty")
     }
 
-    fn permute<F: FnMut(&[TaskId])>(order: &mut Vec<TaskId>, k: usize, f: &mut F) {
+    pub fn permute<F: FnMut(&[TaskId])>(order: &mut Vec<TaskId>, k: usize, f: &mut F) {
         if k == order.len() {
             f(order);
             return;
@@ -420,6 +422,21 @@ fn lp_k_matches_the_window_oracle_under_the_explicit_model() {
     }
 }
 
+/// Appends `order` to a copy of `machine`: the entries and the machine
+/// after them.
+fn append_all(
+    instance: &Instance,
+    machine: &Machine,
+    order: &[TaskId],
+) -> (Vec<ScheduleEntry>, Machine) {
+    let mut machine = machine.clone();
+    let entries = order
+        .iter()
+        .map(|&id| machine.append(id, instance.task(id)))
+        .collect();
+    (entries, machine)
+}
+
 #[test]
 fn warm_started_windows_match_the_window_oracle() {
     // Run a prefix of the submission order, then simulate and solve the
@@ -432,14 +449,14 @@ fn warm_started_windows_match_the_window_oracle() {
         let window = &rest[..rest.len().min(4)];
 
         let (_, state) = oracle::simulate_window(&instance, &Default::default(), prefix);
-        let (_, machine) = simulate_window(&instance, &Machine::new(&instance), prefix);
+        let (_, machine) = append_all(&instance, &Machine::new(&instance), prefix);
         assert_eq!(
             (machine.cpu_free(), machine.link_free()),
             (state.cpu_free, state.link_free),
             "round {round}: prefix of {split}"
         );
 
-        let (entries, after) = simulate_window(&instance, &machine, window);
+        let (entries, after) = append_all(&instance, &machine, window);
         let (expected, expected_after) = oracle::simulate_window(&instance, &state, window);
         assert_eq!(entries, expected, "round {round}: simulated window");
         assert_eq!(
@@ -448,14 +465,45 @@ fn warm_started_windows_match_the_window_oracle() {
             "round {round}: state after the simulated window"
         );
 
-        let solution = solve_window(&instance, &machine, window).expect("window solves");
+        let (entries, after) = best_same_order(&instance, &machine, window);
         let expected = oracle::solve_window(&instance, &state, window);
-        assert_eq!(solution.entries, expected.entries, "round {round}: solved");
+        assert_eq!(entries, expected.entries, "round {round}: solved");
         assert_eq!(
-            (solution.machine.cpu_free(), solution.machine.link_free()),
+            (after.cpu_free(), after.link_free()),
             (expected.state.cpu_free, expected.state.link_free),
             "round {round}: state after the solved window"
         );
+    }
+}
+
+#[test]
+fn pruned_search_matches_exhaustive_enumeration_under_every_model() {
+    // The search cuts prefixes; an exhaustive first-wins enumeration over
+    // the same machine appends must pick the same order, from warm-started
+    // windows of up to 6 tasks.
+    let mut rng = StdRng::seed_from_u64(29);
+    for (round, instance) in seeded_instances(1905, 40).into_iter().enumerate() {
+        for model in models() {
+            let modeled = under(&instance, model);
+            let ids = modeled.task_ids();
+            let split = rng.gen_range(0..ids.len());
+            let (prefix, rest) = ids.split_at(split);
+            let window = &rest[..rest.len().min(rng.gen_range(1..=6))];
+            let (_, machine) = append_all(&modeled, &Machine::new(&modeled), prefix);
+            let key = |m: &Machine| (m.cpu_free(), m.link_free());
+            let mut best: Option<(Vec<ScheduleEntry>, Machine)> = None;
+            oracle::permute(&mut window.to_vec(), 0, &mut |order| {
+                let (entries, after) = append_all(&modeled, &machine, order);
+                if best.as_ref().is_none_or(|(_, b)| key(&after) < key(b)) {
+                    best = Some((entries, after));
+                }
+            });
+            let (expected, expected_after) = best.expect("a window is non-empty");
+            let (entries, after) = best_same_order(&modeled, &machine, window);
+            let context = format!("round {round}, {model}, prefix of {split}, window {window:?}");
+            assert_eq!(entries, expected, "{context}");
+            assert_eq!(key(&after), key(&expected_after), "{context}");
+        }
     }
 }
 
