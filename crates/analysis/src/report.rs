@@ -26,7 +26,8 @@ pub fn sweep_to_csv(rows: &[SweepRow]) -> String {
 }
 
 /// Renders aggregated experiment rows as a Markdown table grouped by factor,
-/// the format used in `EXPERIMENTS.md`.
+/// the table the figure benches of `dts_bench` print (ARCHITECTURE.md maps
+/// each figure to its bench).
 pub fn experiment_to_markdown(title: &str, rows: &[ExperimentRow]) -> String {
     let mut out = format!("### {title}\n\n");
     let _ = writeln!(out, "| factor | series | median ratio | q1 | q3 | max |");

@@ -18,7 +18,7 @@ fn report() {
         "  best general schedule (orders may differ):                {}",
         free.makespan
     );
-    println!("  (paper reports 23 and 22; our left-shifted executor finds a 22.5 permutation schedule, see EXPERIMENTS.md)");
+    println!("  (paper reports 23 and 22; our left-shifted executor finds a 22.5 permutation schedule, see ARCHITECTURE.md's Table 2 / Fig. 3 row)");
 }
 
 fn bench(c: &mut Criterion) {

@@ -32,7 +32,8 @@
 //!   the golden file;
 //! * `dts corpus [--update-golden] [--golden <path>]` — run the
 //!   golden-metric scenario suite (every heuristic × every execution model
-//!   over the full corpus) and diff it against the committed golden file;
+//!   over the full corpus) and diff it against the committed golden file
+//!   as built into the binary, or against the `--golden` file;
 //! * `dts serve [--addr <host:port>] [...]` — run the scheduling daemon
 //!   (length-framed JSON over TCP, instance caching, admission control);
 //!   it prints the bound address — `--addr 127.0.0.1:0` picks a free port;
@@ -220,7 +221,7 @@ fn usage() -> String {
          \x20 --backend <b>   fitted backend: regression (default) | history\n\
          \x20 --out <file>    write the fitted dts-cost-model file here\n\
          options (corpus):\n\
-         \x20 --golden <path> golden file to diff against (default: the committed one)\n\
+         \x20 --golden <path> golden file to diff against (default: the committed one, built in)\n\
          \x20 --update-golden rewrite the golden file from this build (the only sanctioned change path)\n\
          options (serve):\n\
          \x20 --addr <host:port>    bind address (default 127.0.0.1:7421; port 0 picks a free port)\n\
@@ -573,11 +574,11 @@ fn cmd_corpus(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
             return Ok(());
         }
     }
-    let golden_path = golden_flag
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(corpus::default_golden_path);
     let current = corpus::run_corpus().map_err(|e| e.to_string())?;
     if update {
+        let golden_path = golden_flag
+            .map(std::path::PathBuf::from)
+            .unwrap_or_else(corpus::default_golden_path);
         std::fs::write(&golden_path, corpus::render_golden(&current))
             .map_err(|e| format!("cannot write {}: {e}", golden_path.display()))?;
         writeln!(
@@ -588,20 +589,25 @@ fn cmd_corpus(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
         )?;
         return Ok(());
     }
-    let golden_json = std::fs::read_to_string(&golden_path).map_err(|e| {
-        format!(
-            "cannot read golden file {}: {e}\n(run `dts corpus --update-golden` to create it)",
-            golden_path.display()
-        )
-    })?;
-    let golden = corpus::parse_golden(&golden_json).map_err(|e| e.to_string())?;
+    let read;
+    let (golden_json, source) = match &golden_flag {
+        Some(path) => {
+            read = std::fs::read_to_string(path).map_err(|e| {
+                format!(
+                    "cannot read golden file {path}: {e}\n(run `dts corpus --update-golden` to create it)"
+                )
+            })?;
+            (read.as_str(), path.as_str())
+        }
+        None => (corpus::EMBEDDED_GOLDEN, "the embedded golden file"),
+    };
+    let golden = corpus::parse_golden(golden_json).map_err(|e| e.to_string())?;
     let report = corpus::compare(&current, &golden);
     if report.is_clean() {
         writeln!(
             out,
-            "corpus clean: {} entries match {}",
-            current.len(),
-            golden_path.display()
+            "corpus clean: {} entries match {source}",
+            current.len()
         )?;
         Ok(())
     } else {

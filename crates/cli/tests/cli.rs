@@ -506,10 +506,23 @@ fn corpus_golden_workflow_blesses_verifies_and_catches_tampering() {
     // Blessing writes the file; a subsequent check is clean.
     let output = dts(&["corpus", "--update-golden", "--golden", golden_str]);
     assert!(output.status.success(), "bless: {}", stderr(&output));
-    assert!(stdout(&output).contains("blessed"));
+    let blessed = stdout(&output);
+    assert!(blessed.starts_with("blessed "), "{blessed}");
+    let entries = blessed.split_whitespace().nth(1).unwrap();
     let output = dts(&["corpus", "--golden", golden_str]);
     assert!(output.status.success(), "verify: {}", stderr(&output));
-    assert!(stdout(&output).contains("corpus clean"));
+    assert_eq!(
+        stdout(&output),
+        format!("corpus clean: {entries} entries match {golden_str}\n")
+    );
+    // By default the check reads the golden file built into the binary,
+    // not the source tree, and names no path.
+    let output = dts(&["corpus"]);
+    assert!(output.status.success(), "default: {}", stderr(&output));
+    assert_eq!(
+        stdout(&output),
+        format!("corpus clean: {entries} entries match the embedded golden file\n")
+    );
     // Any tampering with a metric value fails the check and names the
     // sanctioned change path.
     let text = std::fs::read_to_string(&golden).unwrap();

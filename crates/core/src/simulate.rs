@@ -7,8 +7,8 @@
 //! in two parts:
 //!
 //! * `Timing`: when the link (or each channel of a multi-channel model)
-//!   and the processing unit become free, and the one rule, per execution
-//!   model, that commits a task's transfer and computation;
+//!   and the processing unit become free, the one transfer rule per
+//!   execution model and the model-free compute rule;
 //! * [`Machine`]: a `Timing` plus the memory ledger, the queue of pending
 //!   releases and the running total of memory held.
 //!
@@ -26,7 +26,10 @@
 //!   select and [`commit`](Machine::commit) one decision at a time, and the
 //!   exact same-order search (`dts_flowshop::exact::best_same_order`, behind
 //!   the permutation optimum and every `lp.k` window of `dts_milp`) appends
-//!   tasks to one clone of the machine per search depth.
+//!   tasks to one clone of the machine per search depth;
+//! * the free-order optimum (`dts_flowshop::exact::schedule_for_orders`)
+//!   issues [`Machine::transfer`]s, which hold memory before their release
+//!   is known, ahead of their [`Machine::compute`]s.
 //!
 //! Every executor honors the instance's [`ExecutionModel`] (the paper's
 //! half-duplex [`ExecutionModel::Explicit`] unless one was attached with
@@ -86,19 +89,16 @@ impl Timing {
     }
 
     /// Starts `task`'s transfer at instant `t` (at least `link_free`) and
-    /// its computation as soon as the data is there and the processing
-    /// unit is free, and returns the task's entry; `cpu_free` is then the
-    /// end of that computation.
-    ///
-    /// This is each execution model's one rule (see [`Machine::commit`]).
+    /// returns the instant its computation may start. This is each
+    /// execution model's one rule (see [`Machine::commit`]).
     #[inline]
-    fn commit(&mut self, id: TaskId, task: &Task, t: Time) -> ScheduleEntry {
+    fn transfer(&mut self, task: &Task, t: Time) -> Time {
         debug_assert!(t >= self.link_free, "transfer would start on a busy link");
         let comm_end = t + task.comm_time;
-        let comp_start = match self.model {
+        match self.model {
             ExecutionModel::Explicit => {
                 self.link_free = comm_end;
-                comm_end.max(self.cpu_free)
+                comm_end
             }
             ExecutionModel::Duplex | ExecutionModel::Streams { .. } => {
                 self.channels[self.next_channel] = comm_end;
@@ -108,7 +108,7 @@ impl Timing {
                     earliest_free_channel(&self.channels)
                 };
                 self.link_free = t.max(self.channels[self.next_channel]);
-                comm_end.max(self.cpu_free)
+                comm_end
             }
             ExecutionModel::Implicit { .. } => {
                 let end = t + self.model.link_hold(task.comm_time, task.comp_time);
@@ -117,12 +117,26 @@ impl Timing {
                 // runs at its tail.
                 end - task.comp_time
             }
-        };
+        }
+    }
+
+    /// Starts `task`'s computation once it is `ready` and the processing
+    /// unit is free, under every model, and returns that instant.
+    #[inline]
+    fn compute(&mut self, task: &Task, ready: Time) -> Time {
+        let comp_start = ready.max(self.cpu_free);
         self.cpu_free = comp_start + task.comp_time;
+        comp_start
+    }
+
+    /// `transfer` then `compute`: the task's entry.
+    #[inline]
+    fn commit(&mut self, id: TaskId, task: &Task, t: Time) -> ScheduleEntry {
+        let ready = self.transfer(task, t);
         ScheduleEntry {
             task: id,
             comm_start: t,
-            comp_start,
+            comp_start: self.compute(task, ready),
         }
     }
 }
@@ -140,14 +154,14 @@ fn earliest_free_channel(channels: &[Time]) -> usize {
 }
 
 /// The whole machine: a `Timing` plus the memory ledger, the tasks that
-/// hold memory (transfer started, computation not finished) as a queue of
-/// pending releases.
+/// hold memory (transfer started, computation not finished) with a queue
+/// of pending releases for those whose computation is placed.
 ///
-/// Releases are queued in commit order, which is also their order in time:
-/// computations run one at a time in commit order (fused phases likewise
-/// end in issue order). So the ledger is a FIFO: [`release_up_to`]
-/// pops its front, and after it [`available`] and [`next_release`] are
-/// O(1).
+/// Releases are queued in computation order, which is also their order in
+/// time: computations run one at a time in that order (fused phases
+/// likewise end in issue order). So the ledger is a FIFO:
+/// [`release_up_to`] pops its front, and after it [`available`] and
+/// [`next_release`] are O(1).
 ///
 /// [`release_up_to`]: Machine::release_up_to
 /// [`available`]: Machine::available
@@ -158,8 +172,9 @@ pub struct Machine {
     /// Pending releases as `(computation end, memory held)`, in
     /// non-decreasing order of computation end.
     releases: VecDeque<(Time, MemSize)>,
-    /// Sum of the memory of the pending releases. Every commit fits, so it
-    /// never exceeds the capacity.
+    /// Memory of the pending releases and of the transfers whose
+    /// computation is not placed yet. Every transfer fits, so it never
+    /// exceeds the capacity.
     held: MemSize,
     capacity: MemSize,
 }
@@ -224,9 +239,9 @@ impl Machine {
         task.mem <= self.available()
     }
 
-    /// The earliest pending release, if any task holds memory. After
-    /// [`release_up_to`](Machine::release_up_to)`(t)` it is the next instant
-    /// after `t` at which memory frees up.
+    /// The earliest pending release, if a placed computation still holds
+    /// memory. After [`release_up_to`](Machine::release_up_to)`(t)` it is
+    /// the next instant after `t` at which memory frees up.
     #[inline]
     pub fn next_release(&self) -> Option<Time> {
         self.releases.front().map(|&(end, _)| end)
@@ -247,33 +262,59 @@ impl Machine {
     /// be at least [`link_free`](Machine::link_free).
     #[inline]
     pub fn commit(&mut self, id: TaskId, task: &Task, t: Time) -> ScheduleEntry {
-        debug_assert!(self.fits(task), "task does not fit in memory");
-        let entry = self.timing.commit(id, task, t);
-        self.releases.push_back((self.timing.cpu_free, task.mem));
-        self.held = self.held.saturating_add(task.mem);
-        entry
+        let ready = self.transfer(task, t);
+        ScheduleEntry {
+            task: id,
+            comm_start: t,
+            comp_start: self.compute(task, ready),
+        }
     }
 
-    /// Commits `task` next in a fixed order: its transfer starts at the
-    /// earliest instant, from [`link_free`](Machine::link_free) on, at
-    /// which it fits in memory. Memory only frees up until the task is
-    /// committed, so waiting on the releases one by one finds that
-    /// instant. `task` must fit in the machine's capacity, as every task
-    /// of an [`Instance`] with that capacity does; it then fits in the
-    /// empty memory at the latest.
+    /// The transfer half of [`commit`](Machine::commit), with its
+    /// preconditions: holds `task`'s memory and returns the instant its
+    /// computation may start. The release waits for its
+    /// [`compute`](Machine::compute).
     #[inline]
-    pub fn append(&mut self, id: TaskId, task: &Task) -> ScheduleEntry {
+    pub fn transfer(&mut self, task: &Task, t: Time) -> Time {
+        debug_assert!(self.fits(task), "task does not fit in memory");
+        self.held = self.held.saturating_add(task.mem);
+        self.timing.transfer(task, t)
+    }
+
+    /// The computation half of [`commit`](Machine::commit): starts it at
+    /// `ready` (what the transfer returned) or once the processing unit is
+    /// free, queues the release, and returns the start. Computations run in
+    /// call order; under the implicit model each must follow its transfer.
+    #[inline]
+    pub fn compute(&mut self, task: &Task, ready: Time) -> Time {
+        let comp_start = self.timing.compute(task, ready);
+        self.releases.push_back((self.timing.cpu_free, task.mem));
+        comp_start
+    }
+
+    /// The earliest instant from [`link_free`](Machine::link_free) on at
+    /// which `task` fits in memory, found by waiting on the releases one by
+    /// one (memory is released up to it); `None` if they run out first.
+    #[inline]
+    pub fn wait_to_fit(&mut self, task: &Task) -> Option<Time> {
         let mut t = self.timing.link_free;
         self.release_up_to(t);
         while !self.fits(task) {
-            // Every task fits in the empty memory, so the loop ends before
-            // the queue runs out.
-            let Some((end, mem)) = self.releases.pop_front() else {
-                break;
-            };
+            let (end, mem) = self.releases.pop_front()?;
             self.held = self.held.saturating_sub(mem);
             t = t.max(end);
         }
+        Some(t)
+    }
+
+    /// Commits `task` next in a fixed order, at the instant
+    /// [`wait_to_fit`](Machine::wait_to_fit) finds. `task` must fit in the
+    /// machine's capacity, as every task of an [`Instance`] with that
+    /// capacity does; with every computation placed, the releases then
+    /// cannot run out first, so the fallback is never taken.
+    #[inline]
+    pub fn append(&mut self, id: TaskId, task: &Task) -> ScheduleEntry {
+        let t = self.wait_to_fit(task).unwrap_or(self.timing.link_free);
         self.commit(id, task, t)
     }
 }

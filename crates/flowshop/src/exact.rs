@@ -1,4 +1,5 @@
-//! Exact solvers for small instances.
+//! Exact solvers for small instances, on the one [`Machine`] of
+//! `dts_core::simulate`, under the instance's execution model.
 //!
 //! Two flavours are provided:
 //!
@@ -8,9 +9,9 @@
 //!   and each `lp.k` window of `dts_milp` run it;
 //! * [`optimal_free_order`] — best schedule when the two orders may differ
 //!   (the general problem; Proposition 1 shows this can be strictly better).
-//!   Found by enumerating pairs of orders and scheduling each pair greedily,
-//!   which is optimal for fixed orders because starting a transfer earlier
-//!   never delays later events.
+//!   Found by enumerating pairs of orders and scheduling each pair greedily
+//!   on the machine ([`schedule_for_orders`]), which is optimal for fixed
+//!   orders because starting a transfer earlier never delays later events.
 //!
 //! Both are exponential and intended for instances of at most ~10 tasks
 //! (permutation) / ~7 tasks (free order); they exist to validate heuristics
@@ -113,117 +114,33 @@ pub fn optimal_same_order(instance: &Instance) -> ExactSolution {
 }
 
 /// Greedy earliest-start schedule for a fixed pair of orders (communication
-/// order, computation order). Returns `None` when the pair deadlocks: the
-/// next computation's data cannot be transferred because memory is full and
-/// can only be released by computations that are ordered after it.
+/// order, computation order) on the [`Machine`]. Returns `None` when the
+/// pair deadlocks: the next computation's data cannot be transferred
+/// because memory is full and can only be released by computations that
+/// are ordered after it. Under the implicit model the orders must agree.
 pub fn schedule_for_orders(
     instance: &Instance,
     comm_order: &[TaskId],
     comp_order: &[TaskId],
 ) -> Option<Schedule> {
-    let n = instance.len();
-    let capacity = instance.capacity().bytes();
-
-    let mut comm_start = vec![Time::MAX; n];
-    let mut comm_end = vec![Time::MAX; n];
-    let mut comp_start = vec![Time::MAX; n];
-    let mut comp_end = vec![Time::MAX; n];
-
-    let mut next_comm = 0usize; // index into comm_order
-    let mut next_comp = 0usize; // index into comp_order
-    let mut link_free = Time::ZERO;
-    let mut cpu_free = Time::ZERO;
-    let mut now = Time::ZERO;
-
-    // Event loop: at each step start whatever can start, otherwise advance
-    // time to the next completion event.
-    loop {
-        if next_comm == n && next_comp == n {
-            break;
+    let mut machine = Machine::new(instance);
+    // `(transfer start, instant the computation may start)` once issued.
+    let mut issued = vec![None; instance.len()];
+    let mut transfers = comm_order.iter();
+    let mut schedule = Schedule::with_capacity(comp_order.len());
+    for &id in comp_order {
+        // Transfers issued before this computation wait only on placed ones.
+        while issued[id.index()].is_none() {
+            let &next = transfers.next()?;
+            let task = instance.task(next);
+            let t = machine.wait_to_fit(task)?;
+            issued[next.index()] = Some((t, machine.transfer(task, t)));
         }
-        // Memory held at `now`: tasks whose transfer started and whose
-        // computation has not finished by `now`. A release at exactly `now`
-        // frees memory, including that of a zero-length computation started
-        // at `now` in the previous step, which no later event would release.
-        let held: u64 = (0..n)
-            .filter(|&i| comm_start[i] != Time::MAX && comp_end[i] > now)
-            .map(|i| instance.task(TaskId(i)).mem.bytes())
-            .sum();
-        let mut progressed = false;
-
-        // Start the next computation if possible (does not consume memory —
-        // the task already holds it — so always do this first).
-        if next_comp < n {
-            let id = comp_order[next_comp];
-            let i = id.index();
-            if comm_end[i] != Time::MAX {
-                let ready = comm_end[i].max(cpu_free).max(now);
-                if ready <= now {
-                    let t = instance.task(id);
-                    comp_start[i] = now;
-                    comp_end[i] = now + t.comp_time;
-                    cpu_free = comp_end[i];
-                    next_comp += 1;
-                    progressed = true;
-                }
-            }
-        }
-
-        // Start the next communication if the link is free and memory fits.
-        if next_comm < n {
-            let id = comm_order[next_comm];
-            let i = id.index();
-            let t = instance.task(id);
-            if link_free <= now && held + t.mem.bytes() <= capacity {
-                comm_start[i] = now;
-                comm_end[i] = now + t.comm_time;
-                link_free = comm_end[i];
-                next_comm += 1;
-                progressed = true;
-            }
-        }
-
-        if progressed {
-            continue;
-        }
-
-        // Advance to the next event: link release, a communication end
-        // enabling the next computation, a computation end releasing memory
-        // or the CPU.
-        let mut next_event = Time::MAX;
-        if link_free > now {
-            next_event = next_event.min(link_free);
-        }
-        if cpu_free > now {
-            next_event = next_event.min(cpu_free);
-        }
-        if next_comp < n {
-            let i = comp_order[next_comp].index();
-            if comm_end[i] != Time::MAX && comm_end[i] > now {
-                next_event = next_event.min(comm_end[i]);
-            }
-        }
-        for &end in comp_end.iter().take(n) {
-            if end != Time::MAX && end > now {
-                next_event = next_event.min(end);
-            }
-        }
-        if next_event == Time::MAX {
-            // Nothing can ever progress again: deadlock.
-            return None;
-        }
-        now = next_event;
-    }
-
-    let mut schedule = Schedule::with_capacity(n);
-    for i in 0..n {
-        if comm_start[i] == Time::MAX || comp_start[i] == Time::MAX {
-            return None;
-        }
+        let (comm_start, ready) = issued[id.index()]?;
         schedule.push(ScheduleEntry {
-            task: TaskId(i),
-            comm_start: comm_start[i],
-            comp_start: comp_start[i],
+            task: id,
+            comm_start,
+            comp_start: machine.compute(instance.task(id), ready),
         });
     }
     schedule.normalize();
@@ -232,15 +149,29 @@ pub fn schedule_for_orders(
 
 /// Exhaustive search over *pairs* of orders (communication, computation).
 /// Optimal for the general problem `DT` restricted to left-shifted schedules,
-/// which always contain an optimum.
+/// which always contain an optimum. Under the implicit model each
+/// computation is the tail of its own fused phase, so the two orders are
+/// one and this is [`optimal_same_order`].
 pub fn optimal_free_order(instance: &Instance) -> ExactSolution {
     let n = instance.len();
     assert!(
         n <= 7,
         "optimal_free_order enumerates pairs of permutations; refusing more than 7 tasks (got {n})"
     );
+    if matches!(instance.model(), ExecutionModel::Implicit { .. }) {
+        return optimal_same_order(instance);
+    }
     let ids = instance.task_ids();
-    let mut best: Option<(Time, Schedule)> = None;
+    // The identity pair, the first one enumerated, seeds the incumbent: a
+    // common order never deadlocks, and its entries are in normalized order.
+    let mut machine = Machine::new(instance);
+    let mut best = ExactSolution {
+        schedule: ids
+            .iter()
+            .map(|&id| machine.append(id, instance.task(id)))
+            .collect(),
+        makespan: machine.cpu_free(),
+    };
 
     let mut comm_perm = ids.clone();
     permute_all(&mut comm_perm, 0, &mut |comm_order| {
@@ -248,15 +179,13 @@ pub fn optimal_free_order(instance: &Instance) -> ExactSolution {
         permute_all(&mut comp_perm, 0, &mut |comp_order| {
             if let Some(schedule) = schedule_for_orders(instance, comm_order, comp_order) {
                 let makespan = schedule.makespan(instance);
-                if best.as_ref().is_none_or(|(b, _)| makespan < *b) {
-                    best = Some((makespan, schedule));
+                if makespan < best.makespan {
+                    best = ExactSolution { schedule, makespan };
                 }
             }
         });
     });
-
-    let (makespan, schedule) = best.expect("same-order schedules are always feasible");
-    ExactSolution { schedule, makespan }
+    best
 }
 
 fn permute_all<F: FnMut(&[TaskId])>(order: &mut Vec<TaskId>, k: usize, f: &mut F) {

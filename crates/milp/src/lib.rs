@@ -1,7 +1,8 @@
 //! # dts-milp
 //!
-//! The mixed-integer linear-programming view of the data-transfer problem
-//! (Section 4.5 of the paper) and the iterative `lp.k` heuristic built on it.
+//! The iterative `lp.k` heuristic built on the mixed-integer
+//! linear-programming view of the data-transfer problem (Section 4.5 of the
+//! paper).
 //!
 //! The paper formulates problem `DT` with, for every ordered pair of tasks
 //! `(i, j)`, booleans `a_ij` (communication order), `b_ij` (computation
@@ -12,15 +13,16 @@
 //! boundary.
 //!
 //! This crate reproduces that pipeline without an external solver:
+//! [`iterative`] assembles the `lp.k` heuristic: split the submission
+//! order into windows of `k` tasks, solve each window exactly, concatenate.
+//! The exact search (`dts_flowshop::exact::best_same_order`, over the
+//! window's orders from the machine the earlier windows left) plays the
+//! role GLPK played in the paper.
 //!
-//! * [`formulation`] encodes the MILP symbolically (variables, constraints)
-//!   and can check a concrete schedule against it — the executable
-//!   counterpart of the paper's formulation;
-//! * [`iterative`] assembles the `lp.k` heuristic: split the submission
-//!   order into windows of `k` tasks, solve each window exactly, concatenate.
-//!   The exact search (`dts_flowshop::exact::best_same_order`, over the
-//!   window's orders from the machine the earlier windows left) plays the
-//!   role GLPK played in the paper.
+//! The formulation itself lives in the crate's `milp_oracle` test, which
+//! reads concrete schedules as points of the MILP and checks that its rows
+//! give the same verdict as `dts_core::feasibility::validate` on
+//! explicit-model schedules.
 //!
 //! The substitution (an exact search instead of GLPK) is documented in
 //! `ARCHITECTURE.md`; for the window sizes used by the paper (≤ 6 tasks) the
@@ -29,8 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod formulation;
 pub mod iterative;
 
-pub use formulation::MilpFormulation;
 pub use iterative::{lp_k, lp_k_sweep, LpKConfig};

@@ -13,13 +13,16 @@
 //! feasibility checker under its model, and the pruned same-order search
 //! (`dts_flowshop::exact::best_same_order`) must pick the order an
 //! exhaustive enumeration over the same machine picks, under every model.
+//! The free-order optimum runs on the same machine: under every model its
+//! schedule must pass the checker and be no worse than the same-order
+//! optimum.
 
 use dts_core::feasibility::validate;
-use dts_core::instances::random_instance_decoupled_memory;
+use dts_core::instances::{random_instance_decoupled_memory, table2, table3};
 use dts_core::prelude::*;
 use dts_core::simulate::{simulate_sequence, simulate_sequence_infinite, Machine};
 use dts_core::testgen;
-use dts_flowshop::exact::best_same_order;
+use dts_flowshop::exact::{best_same_order, optimal_free_order, optimal_same_order};
 use dts_milp::{lp_k, LpKConfig};
 use microcheck::Gen;
 use rand::prelude::*;
@@ -529,6 +532,37 @@ fn lp_k_runs_under_the_instance_model() {
                     violations.is_empty(),
                     "lp.{k} under {model}, round {round}: {violations:?}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn free_order_optimum_is_feasible_and_no_worse_than_same_order_under_every_model() {
+    // Tables 2 and 3 and 50 random instances of 2–5 tasks. Under the
+    // implicit model the two orders are one, so the optima are equal.
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut instances = vec![table2(), table3()];
+    for _ in 0..50 {
+        let n = rng.gen_range(2..=5);
+        let factor = 1.0 + f64::from(rng.gen_range(0..=10u32)) / 10.0;
+        instances.push(random_instance_decoupled_memory(&mut rng, n, factor));
+    }
+    for (round, instance) in instances.iter().enumerate() {
+        for model in models() {
+            let modeled = under(instance, model);
+            let free = optimal_free_order(&modeled);
+            let same = optimal_same_order(&modeled);
+            let violations = validate(&modeled, &free.schedule);
+            assert!(
+                violations.is_empty(),
+                "round {round}, {model}: {violations:?}"
+            );
+            assert_eq!(free.makespan, free.schedule.makespan(&modeled));
+            if matches!(model, ExecutionModel::Implicit { .. }) {
+                assert_eq!(free.makespan, same.makespan, "round {round}, {model}");
+            } else {
+                assert!(free.makespan <= same.makespan, "round {round}, {model}");
             }
         }
     }

@@ -328,7 +328,11 @@ pub fn compare(current: &CorpusMetrics, golden: &CorpusMetrics) -> CorpusReport 
     report
 }
 
-/// The committed golden file of this workspace checkout.
+/// The committed golden file, built in: what `dts corpus` checks by default.
+pub const EMBEDDED_GOLDEN: &str = include_str!("../golden/corpus.json");
+
+/// The committed golden file of this workspace checkout (rewritten by
+/// `dts corpus --update-golden`).
 pub fn default_golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/corpus.json")
 }

@@ -15,7 +15,8 @@
 //!   Gilmore–Gomory sequencing, exact solvers, the 3-Partition reduction;
 //! * [`heuristics`] — the static, dynamic and corrected ordering heuristics
 //!   of the paper;
-//! * [`milp`] — the MILP formulation and the iterative `lp.k` heuristic;
+//! * [`milp`] — the iterative `lp.k` heuristic (Section 4.5's MILP solved
+//!   window by window by an exact search);
 //! * [`tensor`] — dense tensor-tile kernels (transpose/contraction) used by
 //!   the workload generators;
 //! * [`ga`] — a Global-Arrays-like PGAS memory-node substrate with a
