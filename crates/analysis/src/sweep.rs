@@ -52,11 +52,20 @@ pub struct SweepRow {
     pub ratio: f64,
 }
 
-/// Runs every configured heuristic on one trace across the capacity sweep.
+/// Runs every configured heuristic on one trace across the capacity sweep,
+/// spreading the `factors × heuristics` runs over one worker per available
+/// core (the calling thread is one of them).
 ///
 /// One [`Plan`] serves every run: the orders and candidate indexes depend
 /// on the tasks alone, so they are built once per trace rather than at
-/// every capacity, and the OMIM bound reads the plan's Johnson order.
+/// every capacity, and the OMIM bound reads the plan's Johnson order. Rows
+/// come back factor-major (every heuristic at the first factor, then at
+/// the next), the order of the configuration, whichever worker ran them.
+///
+/// # Errors
+///
+/// The error of the first failing run in that order, the one a sequential
+/// loop stops at.
 ///
 /// ```
 /// use dts_analysis::sweep::{run_trace_sweep, SweepConfig};
@@ -74,31 +83,43 @@ pub struct SweepRow {
 /// assert!(rows.iter().all(|r| r.ratio >= 1.0 - 1e-12)); // never beats OMIM
 /// ```
 pub fn run_trace_sweep(trace: &Trace, config: &SweepConfig) -> Result<Vec<SweepRow>> {
-    let mut rows = Vec::with_capacity(config.heuristics.len() * config.factors.len());
+    sweep_trace(trace, config, available_workers())
+}
+
+/// [`run_trace_sweep`] on `threads` workers, the caller included
+/// (`threads <= 1` runs the cells in order on the caller).
+///
+/// The unbounded instance, the plan and the OMIM bound are built on the
+/// caller; each cell builds its own scaled instance (a few microseconds)
+/// rather than sharing one per factor built up front, which keeps every
+/// factor's instance from being alive at once.
+fn sweep_trace(trace: &Trace, config: &SweepConfig, threads: usize) -> Result<Vec<SweepRow>> {
     let unbounded = trace.to_instance(MemSize::UNBOUNDED)?;
     let plan = Plan::new(&unbounded);
     let omim = sequence_makespan_infinite(&unbounded, plan.johnson_order())?;
-    for &factor in &config.factors {
+    let per_factor = config.heuristics.len();
+    run_indexed_pool(config.factors.len() * per_factor, threads, |cell| {
+        let factor = config.factors[cell / per_factor];
+        let heuristic = config.heuristics[cell % per_factor];
         let instance = trace.to_instance_scaled(factor)?;
-        for &heuristic in &config.heuristics {
-            let makespan = plan.run(&instance, heuristic)?.makespan(&instance);
-            rows.push(SweepRow {
-                kernel: trace.kernel.clone(),
-                rank: trace.rank,
-                factor,
-                capacity: instance.capacity(),
-                heuristic: heuristic.name().to_string(),
-                makespan,
-                omim,
-                ratio: makespan.ratio(omim),
-            });
-        }
-    }
-    Ok(rows)
+        let makespan = plan.run(&instance, heuristic)?.makespan(&instance);
+        Ok(SweepRow {
+            kernel: trace.kernel.clone(),
+            rank: trace.rank,
+            factor,
+            capacity: instance.capacity(),
+            heuristic: heuristic.name().to_string(),
+            makespan,
+            omim,
+            ratio: makespan.ratio(omim),
+        })
+    })
 }
 
 /// Runs the sweep over a whole suite of traces, spreading the traces over
-/// one worker per available core (each trace is independent).
+/// one worker per available core, the calling thread included (each trace
+/// is independent). Each worker sweeps its trace's cells in order on its
+/// own thread, so pools never nest.
 ///
 /// Workers claim traces one at a time from a shared index instead of being
 /// handed fixed chunks, so a single slow trace (the HF/CCSD suites mix rank
@@ -133,8 +154,12 @@ pub fn run_trace_sweep(trace: &Trace, config: &SweepConfig) -> Result<Vec<SweepR
 /// assert_eq!(rows, expected);
 /// ```
 pub fn run_suite_sweep(traces: &[Trace], config: &SweepConfig) -> Result<Vec<SweepRow>> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    suite_sweep_on_workers(traces, config, threads)
+    suite_sweep_on_workers(traces, config, available_workers())
+}
+
+/// One worker per available core.
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// [`run_suite_sweep`] on `threads` workers (`threads <= 1` sweeps the
@@ -145,7 +170,7 @@ fn suite_sweep_on_workers(
     threads: usize,
 ) -> Result<Vec<SweepRow>> {
     let per_trace = run_indexed_pool(traces.len(), threads, |index| {
-        run_trace_sweep(&traces[index], config)
+        sweep_trace(&traces[index], config, 1)
     })?;
     Ok(per_trace.into_iter().flatten().collect())
 }
@@ -194,6 +219,40 @@ mod tests {
         assert!(rows[2].ratio <= rows[0].ratio + 1e-9);
         // With a huge capacity the corrected heuristic reaches OMIM exactly.
         assert!((rows[2].ratio - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn trace_sweep_rows_do_not_depend_on_the_worker_count() {
+        let config = SweepConfig::default();
+        for kernel in [Kernel::HartreeFock, Kernel::Ccsd] {
+            let trace = &generate_partial_suite(kernel, &SuiteConfig::default(), 1)[0];
+            let sequential = sweep_trace(trace, &config, 1).unwrap();
+            assert_eq!(sequential.len(), 14 * 9);
+            for threads in [2, 64] {
+                assert_eq!(
+                    sweep_trace(trace, &config, threads).unwrap(),
+                    sequential,
+                    "{kernel:?} on {threads} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trace_sweep_reports_the_first_failing_cell() {
+        // The third factor is invalid: the cells before it succeed, and
+        // the error is the one its first cell returns, on every worker
+        // count.
+        let trace = &small_traces()[0];
+        let config = SweepConfig {
+            heuristics: vec![Heuristic::OS, Heuristic::MAMR, Heuristic::OOLCMR],
+            factors: vec![1.0, 1.5, f64::NAN, 2.0],
+        };
+        let expected = trace.to_instance_scaled(f64::NAN).unwrap_err();
+        assert!(matches!(expected, CoreError::InvalidCapacityFactor(_)));
+        for threads in [1, 2] {
+            assert_eq!(sweep_trace(trace, &config, threads), Err(expected.clone()));
+        }
     }
 
     #[test]

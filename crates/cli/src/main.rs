@@ -34,6 +34,9 @@
 //!   golden-metric scenario suite (every heuristic × every execution model
 //!   over the full corpus) and diff it against the committed golden file
 //!   as built into the binary, or against the `--golden` file;
+//!   `--update-golden` rewrites the `--golden` file, or by default
+//!   `crates/workloads/golden/corpus.json` under the current directory
+//!   (the workspace root), and fails if that file is absent;
 //! * `dts serve [--addr <host:port>] [...]` — run the scheduling daemon
 //!   (length-framed JSON over TCP, instance caching, admission control);
 //!   it prints the bound address — `--addr 127.0.0.1:0` picks a free port;
@@ -222,7 +225,8 @@ fn usage() -> String {
          \x20 --out <file>    write the fitted dts-cost-model file here\n\
          options (corpus):\n\
          \x20 --golden <path> golden file to diff against (default: the committed one, built in)\n\
-         \x20 --update-golden rewrite the golden file from this build (the only sanctioned change path)\n\
+         \x20 --update-golden rewrite the golden file from this build (the only sanctioned change path;\n\
+         \x20                 default: crates/workloads/golden/corpus.json, run from the workspace root)\n\
          options (serve):\n\
          \x20 --addr <host:port>    bind address (default 127.0.0.1:7421; port 0 picks a free port)\n\
          \x20 --threads <n>         cold solves running at once (default: available parallelism)\n\
@@ -574,21 +578,33 @@ fn cmd_corpus(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
             return Ok(());
         }
     }
-    let current = corpus::run_corpus().map_err(|e| e.to_string())?;
     if update {
-        let golden_path = golden_flag
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(corpus::default_golden_path);
+        // Without `--golden`, bless the checkout's file, found from the
+        // current directory: the workspace root.
+        let golden_path = match golden_flag {
+            Some(path) => path,
+            None if std::path::Path::new(corpus::GOLDEN_PATH).is_file() => {
+                corpus::GOLDEN_PATH.to_string()
+            }
+            None => {
+                return Err(format!(
+                    "no golden file at {} (run from the workspace root, or pass --golden <path>)",
+                    corpus::GOLDEN_PATH
+                )
+                .into())
+            }
+        };
+        let current = corpus::run_corpus().map_err(|e| e.to_string())?;
         std::fs::write(&golden_path, corpus::render_golden(&current))
-            .map_err(|e| format!("cannot write {}: {e}", golden_path.display()))?;
+            .map_err(|e| format!("cannot write {golden_path}: {e}"))?;
         writeln!(
             out,
-            "blessed {} corpus entries into {}",
-            current.len(),
-            golden_path.display()
+            "blessed {} corpus entries into {golden_path}",
+            current.len()
         )?;
         return Ok(());
     }
+    let current = corpus::run_corpus().map_err(|e| e.to_string())?;
     let read;
     let (golden_json, source) = match &golden_flag {
         Some(path) => {

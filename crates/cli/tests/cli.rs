@@ -542,6 +542,27 @@ fn corpus_golden_workflow_blesses_verifies_and_catches_tampering() {
     assert!(stderr(&output).contains("unexpected argument"));
 }
 
+#[test]
+fn corpus_update_golden_outside_a_checkout_fails_and_writes_nothing() {
+    // Without `--golden`, the file to bless is found from the current
+    // directory, never from where the binary was built.
+    let scratch = ScratchDir::new("corpus-no-checkout");
+    let output = Command::new(env!("CARGO_BIN_EXE_dts"))
+        .args(["corpus", "--update-golden"])
+        .current_dir(scratch.path())
+        .output()
+        .expect("the dts binary runs");
+    assert_eq!(output.status.code(), Some(1));
+    assert_eq!(
+        stderr(&output),
+        "error: no golden file at crates/workloads/golden/corpus.json \
+         (run from the workspace root, or pass --golden <path>)\n"
+    );
+    assert!(stdout(&output).is_empty());
+    let left: Vec<_> = std::fs::read_dir(scratch.path()).unwrap().collect();
+    assert!(left.is_empty(), "wrote {left:?}");
+}
+
 /// Generates one bandwidth-linear transfer-bound trace into `dir` and
 /// returns the trace file's path. With `--bandwidth` the generator's
 /// communication times are linear in bytes (±2% jitter), so a regression

@@ -15,10 +15,13 @@ use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 /// Runs `job(0..n_items)` over `threads` workers and returns the results in
 /// index order.
 ///
-/// Workers claim indices one at a time from a shared counter, so jobs with
-/// very different costs do not stall the pool. With `threads <= 1` (or a
-/// single item) the jobs run sequentially on the caller's thread; the
-/// results and the reported error are the same either way.
+/// The calling thread is one of the workers: with `threads` workers the
+/// pool spawns `threads - 1` threads and the caller claims jobs beside
+/// them until the queue is empty, then joins them. Workers claim indices
+/// one at a time from a shared counter, so jobs with very different costs
+/// do not stall the pool. With `threads <= 1` (or a single item) the jobs
+/// run sequentially on the caller's thread; the results and the reported
+/// error are the same either way.
 ///
 /// # Errors
 ///
@@ -52,65 +55,61 @@ where
 
     let next_item = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let outcome = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut done: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        // Acquire pairs with the Release store below: a worker
-                        // that observes the abort also observes everything the
-                        // failing worker published before it. With Relaxed the
-                        // model checker's message-passing litmus shows the flag
-                        // can be seen without the prior writes (see
-                        // `message_passing_litmus_distinguishes_orderings` in
-                        // vendor/microloom/tests/self_test.rs).
-                        if abort.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // lint: allow(L003) claim counter publishes no data; the
-                        // RMW modification order alone makes each index claimed
-                        // exactly once (model-checked in tests/pool_model.rs).
-                        let index = next_item.fetch_add(1, Ordering::Relaxed);
-                        if index >= n_items {
-                            break;
-                        }
-                        // Panics are caught per job so a poisoned job aborts
-                        // the pool as promptly as an error does, instead of
-                        // surfacing only when the worker is joined.
-                        match run_caught(index) {
-                            Ok(value) => done.push((index, value)),
-                            Err(e) => {
-                                abort.store(true, Ordering::Release);
-                                return Err((index, e));
-                            }
-                        }
-                    }
-                    Ok(done)
-                })
-            })
-            .collect();
-        let mut per_item: Vec<(usize, T)> = Vec::with_capacity(n_items);
-        let mut first_error: Option<(usize, CoreError)> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(mut part)) => per_item.append(&mut part),
-                Ok(Err((index, e))) => {
-                    if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
-                        first_error = Some((index, e));
-                    }
-                }
-                Err(_) => {
-                    // Unreachable (worker bodies catch panics), but joining
-                    // must stay panic-free.
-                    if first_error.is_none() {
-                        first_error = Some((
-                            usize::MAX,
-                            CoreError::Internal("a pool worker thread panicked".into()),
-                        ));
-                    }
+    // One worker's claim loop: the jobs it ran, or its failing job.
+    let worker = || -> std::result::Result<Vec<(usize, T)>, (usize, CoreError)> {
+        let mut done: Vec<(usize, T)> = Vec::new();
+        loop {
+            // Acquire pairs with the Release store below: a worker that
+            // observes the abort also observes everything the failing
+            // worker published before it. With Relaxed the model checker's
+            // message-passing litmus shows the flag can be seen without the
+            // prior writes (see `message_passing_litmus_distinguishes_orderings`
+            // in vendor/microloom/tests/self_test.rs).
+            if abort.load(Ordering::Acquire) {
+                break;
+            }
+            // lint: allow(L003) claim counter publishes no data; the
+            // RMW modification order alone makes each index claimed
+            // exactly once (model-checked in tests/pool_model.rs).
+            let index = next_item.fetch_add(1, Ordering::Relaxed);
+            if index >= n_items {
+                break;
+            }
+            // Panics are caught per job so a poisoned job aborts the pool
+            // as promptly as an error does, instead of surfacing only when
+            // the worker is joined.
+            match run_caught(index) {
+                Ok(value) => done.push((index, value)),
+                Err(e) => {
+                    abort.store(true, Ordering::Release);
+                    return Err((index, e));
                 }
             }
+        }
+        Ok(done)
+    };
+    let outcome = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(|_| worker())).collect();
+        let mut per_item: Vec<(usize, T)> = Vec::with_capacity(n_items);
+        let mut first_error: Option<(usize, CoreError)> = None;
+        let mut merge = |part| match part {
+            Ok(mut part) => per_item.append(&mut part),
+            Err((index, e)) => {
+                if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
+                    first_error = Some((index, e));
+                }
+            }
+        };
+        merge(worker());
+        for handle in handles {
+            // A join error is unreachable (worker bodies catch panics),
+            // but joining must stay panic-free.
+            merge(handle.join().unwrap_or_else(|_| {
+                Err((
+                    usize::MAX,
+                    CoreError::Internal("a pool worker thread panicked".into()),
+                ))
+            }));
         }
         if let Some((_, e)) = first_error {
             return Err(e);

@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 
 /// The link (or channels) and the processing unit of the machine, under
 /// one execution model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Timing {
     model: ExecutionModel,
     /// Earliest instant the next transfer may be issued: the end of the
@@ -68,6 +68,24 @@ struct Timing {
     /// The channel the next transfer uses: the duplex model's round-robin
     /// cursor, or the earliest-free stream (ties to the lowest index).
     next_channel: usize,
+}
+
+impl Clone for Timing {
+    fn clone(&self) -> Self {
+        Timing {
+            channels: self.channels.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise, so the copy keeps its own channel buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.model = source.model;
+        self.link_free = source.link_free;
+        self.cpu_free = source.cpu_free;
+        self.channels.clone_from(&source.channels);
+        self.next_channel = source.next_channel;
+    }
 }
 
 impl Timing {
@@ -166,7 +184,10 @@ fn earliest_free_channel(channels: &[Time]) -> usize {
 /// [`release_up_to`]: Machine::release_up_to
 /// [`available`]: Machine::available
 /// [`next_release`]: Machine::next_release
-#[derive(Debug, Clone)]
+///
+/// `clone_from` copies field by field into the target's own buffers, so a
+/// search that resets one machine from another allocates nothing.
+#[derive(Debug)]
 pub struct Machine {
     timing: Timing,
     /// Pending releases as `(computation end, memory held)`, in
@@ -177,6 +198,24 @@ pub struct Machine {
     /// exceeds the capacity.
     held: MemSize,
     capacity: MemSize,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        Machine {
+            timing: self.timing.clone(),
+            releases: self.releases.clone(),
+            held: self.held,
+            capacity: self.capacity,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.timing.clone_from(&source.timing);
+        self.releases.clone_from(&source.releases);
+        self.held = source.held;
+        self.capacity = source.capacity;
+    }
 }
 
 impl Machine {

@@ -56,6 +56,53 @@ fn lowest_index_error_wins_even_when_a_higher_index_fails_first() {
 }
 
 #[test]
+fn a_failure_in_the_callers_own_job_is_reported_while_a_spawned_worker_succeeds() {
+    // The calling thread is one of the pool's two workers. Its first
+    // claimed job waits until the spawned worker has finished a job, then
+    // fails (or panics); every job on the spawned worker succeeds. The
+    // spawned worker's jobs in turn wait until the caller has claimed one,
+    // so the caller always runs a job. The only failure is the caller's,
+    // and the pool must report it.
+    let caller = std::thread::current().id();
+    for panics in [false, true] {
+        for _ in 0..20 {
+            let caller_claimed = AtomicUsize::new(usize::MAX);
+            let spawned_done = AtomicBool::new(false);
+            let outcome = run_indexed_pool(8, 2, |i| -> dts_core::Result<usize> {
+                if std::thread::current().id() != caller {
+                    while caller_claimed.load(Ordering::SeqCst) == usize::MAX {
+                        std::thread::yield_now();
+                    }
+                    spawned_done.store(true, Ordering::SeqCst);
+                    return Ok(i);
+                }
+                if caller_claimed
+                    .compare_exchange(usize::MAX, i, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    while !spawned_done.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    if panics {
+                        panic!("caller job {i}");
+                    }
+                    return Err(CoreError::Internal(format!("job {i}")));
+                }
+                Ok(i)
+            });
+            let failed = caller_claimed.load(Ordering::SeqCst);
+            let err = outcome.expect_err("the caller's job fails");
+            if panics {
+                let want = format!("pool worker panicked on item #{failed}: caller job {failed}");
+                assert_eq!(err, CoreError::Internal(want));
+            } else {
+                assert_eq!(err, CoreError::Internal(format!("job {failed}")));
+            }
+        }
+    }
+}
+
+#[test]
 fn a_failure_stops_further_claims_in_the_sequential_path() {
     let executed = AtomicUsize::new(0);
     let err = run_indexed_pool(100, 1, |i| {

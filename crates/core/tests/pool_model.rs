@@ -93,6 +93,43 @@ fn no_result_slot_written_twice_under_a_racing_failure() {
     .expect("claim-at-most-once must hold under all interleavings");
 }
 
+/// The calling thread is one of the workers: when its own job fails and
+/// the spawned worker's jobs succeed, the pool reports the caller's
+/// failure under every interleaving — whichever index the caller claimed,
+/// and whether the spawned worker finished before or after it. The
+/// caller must fail on each of the two indices in some interleaving.
+#[test]
+fn a_failing_job_on_the_calling_thread_is_reported() {
+    let caller_failed_on: Arc<[StdAtomicBool; 2]> = Arc::default();
+    let witness = Arc::clone(&caller_failed_on);
+    microloom::check(move || {
+        let caller = std::thread::current().id();
+        let caller_job = StdAtomicUsize::new(usize::MAX);
+        let result = run_indexed_pool(2, 2, |i| {
+            if std::thread::current().id() == caller {
+                caller_job.store(i, StdOrdering::Relaxed);
+                return Err(CoreError::Internal(format!("job {i}")));
+            }
+            Ok(i)
+        });
+        match caller_job.load(StdOrdering::Relaxed) {
+            // The spawned worker claimed both jobs first.
+            usize::MAX => assert_eq!(result, Ok(vec![0, 1])),
+            i => {
+                assert_eq!(result, Err(CoreError::Internal(format!("job {i}"))));
+                witness[i].store(true, StdOrdering::Relaxed);
+            }
+        }
+    })
+    .expect("the caller's own failure must be reported under all interleavings");
+    for (i, seen) in caller_failed_on.iter().enumerate() {
+        assert!(
+            seen.load(StdOrdering::Relaxed),
+            "in some interleaving the calling thread must fail on job {i}"
+        );
+    }
+}
+
 /// The Release/Acquire abort flag actually stops the pool: in at least
 /// one explored interleaving a worker observes the abort and item 2 is
 /// never claimed. (Universally, abort can only shrink the set of claimed

@@ -123,28 +123,71 @@ pub fn schedule_for_orders(
     comm_order: &[TaskId],
     comp_order: &[TaskId],
 ) -> Option<Schedule> {
-    let mut machine = Machine::new(instance);
-    // `(transfer start, instant the computation may start)` once issued.
-    let mut issued = vec![None; instance.len()];
-    let mut transfers = comm_order.iter();
-    let mut schedule = Schedule::with_capacity(comp_order.len());
-    for &id in comp_order {
-        // Transfers issued before this computation wait only on placed ones.
-        while issued[id.index()].is_none() {
-            let &next = transfers.next()?;
-            let task = instance.task(next);
-            let t = machine.wait_to_fit(task)?;
-            issued[next.index()] = Some((t, machine.transfer(task, t)));
-        }
-        let (comm_start, ready) = issued[id.index()]?;
-        schedule.push(ScheduleEntry {
-            task: id,
-            comm_start,
-            comp_start: machine.compute(instance.task(id), ready),
-        });
-    }
+    let mut buffers = PairBuffers::new(instance);
+    buffers.schedule(instance, comm_order, comp_order)?;
+    let mut schedule: Schedule = buffers.entries.into_iter().collect();
     schedule.normalize();
     Some(schedule)
+}
+
+/// The working state of [`schedule_for_orders`], reused across the pairs
+/// of [`optimal_free_order`] so that a pair allocates nothing.
+struct PairBuffers {
+    /// The idle machine every pair starts from.
+    idle: Machine,
+    machine: Machine,
+    /// `(transfer start, instant the computation may start)` once issued.
+    issued: Vec<Option<(Time, Time)>>,
+    /// The entries in computation order.
+    entries: Vec<ScheduleEntry>,
+}
+
+impl PairBuffers {
+    fn new(instance: &Instance) -> Self {
+        let idle = Machine::new(instance);
+        PairBuffers {
+            machine: idle.clone(),
+            idle,
+            issued: vec![None; instance.len()],
+            entries: Vec::with_capacity(instance.len()),
+        }
+    }
+
+    /// Schedules the pair into `entries` and `machine` from the idle
+    /// machine; `None` when the pair deadlocks.
+    fn schedule(
+        &mut self,
+        instance: &Instance,
+        comm_order: &[TaskId],
+        comp_order: &[TaskId],
+    ) -> Option<()> {
+        let PairBuffers {
+            idle,
+            machine,
+            issued,
+            entries,
+        } = self;
+        machine.clone_from(idle);
+        issued.fill(None);
+        entries.clear();
+        let mut transfers = comm_order.iter();
+        for &id in comp_order {
+            // Transfers issued before this computation wait only on placed ones.
+            while issued[id.index()].is_none() {
+                let &next = transfers.next()?;
+                let task = instance.task(next);
+                let t = machine.wait_to_fit(task)?;
+                issued[next.index()] = Some((t, machine.transfer(task, t)));
+            }
+            let (comm_start, ready) = issued[id.index()]?;
+            entries.push(ScheduleEntry {
+                task: id,
+                comm_start,
+                comp_start: machine.compute(instance.task(id), ready),
+            });
+        }
+        Some(())
+    }
 }
 
 /// Exhaustive search over *pairs* of orders (communication, computation).
@@ -173,15 +216,22 @@ pub fn optimal_free_order(instance: &Instance) -> ExactSolution {
         makespan: machine.cpu_free(),
     };
 
+    // The makespan of a pair is the end of its last computation; only a
+    // strictly better pair's entries are copied out.
+    let mut buffers = PairBuffers::new(instance);
     let mut comm_perm = ids.clone();
+    let mut comp_perm = ids.clone();
     permute_all(&mut comm_perm, 0, &mut |comm_order| {
-        let mut comp_perm = ids.clone();
         permute_all(&mut comp_perm, 0, &mut |comp_order| {
-            if let Some(schedule) = schedule_for_orders(instance, comm_order, comp_order) {
-                let makespan = schedule.makespan(instance);
-                if makespan < best.makespan {
-                    best = ExactSolution { schedule, makespan };
-                }
+            if buffers.schedule(instance, comm_order, comp_order).is_some()
+                && buffers.machine.cpu_free() < best.makespan
+            {
+                let mut schedule: Schedule = buffers.entries.iter().copied().collect();
+                schedule.normalize();
+                best = ExactSolution {
+                    makespan: buffers.machine.cpu_free(),
+                    schedule,
+                };
             }
         });
     });

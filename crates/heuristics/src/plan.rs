@@ -43,7 +43,7 @@ use dts_core::prelude::*;
 use dts_flowshop::gilmore_gomory::gilmore_gomory_order;
 use dts_flowshop::johnson::johnson_order;
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 /// The capacity- and model-independent set-up of every heuristic for one
 /// task table, built lazily and reused by every [`run`](Plan::run).
@@ -51,17 +51,27 @@ use std::cell::OnceCell;
 /// A plan borrows the instance it was built from and accepts any instance
 /// with the same tasks in the same order: the same trace at another
 /// capacity or under another execution model. Task names play no part.
+///
+/// A plan is `Sync`, so the workers of a sweep share one: the first run
+/// that needs a part builds it, and runs that need it meanwhile wait for
+/// that build.
 #[derive(Debug)]
 pub struct Plan<'a> {
     instance: &'a Instance,
-    johnson: OnceCell<Vec<TaskId>>,
+    johnson: OnceLock<Vec<TaskId>>,
     /// OS, IOCMS, DOCPS, IOCCS, DOCCS and GG, in that order: every static
     /// order but OOSIM's (the Johnson order above) and BP's (which
     /// depends on the capacity).
-    orders: [OnceCell<Vec<TaskId>>; 6],
-    comm_index: OnceCell<CandidateIndex>,
-    full_index: OnceCell<CandidateIndex>,
+    orders: [OnceLock<Vec<TaskId>>; 6],
+    comm_index: OnceLock<CandidateIndex>,
+    full_index: OnceLock<CandidateIndex>,
 }
+
+// Sweeps share one plan across pool workers.
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<Plan<'_>>();
+};
 
 impl<'a> Plan<'a> {
     /// An empty plan for `instance`'s task table; nothing is built until a
@@ -69,10 +79,10 @@ impl<'a> Plan<'a> {
     pub fn new(instance: &'a Instance) -> Self {
         Plan {
             instance,
-            johnson: OnceCell::new(),
+            johnson: OnceLock::new(),
             orders: Default::default(),
-            comm_index: OnceCell::new(),
-            full_index: OnceCell::new(),
+            comm_index: OnceLock::new(),
+            full_index: OnceLock::new(),
         }
     }
 

@@ -28,7 +28,6 @@ use dts_heuristics::{Heuristic, Plan};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 /// Format version of the golden file.
 pub const GOLDEN_VERSION: u64 = 1;
@@ -331,11 +330,9 @@ pub fn compare(current: &CorpusMetrics, golden: &CorpusMetrics) -> CorpusReport 
 /// The committed golden file, built in: what `dts corpus` checks by default.
 pub const EMBEDDED_GOLDEN: &str = include_str!("../golden/corpus.json");
 
-/// The committed golden file of this workspace checkout (rewritten by
-/// `dts corpus --update-golden`).
-pub fn default_golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/corpus.json")
-}
+/// The committed golden file, relative to the workspace root: where
+/// `dts corpus --update-golden` writes when run from a checkout.
+pub const GOLDEN_PATH: &str = "crates/workloads/golden/corpus.json";
 
 #[cfg(test)]
 mod tests {

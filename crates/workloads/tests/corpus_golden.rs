@@ -13,9 +13,15 @@ use dts_workloads::corpus::{
     self, compare, parse_golden, render_golden, run_corpus, scenarios, CORPUS_MODELS,
 };
 use dts_workloads::families::generate_trace;
+use std::path::{Path, PathBuf};
+
+/// The committed golden file of this checkout.
+fn golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/corpus.json")
+}
 
 fn committed_golden() -> corpus::CorpusMetrics {
-    let path = corpus::default_golden_path();
+    let path = golden_path();
     let json = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read golden file {}: {e}", path.display()));
     parse_golden(&json).expect("committed golden file parses")
@@ -25,8 +31,7 @@ fn committed_golden() -> corpus::CorpusMetrics {
 fn corpus_matches_committed_golden() {
     let current = run_corpus().expect("corpus runs");
     if std::env::var("UPDATE_CORPUS_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(corpus::default_golden_path(), render_golden(&current))
-            .expect("golden file is writable");
+        std::fs::write(golden_path(), render_golden(&current)).expect("golden file is writable");
         return;
     }
     let report = compare(&current, &committed_golden());
