@@ -470,3 +470,39 @@ fn cache_hits_are_not_held_behind_a_cold_solve() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn cold_and_cached_responses_match_recorded_digests() {
+    // One fixed inline request: HF rank 0 of the small suite, as `Client`
+    // renders it. The cold response renders the schedule; the cached one
+    // splices the stored result into a new envelope.
+    let config = dts_chem::SuiteConfig::small();
+    let trace = dts_chem::hf::generate_hf_trace(
+        &config.hf,
+        config.topology,
+        config.transfer,
+        config.cost,
+        0,
+    );
+    let request = SolveRequest {
+        source: TraceSource::Inline(trace),
+        heuristic: dts_heuristics::Heuristic::from_name("OOLCMR").unwrap(),
+        model: None,
+        cost_model: None,
+        factor: 1.5,
+    };
+    let payload = serde_json::to_string(&dts_server::protocol::request_to_value(&request)).unwrap();
+    let handle = start(ServerConfig::default());
+    let mut client = connect(&handle);
+    let digest = |text: &str| dts_core::hash::stable_digest(text.as_bytes()).to_string();
+    assert_eq!(digest(&payload), "28d8de3fe58978fc18ab2fe0d042219a");
+    assert_eq!(
+        digest(&client.send_text(&payload).unwrap()),
+        "41fc79597d00d760c4b9c8fd7ae1b344"
+    );
+    assert_eq!(
+        digest(&client.send_text(&payload).unwrap()),
+        "ab9ebd2e0094cfdb7c05ebf454e66eb2"
+    );
+    handle.shutdown();
+}
