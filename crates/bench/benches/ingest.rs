@@ -1,5 +1,5 @@
-//! Trace ingest: JSON text to `Trace`, the layer that dominates `dts run`
-//! on large traces.
+//! Trace ingest and rendering: JSON text to `Trace` and back, the layers
+//! that dominate `dts run` and `dts generate` on large traces.
 //!
 //! Three series per size on the same seeded `md` trace file text:
 //!
@@ -20,27 +20,40 @@
 //!
 //! All three start from the file contents in memory, so the gap between
 //! the first two is the decoding work alone, and the third adds the
-//! instance build. Smoke runs pin the 20k-task tier; full runs
-//! add the 200k-task tier of the `run_md200k` benchmark workload. Set
-//! `DTS_BENCH_SCALE_MAX` (tasks) to cap the largest tier attempted.
+//! instance build.
 //!
-//! One pair on a daemon request frame, an inline paper-rank HF trace
-//! (rank 0 of the 150-rank topology, about 49 KB), from payload bytes to
-//! a `SolveRequest` and its cache digest:
+//! Two series per size on the way out, from the trace to the file text:
+//!
+//! * `ingest/render_md_<n>tasks` — `Trace::to_json`, which streams the
+//!   trace's `Serialize` events into the JSON writer: the path of
+//!   `dts generate` and `Trace::save`;
+//! * `ingest/render_tree_md_<n>tasks` —
+//!   `serde_json::to_string_pretty(&trace.to_value())`, the same bytes
+//!   through a `Value` tree of the whole trace, kept as the reference the
+//!   streaming path is measured against.
+//!
+//! Smoke runs pin the 20k-task tier; full runs add the 200k-task tier of
+//! the `run_md200k` benchmark workload. Set `DTS_BENCH_SCALE_MAX` (tasks)
+//! to cap the largest tier attempted.
+//!
+//! On a daemon request frame, an inline paper-rank HF trace (rank 0 of
+//! the 150-rank topology, about 49 KB), a pair from payload bytes to a
+//! `SolveRequest` and its cache digest, and the way out:
 //!
 //! * `ingest/request_decode_tree_hf_rank0` — `serde_json::from_str::<Value>`,
 //!   `parse_request`, `digest`;
 //! * `ingest/request_decode_frame_hf_rank0` — `decode_request`, `digest`:
-//!   the daemon's path, the cache-hit path up to the cache lookup.
+//!   the daemon's path, the cache-hit path up to the cache lookup;
+//! * `ingest/request_render_hf_rank0` — `serde_json::to_string` of the
+//!   `SolveRequest`: the payload `Client::send_request` sends.
 
 use criterion::{criterion_group, Criterion};
 use dts_chem::hf::generate_hf_trace;
 use dts_chem::{SuiteConfig, Trace};
 use dts_heuristics::Heuristic;
-use dts_server::protocol::request_to_value;
 use dts_server::{decode_request, parse_request, SolveRequest, TraceSource};
 use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
-use serde::{Deserialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// Allocator behavior over tens of megabytes dominates the variance, as
 /// in the other scale benches.
@@ -68,10 +81,8 @@ fn bench(c: &mut Criterion) {
         let mut config = GeneratorConfig::new(WorkloadFamily::MdLike);
         config.n_tasks = n_tasks;
         config.seed = 42;
-        let json = generate_trace(&config, 0)
-            .expect("seeded generation succeeds")
-            .to_json()
-            .expect("generated traces serialize");
+        let trace = generate_trace(&config, 0).expect("seeded generation succeeds");
+        let json = trace.to_json().expect("generated traces serialize");
         c.bench_function(&format!("ingest/value_path_md_{n_tasks}tasks"), |b| {
             b.iter(|| {
                 let value: Value = serde_json::from_str(&json).expect("valid JSON");
@@ -90,6 +101,16 @@ fn bench(c: &mut Criterion) {
                     .len()
             })
         });
+        c.bench_function(&format!("ingest/render_md_{n_tasks}tasks"), |b| {
+            b.iter(|| trace.to_json().expect("traces serialize").len())
+        });
+        c.bench_function(&format!("ingest/render_tree_md_{n_tasks}tasks"), |b| {
+            b.iter(|| {
+                serde_json::to_string_pretty(&trace.to_value())
+                    .expect("traces serialize")
+                    .len()
+            })
+        });
     }
 }
 
@@ -103,7 +124,7 @@ fn bench_request(c: &mut Criterion) {
         cost_model: None,
         factor: 1.5,
     };
-    let payload = serde_json::to_string(&request_to_value(&request)).expect("requests serialize");
+    let payload = serde_json::to_string(&request).expect("requests serialize");
     c.bench_function("ingest/request_decode_tree_hf_rank0", |b| {
         b.iter(|| {
             let value: Value = serde_json::from_str(&payload).expect("valid JSON");
@@ -115,6 +136,13 @@ fn bench_request(c: &mut Criterion) {
             decode_request(payload.as_bytes())
                 .expect("valid request")
                 .digest()
+        })
+    });
+    c.bench_function("ingest/request_render_hf_rank0", |b| {
+        b.iter(|| {
+            serde_json::to_string(&request)
+                .expect("requests serialize")
+                .len()
         })
     });
 }

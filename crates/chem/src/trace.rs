@@ -7,7 +7,7 @@
 
 use dts_core::hash::StableHasher;
 use dts_core::prelude::*;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize, Sink, Value};
 use serde_json::Reader;
 use std::borrow::Cow;
 use std::io::{Read, Write};
@@ -45,14 +45,14 @@ pub struct TraceTask<'a> {
 /// `comm_micros`, `comp_micros`, `mem_bytes`. Both trace formats, bare and
 /// versioned, write their tasks with it.
 impl Serialize for TraceTask<'_> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), Value::Str(self.name.to_string())),
-            ("kind".to_string(), Value::Str(self.kind.name().to_string())),
-            ("comm_micros".to_string(), self.comm_micros.to_value()),
-            ("comp_micros".to_string(), self.comp_micros.to_value()),
-            ("mem_bytes".to_string(), self.mem_bytes.to_value()),
-        ])
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object(5);
+        sink.field("name", self.name);
+        sink.field("kind", self.kind.name());
+        sink.field("comm_micros", &self.comm_micros);
+        sink.field("comp_micros", &self.comp_micros);
+        sink.field("mem_bytes", &self.mem_bytes);
+        sink.end_object();
     }
 }
 
@@ -99,20 +99,20 @@ pub struct Trace {
 // and optional when read: trace files written before the execution-model
 // layer existed keep loading unchanged.
 impl Serialize for Trace {
-    fn to_value(&self) -> Value {
-        let tasks = self.iter().map(|t| t.to_value()).collect();
-        let mut fields = vec![
-            ("kernel".to_string(), self.kernel.to_value()),
-            ("rank".to_string(), self.rank.to_value()),
-            ("tasks".to_string(), Value::Array(tasks)),
-        ];
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        let optional = usize::from(self.model.is_some()) + usize::from(self.cost_model.is_some());
+        sink.begin_object(3 + optional);
+        sink.field("kernel", &self.kernel);
+        sink.field("rank", &self.rank);
+        sink.key("tasks");
+        self.serialize_tasks(sink);
         if let Some(model) = &self.model {
-            fields.push(("model".to_string(), model.to_value()));
+            sink.field("model", model);
         }
         if let Some(cost_model) = &self.cost_model {
-            fields.push(("cost_model".to_string(), cost_model.to_value()));
+            sink.field("cost_model", cost_model);
         }
-        Value::Object(fields)
+        sink.end_object();
     }
 }
 
@@ -233,6 +233,16 @@ impl Trace {
     /// The tasks in trace order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = TraceTask<'_>> + Clone + '_ {
         (0..self.len()).map(|i| self.task(i))
+    }
+
+    /// Writes the tasks as the `tasks` array of both trace formats, bare
+    /// and versioned: one [`TraceTask`] object each, in trace order.
+    pub fn serialize_tasks<S: Sink>(&self, sink: &mut S) {
+        sink.begin_array(self.len());
+        for task in self.iter() {
+            task.serialize(sink);
+        }
+        sink.end_array();
     }
 
     /// The scheduling records, one tick per microsecond.
@@ -860,5 +870,56 @@ mod tests {
         assert_eq!(trace, back);
         std::fs::remove_file(&path).ok();
         assert!(Trace::load(dir.join("missing.json")).is_err());
+    }
+
+    #[test]
+    fn traces_stream_what_their_trees_render() {
+        use dts_core::perfmodel::{fit_history, fit_linear};
+
+        let samples = [(100, 7), (5_000, 40), (70_000, 300)];
+        let cost_models = [
+            None,
+            Some(CostModelSpec::Analytic),
+            Some(CostModelSpec::History {
+                transfer: fit_history(&samples).unwrap(),
+                compute: fit_history(&samples[..1]).unwrap(),
+            }),
+            Some(CostModelSpec::Regression {
+                transfer: fit_linear(&samples).unwrap(),
+                compute: fit_linear(&samples[1..]).unwrap(),
+            }),
+        ];
+        let models = [
+            None,
+            Some(ExecutionModel::Duplex),
+            Some(ExecutionModel::Streams { k: 3 }),
+            Some(ExecutionModel::parse("implicit:0.25").unwrap()),
+        ];
+        let mut trace = sample();
+        trace.push(TraceTask {
+            name: "esc \"q\" \\ \u{1}\tü",
+            kind: TaskKind::Transpose,
+            comm_micros: u64::MAX,
+            comp_micros: 0,
+            mem_bytes: 1,
+        });
+        for cost_model in &cost_models {
+            for model in models {
+                trace.cost_model = cost_model.clone();
+                trace.model = model;
+                let value = trace.to_value();
+                assert_eq!(
+                    trace.to_json(),
+                    Ok(serde_json::to_string_pretty(&value).unwrap())
+                );
+                assert_eq!(serde_json::to_string(&trace), serde_json::to_string(&value));
+            }
+        }
+        for task in trace.iter() {
+            assert_eq!(
+                serde_json::to_string(&task),
+                serde_json::to_string(&task.to_value())
+            );
+        }
     }
 }

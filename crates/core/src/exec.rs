@@ -35,7 +35,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::time::Time;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize, Sink, Value};
 use std::fmt;
 
 /// Fraction of the overlappable window actually overlapped by the
@@ -54,8 +54,8 @@ use std::fmt;
 pub struct OverlapEfficiency(u32);
 
 impl Serialize for OverlapEfficiency {
-    fn to_value(&self) -> Value {
-        Value::UInt(u64::from(self.0))
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.u64(u64::from(self.0));
     }
 }
 

@@ -39,7 +39,7 @@
 use crate::error::{CoreError, Result};
 use crate::task::Task;
 use crate::time::Time;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize, Sink, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -370,82 +370,54 @@ const COMPUTE: Section = Section {
 // Model-file rendering (the export half).
 // ---------------------------------------------------------------------------
 
-fn linear_fit_value(fit: &LinearFit, section: &Section) -> Value {
-    Value::Object(vec![
-        (
-            section.name_key.to_string(),
-            Value::Str(section.name.to_string()),
-        ),
-        ("alpha_us".to_string(), Value::UInt(fit.alpha_us)),
-        (
-            "beta_ps_per_byte".to_string(),
-            Value::UInt(fit.beta_ps_per_byte),
-        ),
-        ("samples".to_string(), Value::UInt(fit.samples)),
-    ])
+/// A fitted entry of one model-file section.
+enum Entry<'a> {
+    History(&'a HistoryTable),
+    Regression(&'a LinearFit),
 }
 
-fn history_table_value(table: &HistoryTable, section: &Section) -> Value {
-    Value::Object(vec![
-        (
-            section.name_key.to_string(),
-            Value::Str(section.name.to_string()),
-        ),
-        (
-            "buckets".to_string(),
-            Value::Array(
-                table
-                    .buckets
-                    .iter()
-                    .map(|b| {
-                        Value::Object(vec![
-                            ("bucket".to_string(), Value::UInt(u64::from(b.bucket))),
-                            ("mean_us".to_string(), Value::UInt(b.mean_us)),
-                            ("samples".to_string(), Value::UInt(b.samples)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Renders a fitted model as its versioned file [`Value`].
-///
-/// Returns [`CoreError::InvalidCostModel`] for the analytic spec: it has
-/// no file form — absence *is* its serialized form.
-pub fn model_value(spec: &CostModelSpec) -> Result<Value> {
-    let (transfer, compute) = match spec {
-        CostModelSpec::Analytic => {
-            return Err(invalid(
-                "the analytic model has no file form; pass `analytic` instead of a path",
-            ))
+/// Writes `section`'s key and its one-entry array.
+fn serialize_section<S: Sink>(entry: Entry<'_>, section: &Section, sink: &mut S) {
+    sink.key(section.key);
+    sink.begin_array(1);
+    match entry {
+        Entry::History(table) => {
+            sink.begin_object(2);
+            sink.field(section.name_key, section.name);
+            sink.key("buckets");
+            sink.begin_array(table.buckets.len());
+            for b in &table.buckets {
+                sink.begin_object(3);
+                sink.field("bucket", &b.bucket);
+                sink.field("mean_us", &b.mean_us);
+                sink.field("samples", &b.samples);
+                sink.end_object();
+            }
+            sink.end_array();
         }
-        CostModelSpec::History { transfer, compute } => (
-            history_table_value(transfer, &TRANSFER),
-            history_table_value(compute, &COMPUTE),
-        ),
-        CostModelSpec::Regression { transfer, compute } => (
-            linear_fit_value(transfer, &TRANSFER),
-            linear_fit_value(compute, &COMPUTE),
-        ),
-    };
-    Ok(Value::Object(vec![
-        ("format".to_string(), Value::Str(FORMAT_NAME.to_string())),
-        ("version".to_string(), Value::UInt(FORMAT_VERSION)),
-        (
-            "backend".to_string(),
-            Value::Str(spec.backend_name().to_string()),
-        ),
-        ("transfer".to_string(), Value::Array(vec![transfer])),
-        ("compute".to_string(), Value::Array(vec![compute])),
-    ]))
+        Entry::Regression(fit) => {
+            sink.begin_object(4);
+            sink.field(section.name_key, section.name);
+            sink.field("alpha_us", &fit.alpha_us);
+            sink.field("beta_ps_per_byte", &fit.beta_ps_per_byte);
+            sink.field("samples", &fit.samples);
+        }
+    }
+    sink.end_object();
+    sink.end_array();
 }
 
 /// Renders a fitted model as its canonical model-file JSON text.
+///
+/// Returns [`CoreError::InvalidCostModel`] for the analytic spec: it has
+/// no file form — absence *is* its serialized form.
 pub fn export_model(spec: &CostModelSpec) -> Result<String> {
-    let value = model_value(spec)?;
-    serde_json::to_string_pretty(&value)
+    if spec.is_analytic() {
+        return Err(invalid(
+            "the analytic model has no file form; pass `analytic` instead of a path",
+        ));
+    }
+    serde_json::to_string_pretty(spec)
         .map(|s| s + "\n")
         .map_err(|e| CoreError::Serialization(e.to_string()))
 }
@@ -659,13 +631,28 @@ pub fn import_model_file(path: &Path) -> Result<CostModelSpec> {
     import_model(&json)
 }
 
-// The spec serializes as its file Value (or the literal string
-// "analytic"), so instances, traces and solve requests can embed it with
-// the exact same strict validation as the standalone file.
+// The spec serializes as its model file (or the literal string
+// "analytic"), so traces and solve requests can embed it with the exact
+// same strict validation as the standalone file.
 impl Serialize for CostModelSpec {
-    fn to_value(&self) -> Value {
-        // Analytic is the only spec without a file form.
-        model_value(self).unwrap_or_else(|_| Value::Str("analytic".to_string()))
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        let (transfer, compute) = match self {
+            // Analytic is the only spec without a file form.
+            CostModelSpec::Analytic => return sink.str("analytic"),
+            CostModelSpec::History { transfer, compute } => {
+                (Entry::History(transfer), Entry::History(compute))
+            }
+            CostModelSpec::Regression { transfer, compute } => {
+                (Entry::Regression(transfer), Entry::Regression(compute))
+            }
+        };
+        sink.begin_object(5);
+        sink.field("format", FORMAT_NAME);
+        sink.field("version", &FORMAT_VERSION);
+        sink.field("backend", self.backend_name());
+        serialize_section(transfer, &TRANSFER, sink);
+        serialize_section(compute, &COMPUTE, sink);
+        sink.end_object();
     }
 }
 
@@ -1046,6 +1033,22 @@ mod tests {
 "#;
         assert_eq!(export_model(&regression_spec()).unwrap(), REGRESSION);
         assert_eq!(export_model(&history_spec()).unwrap(), HISTORY);
+    }
+
+    #[test]
+    fn specs_stream_what_their_trees_render() {
+        for spec in [CostModelSpec::Analytic, regression_spec(), history_spec()] {
+            let value = spec.to_value();
+            assert_eq!(serde_json::to_string(&spec), serde_json::to_string(&value));
+            assert_eq!(
+                serde_json::to_string_pretty(&spec),
+                serde_json::to_string_pretty(&value)
+            );
+        }
+        assert_eq!(
+            serde_json::to_string(&CostModelSpec::Analytic).unwrap(),
+            r#""analytic""#
+        );
     }
 
     #[test]

@@ -46,46 +46,97 @@ pub fn best_same_order(
     machine: &Machine,
     tasks: &[TaskId],
 ) -> (Vec<ScheduleEntry>, Machine) {
-    let n = tasks.len();
-    assert!(
-        n <= 12,
-        "the same-order search is exponential; refusing more than 12 tasks (got {n})"
-    );
-    // `tasks` as given is the first order enumerated: the first incumbent.
-    let mut best = append_all(instance, machine, tasks);
-    let mut order = tasks.to_vec();
-    let mut machines = vec![machine.clone(); n + 1];
-    descend(instance, &mut order, 0, &mut machines, &mut best);
-    best
+    let mut search = SameOrderSearch::new(machine);
+    search.run(instance, machine, tasks);
+    (search.entries, search.best)
 }
 
-/// `order` appended to a copy of `machine`: the entries and the machine
-/// after them.
+/// The working state of [`best_same_order`], kept across searches so that
+/// a caller running many (the `lp.k` windows) allocates only when a search
+/// is deeper or a machine's queue longer than any before.
+#[derive(Debug)]
+pub struct SameOrderSearch {
+    /// `machines[d]` is `machines[0]` after the prefix `order[..d]`.
+    machines: Vec<Machine>,
+    /// The order being permuted in place.
+    order: Vec<TaskId>,
+    /// The incumbent: its entries and the machine after them.
+    entries: Vec<ScheduleEntry>,
+    best: Machine,
+}
+
+impl SameOrderSearch {
+    /// Empty buffers; `machine` is any machine of the instances to search.
+    pub fn new(machine: &Machine) -> Self {
+        SameOrderSearch {
+            machines: Vec::new(),
+            order: Vec::new(),
+            entries: Vec::new(),
+            best: machine.clone(),
+        }
+    }
+
+    /// [`best_same_order`] in these buffers: the best order's entries and
+    /// the machine after them, borrowed until the next search.
+    pub fn run(
+        &mut self,
+        instance: &Instance,
+        machine: &Machine,
+        tasks: &[TaskId],
+    ) -> (&[ScheduleEntry], &Machine) {
+        let n = tasks.len();
+        assert!(
+            n <= 12,
+            "the same-order search is exponential; refusing more than 12 tasks (got {n})"
+        );
+        if self.machines.len() <= n {
+            self.machines.resize(n + 1, machine.clone());
+        }
+        self.machines[0].clone_from(machine);
+        let SameOrderSearch {
+            machines,
+            order,
+            entries,
+            best,
+        } = self;
+        // `tasks` as given is the first order enumerated: the first
+        // incumbent.
+        append_all(instance, &machines[0], tasks, entries, best);
+        order.clear();
+        order.extend_from_slice(tasks);
+        descend(instance, order, 0, machines, entries, best);
+        (entries, best)
+    }
+}
+
+/// `order` appended to `start`, into the incumbent: its entries and the
+/// machine after them.
 fn append_all(
     instance: &Instance,
-    machine: &Machine,
+    start: &Machine,
     order: &[TaskId],
-) -> (Vec<ScheduleEntry>, Machine) {
-    let mut machine = machine.clone();
-    let entries = order
-        .iter()
-        .map(|&id| machine.append(id, instance.task(id)))
-        .collect();
-    (entries, machine)
+    entries: &mut Vec<ScheduleEntry>,
+    best: &mut Machine,
+) {
+    best.clone_from(start);
+    entries.clear();
+    entries.extend(order.iter().map(|&id| best.append(id, instance.task(id))));
 }
 
 /// One level of [`best_same_order`]'s search: `machines[depth]` is
-/// `machines[0]` after the prefix `order[..depth]`, which below the root is
-/// strictly better than `best`.
+/// `machines[0]` after the prefix `order[..depth]`, which below the root
+/// is strictly better than the incumbent (`entries` and the machine `best`
+/// after them).
 fn descend(
     instance: &Instance,
     order: &mut [TaskId],
     depth: usize,
     machines: &mut [Machine],
-    best: &mut (Vec<ScheduleEntry>, Machine),
+    entries: &mut Vec<ScheduleEntry>,
+    best: &mut Machine,
 ) {
     if depth == order.len() {
-        *best = append_all(instance, &machines[0], order);
+        append_all(instance, &machines[0], order, entries, best);
         return;
     }
     let key = |m: &Machine| (m.cpu_free(), m.link_free());
@@ -94,8 +145,8 @@ fn descend(
         let (done, next) = machines.split_at_mut(depth + 1);
         next[0].clone_from(&done[depth]);
         next[0].append(order[depth], instance.task(order[depth]));
-        if key(&next[0]) < key(&best.1) {
-            descend(instance, order, depth + 1, machines, best);
+        if key(&next[0]) < key(best) {
+            descend(instance, order, depth + 1, machines, entries, best);
         }
         order.swap(depth, i);
     }

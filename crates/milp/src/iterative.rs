@@ -3,13 +3,14 @@
 //! The submission order is split into consecutive windows of `k` tasks
 //! ("the subsets are formed in the order in which tasks are submitted, which
 //! is arbitrary"); each window is solved exactly by the same-order search
-//! [`best_same_order`], warm-started from the [`Machine`] the previous
-//! windows left (the counterpart of the paper fixing the events of tasks
-//! that started before the window boundary).
+//! [`best_same_order`](dts_flowshop::exact::best_same_order), in one
+//! [`SameOrderSearch`]'s buffers and warm-started from the [`Machine`] the
+//! previous windows left (the counterpart of the paper fixing the events
+//! of tasks that started before the window boundary).
 
 use dts_core::prelude::*;
 use dts_core::simulate::Machine;
-use dts_flowshop::exact::best_same_order;
+use dts_flowshop::exact::SameOrderSearch;
 
 /// Configuration of the `lp.k` heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +31,7 @@ impl Default for LpKConfig {
 }
 
 /// Runs `lp.k`: windows of `config.window` tasks in submission order, each
-/// solved exactly by [`best_same_order`] and concatenated, under the
+/// solved exactly by the same-order search and concatenated, under the
 /// execution model the instance carries. A window size of 0, or above 8
 /// (the search is factorial), is a [`CoreError::Infeasible`] error.
 ///
@@ -55,13 +56,14 @@ pub fn lp_k(instance: &Instance, config: LpKConfig) -> Result<Schedule> {
     }
     let ids = instance.task_ids();
     let mut machine = Machine::new(instance);
+    let mut search = SameOrderSearch::new(&machine);
     let mut schedule = Schedule::with_capacity(instance.len());
     for window in ids.chunks(config.window) {
-        let (entries, after) = best_same_order(instance, &machine, window);
-        for entry in entries {
+        let (entries, after) = search.run(instance, &machine, window);
+        for &entry in entries {
             schedule.push(entry);
         }
-        machine = after;
+        machine.clone_from(after);
     }
     Ok(schedule)
 }

@@ -5,9 +5,9 @@
 //! connection and runs strictly request/response — the daemon replies to
 //! frames in order, so no correlation ids are needed.
 
-use crate::protocol::{read_frame, request_to_value, write_frame, FrameRead, SolveRequest};
+use crate::protocol::{read_frame, write_frame, FrameRead, SolveRequest};
 use dts_core::error::{CoreError, Result as CoreResult};
-use serde::Value;
+use serde::{Serialize, Value};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Response frames larger than this are treated as a protocol violation
@@ -74,13 +74,13 @@ impl Client {
         }
     }
 
-    /// Sends a JSON value and parses the JSON response.
+    /// Sends `value` as JSON and parses the JSON response.
     ///
     /// # Errors
     ///
     /// Transport failures as [`CoreError::Internal`]; an unparsable
     /// response as [`CoreError::Serialization`].
-    pub fn send_value(&mut self, value: &Value) -> CoreResult<Value> {
+    pub fn send_value(&mut self, value: &impl Serialize) -> CoreResult<Value> {
         let payload =
             serde_json::to_string(value).map_err(|e| CoreError::Serialization(e.to_string()))?;
         let response = self.send_text(&payload)?;
@@ -93,6 +93,6 @@ impl Client {
     ///
     /// Same as [`Client::send_value`].
     pub fn send_request(&mut self, request: &SolveRequest) -> CoreResult<Value> {
-        self.send_value(&request_to_value(request))
+        self.send_value(request)
     }
 }

@@ -43,7 +43,7 @@ use dts_core::perfmodel::CostModelSpec;
 use dts_core::ExecutionModel;
 use dts_heuristics::Heuristic;
 use dts_workloads::{GeneratorConfig, WorkloadFamily};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use serde_json::Reader;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -163,7 +163,7 @@ pub fn ok_response_json(result_json: &str, cached: bool, digest: Digest128) -> S
     format!("{{\"status\":\"ok\",\"cached\":{cached},\"digest\":\"{digest}\",\"result\":{result_json}}}")
 }
 
-fn render(value: &Value) -> String {
+fn render(value: &impl Serialize) -> String {
     // The vendored renderer only fails on non-finite floats; protocol
     // values are strings, bools and integers, so this cannot trigger.
     serde_json::to_string(value).unwrap_or_else(|_| {
@@ -254,7 +254,7 @@ impl SolveRequest {
             // Hash the canonical JSON rendering: two specs collide iff
             // they would materialize identical durations from the same
             // trace, which is exactly when sharing a cache entry is sound.
-            Some(spec) => h.write_str(&render(&spec.to_value())),
+            Some(spec) => h.write_str(&render(spec)),
             None => h.write_str("-"),
         }
         h.finish()
@@ -527,40 +527,44 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     writer.flush()
 }
 
-/// Serializes a request back to its canonical JSON (used by the client
-/// and the load generator; the server only parses).
-pub fn request_to_value(req: &SolveRequest) -> Value {
-    let mut fields = Vec::new();
-    match &req.source {
-        TraceSource::Inline(trace) => fields.push(("trace".to_string(), trace.to_value())),
-        TraceSource::Family { config, rank } => {
-            let mut spec = vec![
-                (
-                    "family".to_string(),
-                    Value::Str(config.family.name().to_string()),
-                ),
-                ("n_tasks".to_string(), Value::UInt(config.n_tasks as u64)),
-                ("seed".to_string(), Value::UInt(config.seed)),
-            ];
-            if let Some(skew) = config.skew {
-                spec.push(("skew".to_string(), Value::Float(skew)));
+/// A request's canonical JSON, which the client and the load generator
+/// send (the server only parses): the trace or family spec, the
+/// heuristic, the optional model and cost model, then the factor.
+impl Serialize for SolveRequest {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        let optional = usize::from(self.model.is_some()) + usize::from(self.cost_model.is_some());
+        sink.begin_object(3 + optional);
+        match &self.source {
+            TraceSource::Inline(trace) => sink.field("trace", trace),
+            TraceSource::Family { config, rank } => {
+                sink.key("family");
+                sink.begin_object(4 + usize::from(config.skew.is_some()));
+                sink.field("family", config.family.name());
+                sink.field("n_tasks", &config.n_tasks);
+                sink.field("seed", &config.seed);
+                if let Some(skew) = config.skew {
+                    sink.field("skew", &skew);
+                }
+                sink.field("rank", rank);
+                sink.end_object();
             }
-            spec.push(("rank".to_string(), Value::UInt(*rank as u64)));
-            fields.push(("family".to_string(), Value::Object(spec)));
         }
+        sink.field("heuristic", self.heuristic.name());
+        if let Some(model) = self.model {
+            sink.field("model", &model.to_string());
+        }
+        if let Some(cost_model) = &self.cost_model {
+            sink.field("cost_model", cost_model);
+        }
+        sink.field("factor", &self.factor);
+        sink.end_object();
     }
-    fields.push((
-        "heuristic".to_string(),
-        Value::Str(req.heuristic.name().to_string()),
-    ));
-    if let Some(model) = req.model {
-        fields.push(("model".to_string(), Value::Str(model.to_string())));
-    }
-    if let Some(cost_model) = &req.cost_model {
-        fields.push(("cost_model".to_string(), cost_model.to_value()));
-    }
-    fields.push(("factor".to_string(), Value::Float(req.factor)));
-    Value::Object(fields)
+}
+
+/// A request's canonical JSON as a tree: the `to_value` of its
+/// [`Serialize`] impl.
+pub fn request_to_value(req: &SolveRequest) -> Value {
+    req.to_value()
 }
 
 #[cfg(test)]
@@ -692,6 +696,27 @@ mod tests {
         for (value, expected) in cases {
             let err = parse_request(&value).unwrap_err();
             assert_eq!(err.code, expected, "for {value:?}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn requests_stream_what_their_trees_render() {
+        let plain_family = parse_request(&family_request_value()).unwrap();
+        let mut family = plain_family.clone();
+        if let TraceSource::Family { config, .. } = &mut family.source {
+            config.skew = Some(1.25);
+        }
+        family.model = Some(ExecutionModel::IMPLICIT_FULL);
+        family.cost_model = Some(CostModelSpec::Analytic);
+        let mut inline = inline_request();
+        inline.cost_model = Some(sample_cost_model());
+        for req in [inline_request(), inline, plain_family, family] {
+            let tree = request_to_value(&req);
+            assert_eq!(serde_json::to_string(&req), serde_json::to_string(&tree));
+            assert_eq!(
+                serde_json::to_string_pretty(&req),
+                serde_json::to_string_pretty(&tree)
+            );
         }
     }
 

@@ -57,9 +57,10 @@ use dts_core::error::{CoreError, Result as CoreResult};
 use dts_core::gate::{Gate, Shed};
 use dts_core::hash::Digest128;
 use dts_core::metrics::ScheduleMetrics;
-use dts_heuristics::run_heuristic;
+use dts_core::{ExecutionModel, Schedule};
+use dts_heuristics::{run_heuristic, Heuristic};
 use dts_workloads::generate_trace;
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -309,29 +310,36 @@ fn solve_request(request: SolveRequest) -> CoreResult<String> {
         trace.model = Some(model);
     }
     let instance = trace.into_instance_scaled(request.factor)?;
-    let model = instance.model();
     let schedule = run_heuristic(&instance, request.heuristic)?;
     let metrics = ScheduleMetrics::of(&instance, &schedule);
-    let result = Value::Object(vec![
-        (
-            "heuristic".to_string(),
-            Value::Str(request.heuristic.name().to_string()),
-        ),
-        ("model".to_string(), Value::Str(model.to_string())),
-        ("n_tasks".to_string(), Value::UInt(schedule.len() as u64)),
-        (
-            "makespan_us".to_string(),
-            Value::UInt(metrics.makespan.ticks()),
-        ),
-        (
-            "comm_idle_us".to_string(),
-            Value::UInt(metrics.comm_idle.ticks()),
-        ),
-        (
-            "comp_idle_us".to_string(),
-            Value::UInt(metrics.comp_idle.ticks()),
-        ),
-        ("schedule".to_string(), schedule.to_value()),
-    ]);
+    let result = SolveResult {
+        heuristic: request.heuristic,
+        model: instance.model(),
+        metrics,
+        schedule: &schedule,
+    };
     serde_json::to_string(&result).map_err(|e| CoreError::Serialization(e.to_string()))
+}
+
+/// The result object of a cold solve: the heuristic, the model it ran
+/// under, the task count, the metrics and the schedule.
+struct SolveResult<'a> {
+    heuristic: Heuristic,
+    model: ExecutionModel,
+    metrics: ScheduleMetrics,
+    schedule: &'a Schedule,
+}
+
+impl Serialize for SolveResult<'_> {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object(7);
+        sink.field("heuristic", self.heuristic.name());
+        sink.field("model", &self.model.to_string());
+        sink.field("n_tasks", &self.schedule.len());
+        sink.field("makespan_us", &self.metrics.makespan);
+        sink.field("comm_idle_us", &self.metrics.comm_idle);
+        sink.field("comp_idle_us", &self.metrics.comp_idle);
+        sink.field("schedule", self.schedule);
+        sink.end_object();
+    }
 }

@@ -50,7 +50,7 @@ use dts_chem::trace::TaskKind;
 use dts_chem::{Trace, TraceTask};
 use dts_core::perfmodel;
 use dts_core::prelude::*;
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink, Value};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -117,25 +117,33 @@ fn validate_semantics(trace: &Trace) -> Result<()> {
 /// an unexportable trace is caught before it reaches disk.
 pub fn export_trace(trace: &Trace) -> Result<String> {
     validate_semantics(trace)?;
-    let mut fields = vec![
-        ("format".to_string(), Value::Str(FORMAT_NAME.to_string())),
-        ("version".to_string(), Value::UInt(FORMAT_VERSION)),
-        ("kernel".to_string(), Value::Str(trace.kernel.clone())),
-        ("rank".to_string(), Value::UInt(trace.rank as u64)),
-    ];
-    if let Some(model) = trace.model {
-        fields.push(("model".to_string(), Value::Str(model.to_string())));
-    }
-    if let Some(cost_model) = &trace.cost_model {
-        fields.push((
-            "cost_model".to_string(),
-            perfmodel::model_value(cost_model)?,
-        ));
-    }
-    let tasks = trace.iter().map(|t| t.to_value()).collect();
-    fields.push(("tasks".to_string(), Value::Array(tasks)));
-    serde_json::to_string_pretty(&Value::Object(fields))
+    serde_json::to_string_pretty(&Versioned(trace))
         .map_err(|e| CoreError::Serialization(e.to_string()))
+}
+
+/// A trace in the versioned format: the envelope keys, the execution
+/// model as its `--model` spec string, then the tasks.
+struct Versioned<'a>(&'a Trace);
+
+impl Serialize for Versioned<'_> {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        let trace = self.0;
+        let optional = usize::from(trace.model.is_some()) + usize::from(trace.cost_model.is_some());
+        sink.begin_object(5 + optional);
+        sink.field("format", FORMAT_NAME);
+        sink.field("version", &FORMAT_VERSION);
+        sink.field("kernel", &trace.kernel);
+        sink.field("rank", &trace.rank);
+        if let Some(model) = trace.model {
+            sink.field("model", &model.to_string());
+        }
+        if let Some(cost_model) = &trace.cost_model {
+            sink.field("cost_model", cost_model);
+        }
+        sink.key("tasks");
+        trace.serialize_tasks(sink);
+        sink.end_object();
+    }
 }
 
 /// Parses and strictly validates a versioned trace file.
@@ -395,6 +403,39 @@ mod tests {
                 export_trace(&back).unwrap(),
                 json,
                 "re-export changed bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn the_versioned_format_streams_what_its_tree_renders() {
+        use dts_core::perfmodel::{fit_history, fit_linear, CostModelSpec};
+
+        let samples = [(64, 3), (4_096, 20)];
+        let mut trace = sample();
+        for (model, cost_model) in [
+            (None, None),
+            (
+                Some(ExecutionModel::Duplex),
+                Some(CostModelSpec::History {
+                    transfer: fit_history(&samples).unwrap(),
+                    compute: fit_history(&samples).unwrap(),
+                }),
+            ),
+            (
+                Some(ExecutionModel::Streams { k: 2 }),
+                Some(CostModelSpec::Regression {
+                    transfer: fit_linear(&samples).unwrap(),
+                    compute: fit_linear(&samples).unwrap(),
+                }),
+            ),
+        ] {
+            trace.model = model;
+            trace.cost_model = cost_model;
+            let tree = Versioned(&trace).to_value();
+            assert_eq!(
+                export_trace(&trace).unwrap(),
+                serde_json::to_string_pretty(&tree).unwrap()
             );
         }
     }
