@@ -17,7 +17,7 @@
 
 use criterion::report::reports_root;
 use criterion::BenchReport;
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink};
 use std::path::{Path, PathBuf};
 
 /// Runs a benchmark binary end to end: parse the CLI once, execute the
@@ -50,19 +50,27 @@ pub fn export_report_in(
     reports: &[BenchReport],
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let document = Value::Object(vec![
-        ("harness".into(), name.to_value()),
-        ("smoke".into(), criterion::smoke_mode().to_value()),
-        (
-            "benchmarks".into(),
-            Value::Array(reports.iter().map(Serialize::to_value).collect()),
-        ),
-    ]);
-    let rendered = serde_json::to_string_pretty(&document)
+    let rendered = serde_json::to_string_pretty(&RunDocument { name, reports })
         .map_err(|e| std::io::Error::other(e.to_string()))?;
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, rendered + "\n")?;
     Ok(path)
+}
+
+/// The run document: harness name, smoke flag, one report per benchmark.
+struct RunDocument<'a> {
+    name: &'a str,
+    reports: &'a [BenchReport],
+}
+
+impl Serialize for RunDocument<'_> {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object(3);
+        sink.field("harness", self.name);
+        sink.field("smoke", &criterion::smoke_mode());
+        sink.field("benchmarks", self.reports);
+        sink.end_object();
+    }
 }
 
 /// Declares the `main` function of a bench target: runs the listed
@@ -86,6 +94,7 @@ macro_rules! harness_main {
 mod tests {
     use super::*;
     use criterion::{black_box, Criterion};
+    use serde::Value;
 
     #[test]
     fn export_writes_a_parseable_document() {

@@ -142,15 +142,18 @@ impl ErrorReply {
 
     /// Renders the reply as a response JSON payload.
     pub fn to_json(&self) -> String {
-        let value = Value::Object(vec![
-            ("status".to_string(), Value::Str("error".to_string())),
-            (
-                "code".to_string(),
-                Value::Str(self.code.as_str().to_string()),
-            ),
-            ("message".to_string(), Value::Str(self.message.clone())),
-        ]);
-        render(&value)
+        render(self)
+    }
+}
+
+/// The error response: `status`, `code`, `message`.
+impl Serialize for ErrorReply {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object(3);
+        sink.field("status", "error");
+        sink.field("code", self.code.as_str());
+        sink.field("message", &self.message);
+        sink.end_object();
     }
 }
 
