@@ -70,19 +70,30 @@ fn nan_free_stats(mut ratios: Vec<f64>) -> Option<BoxplotStats> {
 /// Figs. 10, 12 and 13: the best variant of each category (plus OS) at every
 /// capacity factor. When `batch` is provided the heuristics are applied in
 /// batches (Fig. 13), otherwise on the whole trace.
+///
+/// Each trace gets one [`Plan`] and one OMIM bound, used at every factor,
+/// and its instances at every factor share its task table.
 pub fn best_variant_experiment(
     traces: &[Trace],
     factors: &[f64],
     batch: Option<BatchConfig>,
 ) -> Result<Vec<ExperimentRow>> {
+    let unbounded = traces
+        .iter()
+        .map(|trace| trace.to_instance(MemSize::UNBOUNDED))
+        .collect::<Result<Vec<_>>>()?;
+    let plans: Vec<Plan<'_>> = unbounded.iter().map(Plan::new).collect();
+    let omims = unbounded
+        .iter()
+        .zip(&plans)
+        .map(|(instance, plan)| sequence_makespan_infinite(instance, plan.johnson_order()))
+        .collect::<Result<Vec<_>>>()?;
     let mut out = Vec::new();
     for &factor in factors {
         let mut per_category: std::collections::BTreeMap<String, Vec<f64>> =
             std::collections::BTreeMap::new();
-        for trace in traces {
+        for ((trace, plan), &omim) in traces.iter().zip(&plans).zip(&omims) {
             let instance = trace.to_instance_scaled(factor)?;
-            let plan = Plan::new(&instance);
-            let omim = sequence_makespan_infinite(&instance, plan.johnson_order())?;
             for category in HeuristicCategory::ALL {
                 let best = match batch {
                     None => plan.best_in_category(&instance, category)?,

@@ -58,7 +58,8 @@ pub struct SweepRow {
 ///
 /// One [`Plan`] serves every run: the orders and candidate indexes depend
 /// on the tasks alone, so they are built once per trace rather than at
-/// every capacity, and the OMIM bound reads the plan's Johnson order. Rows
+/// every capacity, and the OMIM bound reads the plan's Johnson order. Every
+/// instance of the sweep shares the trace's task table. Rows
 /// come back factor-major (every heuristic at the first factor, then at
 /// the next), the order of the configuration, whichever worker ran them.
 ///
@@ -89,31 +90,42 @@ pub fn run_trace_sweep(trace: &Trace, config: &SweepConfig) -> Result<Vec<SweepR
 /// [`run_trace_sweep`] on `threads` workers, the caller included
 /// (`threads <= 1` runs the cells in order on the caller).
 ///
-/// The unbounded instance, the plan and the OMIM bound are built on the
-/// caller; each cell builds its own scaled instance (a few microseconds)
-/// rather than sharing one per factor built up front, which keeps every
-/// factor's instance from being alive at once.
+/// Every instance of the sweep shares the trace's task table, so the nine
+/// per-factor instances are built up front in O(1) each and the cells
+/// build none. Nothing else runs before the pool: the first cell that
+/// needs the Johnson order builds it through the plan, and the OMIM bound
+/// is read from it when the rows are assembled.
 fn sweep_trace(trace: &Trace, config: &SweepConfig, threads: usize) -> Result<Vec<SweepRow>> {
     let unbounded = trace.to_instance(MemSize::UNBOUNDED)?;
     let plan = Plan::new(&unbounded);
-    let omim = sequence_makespan_infinite(&unbounded, plan.johnson_order())?;
+    // A factor that yields no instance fails its cells, in cell order.
+    let scaled: Vec<Result<Instance>> = config
+        .factors
+        .iter()
+        .map(|&factor| trace.to_instance_scaled(factor))
+        .collect();
     let per_factor = config.heuristics.len();
-    run_indexed_pool(config.factors.len() * per_factor, threads, |cell| {
-        let factor = config.factors[cell / per_factor];
+    let cells = run_indexed_pool(config.factors.len() * per_factor, threads, |cell| {
+        let instance = scaled[cell / per_factor].as_ref().map_err(Clone::clone)?;
         let heuristic = config.heuristics[cell % per_factor];
-        let instance = trace.to_instance_scaled(factor)?;
-        let makespan = plan.run(&instance, heuristic)?.makespan(&instance);
-        Ok(SweepRow {
+        let makespan = plan.run(instance, heuristic)?.makespan(instance);
+        Ok((instance.capacity(), makespan))
+    })?;
+    let omim = sequence_makespan_infinite(&unbounded, plan.johnson_order())?;
+    Ok(cells
+        .into_iter()
+        .enumerate()
+        .map(|(cell, (capacity, makespan))| SweepRow {
             kernel: trace.kernel.clone(),
             rank: trace.rank,
-            factor,
-            capacity: instance.capacity(),
-            heuristic: heuristic.name().to_string(),
+            factor: config.factors[cell / per_factor],
+            capacity,
+            heuristic: config.heuristics[cell % per_factor].name().to_string(),
             makespan,
             omim,
             ratio: makespan.ratio(omim),
         })
-    })
+        .collect())
 }
 
 /// Runs the sweep over a whole suite of traces, spreading the traces over

@@ -14,7 +14,7 @@
 //!   `Trace::load` and so of `dts run`, `characterize`, `sweep`,
 //!   `calibrate`, `trace export` and `request <file>`;
 //! * `ingest/load_instance_md_<n>tasks` — `Trace::from_json` then
-//!   `Trace::into_instance_scaled(1.5)`, which moves the task table into
+//!   `Trace::to_instance_scaled(1.5)`, which shares the task table with
 //!   the instance: the decode side of `dts run`, from text to the
 //!   instance the heuristics read.
 //!
@@ -96,7 +96,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 Trace::from_json(&json)
                     .expect("valid trace")
-                    .into_instance_scaled(1.5)
+                    .to_instance_scaled(1.5)
                     .expect("feasible at 1.5 mc")
                     .len()
             })

@@ -1,7 +1,8 @@
 //! Scale scenario: the dynamic and corrected heuristics, the iterative
 //! `lp.k` heuristic and batched scheduling on 1k–50k-task random
 //! instances, plus a 100k/500k/1M-task MAMR/OOMAMR tier stressing the
-//! candidate index's ratio machinery.
+//! candidate index's ratio machinery, and MAMR/OOMAMR on a 200k-task
+//! md trace with continuous transfer times under memory pressure.
 //!
 //! The paper's evaluation (Figs. 9–13) stays below a few thousand tasks per
 //! trace, but the engine must also hold up on production-sized batches. The
@@ -13,8 +14,11 @@
 //! recorded numbers). The large tier exists because the ratio query is the
 //! index's hardest case: these instances are tie-heavy (tiny discrete
 //! comm/comp/mem domains) with tight memory, exactly the workload that
-//! degenerates naive max-ratio searches. Set `DTS_BENCH_SCALE_MAX` (tasks,
-//! default 1000000) to cap the largest instance attempted.
+//! degenerates naive max-ratio searches. The continuous tier is its
+//! opposite: nearly every transfer time is distinct, so the ratio query's
+//! buckets outnumber `log2 n` and the index keeps the stage-1 probe that
+//! quantized traces drop; it guards that rule. Set `DTS_BENCH_SCALE_MAX`
+//! (tasks, default 1000000) to cap the largest instance attempted.
 //!
 //! Scale benches are inherently noisier than the table replays (allocator
 //! and cache behavior at hundreds of MB dominates), so both groups widen
@@ -22,10 +26,12 @@
 
 use criterion::{criterion_group, Criterion};
 use dts_core::instances::random_instance_decoupled_memory;
+use dts_core::Time;
 use dts_heuristics::{run_heuristic, run_heuristic_batched, BatchConfig, Heuristic};
 use dts_milp::{lp_k, LpKConfig};
+use dts_workloads::{generate_trace, GeneratorConfig, WorkloadFamily};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Relative mean drift tolerated by both scale groups before a baseline
 /// comparison counts as a regression (on top of the CLI's own allowance,
@@ -134,6 +140,52 @@ fn bench_large(c: &mut Criterion) {
     }
 }
 
+/// Tasks of the continuous-transfer-time tier.
+const CONTINUOUS_TASKS: usize = 200_000;
+
+/// The md trace of `dts generate md --tasks 200000 --seed 7` at 1.75·mc,
+/// the factor where two tasks first fit together, with its times read at
+/// nanosecond resolution: every time is scaled by 1000 and each transfer
+/// time gets a uniform extra 0–999 ns. The shape stays the md trace's, but
+/// nearly every transfer time is distinct.
+fn continuous_md_instance() -> dts_core::Instance {
+    let config = GeneratorConfig {
+        n_tasks: CONTINUOUS_TASKS,
+        seed: 7,
+        ..GeneratorConfig::new(WorkloadFamily::MdLike)
+    };
+    let mut trace = generate_trace(&config, 0).expect("md generates");
+    let mut rng = StdRng::seed_from_u64(7);
+    for task in trace.tasks_mut() {
+        task.comm_time = Time(task.comm_time.ticks() * 1000 + rng.gen_range(0..1000u64));
+        task.comp_time = Time(task.comp_time.ticks() * 1000);
+    }
+    trace.to_instance_scaled(1.75).expect("feasible at 1.75 mc")
+}
+
+/// MAMR and OOMAMR on [`continuous_md_instance`].
+fn bench_continuous(c: &mut Criterion) {
+    if CONTINUOUS_TASKS > user_cap().unwrap_or(CONTINUOUS_TASKS) {
+        return;
+    }
+    let instance = continuous_md_instance();
+    for heuristic in [Heuristic::MAMR, Heuristic::OOMAMR] {
+        c.bench_function(
+            &format!(
+                "scale/{}_continuous_md_{CONTINUOUS_TASKS}tasks_1.75mc",
+                heuristic.name()
+            ),
+            |b| {
+                b.iter(|| {
+                    run_heuristic(&instance, heuristic)
+                        .expect("heuristic runs")
+                        .makespan(&instance)
+                })
+            },
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     // One sample per 10k/50k instance keeps a full run bearable; the smoke
@@ -154,4 +206,17 @@ criterion_group! {
         .noise_threshold(SCALE_NOISE_THRESHOLD);
     targets = bench_large
 }
-dts_bench::harness_main!("scale_large_instances", benches, benches_large);
+criterion_group! {
+    name = benches_continuous;
+    // About a second per pass: three samples in the smoke profile.
+    config = Criterion::default()
+        .sample_size(if criterion::smoke_mode() { 3 } else { 5 })
+        .noise_threshold(SCALE_NOISE_THRESHOLD);
+    targets = bench_continuous
+}
+dts_bench::harness_main!(
+    "scale_large_instances",
+    benches,
+    benches_large,
+    benches_continuous
+);

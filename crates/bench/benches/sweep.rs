@@ -4,12 +4,19 @@
 //!
 //! * `sweep/run_trace_sweep_hf_ccsd_rank0` — both sweeps, one iteration:
 //!   the op of the `sweep_paper` repository benchmark on a fixed pair.
+//! * `sweep/<heuristic>_hf_ccsd_rank0` — one heuristic's share of that op:
+//!   the 9 factors of each trace run serially through one fresh `Plan` per
+//!   trace, so whatever the heuristic builds (orders, candidate index) is
+//!   built once per trace, as in the sweep. Setting the MAMR/LCMR and
+//!   OOMAMR/OOLCMR pairs side by side prices the ratio machinery.
 
 use criterion::{criterion_group, Criterion};
-use dts_analysis::sweep::{run_trace_sweep, SweepConfig};
+use dts_analysis::sweep::{capacity_factors, run_trace_sweep, SweepConfig};
 use dts_chem::ccsd::generate_ccsd_trace;
 use dts_chem::hf::generate_hf_trace;
 use dts_chem::SuiteConfig;
+use dts_core::prelude::*;
+use dts_heuristics::{Heuristic, Plan};
 
 fn bench(c: &mut Criterion) {
     let suite = SuiteConfig::default();
@@ -35,6 +42,36 @@ fn bench(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+
+    let factors = capacity_factors();
+    let unbounded: Vec<Instance> = traces
+        .iter()
+        .map(|trace| trace.to_instance(MemSize::UNBOUNDED).unwrap())
+        .collect();
+    let scaled: Vec<Vec<Instance>> = traces
+        .iter()
+        .map(|trace| {
+            factors
+                .iter()
+                .map(|&factor| trace.to_instance_scaled(factor).unwrap())
+                .collect()
+        })
+        .collect();
+    for heuristic in Heuristic::ALL {
+        c.bench_function(&format!("sweep/{heuristic}_hf_ccsd_rank0"), |b| {
+            b.iter(|| {
+                let mut total = Time::ZERO;
+                for (base, instances) in unbounded.iter().zip(&scaled) {
+                    let plan = Plan::new(base);
+                    for instance in instances {
+                        total =
+                            total.max(plan.run(instance, heuristic).unwrap().makespan(instance));
+                    }
+                }
+                total
+            })
+        });
+    }
 }
 
 criterion_group! {

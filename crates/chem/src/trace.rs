@@ -12,6 +12,7 @@ use serde_json::Reader;
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Kind of tensor work a trace task performs (informational; the scheduling
 /// heuristics only look at times and memory).
@@ -69,19 +70,21 @@ impl TraceTask<'_> {
 
 /// A per-process trace.
 ///
-/// The tasks are stored as columns: the [`TaskTable`] an [`Instance`] is
-/// built from (24-byte [`Task`] records and one name arena) plus a
-/// [`TaskKind`] column, so [`Trace::to_instance`] copies buffers instead
-/// of converting tasks one by one, and [`Trace::into_instance`] moves
-/// them.
+/// The tasks are stored as columns: the [`TaskTable`] (24-byte [`Task`]
+/// records and one name arena) plus a [`TaskKind`] column. The table sits
+/// behind an `Arc` that every [`Instance`] built from the trace shares, so
+/// [`Trace::to_instance`] converts no task and copies no buffer; changing
+/// the trace afterwards (pushing or editing tasks) copies the table first
+/// if an instance still holds it, and the instance keeps what it saw.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Kernel that produced the trace (`"HF"` or `"CCSD"`).
     pub kernel: String,
     /// Process rank (0..149 in the paper's setup).
     pub rank: usize,
-    /// The independent tasks seen by this process, with their names.
-    table: TaskTable,
+    /// The independent tasks seen by this process, with their names;
+    /// shared with the instances built from the trace.
+    table: Arc<TaskTable>,
     /// Each task's kind, indexed like `table`.
     kinds: Vec<TaskKind>,
     /// Execution model the trace targets (stamped by `dts generate
@@ -175,7 +178,7 @@ impl Trace {
         Trace {
             kernel: kernel.into(),
             rank,
-            table: TaskTable::with_capacity(n_tasks),
+            table: Arc::new(TaskTable::with_capacity(n_tasks)),
             kinds: Vec::with_capacity(n_tasks),
             model: None,
             cost_model: None,
@@ -197,7 +200,7 @@ impl Trace {
     /// input.
     #[must_use]
     pub fn try_push(&mut self, task: TraceTask<'_>) -> bool {
-        let pushed = self.table.try_push(task.name, task.task());
+        let pushed = Arc::make_mut(&mut self.table).try_push(task.name, task.task());
         if pushed {
             self.kinds.push(task.kind);
         }
@@ -252,17 +255,13 @@ impl Trace {
 
     /// The scheduling records, mutably; names and kinds stay as they are.
     pub fn tasks_mut(&mut self) -> &mut [Task] {
-        self.table.tasks_mut()
+        Arc::make_mut(&mut self.table).tasks_mut()
     }
 
     /// Minimum memory capacity `mc` needed to execute every task (the
-    /// largest single-task memory requirement).
+    /// largest single-task memory requirement), cached by the table.
     pub fn min_capacity(&self) -> MemSize {
-        self.tasks()
-            .iter()
-            .map(|t| t.mem)
-            .max()
-            .unwrap_or(MemSize::ZERO)
+        self.table.max_mem()
     }
 
     /// Checks that the total communication-plus-computation time of the
@@ -271,8 +270,13 @@ impl Trace {
     /// durations (no model stretches a task beyond `comm + comp`), so a
     /// finite total guarantees overflow-free simulation; an overflowing
     /// total would otherwise surface as a debug-build panic deep inside an
-    /// executor instead of a typed error at the trust boundary.
+    /// executor instead of a typed error at the trust boundary. O(1) once
+    /// the table's totals are cached; only a failing check scans for the
+    /// task it names.
     pub fn check_time_totals(&self) -> Result<()> {
+        if self.table.total_time().is_some() {
+            return Ok(());
+        }
         let mut total = Time::ZERO;
         for (i, task) in self.tasks().iter().enumerate() {
             total = task
@@ -290,12 +294,14 @@ impl Trace {
     }
 
     /// Converts the trace into a scheduling [`Instance`] with the given
-    /// memory capacity: the task table is copied as it is, names included.
+    /// memory capacity. The instance shares the trace's task table, names
+    /// included, so the conversion is O(1) once the table's totals are
+    /// cached: a sweep converts one trace at every capacity without a copy.
     /// A model carried by the trace is attached to the instance, so every
     /// executor and heuristic honors it; a cost model carried by the trace
     /// is materialized into the task durations here — once per instance,
-    /// never per scheduling decision. [`Trace::into_instance`] does the
-    /// same without the copy.
+    /// never per scheduling decision — in the instance's own copy of the
+    /// table.
     ///
     /// # Errors
     ///
@@ -306,27 +312,8 @@ impl Trace {
     /// malformed or its predictions overflow the clock.
     pub fn to_instance(&self, capacity: MemSize) -> Result<Instance> {
         self.check_time_totals()?;
-        self.instance_of(self.table.clone(), capacity)
-    }
-
-    /// [`Trace::to_instance`] for an owner that is done with the trace:
-    /// the task table moves into the instance instead of being copied.
-    ///
-    /// # Errors
-    ///
-    /// As [`Trace::to_instance`].
-    pub fn into_instance(mut self, capacity: MemSize) -> Result<Instance> {
-        self.check_time_totals()?;
-        let table = std::mem::take(&mut self.table);
-        self.instance_of(table, capacity)
-    }
-
-    /// The one body of [`Trace::to_instance`] and
-    /// [`Trace::into_instance`]: `table` (the trace's own, copied or
-    /// moved out) under the trace's label, model and cost model.
-    fn instance_of(&self, table: TaskTable, capacity: MemSize) -> Result<Instance> {
         let instance = Instance::with_label(
-            table,
+            Arc::clone(&self.table),
             capacity,
             format!("{}-rank{}", self.kernel, self.rank),
         )?;
@@ -340,29 +327,18 @@ impl Trace {
         }
     }
 
-    /// Converts the trace into an instance whose capacity is `factor · mc`
-    /// (the sweep axis of Figs. 9–13).
+    /// [`Trace::to_instance`] at capacity `factor · mc` (the sweep axis of
+    /// Figs. 9–13).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidCapacityFactor`] when `factor` is NaN,
     /// infinite or negative — [`MemSize::scale`] asserts on such factors,
     /// and a user-supplied factor (e.g. from the `dts run` command line)
-    /// must surface as an error, not a panic.
+    /// must surface as an error, not a panic — and otherwise the errors of
+    /// [`Trace::to_instance`].
     pub fn to_instance_scaled(&self, factor: f64) -> Result<Instance> {
         self.to_instance(self.scaled_capacity(factor)?)
-    }
-
-    /// [`Trace::to_instance_scaled`] for an owner that is done with the
-    /// trace: the task table moves into the instance instead of being
-    /// copied.
-    ///
-    /// # Errors
-    ///
-    /// As [`Trace::to_instance_scaled`].
-    pub fn into_instance_scaled(self, factor: f64) -> Result<Instance> {
-        let capacity = self.scaled_capacity(factor)?;
-        self.into_instance(capacity)
     }
 
     /// `factor · mc`, for a finite, non-negative `factor`.
@@ -684,23 +660,39 @@ mod tests {
     }
 
     #[test]
-    fn moving_the_table_builds_the_copied_instance() {
+    fn conversion_shares_the_trace_table() {
         let mut trace = sample();
         trace.model = Some(ExecutionModel::Duplex);
-        for factor in [1.0, 1.5] {
-            assert_eq!(
-                trace.clone().into_instance_scaled(factor),
-                trace.to_instance_scaled(factor)
-            );
+        let instances: Vec<Instance> = [1.0, 1.5, 2.0]
+            .into_iter()
+            .map(|factor| trace.to_instance_scaled(factor).unwrap())
+            .collect();
+        for instance in &instances {
+            assert!(std::ptr::eq(instance.tasks(), trace.tasks()));
+            assert_eq!(instance.model(), ExecutionModel::Duplex);
         }
-        let capacity = MemSize::from_bytes(400_000);
+        // Editing the trace afterwards copies the table first: the
+        // instances keep the tasks they were built from.
+        let before = instances[0].clone();
+        trace.tasks_mut()[0].comm_time = Time::from_micros(u64::MAX);
+        assert!(!std::ptr::eq(instances[0].tasks(), trace.tasks()));
+        assert_eq!(instances[0], before);
         assert_eq!(
-            trace.clone().into_instance(capacity),
-            trace.to_instance(capacity)
+            instances[0].task(TaskId(0)).comm_time,
+            Time::from_micros(110)
         );
-        // A stamped cost model rewrites the moved table as it does the
-        // copied one.
-        let mut modeled = trace.clone();
+        // The factor is checked before the time totals, then the totals.
+        assert!(matches!(
+            trace.to_instance_scaled(f64::NAN),
+            Err(CoreError::InvalidCapacityFactor(_))
+        ));
+        assert!(matches!(
+            trace.to_instance_scaled(1.0),
+            Err(CoreError::InvalidTrace(_))
+        ));
+        // A stamped cost model rewrites the instance's own copy of the
+        // table, never the trace's.
+        let mut modeled = sample();
         modeled.cost_model = Some(CostModelSpec::Regression {
             transfer: dts_core::perfmodel::LinearFit {
                 alpha_us: 10,
@@ -713,23 +705,9 @@ mod tests {
                 samples: 2,
             },
         });
-        let moved = modeled.clone().into_instance_scaled(1.5).unwrap();
-        assert_eq!(moved, modeled.to_instance_scaled(1.5).unwrap());
-        assert_eq!(moved.task(TaskId(0)).comm_time, Time::from_micros(170));
-        // The checks run before the table moves, in the same order.
-        assert_eq!(
-            trace.clone().into_instance_scaled(f64::NAN),
-            trace.to_instance_scaled(f64::NAN)
-        );
-        trace.tasks_mut()[0].comm_time = Time::from_micros(u64::MAX);
-        assert_eq!(
-            trace.clone().into_instance_scaled(0.0),
-            trace.to_instance_scaled(0.0)
-        );
-        assert!(matches!(
-            trace.into_instance_scaled(0.0),
-            Err(CoreError::InvalidTrace(_))
-        ));
+        let instance = modeled.to_instance_scaled(1.5).unwrap();
+        assert_eq!(instance.task(TaskId(0)).comm_time, Time::from_micros(170));
+        assert_eq!(modeled.tasks()[0].comm_time, Time::from_micros(110));
     }
 
     #[test]

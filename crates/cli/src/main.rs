@@ -852,7 +852,7 @@ fn cmd_run(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
         .map(|s| s.parse().map_err(|_| "factor must be a number"))
         .transpose()?
         .unwrap_or(1.5);
-    // `into_instance_scaled` reports this too, but catching it before the
+    // `to_instance_scaled` reports this too, but catching it before the
     // trace is even loaded gives a faster failure with the same message.
     if !factor.is_finite() || factor < 0.0 {
         return Err(CoreError::InvalidCapacityFactor(factor.to_string())
@@ -869,7 +869,7 @@ fn cmd_run(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
         trace.model = Some(model);
     }
     let instance = trace
-        .into_instance_scaled(factor)
+        .to_instance_scaled(factor)
         .map_err(|e| e.to_string())?;
     let omim = johnson_makespan(&instance);
     let schedule = run_heuristic(&instance, heuristic).map_err(|e| e.to_string())?;

@@ -10,11 +10,11 @@
 //!
 //! [`CandidateIndex`] answers the communication-time queries in O(log n)
 //! and the ratio query in O(√m · log n) worst case, where `m ≤ n` counts
-//! the distinct communication times — and in O(log n) whenever the
-//! best-ratio fitting task is not blocked behind the communication bound,
-//! the common case (see
+//! the distinct communication times — O(log n) probes in all when those
+//! are few, and O(log n) whenever the best-ratio fitting task is not
+//! blocked behind the communication bound when they are many (see
 //! [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within)
-//! for the exact bound). It keeps the tasks of an instance sorted by
+//! for the exact bounds). It keeps the tasks of an instance sorted by
 //! `(communication time, id)`, a task's *position*, and maintains two
 //! structures over that order:
 //!
@@ -25,29 +25,37 @@
 //! * the **ratio machinery**, which works on ranks. At build time every
 //!   task gets a *ratio rank* in the MAMR order (acceleration ratio
 //!   descending, id ascending) and a *memory rank* in the
-//!   `(memory, position)` order. A free-memory threshold is then a count
-//!   `k` of memory ranks, a task fits iff its memory rank is below `k`,
-//!   and the MAMR choice among any set of tasks is the fitting one with
-//!   the smallest ratio rank. Every tree node stores the smallest ratio
+//!   `(memory, position)` order. The memory ranks that fit under a
+//!   free-memory threshold are a prefix, a task fits iff the memory at its
+//!   rank does (one lookup, no search over the ranks), and the MAMR choice
+//!   among any set of tasks is the fitting one with the smallest ratio
+//!   rank. Every tree node stores the smallest ratio
 //!   rank (its subtree's *champion*) and the smallest memory rank of its
 //!   present tasks. The trees come in *groups*: consecutive position
 //!   ranges, each with its own tree whose leaves follow memory rank, so a
 //!   group's fitting tasks are a prefix of its leaves and their best is a
-//!   prefix-minimum query. Three groupings are kept. All tasks as one group
-//!   answer the query with the communication bound ignored. One group per
-//!   run of equal communication time matches the bounds, since every
-//!   communication-time bound cuts at a run boundary. One group per
-//!   *bucket* of ⌈√m⌉ consecutive runs feeds an outer tree over the bucket
-//!   roots. A range of runs is searched champion-first: a subtree whose
-//!   champion fits is taken without descending, a bucket or run whose
-//!   champion is memory-blocked resolves exactly by its own prefix query,
-//!   and the at most two partially covered boundary buckets resolve run by
-//!   run. Memory-blocked high-ratio tasks therefore cost at most O(√m)
-//!   exact O(log n) probes per query, even on continuous-communication
-//!   traces under memory pressure.
+//!   prefix-minimum query. One group per run of equal communication time
+//!   matches the bounds, since every communication-time bound cuts at a
+//!   run boundary. One group per *bucket* of ⌈√m⌉ consecutive runs feeds
+//!   an outer tree over the bucket roots. A range of runs is searched
+//!   champion-first (stage 2 of the query): a subtree whose champion fits
+//!   is taken without descending, a bucket or run whose champion is
+//!   memory-blocked resolves exactly by its own prefix query, and the at
+//!   most two partially covered boundary buckets resolve run by run.
+//!   Memory-blocked high-ratio tasks therefore cost at most O(√m) exact
+//!   O(log n) probes per query, even on continuous-communication traces
+//!   under memory pressure. A third grouping, all tasks as one group,
+//!   answers the query with the communication bound ignored (stage 1),
+//!   which settles most queries of a many-run trace in one probe. It is
+//!   kept only when the buckets outnumber `log2 n`: with fewer, stage 2
+//!   alone takes O(log n) probes, and the third tree would only add a root
+//!   walk to every removal. Quantized traces such as the paper's HF ranks
+//!   (a few dozen transfer times) drop it; continuous ones such as its
+//!   CCSD ranks keep it.
 //!
 //! Each grouping partitions the tasks and every structure stores O(1) words
-//! per task, so the index takes O(n) memory and O(log n) per update;
+//! per task, so the index takes O(n) memory and O(log n) per update (each
+//! root walk stops at the first node a removal does not change);
 //! construction is O(n) beyond its sorts.
 //!
 //! ```
@@ -88,7 +96,7 @@ const MEM_ABSENT: u128 = u128::MAX;
 /// smallest memory rank among the present tasks below it, both `u32::MAX`
 /// when there are none. Ranks are below the task count, which fits in
 /// `u32`, so `u32::MAX` is never a real rank.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     best: u32,
     min_mem: u32,
@@ -118,13 +126,26 @@ fn build_tree(tree: &mut [Node], size: usize) {
     }
 }
 
+/// One step of a root walk: re-joins the parent of slot `i` of a bottom-up
+/// tree and returns it, or returns 1 (the root, ending the walk) when the
+/// parent does not change — then no ancestor above it changes either.
+#[inline]
+fn rejoin_parent(tree: &mut [Node], i: usize) -> usize {
+    let parent = i >> 1;
+    let node = tree[2 * parent].join(tree[2 * parent + 1]);
+    if node == tree[parent] {
+        return 1;
+    }
+    tree[parent] = node;
+    parent
+}
+
 /// Stores `node` in slot `i` of a bottom-up tree and re-joins the path to
-/// the root.
+/// the root, up to the first ancestor that does not change.
 fn set_leaf(tree: &mut [Node], mut i: usize, node: Node) {
     tree[i] = node;
     while i > 1 {
-        i >>= 1;
-        tree[i] = tree[2 * i].join(tree[2 * i + 1]);
+        i = rejoin_parent(tree, i);
     }
 }
 
@@ -237,20 +258,23 @@ impl Groups {
     }
 
     /// The smallest ratio rank among the present tasks of group `g` whose
-    /// memory rank is below `k`. O(log of the group size).
-    fn best(&self, g: usize, k: u32) -> u32 {
+    /// memory rank `fits`, a predicate that holds on a prefix of the
+    /// memory ranks. O(log of the group size).
+    fn best(&self, g: usize, fits: impl Fn(u32) -> bool) -> u32 {
         let span = self.span(g);
-        let fit = self.leaf_mem[span.clone()].partition_point(|&r| r < k);
+        let fit = self.leaf_mem[span.clone()].partition_point(|&r| fits(r));
         prefix_best(&self.tree[2 * span.start..2 * span.end], span.len(), fit)
     }
 
-    /// Removes the task at `pos` and returns its group.
-    fn remove(&mut self, pos: usize) -> usize {
+    /// Empties the leaf of the task at `pos` and returns its group's tree
+    /// and the leaf's slot in it; the caller re-joins the leaf's root path.
+    fn clear(&mut self, pos: usize) -> (&mut [Node], usize) {
         let g = self.group_of[pos] as usize;
         let span = self.span(g);
+        let slot = span.len() + self.leaf_of[pos] as usize;
         let tree = &mut self.tree[2 * span.start..2 * span.end];
-        set_leaf(tree, span.len() + self.leaf_of[pos] as usize, Node::EMPTY);
-        g
+        tree[slot] = Node::EMPTY;
+        (tree, slot)
     }
 
     /// The groups lying entirely inside the positions `lo..hi`.
@@ -276,9 +300,10 @@ struct RatioIndex {
     pos_by_ratio: Vec<u32>,
     /// Memory rank of the task at each ratio rank.
     mem_by_ratio: Vec<u32>,
-    /// All tasks as one group: the query with the communication bound
-    /// ignored.
-    all: Groups,
+    /// All tasks as one group: stage 1 of the query, the best fitting task
+    /// with the communication bound ignored. Kept only where it pays
+    /// ([`stage_one_pays`]).
+    all: Option<Groups>,
     /// One group per run of equal communication time.
     runs: Groups,
     /// One group per bucket of ⌈√m⌉ consecutive runs.
@@ -287,10 +312,22 @@ struct RatioIndex {
     outer: Vec<Node>,
 }
 
+/// Whether stage 1 earns its upkeep on `n` tasks in `buckets` buckets: only
+/// when the buckets outnumber `log2 n`. With fewer, stage 2 alone resolves
+/// a query in about as many champion checks as stage 1's prefix query
+/// costs, and the all-tasks tree would only add a third root walk to every
+/// removal. The paper's HF ranks (rank 0: 17 distinct transfer times over
+/// 483 tasks) fall below the line, its CCSD ranks (rank 0: 324 over 327)
+/// above it.
+fn stage_one_pays(buckets: usize, n: usize) -> bool {
+    buckets > n.max(1).ilog2() as usize
+}
+
 impl RatioIndex {
-    /// Ranks the tasks and builds the three groupings; `order` holds the
-    /// task index at each position and `pos_of` its inverse.
-    fn new(tasks: &[Task], order: &[u32], pos_of: &[u32]) -> Self {
+    /// Ranks the tasks and builds the groupings; `order` holds the task
+    /// index at each position and `pos_of` its inverse. `stage_one`
+    /// overrides [`stage_one_pays`] when set.
+    fn new(tasks: &[Task], order: &[u32], pos_of: &[u32], stage_one: Option<bool>) -> Self {
         let n = order.len();
         let task = |pos: u32| &tasks[order[pos as usize] as usize];
 
@@ -329,7 +366,8 @@ impl RatioIndex {
             .chain([n as u32])
             .collect();
 
-        let all = Groups::new(vec![0, n as u32], &by_mem, &ratio_rank);
+        let keep_all = stage_one.unwrap_or_else(|| stage_one_pays(bucket_start.len() - 1, n));
+        let all = keep_all.then(|| Groups::new(vec![0, n as u32], &by_mem, &ratio_rank));
         let runs = Groups::new(run_start, &by_mem, &ratio_rank);
         let buckets = Groups::new(bucket_start, &by_mem, &ratio_rank);
         let count = buckets.len();
@@ -350,12 +388,32 @@ impl RatioIndex {
     }
 
     /// Removes the task at `pos` from every grouping and the outer tree.
+    /// The runs and buckets trees are walked in one loop, so the two
+    /// dependent chains of joins overlap; each walk, like every other,
+    /// stops at the first ancestor that does not change, and the outer
+    /// tree is touched only if the bucket's root changed.
     fn remove(&mut self, pos: usize) {
-        self.all.remove(pos);
-        self.runs.remove(pos);
-        let g = self.buckets.remove(pos);
-        let count = self.buckets.len();
-        set_leaf(&mut self.outer, count + g, self.buckets.root(g));
+        if let Some(all) = &mut self.all {
+            let (tree, slot) = all.clear(pos);
+            set_leaf(tree, slot, Node::EMPTY);
+        }
+        let g = self.buckets.group_of[pos] as usize;
+        let root = self.buckets.root(g);
+        let (runs, mut r) = self.runs.clear(pos);
+        let (buckets, mut b) = self.buckets.clear(pos);
+        while r > 1 || b > 1 {
+            if r > 1 {
+                r = rejoin_parent(runs, r);
+            }
+            if b > 1 {
+                b = rejoin_parent(buckets, b);
+            }
+        }
+        let root_now = buckets[1];
+        if root_now != root {
+            let count = self.buckets.len();
+            set_leaf(&mut self.outer, count + g, root_now);
+        }
     }
 
     /// The position of the best present task of the run-aligned position
@@ -366,17 +424,21 @@ impl RatioIndex {
         if lo >= hi {
             return None;
         }
-        let k = self.mem_sorted.partition_point(|&m| m <= free) as u32;
-        // Stage 1: the best fitting task regardless of communication time.
-        // If it lands in the range it dominates the whole query set; if
-        // nothing fits at all, the range holds no candidate either.
-        let winner = self.all.best(0, k);
-        if winner == u32::MAX {
-            return None;
-        }
-        let pos = self.pos_by_ratio[winner as usize] as usize;
-        if (lo..hi).contains(&pos) {
-            return Some(pos);
+        // Stage 1, where kept: the best fitting task regardless of
+        // communication time. If it lands in the range it dominates the
+        // whole query set; if nothing fits at all, the range holds no
+        // candidate either. A one-run range skips it: stage 2 is then a
+        // single run's champion check.
+        let one_run = self.runs.group_of[lo] == self.runs.group_of[hi - 1];
+        if let Some(all) = self.all.as_ref().filter(|_| !one_run) {
+            let winner = all.best(0, |rank| self.fits(rank, free));
+            if winner == u32::MAX {
+                return None;
+            }
+            let pos = self.pos_by_ratio[winner as usize] as usize;
+            if (lo..hi).contains(&pos) {
+                return Some(pos);
+            }
         }
         // Stage 2: the whole buckets of the range go champion-first
         // through the outer tree's canonical decomposition, then the runs
@@ -387,12 +449,12 @@ impl RatioIndex {
         let (mut l, mut r) = (count + whole.start, count + whole.end);
         while l < r {
             if l & 1 == 1 {
-                self.outer_search(l, k, &mut best);
+                self.outer_search(l, free, &mut best);
                 l += 1;
             }
             if r & 1 == 1 {
                 r -= 1;
-                self.outer_search(r, k, &mut best);
+                self.outer_search(r, free, &mut best);
             }
             l >>= 1;
             r >>= 1;
@@ -405,7 +467,7 @@ impl RatioIndex {
         };
         for (a, b) in [(lo, mid_lo), (mid_hi, hi)] {
             for run in self.runs.within(a, b) {
-                self.group_search(&self.runs, run, k, &mut best);
+                self.group_search(&self.runs, run, free, &mut best);
             }
         }
         (best != u32::MAX).then(|| self.pos_by_ratio[best as usize] as usize)
@@ -417,33 +479,42 @@ impl RatioIndex {
     /// champion dominates its subtree and is taken. Returns `true` iff the
     /// champion is memory-blocked but would beat `best`, so the subtree
     /// must be searched below its root.
-    fn must_descend(&self, node: Node, k: u32, best: &mut u32) -> bool {
-        if node.min_mem >= k || node.best >= *best {
+    fn must_descend(&self, node: Node, free: u64, best: &mut u32) -> bool {
+        if node.best >= *best || !self.fits(node.min_mem, free) {
             return false;
         }
-        if self.mem_by_ratio[node.best as usize] < k {
+        if self.fits(self.mem_by_ratio[node.best as usize], free) {
             *best = node.best;
             return false;
         }
         true
     }
 
+    /// Whether the task of memory rank `rank` needs at most `free` bytes;
+    /// `false` for `u32::MAX`, the rank an empty node holds.
+    #[inline]
+    fn fits(&self, rank: u32, free: u64) -> bool {
+        self.mem_sorted
+            .get(rank as usize)
+            .is_some_and(|&m| m <= free)
+    }
+
     /// Champion check of group `g`, resolving a memory-blocked champion
     /// exactly by the group's prefix query.
-    fn group_search(&self, groups: &Groups, g: usize, k: u32, best: &mut u32) {
-        if self.must_descend(groups.root(g), k, best) {
-            *best = (*best).min(groups.best(g, k));
+    fn group_search(&self, groups: &Groups, g: usize, free: u64, best: &mut u32) {
+        if self.must_descend(groups.root(g), free, best) {
+            *best = (*best).min(groups.best(g, |rank| self.fits(rank, free)));
         }
     }
 
     /// Champion-first search of one outer subtree, whose leaves are the
     /// buckets.
-    fn outer_search(&self, node: usize, k: u32, best: &mut u32) {
+    fn outer_search(&self, node: usize, free: u64, best: &mut u32) {
         let count = self.buckets.len();
         if node >= count {
-            return self.group_search(&self.buckets, node - count, k, best);
+            return self.group_search(&self.buckets, node - count, free, best);
         }
-        if !self.must_descend(self.outer[node], k, best) {
+        if !self.must_descend(self.outer[node], free, best) {
             return;
         }
         let (a, b) = (2 * node, 2 * node + 1);
@@ -454,8 +525,8 @@ impl RatioIndex {
         } else {
             (a, b)
         };
-        self.outer_search(first, k, best);
-        self.outer_search(second, k, best);
+        self.outer_search(first, free, best);
+        self.outer_search(second, free, best);
     }
 }
 
@@ -516,7 +587,23 @@ impl CandidateIndex {
     /// ids are stored as `u32`; such an instance could not be scheduled in
     /// memory anyway).
     pub fn new(instance: &Instance) -> Self {
-        Self::build(instance, true)
+        Self::build(instance, true, None)
+    }
+
+    /// [`new`](CandidateIndex::new) with stage 1 of the ratio query kept
+    /// or dropped regardless of the rule that decides it, so tests can run
+    /// every query against both layouts. Not part of the API.
+    #[doc(hidden)]
+    pub fn with_stage_one(instance: &Instance, keep: bool) -> Self {
+        Self::build(instance, true, Some(keep))
+    }
+
+    /// Whether the ratio machinery keeps stage 1 of the ratio query (see
+    /// [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within)).
+    /// Not part of the API.
+    #[doc(hidden)]
+    pub fn has_stage_one(&self) -> bool {
+        self.ratio.as_ref().is_some_and(|ratio| ratio.all.is_some())
     }
 
     /// Builds the index without the ratio machinery or the per-task
@@ -530,10 +617,10 @@ impl CandidateIndex {
     /// [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within)
     /// on the resulting index panics.
     pub fn comm_only(instance: &Instance) -> Self {
-        Self::build(instance, false)
+        Self::build(instance, false, None)
     }
 
-    fn build(instance: &Instance, with_ratio: bool) -> Self {
+    fn build(instance: &Instance, with_ratio: bool, stage_one: Option<bool>) -> Self {
         let n = instance.len();
         assert!(
             u32::try_from(n).is_ok(),
@@ -557,7 +644,7 @@ impl CandidateIndex {
         for i in (1..base).rev() {
             min_mem[i] = min_mem[2 * i].min(min_mem[2 * i + 1]);
         }
-        let ratio = with_ratio.then(|| RatioIndex::new(tasks, &order, &pos_of));
+        let ratio = with_ratio.then(|| RatioIndex::new(tasks, &order, &pos_of, stage_one));
 
         CandidateIndex {
             comm,
@@ -590,8 +677,8 @@ impl CandidateIndex {
     }
 
     /// Removes a task from the index (it has been scheduled) and
-    /// re-aggregates every tree along the root paths of its leaves.
-    /// O(log n).
+    /// re-aggregates every tree along the root paths of its leaves, each
+    /// up to the first node that does not change. O(log n).
     ///
     /// # Panics
     ///
@@ -606,7 +693,11 @@ impl CandidateIndex {
         self.min_mem[i] = MEM_ABSENT;
         while i > 1 {
             i >>= 1;
-            self.min_mem[i] = self.min_mem[2 * i].min(self.min_mem[2 * i + 1]);
+            let min = self.min_mem[2 * i].min(self.min_mem[2 * i + 1]);
+            if min == self.min_mem[i] {
+                break;
+            }
+            self.min_mem[i] = min;
         }
         if let Some(ratio) = &mut self.ratio {
             ratio.remove(pos);
@@ -645,13 +736,11 @@ impl CandidateIndex {
         // communication times the rightmost position is the largest id; the
         // chosen task is the leftmost fitting one of the equal-comm block.
         let c = self.comm[pos];
-        let lo_block = self.comm.partition_point(|&x| x < c);
-        // The block contains at least the fitting task just found at
-        // `pos`, so falling back to `pos` is correct even if the scan
-        // were ever to miss.
-        let leftmost = self
-            .leftmost_fitting(lo_block, pos + 1, limit)
-            .unwrap_or(pos);
+        let lo_block = self.comm[..pos].partition_point(|&x| x < c);
+        // The block holds the fitting task at `pos`, so the leftmost
+        // fitting position from its start is at most `pos`; falling back
+        // to `pos` is correct even if the search were ever to miss.
+        let leftmost = self.leftmost_fitting(lo_block, limit).unwrap_or(pos);
         Some(self.id_at[leftmost])
     }
 
@@ -664,20 +753,27 @@ impl CandidateIndex {
     /// [`best_ratio_candidate_at`](CandidateIndex::best_ratio_candidate_at)
     /// states that case more directly).
     ///
-    /// The query runs in two stages. First, a prefix query over all tasks
-    /// in memory-rank order yields the best-ratio fitting task with the
-    /// communication bound ignored — whenever that winner also satisfies
-    /// the bound (every decision where the processing-unit backlog covers
-    /// the candidates' communication times), it dominates the constrained
-    /// set and is returned after two O(log n) probes. Otherwise the runs
-    /// under the bound — whole ⌈√m⌉-run buckets plus at most two partially
-    /// covered boundary buckets — are searched champion-first: a subtree
-    /// with no fitting present task or an out-ranked champion is skipped, a
-    /// fitting champion is taken without descending, and a bucket or
-    /// boundary run whose champion is memory-blocked resolves exactly by
-    /// its own prefix query. Worst case that is O(√m · log n) with `m` the
-    /// number of distinct communication times, even on
-    /// continuous-communication traces under memory pressure.
+    /// The query runs in up to two stages, with `m` the number of distinct
+    /// communication times and ⌈m/⌈√m⌉⌉ buckets of ⌈√m⌉ runs each.
+    ///
+    /// Stage 1 exists only when the buckets outnumber `log2 n`, and runs
+    /// only when the bound admits more than one run. A prefix query over
+    /// all tasks in memory-rank order yields the best-ratio fitting task
+    /// with the communication bound ignored — whenever that winner also
+    /// satisfies the bound (every decision where the processing-unit
+    /// backlog covers the candidates' communication times), it dominates
+    /// the constrained set and is returned after two O(log n) probes.
+    ///
+    /// Stage 2 searches the runs under the bound — whole buckets plus at
+    /// most two partially covered boundary buckets — champion-first: a
+    /// subtree with no fitting present task or an out-ranked champion is
+    /// skipped, a fitting champion is taken without descending, and a
+    /// bucket or boundary run whose champion is memory-blocked resolves
+    /// exactly by its own prefix query. That is O(√m) champion checks and
+    /// at worst as many O(log n) prefix queries: O(√m · log n) with stage
+    /// 1, even on continuous-communication traces under memory pressure,
+    /// and O(log² n) without it, since ⌈√m⌉ then stays within one of the
+    /// bucket count, at most `log2 n`.
     ///
     /// # Panics
     ///
@@ -698,8 +794,10 @@ impl CandidateIndex {
     /// the query to that single equal-communication run keeps the
     /// high-ratio *shorter*-communication tasks — which can never be
     /// candidates, since they do not fit — out of the search entirely.
-    /// Same staging and complexity as
-    /// [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within).
+    /// Being one run, it skips stage 1 of
+    /// [`best_ratio_candidate_within`](CandidateIndex::best_ratio_candidate_within)
+    /// and costs one champion check, plus one O(log n) prefix query when
+    /// the run's champion does not fit.
     ///
     /// # Panics
     ///
@@ -707,7 +805,13 @@ impl CandidateIndex {
     /// [`comm_only`](CandidateIndex::comm_only).
     pub fn best_ratio_candidate_at(&self, free: MemSize, comm: Time) -> Option<TaskId> {
         let lo = self.comm.partition_point(|&c| c < comm);
-        let hi = self.comm.partition_point(|&c| c <= comm);
+        // The run from `lo` ends where its group does, if it has `comm`.
+        let hi = match (&self.ratio, self.comm.get(lo)) {
+            (Some(ratio), Some(&c)) if c == comm => {
+                ratio.runs.span(ratio.runs.group_of[lo] as usize).end
+            }
+            _ => lo,
+        };
         self.best_ratio_in_range(free, lo, hi)
     }
 
@@ -722,74 +826,58 @@ impl CandidateIndex {
         Some(self.id_at[ratio?.best_in(free.bytes(), lo, hi)?])
     }
 
-    /// Leftmost position in `[lo, hi)` whose present task needs at most
-    /// `limit` bytes.
-    fn leftmost_fitting(&self, lo: usize, hi: usize, limit: u128) -> Option<usize> {
-        self.directed_search(lo, hi, limit, false)
+    /// Leftmost position from `lo` on whose present task needs at most
+    /// `limit` bytes: climbs from leaf `lo` through the maximal subtrees
+    /// that start at or after it, left to right, to the first one holding
+    /// a fitting task, then descends to its leftmost fitting leaf. O(log n)
+    /// and no stack.
+    fn leftmost_fitting(&self, lo: usize, limit: u128) -> Option<usize> {
+        let mut i = self.base + lo;
+        loop {
+            while i & 1 == 0 {
+                i >>= 1;
+            }
+            if self.min_mem[i] <= limit {
+                while i < self.base {
+                    i = 2 * i + usize::from(self.min_mem[2 * i] > limit);
+                }
+                return Some(i - self.base);
+            }
+            i += 1;
+            // A power of two is the leftmost node of its level: the search
+            // walked past the last leaf.
+            if i.is_power_of_two() {
+                return None;
+            }
+        }
     }
 
-    /// Rightmost position in `[0, hi)` whose present task needs at most
-    /// `limit` bytes.
+    /// Rightmost position below `hi` whose present task needs at most
+    /// `limit` bytes: the mirror of
+    /// [`leftmost_fitting`](CandidateIndex::leftmost_fitting), climbing
+    /// from leaf `hi - 1` through the maximal subtrees that end at or
+    /// before it, right to left.
     fn rightmost_fitting(&self, hi: usize, limit: u128) -> Option<usize> {
-        self.directed_search(0, hi, limit, true)
-    }
-
-    /// Finds the extremal fitting position of `[lo, hi)`: decomposes the
-    /// range into O(log n) tree nodes, takes the first (in the requested
-    /// direction) containing a fitting task, and descends into it. The
-    /// decomposition pushes at most one node per side per tree level, so
-    /// fixed 64-entry stacks hold it without touching the heap — this runs
-    /// up to twice per scheduling decision.
-    fn directed_search(&self, lo: usize, hi: usize, limit: u128, rightmost: bool) -> Option<usize> {
-        let mut left_nodes = [0usize; 64];
-        let mut n_left = 0;
-        let mut right_nodes = [0usize; 64];
-        let mut n_right = 0;
-        let (mut l, mut r) = (self.base + lo, self.base + hi);
-        while l < r {
-            if l & 1 == 1 {
-                left_nodes[n_left] = l;
-                n_left += 1;
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                right_nodes[n_right] = r;
-                n_right += 1;
-            }
-            l >>= 1;
-            r >>= 1;
+        if hi == 0 {
+            return None;
         }
-        // `left_nodes` followed by reversed `right_nodes` is the in-order
-        // decomposition; scan it from the requested end (`right_nodes` is
-        // pushed deepest-first, i.e. already rightmost-first).
-        let pick = if rightmost {
-            right_nodes[..n_right]
-                .iter()
-                .chain(left_nodes[..n_left].iter().rev())
-                .copied()
-                .find(|&i| self.min_mem[i] <= limit)
-        } else {
-            left_nodes[..n_left]
-                .iter()
-                .chain(right_nodes[..n_right].iter().rev())
-                .copied()
-                .find(|&i| self.min_mem[i] <= limit)
-        };
-        let mut i = pick?;
-        while i < self.base {
-            let (first, second) = if rightmost {
-                (2 * i + 1, 2 * i)
-            } else {
-                (2 * i, 2 * i + 1)
-            };
-            i = if self.min_mem[first] <= limit {
-                first
-            } else {
-                second
-            };
+        let mut i = self.base + hi;
+        loop {
+            i -= 1;
+            while i > 1 && i & 1 == 1 {
+                i >>= 1;
+            }
+            if self.min_mem[i] <= limit {
+                while i < self.base {
+                    i = 2 * i + usize::from(self.min_mem[2 * i + 1] <= limit);
+                }
+                return Some(i - self.base);
+            }
+            // Past the leftmost node of its level: no leaf remains.
+            if i.is_power_of_two() {
+                return None;
+            }
         }
-        Some(i - self.base)
     }
 }
 
@@ -1000,6 +1088,34 @@ mod tests {
             }
             // Knock out the heads of the tiny-memory chain between rounds.
             index.remove(TaskId(2 * round + 1));
+        }
+    }
+
+    #[test]
+    fn removing_a_one_task_bucket_updates_the_outer_tree() {
+        // Thirteen distinct communication times make buckets of 4, 4, 4
+        // and 1 runs. The last bucket's only task has the best ratio, so
+        // its leaf is also its bucket's root: removing it must still
+        // reach the outer tree, whose root would otherwise keep naming it.
+        let mut builder = crate::instance::InstanceBuilder::new().capacity(MemSize::from_bytes(1));
+        for i in 1..=13u64 {
+            // ratio = comp / comm = i
+            builder = builder.task_units(&format!("t{i}"), i as f64, (i * i) as f64, 1);
+        }
+        let instance = builder.build().unwrap();
+        let (free, bound) = (MemSize::from_bytes(1), Time::units_int(13));
+        for keep in [true, false] {
+            let mut index = CandidateIndex::with_stage_one(&instance, keep);
+            assert_eq!(
+                index.best_ratio_candidate_within(free, bound),
+                Some(TaskId(12))
+            );
+            index.remove(TaskId(12));
+            assert_eq!(
+                index.best_ratio_candidate_within(free, bound),
+                Some(TaskId(11)),
+                "stage one kept: {keep}"
+            );
         }
     }
 

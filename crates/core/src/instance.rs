@@ -6,6 +6,7 @@ use crate::memory::MemSize;
 use crate::perfmodel::CostModelSpec;
 use crate::task::{Task, TaskId, TaskIntensity, TaskTable};
 use crate::time::Time;
+use std::sync::Arc;
 
 /// An instance of problem `DT`: independent tasks, a single communication
 /// link, a single processing unit and a local memory of capacity
@@ -19,6 +20,14 @@ use crate::time::Time;
 /// executors never re-check it. Outside data (traces, daemon requests)
 /// reaches an instance only through those constructors.
 ///
+/// The task table is shared, not owned: an instance is a capacity, a label
+/// and the models over an `Arc<TaskTable>`, so a trace and every instance
+/// built from it, at any capacity, hold one table.
+/// [`with_capacity`](Instance::with_capacity) is therefore a capacity check
+/// against the table's cached largest task, not a copy, and only
+/// [`with_cost_model`](Instance::with_cost_model), which rewrites the task
+/// durations, copies a table that is still shared.
+///
 /// ```compile_fail
 /// let json = r#"{"tasks":[],"capacity":6,"label":""}"#;
 /// let _ = serde_json::from_str::<dts_core::Instance>(json);
@@ -26,7 +35,7 @@ use crate::time::Time;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     /// The tasks and their names, indexable by [`TaskId`].
-    table: TaskTable,
+    table: Arc<TaskTable>,
     capacity: MemSize,
     /// Optional label (trace file name, table number, ...).
     pub label: String,
@@ -41,12 +50,18 @@ pub struct Instance {
 impl Instance {
     /// Creates an instance, validating that it is non-empty and that every
     /// task individually fits in the capacity (otherwise no schedule exists).
-    pub fn new(table: TaskTable, capacity: MemSize) -> Result<Self> {
+    /// `table` is a table to own or an `Arc` of one to share.
+    pub fn new(table: impl Into<Arc<TaskTable>>, capacity: MemSize) -> Result<Self> {
         Self::with_label(table, capacity, String::new())
     }
 
     /// [`Instance::new`] with an explicit label.
-    pub fn with_label(table: TaskTable, capacity: MemSize, label: String) -> Result<Self> {
+    pub fn with_label(
+        table: impl Into<Arc<TaskTable>>,
+        capacity: MemSize,
+        label: String,
+    ) -> Result<Self> {
+        let table = table.into();
         if table.is_empty() {
             return Err(CoreError::EmptyInstance);
         }
@@ -108,7 +123,7 @@ impl Instance {
         }
         let mut sum_comm = Time::ZERO;
         let mut sum_comp = Time::ZERO;
-        for task in self.table.tasks_mut() {
+        for task in Arc::make_mut(&mut self.table).tasks_mut() {
             task.comm_time = spec.transfer_time(task);
             task.comp_time = spec.compute_time(task);
             sum_comm = sum_comm.checked_add(task.comm_time).ok_or_else(|| {
@@ -129,7 +144,12 @@ impl Instance {
     /// Checks that every task individually fits in the capacity, returning
     /// [`CoreError::TaskExceedsCapacity`] for the lowest-id violator: an
     /// oversized task could never be scheduled, only waited on forever.
+    /// O(1) against the table's cached largest task; only a failing check
+    /// scans for the violator.
     fn check_tasks_fit(&self) -> Result<()> {
+        if self.min_capacity() <= self.capacity {
+            return Ok(());
+        }
         match self
             .tasks()
             .iter()
@@ -203,12 +223,15 @@ impl Instance {
         (0..self.len()).map(TaskId).collect()
     }
 
-    /// Returns a copy of this instance with a different memory capacity.
-    /// Used by capacity sweeps (`mc`, `1.125·mc`, ..., `2·mc`).
+    /// Returns this instance at a different memory capacity, over the same
+    /// shared task table. Used by capacity sweeps (`mc`, `1.125·mc`, ...,
+    /// `2·mc`); O(1) but for the label.
     pub fn with_capacity(&self, capacity: MemSize) -> Result<Self> {
-        let mut instance = Instance::with_label(self.table.clone(), capacity, self.label.clone())?;
-        instance.model = self.model;
-        instance.cost_model = self.cost_model.clone();
+        let instance = Instance {
+            capacity,
+            ..self.clone()
+        };
+        instance.check_tasks_fit()?;
         Ok(instance)
     }
 
@@ -230,13 +253,9 @@ impl Instance {
 
     /// Minimum memory capacity `mc` required to run every task: the largest
     /// single-task memory requirement (tasks can always be run one at a
-    /// time).
+    /// time). O(1) once the table's totals are cached.
     pub fn min_capacity(&self) -> MemSize {
-        self.tasks()
-            .iter()
-            .map(|t| t.mem)
-            .max()
-            .unwrap_or(MemSize::ZERO)
+        self.table.max_mem()
     }
 
     /// Aggregate workload statistics (Fig. 8 of the paper).
@@ -429,6 +448,17 @@ mod tests {
         assert!(matches!(err, CoreError::TaskExceedsCapacity { .. }));
         let fits = Instance::new(table, MemSize::from_bytes(6)).unwrap();
         assert_eq!(fits.with_capacity(two).unwrap_err(), oversized);
+        // The cached largest task ("bigger") only says that some task is
+        // too big; the scan behind it still names the lowest-id violator:
+        // "big" at two bytes (above), "bigger" at five.
+        assert_eq!(fits.min_capacity(), MemSize::from_bytes(6));
+        assert_eq!(
+            fits.with_capacity(MemSize::from_bytes(5)).unwrap_err(),
+            CoreError::TaskExceedsCapacity {
+                task: TaskId(2),
+                name: "bigger".into(),
+            }
+        );
         assert!(matches!(
             fits.with_model(ExecutionModel::Streams { k: 0 }),
             Err(CoreError::InvalidExecutionModel(_))
@@ -457,6 +487,8 @@ mod tests {
         let bigger = inst.with_capacity(MemSize::from_bytes(12)).unwrap();
         assert_eq!(bigger.capacity(), MemSize::from_bytes(12));
         assert_eq!(bigger.len(), inst.len());
+        // The rescaled instance shares the table instead of copying it.
+        assert!(std::ptr::eq(bigger.tasks(), inst.tasks()));
         // Shrinking below the largest task is rejected.
         assert!(inst.with_capacity(MemSize::from_bytes(3)).is_err());
     }

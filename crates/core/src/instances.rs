@@ -130,11 +130,9 @@ pub fn random_instance<R: Rng + ?Sized>(rng: &mut R, config: RandomInstanceConfi
     let comp_dist = Uniform::new_inclusive(config.comp_range.0, config.comp_range.1);
     let mut tasks = TaskTable::with_capacity(config.n_tasks);
     let mut name = String::new();
-    let mut max_mem = 0u64;
     for i in 0..config.n_tasks {
         let comm = comm_dist.sample(rng);
         let comp = comp_dist.sample(rng);
-        max_mem = max_mem.max(comm.max(1));
         tasks.push(
             numbered(&mut name, i),
             Task::new(
@@ -144,8 +142,9 @@ pub fn random_instance<R: Rng + ?Sized>(rng: &mut R, config: RandomInstanceConfi
             ),
         );
     }
-    let capacity =
-        MemSize::from_bytes(((max_mem as f64) * config.capacity_factor.max(1.0)).ceil() as u64);
+    let capacity = MemSize::from_bytes(
+        ((tasks.max_mem().bytes() as f64) * config.capacity_factor.max(1.0)).ceil() as u64,
+    );
     let instance = Instance::with_label(tasks, capacity, format!("random-{}", config.n_tasks));
     valid_by_construction(instance, "the generated random instance")
 }
@@ -160,12 +159,10 @@ pub fn random_instance_decoupled_memory<R: Rng + ?Sized>(
     assert!(n_tasks > 0, "need at least one task");
     let mut tasks = TaskTable::with_capacity(n_tasks);
     let mut name = String::new();
-    let mut max_mem = 0u64;
     for i in 0..n_tasks {
         let comm = rng.gen_range(1..=10u64);
         let comp = rng.gen_range(1..=10u64);
         let mem = rng.gen_range(1..=16u64);
-        max_mem = max_mem.max(mem);
         tasks.push(
             numbered(&mut name, i),
             Task::new(
@@ -175,7 +172,9 @@ pub fn random_instance_decoupled_memory<R: Rng + ?Sized>(
             ),
         );
     }
-    let capacity = MemSize::from_bytes(((max_mem as f64) * capacity_factor.max(1.0)).ceil() as u64);
+    let capacity = MemSize::from_bytes(
+        ((tasks.max_mem().bytes() as f64) * capacity_factor.max(1.0)).ceil() as u64,
+    );
     let instance = Instance::with_label(tasks, capacity, format!("random-decoupled-{n_tasks}"));
     valid_by_construction(instance, "the generated random instance")
 }

@@ -4,6 +4,7 @@ use crate::memory::MemSize;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Index of a task inside its [`Instance`](crate::instance::Instance).
 ///
@@ -123,17 +124,41 @@ impl fmt::Display for Task {
     }
 }
 
-/// The task column of an owner ([`Instance`](crate::instance::Instance),
-/// or a trace) and its name arena: task `i` is `tasks()[i]`, and its name
-/// is the `i`-th slice of one `String`, cut at `u32` end offsets. Building
-/// a table of `n` tasks allocates three growing buffers, never one per
-/// task, and cloning it copies three buffers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The task column of a trace and of every instance built from it, and its
+/// name arena: task `i` is `tasks()[i]`, and its name is the `i`-th slice
+/// of one `String`, cut at `u32` end offsets. Building a table of `n` tasks
+/// allocates three growing buffers, never one per task, and cloning it
+/// copies three buffers; owners share a finished table behind an `Arc`.
+///
+/// The two aggregates every instance checks, the largest task
+/// ([`max_mem`](TaskTable::max_mem)) and the summed task time
+/// ([`total_time`](TaskTable::total_time)), are computed in one pass on
+/// first use and kept until the table changes, so every instance over a
+/// shared table checks them in O(1).
+#[derive(Debug, Clone, Default)]
 pub struct TaskTable {
     tasks: Vec<Task>,
     text: String,
     ends: Vec<u32>,
+    totals: OnceLock<Totals>,
 }
+
+/// The cached aggregates of a [`TaskTable`].
+#[derive(Debug, Clone, Copy)]
+struct Totals {
+    max_mem: MemSize,
+    /// `Σ (comm + comp)`, `None` when it overflows the `u64` tick range.
+    time: Option<Time>,
+}
+
+// Equality is the tasks and their names; the cache plays no part.
+impl PartialEq for TaskTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.tasks == other.tasks && self.ends == other.ends && self.text == other.text
+    }
+}
+
+impl Eq for TaskTable {}
 
 impl TaskTable {
     /// An empty table.
@@ -147,6 +172,7 @@ impl TaskTable {
             tasks: Vec::with_capacity(n),
             text: String::new(),
             ends: Vec::with_capacity(n),
+            totals: OnceLock::new(),
         }
     }
 
@@ -163,6 +189,7 @@ impl TaskTable {
         self.text.push_str(name);
         self.ends.push(end);
         self.tasks.push(task);
+        self.totals.take();
         true
     }
 
@@ -200,7 +227,33 @@ impl TaskTable {
     /// The task column, mutably; names stay as they are.
     #[inline]
     pub fn tasks_mut(&mut self) -> &mut [Task] {
+        self.totals.take();
         &mut self.tasks
+    }
+
+    /// The largest memory requirement of a task (`MemSize::ZERO` for an
+    /// empty table): the minimum capacity `mc` of any instance over it.
+    pub fn max_mem(&self) -> MemSize {
+        self.totals().max_mem
+    }
+
+    /// `Σ (comm + comp)` over the tasks, or `None` when the sum overflows
+    /// the `u64` tick range.
+    pub fn total_time(&self) -> Option<Time> {
+        self.totals().time
+    }
+
+    fn totals(&self) -> Totals {
+        *self.totals.get_or_init(|| {
+            let mut max_mem = MemSize::ZERO;
+            let mut time = Some(Time::ZERO);
+            for task in &self.tasks {
+                max_mem = max_mem.max(task.mem);
+                time =
+                    time.and_then(|t| t.checked_add(task.comm_time)?.checked_add(task.comp_time));
+            }
+            Totals { max_mem, time }
+        })
     }
 
     /// The name of task `i`.
@@ -277,6 +330,26 @@ mod tests {
         other.push("A", Task::from_units(1.0, 3.0, 1));
         assert_ne!(other.name(0), table.name(0));
         assert!(TaskTable::new().is_empty());
+    }
+
+    #[test]
+    fn totals_follow_every_change() {
+        let mut table = TaskTable::new();
+        assert_eq!(table.max_mem(), MemSize::ZERO);
+        assert_eq!(table.total_time(), Some(Time::ZERO));
+        table.push("a", Task::from_units(3.0, 2.0, 3));
+        table.push("b", Task::from_units(1.0, 3.0, 1));
+        assert_eq!(table.max_mem(), MemSize::from_bytes(3));
+        assert_eq!(table.total_time(), Some(Time::units_int(9)));
+        // A push and a mutable borrow both drop the cached totals.
+        table.push("c", Task::from_units(4.0, 4.0, 4));
+        assert_eq!(table.max_mem(), MemSize::from_bytes(4));
+        table.tasks_mut()[2].comp_time = Time(u64::MAX);
+        assert_eq!(table.total_time(), None);
+        // The cache plays no part in equality.
+        let copy = table.clone();
+        table.tasks_mut();
+        assert_eq!(copy, table);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! acceleration ratio — ties always to the smallest id), so this suite is
 //! what licenses the heuristics to trust the index instead of rescanning
 //! the remaining tasks on every decision.
+//!
+//! The ratio query has two layouts, with and without its stage-1 probe
+//! (the all-tasks grouping), and the index picks one by a rule on its own
+//! counts. Every check runs both, whatever the rule would pick.
 
 use dts_core::index::CandidateIndex;
 use dts_core::instances::{
@@ -80,11 +84,32 @@ fn naive_best_ratio_at(
         .map(|(id, _)| id)
 }
 
-/// Compares every index query (and the `comm_only` twin) against the naive
-/// scans for one `(free, bound)` probe. Returns the first mismatch as a
-/// message, so both the assert-style suite and the `microcheck` properties
-/// below share it.
+/// Both layouts of the full index over `instance`: with stage 1 of the
+/// ratio query, then without.
+fn both_layouts(instance: &Instance) -> [CandidateIndex; 2] {
+    [true, false].map(|keep| CandidateIndex::with_stage_one(instance, keep))
+}
+
+/// Compares every query of both layouts (and the `comm_only` twin) against
+/// the naive scans for one `(free, bound)` probe. Returns the first
+/// mismatch as a message, so both the assert-style suite and the
+/// `microcheck` properties below share it.
 fn probe_queries(
+    instance: &Instance,
+    alive: &[bool],
+    layouts: &[CandidateIndex; 2],
+    comm_only: &CandidateIndex,
+    free: MemSize,
+    bound: Time,
+) -> Result<(), String> {
+    for index in layouts {
+        probe_layout(instance, alive, index, comm_only, free, bound)?;
+    }
+    Ok(())
+}
+
+/// [`probe_queries`] on one layout.
+fn probe_layout(
     instance: &Instance,
     alive: &[bool],
     index: &CandidateIndex,
@@ -92,9 +117,11 @@ fn probe_queries(
     free: MemSize,
     bound: Time,
 ) -> Result<(), String> {
+    let stage_one = index.has_stage_one();
     let mismatch = |query: &str, got: Option<TaskId>, want: Option<TaskId>| {
         Err(format!(
-            "{query} free={free:?} bound={bound:?}: index {got:?}, oracle {want:?}"
+            "{query} free={free:?} bound={bound:?} stage_one={stage_one}: \
+             index {got:?}, oracle {want:?}"
         ))
     };
     let (got, want) = (
@@ -148,7 +175,7 @@ fn probe_queries(
 /// Drives the index through a random removal order, probing all three
 /// queries with random thresholds between removals.
 fn check_against_oracle(instance: &Instance, rng: &mut StdRng, context: &str) {
-    let mut index = CandidateIndex::new(instance);
+    let mut layouts = both_layouts(instance);
     // The ratio-tree-less variant must answer the communication-time
     // queries identically.
     let mut comm_only = CandidateIndex::comm_only(instance);
@@ -176,16 +203,20 @@ fn check_against_oracle(instance: &Instance, rng: &mut StdRng, context: &str) {
             // partial and full candidate sets.
             let free = MemSize::from_bytes(rng.gen_range(0..=max_mem.saturating_add(1)));
             let bound = Time::from_ticks(rng.gen_range(0..=max_comm.saturating_add(1)));
-            if let Err(m) = probe_queries(instance, &alive, &index, &comm_only, free, bound) {
+            if let Err(m) = probe_queries(instance, &alive, &layouts, &comm_only, free, bound) {
                 panic!("{context}: {m}");
             }
         }
-        index.remove(TaskId(victim));
+        for index in &mut layouts {
+            index.remove(TaskId(victim));
+        }
         comm_only.remove(TaskId(victim));
         alive[victim] = false;
-        assert_eq!(index.len(), alive.iter().filter(|a| **a).count());
+        for index in &layouts {
+            assert_eq!(index.len(), alive.iter().filter(|a| **a).count());
+        }
     }
-    assert!(index.is_empty());
+    assert!(layouts.iter().all(CandidateIndex::is_empty));
     assert!(comm_only.is_empty());
 }
 
@@ -265,7 +296,7 @@ fn ratio_query_on_comm_only_index_panics() {
 /// with the instance.
 fn check_interleaved(spec: &dts_core::testgen::InstanceSpec, op_seed: u64) -> Result<(), String> {
     let instance = spec.build();
-    let mut index = CandidateIndex::new(&instance);
+    let mut layouts = both_layouts(&instance);
     let mut comm_only = CandidateIndex::comm_only(&instance);
     let mut alive = vec![true; instance.len()];
     let mut rng = StdRng::seed_from_u64(op_seed);
@@ -288,7 +319,9 @@ fn check_interleaved(spec: &dts_core::testgen::InstanceSpec, op_seed: u64) -> Re
             0 => {
                 let candidates: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
                 if let Some(&victim) = candidates.get(rng.gen_range(0..candidates.len().max(1))) {
-                    index.remove(TaskId(victim));
+                    for index in &mut layouts {
+                        index.remove(TaskId(victim));
+                    }
                     comm_only.remove(TaskId(victim));
                     alive[victim] = false;
                 }
@@ -297,14 +330,16 @@ fn check_interleaved(spec: &dts_core::testgen::InstanceSpec, op_seed: u64) -> Re
             _ => {
                 let free = MemSize::from_bytes(rng.gen_range(0..=max_mem.saturating_add(1)));
                 let bound = Time::from_ticks(rng.gen_range(0..=max_comm.saturating_add(1)));
-                probe_queries(&instance, &alive, &index, &comm_only, free, bound)?;
+                probe_queries(&instance, &alive, &layouts, &comm_only, free, bound)?;
             }
         }
         let live = alive.iter().filter(|a| **a).count();
-        if index.len() != live || comm_only.len() != live {
+        let [with, without] = &layouts;
+        if with.len() != live || without.len() != live || comm_only.len() != live {
             return Err(format!(
-                "length drifted: index {} / comm_only {} vs oracle {live}",
-                index.len(),
+                "length drifted: index {} / {} / comm_only {} vs oracle {live}",
+                with.len(),
+                without.len(),
                 comm_only.len()
             ));
         }
@@ -351,6 +386,19 @@ microcheck::property! {
     fn continuous_comm_memory_cliff_interleavings_agree_with_the_oracle(
         (spec, op_seed) in (
             dts_core::testgen::continuous_comm_memory_cliff_instance_gen(1..=60),
+            microcheck::gens::u64_in(0..=u64::MAX),
+        ),
+        cases = 100,
+    ) {
+        check_interleaved(&spec, op_seed)?;
+    }
+
+    /// Quantized communication times under the same cliff: few runs, each
+    /// holding many tasks whose champions are memory-blocked, so stage 2
+    /// resolves runs by their prefix queries.
+    fn quantized_comm_memory_cliff_interleavings_agree_with_the_oracle(
+        (spec, op_seed) in (
+            dts_core::testgen::memory_cliff_instance_gen(1..=120),
             microcheck::gens::u64_in(0..=u64::MAX),
         ),
         cases = 100,
@@ -461,4 +509,36 @@ fn index_handles_u64_scale_memory() {
     );
     index.remove(TaskId(1));
     assert_eq!(index.min_comm_candidate(MemSize::UNBOUNDED), None);
+}
+
+#[test]
+fn stage_one_is_kept_only_where_buckets_outnumber_log_n() {
+    // The rule on the paper's rank 0 of each kernel: buckets of ⌈√m⌉ runs
+    // against log2 n. HF has few distinct transfer times (m = 17 of
+    // n = 483: 4 buckets, log2 n = 8), so stage 1 goes; CCSD has about one
+    // per task (m = 324 of n = 327: 18 buckets, log2 n = 8), so it stays.
+    let suite = dts_chem::SuiteConfig::default();
+    let (hf, ccsd) = (
+        dts_chem::hf::generate_hf_trace(&suite.hf, suite.topology, suite.transfer, suite.cost, 0),
+        dts_chem::ccsd::generate_ccsd_trace(
+            &suite.ccsd,
+            suite.topology,
+            suite.transfer,
+            suite.cost,
+            0,
+        ),
+    );
+    for (trace, runs, keeps) in [(hf, 17, false), (ccsd, 324, true)] {
+        let instance = trace.to_instance_scaled(1.5).expect("paper ranks convert");
+        let mut comm: Vec<Time> = instance.tasks().iter().map(|t| t.comm_time).collect();
+        comm.sort_unstable();
+        comm.dedup();
+        assert_eq!(comm.len(), runs, "{}", instance.label);
+        assert_eq!(
+            CandidateIndex::new(&instance).has_stage_one(),
+            keeps,
+            "{}",
+            instance.label
+        );
+    }
 }

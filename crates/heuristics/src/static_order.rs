@@ -127,11 +127,17 @@ fn first_fit(instance: &Instance) -> (Vec<usize>, usize) {
         }
         let bin = node - base;
         bins = bins.max(bin + 1);
+        // Re-join the bin's root path up to the first node that does not
+        // change: no node above it changes either.
         let mut node = base + bin;
         min_load[node] = min_load[node].saturating_add(mem);
         while node > 1 {
             node /= 2;
-            min_load[node] = min_load[2 * node].min(min_load[2 * node + 1]);
+            let min = min_load[2 * node].min(min_load[2 * node + 1]);
+            if min == min_load[node] {
+                break;
+            }
+            min_load[node] = min;
         }
         bin_of.push(bin);
     }

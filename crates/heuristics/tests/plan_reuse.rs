@@ -9,6 +9,10 @@
 //! its structures, and compares each schedule (or error) with a fresh run
 //! on the same instance. Each schedule must also be feasible under its
 //! model.
+//!
+//! A plan accepts an instance whose task table is its own, shared (the
+//! pointer check), or equal in another allocation (the full comparison);
+//! the checks visit both.
 
 use dts_chem::ccsd::generate_ccsd_trace;
 use dts_chem::hf::generate_hf_trace;
@@ -41,13 +45,25 @@ fn models() -> [ExecutionModel; 5] {
 /// Runs every (factor, model, heuristic) triple through one plan built
 /// from `base`, in an order shuffled by `seed`, against fresh runs, and
 /// checks each schedule feasible under its model. `at_factor` builds the
-/// instance at a capacity factor; it must keep `base`'s tasks.
-fn check_reuse(label: &str, base: &Instance, seed: u64, at_factor: impl Fn(f64) -> Instance) {
+/// instance at a capacity factor; it must keep `base`'s tasks, in `base`'s
+/// own table when `shared` and in an equal copy otherwise.
+fn check_reuse(
+    label: &str,
+    base: &Instance,
+    seed: u64,
+    shared: bool,
+    at_factor: impl Fn(f64) -> Instance,
+) {
     let models = models();
     let instances: Vec<Vec<Instance>> = FACTORS
         .iter()
         .map(|&factor| {
             let scaled = at_factor(factor);
+            assert_eq!(
+                std::ptr::eq(scaled.tasks(), base.tasks()),
+                shared,
+                "{label}: table shared at {factor} x mc"
+            );
             models
                 .iter()
                 .map(|&model| scaled.clone().with_model(model).expect("model is valid"))
@@ -89,7 +105,7 @@ fn check_trace(trace: &Trace, seed: u64) {
     let unbounded = trace
         .to_instance(MemSize::UNBOUNDED)
         .expect("paper traces convert");
-    check_reuse(&label, &unbounded, seed, |factor| {
+    check_reuse(&label, &unbounded, seed, true, |factor| {
         trace
             .to_instance_scaled(factor)
             .expect("paper traces convert")
@@ -97,21 +113,29 @@ fn check_trace(trace: &Trace, seed: u64) {
 }
 
 /// `count` instances from `gen`, each checked at multiples of its own
-/// largest task.
+/// largest task: rescaled from the plan's own table, then from an equal
+/// copy of it.
 fn check_generated(label: &str, gen: &testgen::InstanceGen, count: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     for round in 0..count {
         let base = gen.generate(&mut rng).build();
-        let mc = base.min_capacity();
-        check_reuse(
-            &format!("{label} #{round}"),
-            &base,
-            seed + round as u64,
-            |factor| {
-                base.with_capacity(mc.scale(factor))
-                    .expect("scaled capacity holds every task")
-            },
-        );
+        let copy = base
+            .sub_instance(&base.task_ids())
+            .expect("every task id is valid");
+        for (source, shared) in [(&base, true), (&copy, false)] {
+            let mc = source.min_capacity();
+            check_reuse(
+                &format!("{label} #{round} (shared {shared})"),
+                &base,
+                seed + round as u64,
+                shared,
+                |factor| {
+                    source
+                        .with_capacity(mc.scale(factor))
+                        .expect("scaled capacity holds every task")
+                },
+            );
+        }
     }
 }
 
@@ -168,6 +192,18 @@ fn another_task_table_is_refused() {
         }
     );
     assert_eq!(plan.static_order(&other, Heuristic::GG).unwrap_err(), err);
+    // Rescaling the other table shares it, and it is still refused.
+    let rescaled = other
+        .with_capacity(other.capacity().scale(2.0))
+        .expect("more memory holds every task");
+    assert!(std::ptr::eq(rescaled.tasks(), other.tasks()));
+    for heuristic in Heuristic::ALL {
+        assert_eq!(
+            plan.run(&rescaled, heuristic).unwrap_err(),
+            err,
+            "{heuristic}"
+        );
+    }
 
     // Same length, one task's memory changed: still another table.
     let mut builder = InstanceBuilder::new().capacity(instance.capacity());

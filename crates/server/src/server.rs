@@ -309,7 +309,7 @@ fn solve_request(request: SolveRequest) -> CoreResult<String> {
         // Execution-model override, stamped the same way.
         trace.model = Some(model);
     }
-    let instance = trace.into_instance_scaled(request.factor)?;
+    let instance = trace.to_instance_scaled(request.factor)?;
     let schedule = run_heuristic(&instance, request.heuristic)?;
     let metrics = ScheduleMetrics::of(&instance, &schedule);
     let result = SolveResult {
