@@ -644,12 +644,9 @@ fn cmd_serve(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     let (args, depth_flag) = take_value_flag(&args, "queue-depth")?;
     let (args, tasks_flag) = take_value_flag(&args, "max-tasks")?;
     let (args, cache_flag) = take_value_flag(&args, "cache-entries")?;
-    reject_extra(
-        &args,
-        0,
-        "dts serve [--addr <host:port>] [--threads <n>] [--queue-depth <n>] \
-         [--max-tasks <n>] [--cache-entries <n>]",
-    )?;
+    let usage = "dts serve [--addr <host:port>] [--threads <n>] [--queue-depth <n>] \
+                 [--max-tasks <n>] [--cache-entries <n>]";
+    reject_extra(&args, 0, usage)?;
     let mut config = ServerConfig {
         addr: addr_flag.unwrap_or_else(|| "127.0.0.1:7421".to_string()),
         ..ServerConfig::default()
@@ -657,14 +654,19 @@ fn cmd_serve(out: &mut dyn Write, args: &[String]) -> Result<(), Failure> {
     if let Some(v) = threads_flag {
         config.threads = parse_flag("threads", &v)?;
     }
-    if let Some(v) = depth_flag {
-        config.queue_depth = parse_flag("queue-depth", &v)?;
-    }
-    if let Some(v) = tasks_flag {
-        config.max_tasks = parse_flag("max-tasks", &v)?;
-    }
-    if let Some(v) = cache_flag {
-        config.cache_entries = parse_flag("cache-entries", &v)?;
+    // 0 threads means the available parallelism, but a zero limit would
+    // refuse every request (or be raised to 1 unasked, for the cache).
+    for (flag, value, limit) in [
+        ("queue-depth", depth_flag, &mut config.queue_depth),
+        ("max-tasks", tasks_flag, &mut config.max_tasks),
+        ("cache-entries", cache_flag, &mut config.cache_entries),
+    ] {
+        if let Some(v) = value {
+            *limit = match parse_flag(flag, &v)? {
+                0 => return Err(format!("--{flag} must be at least 1; usage: {usage}").into()),
+                n => n,
+            };
+        }
     }
     let handle = Server::start(config).map_err(|e| format!("cannot start daemon: {e}"))?;
     // The bound address is the first line of output, so scripts (and the

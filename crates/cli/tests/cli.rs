@@ -928,3 +928,58 @@ fn commands_reject_stray_arguments() {
     let output = dts(&["run", trace, "LCMR", "1.5", "--model", "duplex"]);
     assert!(output.status.success(), "{}", stderr(&output));
 }
+
+/// Runs `dts` with `args`, killing it (and failing) if it has not exited
+/// within ten seconds: a `dts serve` that wrongly starts serving would
+/// otherwise block the suite forever.
+fn dts_exiting(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dts"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the dts binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("poll dts").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("dts {args:?} did not exit");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect dts output")
+}
+
+#[test]
+fn serve_rejects_zero_limits_but_not_zero_threads() {
+    // Each zero limit is a usage error naming its flag, before any port is
+    // bound.
+    for flag in ["--queue-depth", "--max-tasks", "--cache-entries"] {
+        let output = dts_exiting(&["serve", "--addr", "127.0.0.1:0", flag, "0"]);
+        assert_eq!(output.status.code(), Some(1), "{flag}");
+        assert_eq!(stdout(&output), "", "{flag}");
+        let message = stderr(&output);
+        assert!(
+            message.contains(&format!("{flag} must be at least 1; usage: dts serve")),
+            "{flag}: {message}"
+        );
+    }
+    // `--threads 0` still means the available parallelism: the daemon
+    // starts and announces its address.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dts"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dts serve");
+    let mut line = String::new();
+    let read = std::io::BufRead::read_line(
+        &mut std::io::BufReader::new(child.stdout.take().expect("piped stdout")),
+        &mut line,
+    );
+    let _ = child.kill();
+    let _ = child.wait();
+    read.expect("read the listening line");
+    assert!(line.starts_with("dts serve listening on "), "{line}");
+}

@@ -42,6 +42,8 @@
 //! * [`perfmodel`] — calibrated cost models (analytic, history-based and
 //!   regression backends) with a versioned model-file format and integer
 //!   least-squares fitting,
+//! * [`strict`] — the strict-object reader the versioned file formats
+//!   share (one wording for every refusal),
 //! * [`simulate`] — the event-driven executors used by all heuristics
 //!   (same-order execution under a memory capacity, and the infinite-memory
 //!   executor),
@@ -70,6 +72,7 @@ pub mod perfmodel;
 pub mod pool;
 pub mod schedule;
 pub mod simulate;
+pub mod strict;
 pub mod sync;
 pub mod task;
 pub mod testgen;

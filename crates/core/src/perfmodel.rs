@@ -23,12 +23,12 @@
 //! spec holds exactly one fit for transfers and one for computations;
 //! both read only the task's memory footprint (`bytes → time`).
 //!
-//! Model files are versioned JSON with the same strict validation
-//! discipline as the dts-trace format: unknown keys, unknown versions,
-//! float/negative coefficients, empty history tables and any section
-//! other than a single `h2d` transfer entry and a single `cpu` compute
-//! entry are typed [`CoreError::InvalidCostModel`] errors on import, and
-//! export → import → export is byte-identical.
+//! Model files are versioned JSON read by the same strict reader as the
+//! dts-trace format ([`crate::strict`]): unknown or repeated keys,
+//! unknown versions, float/negative coefficients, empty history tables
+//! and any section other than a single `h2d` transfer entry and a single
+//! `cpu` compute entry are typed [`CoreError::InvalidCostModel`] errors
+//! on import, and export → import → export is byte-identical.
 //!
 //! Times are **materialized once per instance**, at model-application
 //! time ([`crate::instance::Instance::with_cost_model`]): the model
@@ -37,6 +37,7 @@
 //! task fields. The O(log n) decision paths never query a model.
 
 use crate::error::{CoreError, Result};
+use crate::strict::Fields;
 use crate::task::Task;
 use crate::time::Time;
 use serde::{Deserialize, Error as SerdeError, Serialize, Sink, Value};
@@ -350,6 +351,8 @@ struct Section {
     name: &'static str,
     /// What the name denotes, for error messages.
     kind: &'static str,
+    /// The path of the section's one entry, for error messages.
+    entry: &'static str,
 }
 
 const TRANSFER: Section = Section {
@@ -357,6 +360,7 @@ const TRANSFER: Section = Section {
     name_key: "link",
     name: "h2d",
     kind: "link class",
+    entry: "transfer[0]",
 };
 
 const COMPUTE: Section = Section {
@@ -364,6 +368,7 @@ const COMPUTE: Section = Section {
     name_key: "backend",
     name: "cpu",
     kind: "compute backend",
+    entry: "compute[0]",
 };
 
 // ---------------------------------------------------------------------------
@@ -433,182 +438,106 @@ pub fn export_model_file(spec: &CostModelSpec, path: &Path) -> Result<()> {
 // Model-file parsing (the import half).
 // ---------------------------------------------------------------------------
 
-fn expect_object<'v>(value: &'v Value, what: &str) -> Result<&'v [(String, Value)]> {
-    match value {
-        Value::Object(fields) => Ok(fields),
-        other => Err(invalid(format!(
-            "{what} must be an object, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn lookup<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn require<'v>(fields: &'v [(String, Value)], key: &str, what: &str) -> Result<&'v Value> {
-    lookup(fields, key).ok_or_else(|| invalid(format!("{what} is missing the `{key}` field")))
-}
-
-/// Rejects unknown and duplicate keys, naming the offender and the
-/// context.
-fn check_keys(fields: &[(String, Value)], allowed: &[&str], what: &str) -> Result<()> {
-    for (i, (key, _)) in fields.iter().enumerate() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(invalid(format!("{what} has an unknown field `{key}`")));
-        }
-        if fields[..i].iter().any(|(k, _)| k == key) {
-            return Err(invalid(format!("{what} repeats the field `{key}`")));
-        }
-    }
-    Ok(())
-}
-
-/// Extracts a non-negative integer, distinguishing the failure classes a
-/// fuzzer produces: negative integers, float syntax and non-numbers each
-/// get a message naming the path.
-fn uint_field(fields: &[(String, Value)], key: &str, what: &str) -> Result<u64> {
-    match require(fields, key, what)? {
-        Value::UInt(n) => Ok(*n),
-        Value::Int(n) => Err(invalid(format!("{what} field `{key}` is negative ({n})"))),
-        Value::Float(x) => Err(invalid(format!(
-            "{what} field `{key}` must be an integer, got the non-integer number {x}"
-        ))),
-        other => Err(invalid(format!(
-            "{what} field `{key}` must be a non-negative integer, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn str_field<'v>(fields: &'v [(String, Value)], key: &str, what: &str) -> Result<&'v str> {
-    match require(fields, key, what)? {
-        Value::Str(s) => Ok(s),
-        other => Err(invalid(format!(
-            "{what} field `{key}` must be a string, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-/// The single entry of a model-file section: the section must be an
-/// array of exactly one object, and that object must name the system's
-/// one transfer link or its one processing unit.
+/// The single entry of a model-file section, holding only `allowed` keys:
+/// the section must be an array of exactly one object, and that object
+/// must name the system's one transfer link or its one processing unit.
 fn single_entry<'v>(
-    fields: &'v [(String, Value)],
+    file: &Fields<'v, '_>,
     section: &Section,
-) -> Result<&'v [(String, Value)]> {
+    allowed: &[&str],
+) -> Result<Fields<'v, 'static>> {
     let key = section.key;
-    let what = format!("{key} entry");
-    let entry = match require(fields, key, "cost-model file")? {
-        Value::Array(items) => match items.as_slice() {
-            [entry] => expect_object(entry, &what)?,
-            [] => return Err(invalid(format!("model {key} section is empty"))),
-            more => {
-                return Err(invalid(format!(
-                    "model {key} section must hold exactly one entry (one {} `{}`), got {}",
-                    section.kind,
-                    section.name,
-                    more.len()
-                )))
-            }
-        },
-        other => {
+    let entry = match file.array(key)? {
+        [entry] => entry,
+        [] => return Err(invalid(format!("model {key} section is empty"))),
+        more => {
             return Err(invalid(format!(
-                "cost-model `{key}` section must be an array, got {}",
-                other.kind()
+                "model {key} section must hold exactly one entry (one {} `{}`), got {}",
+                section.kind,
+                section.name,
+                more.len()
             )))
         }
     };
-    let name = str_field(entry, section.name_key, &what)?;
+    let at = section.entry;
+    let entry = Fields::of(entry, at, at, allowed, CoreError::InvalidCostModel)?;
+    let name = entry.str(section.name_key)?;
     if !name.eq_ignore_ascii_case(section.name) {
         return Err(invalid(format!(
-            "{what} names unknown {} `{name}` (known: {})",
+            "{at} names unknown {} `{name}` (known: {})",
             section.kind, section.name
         )));
     }
     Ok(entry)
 }
 
-fn import_linear_entry(fields: &[(String, Value)], section: &Section) -> Result<LinearFit> {
-    let what = format!("{} entry", section.key);
-    check_keys(
-        fields,
+fn linear_entry(file: &Fields<'_, '_>, section: &Section) -> Result<LinearFit> {
+    let entry = single_entry(
+        file,
+        section,
         &[section.name_key, "alpha_us", "beta_ps_per_byte", "samples"],
-        &what,
     )?;
     Ok(LinearFit {
-        alpha_us: uint_field(fields, "alpha_us", &what)?,
-        beta_ps_per_byte: uint_field(fields, "beta_ps_per_byte", &what)?,
-        samples: uint_field(fields, "samples", &what)?,
+        alpha_us: entry.uint("alpha_us")?,
+        beta_ps_per_byte: entry.uint("beta_ps_per_byte")?,
+        samples: entry.uint("samples")?,
     })
 }
 
-fn import_history_entry(fields: &[(String, Value)], section: &Section) -> Result<HistoryTable> {
-    let what = format!("{} entry", section.key);
-    check_keys(fields, &[section.name_key, "buckets"], &what)?;
-    let buckets = match require(fields, "buckets", &what)? {
-        Value::Array(items) => items,
-        other => {
-            return Err(invalid(format!(
-                "{what} field `buckets` must be an array, got {}",
-                other.kind()
-            )))
-        }
-    };
+/// The keys of a history bucket.
+const BUCKET_KEYS: [&str; 3] = ["bucket", "mean_us", "samples"];
+
+fn history_entry(file: &Fields<'_, '_>, section: &Section) -> Result<HistoryTable> {
+    let buckets = single_entry(file, section, &[section.name_key, "buckets"])?.array("buckets")?;
     let mut imported = Vec::with_capacity(buckets.len());
     for (i, item) in buckets.iter().enumerate() {
-        let bucket_what = format!("{what} bucket #{i}");
-        let bfields = expect_object(item, &bucket_what)?;
-        check_keys(bfields, &["bucket", "mean_us", "samples"], &bucket_what)?;
-        let bucket = uint_field(bfields, "bucket", &bucket_what)?;
+        let at = format!("{}.buckets[{i}]", section.entry);
+        let fields = Fields::of(item, &at, &at, &BUCKET_KEYS, CoreError::InvalidCostModel)?;
+        let bucket = fields.uint("bucket")?;
         imported.push(HistoryBucket {
             bucket: u32::try_from(bucket)
-                .map_err(|_| invalid(format!("{bucket_what} index {bucket} is out of range")))?,
-            mean_us: uint_field(bfields, "mean_us", &bucket_what)?,
-            samples: uint_field(bfields, "samples", &bucket_what)?,
+                .map_err(|_| invalid(format!("{at}.bucket {bucket} is out of range")))?,
+            mean_us: fields.uint("mean_us")?,
+            samples: fields.uint("samples")?,
         });
     }
     HistoryTable::new(imported)
 }
 
-/// Parses a model-file [`Value`] with the full strict validation: exact
-/// format/version envelope, no unknown or duplicate keys anywhere,
-/// integer-only coefficients, exactly one `h2d` transfer entry and one
-/// `cpu` compute entry, non-empty history tables. Every failure is a
-/// typed [`CoreError::InvalidCostModel`].
+/// Parses a model-file [`Value`] with the full strict validation of
+/// [`crate::strict`]: exact format/version envelope, no unknown or
+/// repeated keys anywhere, integer-only coefficients, exactly one `h2d`
+/// transfer entry and one `cpu` compute entry, non-empty history tables.
+/// Every failure is a typed [`CoreError::InvalidCostModel`].
 pub fn model_from_value(value: &Value) -> Result<CostModelSpec> {
-    let fields = expect_object(value, "cost-model file")?;
-    check_keys(
-        fields,
-        &["format", "version", "backend", "transfer", "compute"],
+    let file = Fields::of(
+        value,
         "cost-model file",
+        "",
+        &["format", "version", "backend", "transfer", "compute"],
+        CoreError::InvalidCostModel,
     )?;
-    let format = str_field(fields, "format", "cost-model file")?;
+    let format = file.str("format")?;
     if format != FORMAT_NAME {
         return Err(invalid(format!(
             "not a cost-model file: format is `{format}`, expected `{FORMAT_NAME}`"
         )));
     }
-    let version = uint_field(fields, "version", "cost-model file")?;
+    let version = file.uint("version")?;
     if version != FORMAT_VERSION {
         return Err(invalid(format!(
             "unsupported cost-model version {version}; this build reads version \
              {FORMAT_VERSION} only"
         )));
     }
-    let backend = str_field(fields, "backend", "cost-model file")?;
-    let transfer = single_entry(fields, &TRANSFER)?;
-    let compute = single_entry(fields, &COMPUTE)?;
-    match backend {
+    match file.str("backend")? {
         "regression" => Ok(CostModelSpec::Regression {
-            transfer: import_linear_entry(transfer, &TRANSFER)?,
-            compute: import_linear_entry(compute, &COMPUTE)?,
+            transfer: linear_entry(&file, &TRANSFER)?,
+            compute: linear_entry(&file, &COMPUTE)?,
         }),
         "history" => Ok(CostModelSpec::History {
-            transfer: import_history_entry(transfer, &TRANSFER)?,
-            compute: import_history_entry(compute, &COMPUTE)?,
+            transfer: history_entry(&file, &TRANSFER)?,
+            compute: history_entry(&file, &COMPUTE)?,
         }),
         other => Err(invalid(format!(
             "unknown cost-model backend `{other}` (known: history, regression)"
@@ -1080,7 +1009,7 @@ mod tests {
         // Wrong format name.
         reject(&valid.replace("dts-cost-model", "dts-trace"), "format");
         // Unknown top-level key.
-        reject(&valid.replace("\"backend\"", "\"banana\""), "unknown field");
+        reject(&valid.replace("\"backend\"", "\"banana\""), "unknown key");
         // Unknown backend.
         reject(
             &valid.replace("\"regression\"", "\"neural\""),

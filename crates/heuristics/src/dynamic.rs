@@ -48,10 +48,12 @@ impl SelectionCriterion {
             SelectionCriterion::LargestCommunication => candidates
                 .iter()
                 .copied()
+                // lint: allow(L005) the engine tests' executable spec; reads materialized time
                 .max_by_key(|id| (instance.task(*id).comm_time, std::cmp::Reverse(id.index()))),
             SelectionCriterion::SmallestCommunication => candidates
                 .iter()
                 .copied()
+                // lint: allow(L005) the engine tests' executable spec; reads materialized time
                 .min_by_key(|id| (instance.task(*id).comm_time, id.index())),
             SelectionCriterion::MaximumAcceleration => candidates.iter().copied().max_by(|a, b| {
                 let ra = instance.task(*a).acceleration_ratio();

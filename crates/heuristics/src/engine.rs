@@ -111,6 +111,7 @@ pub(crate) fn run_decisions(
 /// efficiency 0 and keeps every criterion distinguishable and O(log n) via
 /// the [`CandidateIndex`] threshold queries.
 pub fn induced_cpu_idle(machine: &Machine, task: &Task, t: Time) -> Time {
+    // lint: allow(L005) the engine tests' executable spec; reads materialized time
     (t + task.comm_time).saturating_sub(machine.cpu_free())
 }
 
@@ -173,6 +174,7 @@ pub fn select_candidate(
 ) -> Option<TaskId> {
     let free = machine.available();
     let cheapest = index.min_comm_candidate(free)?;
+    // lint: allow(L005) the index's cheapest fitting task; reads the materialized time
     let cmin = instance.task(cheapest).comm_time;
     let slack = machine.cpu_free().saturating_sub(now);
     if cmin > slack {

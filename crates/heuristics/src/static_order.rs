@@ -22,11 +22,13 @@ pub fn static_order(instance: &Instance, heuristic: Heuristic) -> Result<Vec<Tas
 
 /// The `IOCMS` order: increasing communication time.
 pub(crate) fn increasing_comm_order(instance: &Instance) -> Vec<TaskId> {
+    // lint: allow(L005) the IOCMS sort key is the materialized transfer time
     sorted_by(instance, |t| t.comm_time, false)
 }
 
 /// The `DOCPS` order: decreasing computation time.
 pub(crate) fn decreasing_comp_order(instance: &Instance) -> Vec<TaskId> {
+    // lint: allow(L005) the DOCPS sort key is the materialized compute time
     sorted_by(instance, |t| t.comp_time, true)
 }
 

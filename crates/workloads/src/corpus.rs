@@ -19,11 +19,15 @@
 //! golden entry also fails the suite. The only sanctioned way to change
 //! it is `dts corpus --update-golden` (or `UPDATE_CORPUS_GOLDEN=1` for
 //! the test harness), which rewrites the file from the current build —
-//! and puts the diff in front of a reviewer.
+//! and puts the diff in front of a reviewer. The file is read by the
+//! same strict reader as the trace importer ([`dts_core::strict`]): an
+//! unknown or repeated key, or a metric that is no non-negative integer,
+//! is refused rather than read past.
 
 use crate::families::{generate_trace, GeneratorConfig, WorkloadFamily};
 use dts_core::memory::MemoryProfile;
 use dts_core::prelude::*;
+use dts_core::strict::Fields;
 use dts_heuristics::{Heuristic, Plan};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -31,6 +35,14 @@ use std::fmt::Write as _;
 
 /// Format version of the golden file.
 pub const GOLDEN_VERSION: u64 = 1;
+
+/// The keys of a golden entry, one per [`MetricRecord`] field.
+const METRIC_KEYS: [&str; 4] = [
+    "makespan_us",
+    "cpu_idle_us",
+    "peak_mem_bytes",
+    "reordered_tasks",
+];
 
 /// The execution models every corpus scenario is run under: the paper's
 /// explicit half-duplex link, the full-duplex refinement, a 4-stream
@@ -183,75 +195,36 @@ pub fn render_golden(metrics: &CorpusMetrics) -> String {
     out
 }
 
-fn invalid(msg: impl Into<String>) -> CoreError {
-    CoreError::InvalidTrace(msg.into())
-}
-
-fn uint(value: &Value, path: &str) -> Result<u64> {
-    match value {
-        Value::UInt(n) => Ok(*n),
-        other => Err(invalid(format!(
-            "golden {path} must be a non-negative integer, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-/// Parses a golden file back into corpus metrics (strict: unknown
-/// versions and malformed entries are rejected, mirroring the trace
-/// importer's discipline).
+/// Parses a golden file back into corpus metrics (strict: an unknown
+/// version, an unknown or repeated key, or a metric that is no
+/// non-negative integer is a [`CoreError::InvalidTrace`] naming it).
 pub fn parse_golden(json: &str) -> Result<CorpusMetrics> {
     let value: Value =
         serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))?;
-    let version = uint(
-        value.field("version").map_err(|e| invalid(e.to_string()))?,
-        "version",
+    let file = Fields::of(
+        &value,
+        "golden file",
+        "",
+        &["version", "entries"],
+        CoreError::InvalidTrace,
     )?;
+    let version = file.uint("version")?;
     if version != GOLDEN_VERSION {
-        return Err(invalid(format!(
+        return Err(CoreError::InvalidTrace(format!(
             "unsupported golden version {version}; this build reads version {GOLDEN_VERSION} only"
         )));
     }
-    let entries = match value.field("entries").map_err(|e| invalid(e.to_string()))? {
-        Value::Object(fields) => fields,
-        other => {
-            return Err(invalid(format!(
-                "golden entries must be an object, got {}",
-                other.kind()
-            )))
-        }
-    };
     let mut out = BTreeMap::new();
-    for (key, entry) in entries {
+    for (key, entry) in file.members("entries")? {
+        let at = format!("entries.{key}");
+        let entry = Fields::of(entry, &at, &at, &METRIC_KEYS, CoreError::InvalidTrace)?;
         let record = MetricRecord {
-            makespan_us: uint(
-                entry
-                    .field("makespan_us")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
-            cpu_idle_us: uint(
-                entry
-                    .field("cpu_idle_us")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
-            peak_mem_bytes: uint(
-                entry
-                    .field("peak_mem_bytes")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
-            reordered_tasks: uint(
-                entry
-                    .field("reordered_tasks")
-                    .map_err(|e| invalid(e.to_string()))?,
-                key,
-            )?,
+            makespan_us: entry.uint("makespan_us")?,
+            cpu_idle_us: entry.uint("cpu_idle_us")?,
+            peak_mem_bytes: entry.uint("peak_mem_bytes")?,
+            reordered_tasks: entry.uint("reordered_tasks")?,
         };
-        if out.insert(key.clone(), record).is_some() {
-            return Err(invalid(format!("golden file repeats entry `{key}`")));
-        }
+        out.insert(key.clone(), record);
     }
     Ok(out)
 }
@@ -384,6 +357,56 @@ mod tests {
             parse_golden("{\"version\": 1, \"entries\": {\"k\": {\"makespan_us\": -1, \"cpu_idle_us\": 0, \"peak_mem_bytes\": 0, \"reordered_tasks\": 0}}}"),
             Err(CoreError::InvalidTrace(_))
         ));
+    }
+
+    #[test]
+    fn golden_parser_refuses_unknown_repeated_and_non_integer_keys() {
+        let entry =
+            r#""makespan_us": 1, "cpu_idle_us": 0, "peak_mem_bytes": 0, "reordered_tasks": 0"#;
+        let file = |top: &str, fields: &str| {
+            format!(r#"{{"version": 1,{top} "entries": {{"md/OS/explicit": {{{fields}}}}}}}"#)
+        };
+        assert!(parse_golden(&file("", entry)).is_ok());
+        for (json, message) in [
+            (
+                file(r#" "notes": "x","#, entry),
+                "golden file has unknown key `notes`; allowed keys are version, entries",
+            ),
+            (
+                file("", &format!("{entry}, \"wall_us\": 3")),
+                "entries.md/OS/explicit has unknown key `wall_us`; allowed keys are \
+                 makespan_us, cpu_idle_us, peak_mem_bytes, reordered_tasks",
+            ),
+            (
+                file("", &format!("{entry}, \"makespan_us\": 2")),
+                "entries.md/OS/explicit repeats key `makespan_us`",
+            ),
+            (
+                file(
+                    "",
+                    &entry.replace("\"cpu_idle_us\": 0", "\"cpu_idle_us\": 0.5"),
+                ),
+                "entries.md/OS/explicit.cpu_idle_us must be a non-negative integer, \
+                 got non-integer number 0.5",
+            ),
+            (
+                file(
+                    "",
+                    &entry.replace("\"peak_mem_bytes\": 0", "\"peak_mem_bytes\": -4"),
+                ),
+                "entries.md/OS/explicit.peak_mem_bytes is negative (-4)",
+            ),
+            (
+                format!(r#"{{"version": 1, "entries": {{"k": {{{entry}}}, "k": {{{entry}}}}}}}"#),
+                "entries repeats key `k`",
+            ),
+        ] {
+            assert_eq!(
+                parse_golden(&json),
+                Err(CoreError::InvalidTrace(message.into())),
+                "for {json}"
+            );
+        }
     }
 
     #[test]

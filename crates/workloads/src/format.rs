@@ -35,12 +35,14 @@
 //! * Task names are the task identity, so they must be non-empty and
 //!   unique; the totals of `comm_micros + comp_micros` and of `mem_bytes`
 //!   must fit `u64`, because the simulators' tick/byte arithmetic does.
-//! * Unknown keys are rejected at every level, so a typo'd field fails
-//!   loudly instead of being ignored.
+//! * Unknown and repeated keys are rejected at every level, so a typo'd
+//!   field fails loudly instead of being ignored.
 //!
-//! Import and export share one semantic validator: every file
-//! [`export_trace`] writes is accepted by [`import_trace`], and the
-//! round-trip is byte-identical (the CLI round-trip tests pin this).
+//! Keys, types and numbers are read by [`dts_core::strict::Fields`], the
+//! strict reader shared with the cost-model and corpus golden files. Import
+//! and export share one semantic validator: every file [`export_trace`]
+//! writes is accepted by [`import_trace`], and the round-trip is
+//! byte-identical (the CLI round-trip tests pin this).
 //! Malformed data always surfaces as [`CoreError::InvalidTrace`] (or
 //! [`CoreError::Serialization`] for broken JSON syntax / I/O) — never as
 //! a panic.
@@ -50,6 +52,7 @@ use dts_chem::trace::TaskKind;
 use dts_chem::{Trace, TraceTask};
 use dts_core::perfmodel;
 use dts_core::prelude::*;
+use dts_core::strict::Fields;
 use serde::{Serialize, Sink, Value};
 use std::collections::HashSet;
 use std::path::Path;
@@ -58,9 +61,20 @@ use std::path::Path;
 pub const FORMAT_NAME: &str = "dts-trace";
 /// The only format version this build reads and writes.
 pub const FORMAT_VERSION: u64 = 1;
+/// The keys of a task object.
+const TASK_KEYS: [&str; 5] = ["name", "kind", "comm_micros", "comp_micros", "mem_bytes"];
 
 fn invalid(msg: impl Into<String>) -> CoreError {
     CoreError::InvalidTrace(msg.into())
+}
+
+fn check_task_count(n: usize) -> Result<()> {
+    if n > MAX_TASKS {
+        return Err(invalid(format!(
+            "{n} tasks, but traces are capped at {MAX_TASKS}"
+        )));
+    }
+    Ok(())
 }
 
 /// Semantic checks shared by import and export: whatever passes here can
@@ -69,12 +83,7 @@ fn validate_semantics(trace: &Trace) -> Result<()> {
     if trace.kernel.is_empty() {
         return Err(invalid("kernel must be a non-empty string"));
     }
-    if trace.len() > MAX_TASKS {
-        return Err(invalid(format!(
-            "{} tasks, but traces are capped at {MAX_TASKS}",
-            trace.len()
-        )));
-    }
+    check_task_count(trace.len())?;
     let mut seen = HashSet::with_capacity(trace.len());
     let mut total_mem: u64 = 0;
     for (i, task) in trace.iter().enumerate() {
@@ -157,9 +166,10 @@ impl Serialize for Versioned<'_> {
 pub fn import_trace(json: &str) -> Result<Trace> {
     let value: Value =
         serde_json::from_str(json).map_err(|e| CoreError::Serialization(e.to_string()))?;
-    let fields = expect_object(&value, "trace file")?;
-    check_keys(
-        fields,
+    let file = Fields::of(
+        &value,
+        "trace file",
+        "",
         &[
             "format",
             "version",
@@ -169,51 +179,27 @@ pub fn import_trace(json: &str) -> Result<Trace> {
             "cost_model",
             "tasks",
         ],
-        "trace file",
+        CoreError::InvalidTrace,
     )?;
-
-    match require(fields, "format")? {
-        Value::Str(s) if s == FORMAT_NAME => {}
-        Value::Str(s) => {
-            return Err(invalid(format!(
-                "format is `{s}`, expected `{FORMAT_NAME}` (is this a versioned trace file?)"
-            )))
-        }
-        other => {
-            return Err(invalid(format!(
-                "format must be a string, got {}",
-                other.kind()
-            )))
-        }
+    let format = file.str("format")?;
+    if format != FORMAT_NAME {
+        return Err(invalid(format!(
+            "format is `{format}`, expected `{FORMAT_NAME}` (is this a versioned trace file?)"
+        )));
     }
-    let version = uint_field(fields, "version", "version")?;
+    let version = file.uint("version")?;
     if version != FORMAT_VERSION {
         return Err(invalid(format!(
             "unsupported format version {version}; this build reads version {FORMAT_VERSION} only"
         )));
     }
-
-    let kernel = match require(fields, "kernel")? {
-        Value::Str(s) if !s.is_empty() => s,
-        Value::Str(_) => return Err(invalid("kernel must be a non-empty string")),
-        other => {
-            return Err(invalid(format!(
-                "kernel must be a string, got {}",
-                other.kind()
-            )))
-        }
-    };
-    let rank = uint_field(fields, "rank", "rank")?;
+    let kernel = file.str("kernel")?;
+    let rank = file.uint("rank")?;
     let rank = usize::try_from(rank)
         .map_err(|_| invalid(format!("rank {rank} does not fit this platform's usize")))?;
-
-    let model = match lookup(fields, "model") {
+    let model = match file.get("model") {
         None => None,
-        Some(Value::Str(spec)) => {
-            let model = ExecutionModel::parse(spec)?;
-            model.validate()?;
-            Some(model)
-        }
+        Some(Value::Str(spec)) => Some(ExecutionModel::parse(spec)?),
         Some(other) => {
             return Err(invalid(format!(
                 "model must be a spec string like \"streams:4\", got {}",
@@ -221,28 +207,15 @@ pub fn import_trace(json: &str) -> Result<Trace> {
             )))
         }
     };
-
-    let cost_model = match lookup(fields, "cost_model") {
+    let cost_model = match file.get("cost_model") {
         None => None,
         Some(Value::Str(s)) if s == "analytic" => None,
         Some(value) => Some(perfmodel::model_from_value(value)?),
     };
 
-    let tasks = match require(fields, "tasks")? {
-        Value::Array(items) => items,
-        other => {
-            return Err(invalid(format!(
-                "tasks must be an array, got {}",
-                other.kind()
-            )))
-        }
-    };
-    if tasks.len() > MAX_TASKS {
-        return Err(invalid(format!(
-            "{} tasks, but traces are capped at {MAX_TASKS}",
-            tasks.len()
-        )));
-    }
+    let tasks = file.array("tasks")?;
+    // Bounds the input before any task is built.
+    check_task_count(tasks.len())?;
     let mut trace = Trace::with_capacity(kernel, rank, tasks.len());
     for (i, item) in tasks.iter().enumerate() {
         import_task(item, i, &mut trace)?;
@@ -255,113 +228,29 @@ pub fn import_trace(json: &str) -> Result<Trace> {
 
 fn import_task(value: &Value, i: usize, trace: &mut Trace) -> Result<()> {
     let at = format!("tasks[{i}]");
-    let fields = expect_object(value, &at)?;
-    check_keys(
-        fields,
-        &["name", "kind", "comm_micros", "comp_micros", "mem_bytes"],
-        &at,
-    )?;
-    let name = match require_at(fields, "name", &at)? {
-        Value::Str(s) if !s.is_empty() => s,
-        Value::Str(_) => return Err(invalid(format!("{at}.name must be non-empty"))),
-        other => {
-            return Err(invalid(format!(
-                "{at}.name must be a string, got {}",
-                other.kind()
-            )))
-        }
-    };
-    let kind = match require_at(fields, "kind", &at)? {
-        Value::Str(s) => TaskKind::ALL
-            .into_iter()
-            .find(|kind| kind.name() == s)
-            .ok_or_else(|| {
-                invalid(format!(
-                    "{at}.kind is `{s}`; expected one of {}",
-                    TaskKind::ALL.map(TaskKind::name).join(", ")
-                ))
-            })?,
-        other => {
-            return Err(invalid(format!(
-                "{at}.kind must be a string, got {}",
-                other.kind()
-            )))
-        }
-    };
+    let fields = Fields::of(value, &at, &at, &TASK_KEYS, CoreError::InvalidTrace)?;
+    let name = fields.str("name")?;
+    let kind = fields.str("kind")?;
+    let kind = TaskKind::ALL
+        .into_iter()
+        .find(|k| k.name() == kind)
+        .ok_or_else(|| {
+            invalid(format!(
+                "{at}.kind is `{kind}`; expected one of {}",
+                TaskKind::ALL.map(TaskKind::name).join(", ")
+            ))
+        })?;
     let task = TraceTask {
         name,
         kind,
-        comm_micros: uint_field(fields, "comm_micros", &at)?,
-        comp_micros: uint_field(fields, "comp_micros", &at)?,
-        mem_bytes: uint_field(fields, "mem_bytes", &at)?,
+        comm_micros: fields.uint("comm_micros")?,
+        comp_micros: fields.uint("comp_micros")?,
+        mem_bytes: fields.uint("mem_bytes")?,
     };
     if !trace.try_push(task) {
         return Err(invalid(format!("task names exceed u32::MAX bytes at {at}")));
     }
     Ok(())
-}
-
-fn expect_object<'v>(value: &'v Value, at: &str) -> Result<&'v [(String, Value)]> {
-    match value {
-        Value::Object(fields) => Ok(fields),
-        other => Err(invalid(format!(
-            "{at} must be an object, got {}",
-            other.kind()
-        ))),
-    }
-}
-
-fn lookup<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn require<'v>(fields: &'v [(String, Value)], key: &str) -> Result<&'v Value> {
-    require_at(fields, key, "trace file")
-}
-
-fn require_at<'v>(fields: &'v [(String, Value)], key: &str, at: &str) -> Result<&'v Value> {
-    lookup(fields, key).ok_or_else(|| invalid(format!("{at} is missing required key `{key}`")))
-}
-
-fn check_keys(fields: &[(String, Value)], allowed: &[&str], at: &str) -> Result<()> {
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(invalid(format!(
-                "{at} has unknown key `{key}`; allowed keys are {}",
-                allowed.join(", ")
-            )));
-        }
-    }
-    let mut seen = HashSet::with_capacity(fields.len());
-    for (key, _) in fields {
-        if !seen.insert(key.as_str()) {
-            return Err(invalid(format!("{at} repeats key `{key}`")));
-        }
-    }
-    Ok(())
-}
-
-/// Reads a required non-negative integer, classifying each wrong shape:
-/// floats (the JSON parser yields [`Value::Float`] for `1.5`, `NaN`-less
-/// `1e30` etc.), negative integers, and non-numbers all get their own
-/// message naming the path.
-fn uint_field(fields: &[(String, Value)], key: &str, at: &str) -> Result<u64> {
-    let path = if at == key {
-        key.to_string()
-    } else {
-        format!("{at}.{key}")
-    };
-    match require_at(fields, key, at)? {
-        Value::UInt(n) => Ok(*n),
-        Value::Int(n) => Err(invalid(format!("{path} is negative ({n})"))),
-        Value::Float(x) => Err(invalid(format!(
-            "{path} must be a non-negative integer, got non-integer number {x}"
-        ))),
-        other => Err(invalid(format!(
-            "{path} must be a non-negative integer, got {}",
-            other.kind()
-        ))),
-    }
 }
 
 /// Writes a trace to `path` in the versioned format.
