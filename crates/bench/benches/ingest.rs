@@ -1,7 +1,7 @@
 //! Trace ingest and rendering: JSON text to `Trace` and back, the layers
 //! that dominate `dts run` and `dts generate` on large traces.
 //!
-//! Three series per size on the same seeded `md` trace file text:
+//! Four series per size on the same seeded `md` trace file text:
 //!
 //! * `ingest/value_path_md_<n>tasks` — `serde_json::from_str::<Value>`
 //!   then `Trace::from_value`: the tree decoder, which no hot path takes
@@ -10,17 +10,20 @@
 //!   inline trace), kept as the reference the scanner is measured
 //!   against;
 //! * `ingest/from_json_md_<n>tasks` — `Trace::from_json`, which decodes
-//!   straight from the bytes with `serde_json::Reader`: the path of
-//!   `Trace::load` and so of `dts run`, `characterize`, `sweep`,
-//!   `calibrate`, `trace export` and `request <file>`;
+//!   straight from the bytes with `serde_json::Reader`: the decoder of
+//!   inline request traces, and of every unit of a trace file;
 //! * `ingest/load_instance_md_<n>tasks` — `Trace::from_json` then
 //!   `Trace::to_instance_scaled(1.5)`, which shares the task table with
-//!   the instance: the decode side of `dts run`, from text to the
-//!   instance the heuristics read.
+//!   the instance: from text to the instance the heuristics read;
+//! * `ingest/load_file_md_<n>tasks` — `Trace::load` of the text written
+//!   to a file at set-up, which reads it through a 256 KiB window: the
+//!   path of `dts run`, `characterize`, `sweep`, `calibrate`, `trace
+//!   export` and `request <file>`, and the only series that includes the
+//!   read (from the page cache: the file was just written).
 //!
-//! All three start from the file contents in memory, so the gap between
-//! the first two is the decoding work alone, and the third adds the
-//! instance build.
+//! The first three start from the file contents in memory, so the gap
+//! between the first two is the decoding work alone, and the third adds
+//! the instance build.
 //!
 //! Two series per size on the way out, from the trace to the file text:
 //!
@@ -101,6 +104,15 @@ fn bench(c: &mut Criterion) {
                     .len()
             })
         });
+        let path = std::env::temp_dir().join(format!(
+            "dts-bench-ingest-{}-md-{n_tasks}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, &json).expect("the trace file writes");
+        c.bench_function(&format!("ingest/load_file_md_{n_tasks}tasks"), |b| {
+            b.iter(|| Trace::load(&path).expect("valid trace file").len())
+        });
+        let _ = std::fs::remove_file(&path);
         c.bench_function(&format!("ingest/render_md_{n_tasks}tasks"), |b| {
             b.iter(|| trace.to_json().expect("traces serialize").len())
         });

@@ -8,9 +8,10 @@
 use dts_core::hash::StableHasher;
 use dts_core::prelude::*;
 use serde::{Deserialize, Error as SerdeError, Serialize, Sink, Value};
-use serde_json::Reader;
+use serde_json::{Container, Reader};
 use std::borrow::Cow;
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{Read, Seek, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -421,18 +422,31 @@ impl Trace {
         let cannot_write = |e: std::io::Error| {
             CoreError::Serialization(format!("cannot write {}: {e}", path.display()))
         };
-        let mut file = std::fs::File::create(path).map_err(cannot_write)?;
+        let mut file = File::create(path).map_err(cannot_write)?;
         file.write_all(self.to_json()?.as_bytes())
             .map_err(cannot_write)
     }
 
     /// Reads a trace from a JSON file.
+    ///
+    /// A regular file is decoded through a 256 KiB window, so
+    /// the whole text is never held at once; anything else (a pipe, a
+    /// device) is read whole. When the windowed decode fails anywhere —
+    /// a malformed or truncated document, invalid UTF-8, an IO error —
+    /// the file is read again whole and decoded by
+    /// [`Trace::from_json`], so a refusal is worded exactly as that
+    /// decoder words it.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let mut file =
-            std::fs::File::open(path).map_err(|e| CoreError::Serialization(e.to_string()))?;
+        let io = |e: std::io::Error| CoreError::Serialization(e.to_string());
+        let mut file = File::open(path).map_err(io)?;
+        if file.metadata().is_ok_and(|m| m.is_file()) {
+            if let Some(trace) = decode_file(&mut file) {
+                return Ok(trace);
+            }
+            file.rewind().map_err(io)?;
+        }
         let mut contents = String::new();
-        file.read_to_string(&mut contents)
-            .map_err(|e| CoreError::Serialization(e.to_string()))?;
+        file.read_to_string(&mut contents).map_err(io)?;
         Self::from_json(&contents)
     }
 }
@@ -475,38 +489,92 @@ fn names_overflow() -> SerdeError {
     SerdeError::custom("task names exceed u32::MAX bytes")
 }
 
-/// [`Trace::from_json`]'s decoder. Each field keeps its first occurrence;
-/// later duplicates are skipped like unknown keys.
+/// The top-level members of a trace document read so far. Each keeps its
+/// first occurrence; later duplicates are skipped like unknown keys.
+#[derive(Default)]
+struct Members {
+    kernel: Option<String>,
+    rank: Option<usize>,
+    tasks: Option<Trace>,
+    model: Option<Option<ExecutionModel>>,
+    cost_model: Option<Option<CostModelSpec>>,
+}
+
+/// One member's decoded value, not yet stored: a decoder that may have to
+/// read a member again stores it only once the member is complete.
+enum Member {
+    Kernel(String),
+    Rank(usize),
+    Model(Option<ExecutionModel>),
+    CostModel(Option<CostModelSpec>),
+    Skipped,
+}
+
+impl Members {
+    /// Whether `key` is the member whose value the caller decodes as the
+    /// task array: the first `tasks`.
+    fn is_tasks(&self, key: &str) -> bool {
+        key == "tasks" && self.tasks.is_none()
+    }
+
+    /// Reads the value of member `key`, which is not the first `tasks`.
+    fn read(&self, r: &mut Reader<'_>, key: &str) -> serde_json::Result<Member> {
+        Ok(match key {
+            "kernel" if self.kernel.is_none() => Member::Kernel(r.string()?.into_owned()),
+            "rank" if self.rank.is_none() => {
+                Member::Rank(usize::try_from(r.u64()?).map_err(SerdeError::custom)?)
+            }
+            "model" if self.model.is_none() => {
+                Member::Model(Option::<ExecutionModel>::from_owned(r.value()?)?)
+            }
+            "cost_model" if self.cost_model.is_none() => {
+                Member::CostModel(Option::<CostModelSpec>::from_owned(r.value()?)?)
+            }
+            _ => {
+                r.skip()?;
+                Member::Skipped
+            }
+        })
+    }
+
+    fn store(&mut self, member: Member) {
+        match member {
+            Member::Kernel(kernel) => self.kernel = Some(kernel),
+            Member::Rank(rank) => self.rank = Some(rank),
+            Member::Model(model) => self.model = Some(model),
+            Member::CostModel(cost_model) => self.cost_model = Some(cost_model),
+            Member::Skipped => {}
+        }
+    }
+
+    /// The trace, once the document is read.
+    fn into_trace(self) -> serde_json::Result<Trace> {
+        let kernel = self.kernel.ok_or_else(|| missing("kernel"))?;
+        let rank = self.rank.ok_or_else(|| missing("rank"))?;
+        let mut trace = self.tasks.ok_or_else(|| missing("tasks"))?;
+        trace.kernel = kernel;
+        trace.rank = rank;
+        trace.model = self.model.flatten();
+        trace.cost_model = self.cost_model.flatten().filter(|m| !m.is_analytic());
+        Ok(trace)
+    }
+}
+
+/// [`Trace::from_json`]'s decoder.
 fn decode_trace(json: &str) -> serde_json::Result<Trace> {
     let mut r = Reader::new(json);
-    let (mut kernel, mut rank, mut tasks, mut model, mut cost_model) =
-        (None, None, None, None, None);
+    let mut members = Members::default();
     r.object(|r, key| {
-        match &*key {
-            "kernel" if kernel.is_none() => kernel = Some(r.string()?.into_owned()),
-            "rank" if rank.is_none() => {
-                rank = Some(usize::try_from(r.u64()?).map_err(SerdeError::custom)?);
-            }
-            "tasks" if tasks.is_none() => tasks = Some(decode_tasks(r)?),
-            "model" if model.is_none() => {
-                model = Some(Option::<ExecutionModel>::from_owned(r.value()?)?);
-            }
-            "cost_model" if cost_model.is_none() => {
-                cost_model = Some(Option::<CostModelSpec>::from_owned(r.value()?)?);
-            }
-            _ => r.skip()?,
+        if members.is_tasks(&key) {
+            members.tasks = Some(decode_tasks(r)?);
+        } else {
+            let member = members.read(r, &key)?;
+            members.store(member);
         }
         Ok(())
     })?;
     r.finish()?;
-    let kernel = kernel.ok_or_else(|| missing("kernel"))?;
-    let rank = rank.ok_or_else(|| missing("rank"))?;
-    let mut trace: Trace = tasks.ok_or_else(|| missing("tasks"))?;
-    trace.kernel = kernel;
-    trace.rank = rank;
-    trace.model = model.flatten();
-    trace.cost_model = cost_model.flatten().filter(|m| !m.is_analytic());
-    Ok(trace)
+    members.into_trace()
 }
 
 /// The `tasks` array, decoded into the columns of an otherwise empty
@@ -541,6 +609,172 @@ fn decode_task(r: &mut Reader<'_>, trace: &mut Trace) -> serde_json::Result<()> 
         return Err(names_overflow().into());
     }
     Ok(())
+}
+
+/// The bytes of a trace file [`Trace::load`] holds at a time. The window
+/// grows (doubling) only while one unit of the document (see [`Next`])
+/// does not fit in it.
+const WINDOW: usize = 256 * 1024;
+
+/// The unit [`decode_file`] reads next. Each unit ends on a structural
+/// byte it consumes (`{`, `[`, `}`, `]` or `,`), so a unit the window cuts
+/// short fails instead of reading short: a number or keyword at the
+/// window's end leaves the separator after it unread, and an
+/// empty-container check that finds no byte reads as nonempty, which the
+/// next unit then fails on. A unit stores what it decoded only once it is
+/// complete.
+#[derive(Clone, Copy)]
+enum Next {
+    /// The document's opening `{`.
+    Open,
+    /// A top-level member with the `,` or `}` after it; for the first
+    /// `tasks`, its key and the array's opening `[`.
+    Member,
+    /// A task object.
+    Task,
+    /// The `,` or `]` after a task.
+    TaskEnd,
+    /// The `,` or `}` after the task array.
+    TasksEnd,
+    /// Whitespace to the end of the file.
+    Trailing,
+}
+
+/// Decodes units from `r` until the document's closing `}` (`Ok`) or a
+/// unit that fails (`Err`: cut by the window's end, or malformed), with
+/// `done` at the end of the last complete unit and `next` naming the
+/// unit after it.
+fn decode_units(
+    r: &mut Reader<'_>,
+    next: &mut Next,
+    members: &mut Members,
+    done: &mut usize,
+) -> serde_json::Result<()> {
+    loop {
+        *next = match *next {
+            Next::Open => {
+                if r.open_container(Container::Object)? {
+                    Next::Trailing
+                } else {
+                    Next::Member
+                }
+            }
+            Next::Member => {
+                let key = r.member_key()?;
+                if members.is_tasks(&key) {
+                    let empty = r.open_container(Container::Array)?;
+                    members.tasks = Some(Trace::new(String::new(), 0));
+                    if empty {
+                        Next::TasksEnd
+                    } else {
+                        Next::Task
+                    }
+                } else {
+                    let member = members.read(r, &key)?;
+                    let last = r.item_separator(Container::Object)?;
+                    members.store(member);
+                    if last {
+                        Next::Trailing
+                    } else {
+                        Next::Member
+                    }
+                }
+            }
+            Next::Task => {
+                if let Some(trace) = &mut members.tasks {
+                    decode_task(r, trace)?;
+                }
+                Next::TaskEnd
+            }
+            Next::TaskEnd => {
+                if r.item_separator(Container::Array)? {
+                    Next::TasksEnd
+                } else {
+                    Next::Task
+                }
+            }
+            Next::TasksEnd => {
+                if r.item_separator(Container::Object)? {
+                    Next::Trailing
+                } else {
+                    Next::Member
+                }
+            }
+            Next::Trailing => return Ok(()),
+        };
+        *done = r.position();
+    }
+}
+
+/// The part of a file [`decode_file`] holds: `buf[..len]` was read and
+/// not yet consumed.
+struct Window {
+    buf: Vec<u8>,
+    len: usize,
+    eof: bool,
+}
+
+impl Window {
+    /// Drops the first `done` bytes and reads on until the window is full
+    /// or the file ends.
+    fn fill(&mut self, file: &mut File, done: usize) -> std::io::Result<()> {
+        self.buf.copy_within(done..self.len, 0);
+        self.len -= done;
+        while !self.eof && self.len < self.buf.len() {
+            match file.read(&mut self.buf[self.len..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.len += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The window's text; a character cut by the window's end stays
+    /// unread for the next fill. `None` on invalid UTF-8.
+    fn text(&self) -> Option<&str> {
+        let bytes = &self.buf[..self.len];
+        match std::str::from_utf8(bytes) {
+            Ok(text) => Some(text),
+            Err(e) if e.error_len().is_none() && !self.eof => {
+                std::str::from_utf8(&bytes[..e.valid_up_to()]).ok()
+            }
+            Err(_) => None,
+        }
+    }
+}
+
+/// [`Trace::load`]'s decoder for a regular file: the document read
+/// through a window of [`WINDOW`] bytes, each unit decoded by the code
+/// [`Trace::from_json`] runs on it. A unit that fails before the end of
+/// the file is decoded again after a refill, in a doubled window if it
+/// already started the window. `None` when the document does not decode
+/// or the file cannot be read as UTF-8.
+fn decode_file(file: &mut File) -> Option<Trace> {
+    let mut window = Window {
+        buf: vec![0; WINDOW],
+        len: 0,
+        eof: false,
+    };
+    let (mut next, mut members, mut done) = (Next::Open, Members::default(), 0);
+    loop {
+        window.fill(file, done).ok()?;
+        let text = window.text()?;
+        done = 0;
+        if decode_units(&mut Reader::new(text), &mut next, &mut members, &mut done).is_ok() {
+            Reader::new(text.get(done..)?).finish().ok()?;
+            if window.eof {
+                return members.into_trace().ok();
+            }
+            done = text.len();
+        } else if window.eof {
+            return None;
+        } else if done == 0 {
+            let size = window.buf.len().checked_mul(2)?;
+            window.buf.resize(size, 0);
+        }
+    }
 }
 
 #[cfg(test)]

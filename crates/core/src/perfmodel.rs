@@ -1035,6 +1035,24 @@ mod tests {
     }
 
     #[test]
+    fn importer_reads_negative_zero_as_zero() {
+        let valid = export_model(&regression_spec()).unwrap();
+        let edited = valid.replace("\"alpha_us\": 5", "\"alpha_us\": -0");
+        assert_ne!(edited, valid);
+        let CostModelSpec::Regression { transfer, .. } = import_model(&edited).unwrap() else {
+            panic!("a regression file imports as a regression spec");
+        };
+        assert_eq!(transfer.alpha_us, 0);
+        // Any other negative number keeps its refusal, word for word.
+        assert_eq!(
+            import_model(&valid.replace("\"alpha_us\": 5", "\"alpha_us\": -1")),
+            Err(CoreError::InvalidCostModel(
+                "transfer[0].alpha_us is negative (-1)".into()
+            ))
+        );
+    }
+
+    #[test]
     fn importer_rejects_empty_history_tables() {
         let json = r#"{
   "format": "dts-cost-model",

@@ -86,13 +86,15 @@ impl<'v, 'p> Fields<'v, 'p> {
         self.invalid(format!("{} must be {expected}, got {got}", self.path(key)))
     }
 
-    /// A required non-negative integer field. Negative integers, floats
-    /// (`1.5`, `1e30`) and non-numbers each get their own refusal.
+    /// A required non-negative integer field. `-0` reads as 0, as `u64`'s
+    /// `Deserialize` reads it; negative integers, floats (`1.5`, `1e30`)
+    /// and non-numbers each get their own refusal.
     pub fn uint(&self, key: &str) -> Result<u64> {
         let expected = "a non-negative integer";
         match self.require(key)? {
             Value::UInt(n) => Ok(*n),
-            Value::Int(n) => Err(self.invalid(format!("{} is negative ({n})", self.path(key)))),
+            Value::Int(n) => u64::try_from(*n)
+                .map_err(|_| self.invalid(format!("{} is negative ({n})", self.path(key)))),
             Value::Float(x) => {
                 Err(self.wrong_type(key, expected, format!("non-integer number {x}")))
             }
@@ -186,6 +188,19 @@ mod tests {
                 .uint("n"),
             Err(CoreError::InvalidCostModel(msg)) if msg == "n is negative (-2)"
         ));
+    }
+
+    #[test]
+    fn negative_zero_reads_as_zero_and_other_negatives_are_refused() {
+        let value = parse(r#"{"z": -0, "zz": -00, "n": -1, "min": -9223372036854775808}"#);
+        let f = fields(&value, &["z", "zz", "n", "min"]).unwrap();
+        assert_eq!(f.uint("z").unwrap(), 0);
+        assert_eq!(f.uint("zz").unwrap(), 0);
+        assert_eq!(refusal(f.uint("n")), "at.n is negative (-1)");
+        assert_eq!(
+            refusal(f.uint("min")),
+            "at.min is negative (-9223372036854775808)"
+        );
     }
 
     #[test]

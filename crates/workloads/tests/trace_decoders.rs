@@ -1,4 +1,4 @@
-//! Differential test pinning the two trace decoders together.
+//! Differential test pinning the trace decoders together.
 //!
 //! `Trace::from_json` decodes trace files straight from their bytes with
 //! the `serde_json::Reader` scanner; `Trace::from_value` decodes a parsed
@@ -6,6 +6,15 @@
 //! every input below the two must agree: both accept with equal `Trace`s,
 //! or both reject — the direct decoder always with
 //! `CoreError::Serialization`.
+//!
+//! `Trace::load` decodes a file through a fixed-size window and falls back
+//! to reading it whole on any failure. Every input below is also written
+//! to a file, and `Trace::load` on it must return exactly what
+//! `Trace::from_json` returns on the file's text read whole: the same
+//! trace, or the same error. The tests at the end add the files only a
+//! window can get wrong: documents of several windows, characters and
+//! units cut by a window's end, invalid UTF-8 and trailing bytes past the
+//! first window.
 
 use dts_chem::trace::TaskKind;
 use dts_chem::{Trace, TraceTask};
@@ -15,11 +24,64 @@ use dts_workloads::families::{generate_trace, GeneratorConfig, WorkloadFamily};
 use dts_workloads::format::export_trace;
 use microcheck::{gens, prop_assert, property};
 use serde::{Deserialize, Value};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A file in the temp directory, removed when dropped.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn with(bytes: &[u8]) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::SeqCst);
+        let path = std::env::temp_dir().join(format!(
+            "dts-trace-decoders-{}-{n}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).expect("temp file writes");
+        TempFile(path)
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// What `Trace::load` returned before it read through a window: the
+/// file's text read whole, then `Trace::from_json`.
+fn load_whole(path: &Path) -> Result<Trace, CoreError> {
+    std::fs::read_to_string(path)
+        .map_err(|e| CoreError::Serialization(e.to_string()))
+        .and_then(|text| Trace::from_json(&text))
+}
+
+/// `Trace::load` on a file holding `bytes`, which must return exactly what
+/// [`load_whole`] returns: `Ok(Some(trace))` when both accept,
+/// `Ok(None)` when both reject with the same error, `Err` naming the
+/// disagreement otherwise.
+fn load_verdict(bytes: &[u8]) -> Result<Option<Trace>, String> {
+    let file = TempFile::with(bytes);
+    match (Trace::load(&file.0), load_whole(&file.0)) {
+        (Ok(loaded), Ok(whole)) if loaded == whole => Ok(Some(loaded)),
+        (Err(loaded), Err(whole)) if loaded == whole => Ok(None),
+        (loaded, whole) => Err(format!(
+            "Trace::load disagrees with the whole-file decode on a {}-byte file: \
+             load {:.300}, whole {:.300}",
+            bytes.len(),
+            format!("{loaded:?}"),
+            format!("{whole:?}")
+        )),
+    }
+}
 
 /// The decoders' common verdict on `json`: `Ok(Some(trace))` when both
 /// accept with the same trace, `Ok(None)` when both reject, `Err` naming
-/// the disagreement otherwise.
+/// the disagreement otherwise (between the two decoders, or between
+/// `Trace::load` and the whole-file decode of `json` as a file).
 fn verdict(json: &str) -> Result<Option<Trace>, String> {
+    load_verdict(json.as_bytes())?;
     let tree = serde_json::from_str::<Value>(json)
         .map_err(|e| e.to_string())
         .and_then(|v| Trace::from_value(&v).map_err(|e| e.to_string()));
@@ -428,4 +490,167 @@ property! {
             }
         }
     }
+}
+
+/// Where `Trace::load`'s first window ends: its window is 256 KiB.
+const FIRST_WINDOW_END: usize = 256 * 1024;
+
+fn loaded(bytes: &[u8]) -> Trace {
+    match load_verdict(bytes) {
+        Ok(Some(trace)) => trace,
+        Ok(None) => panic!("a {}-byte file was rejected", bytes.len()),
+        Err(msg) => panic!("{msg}"),
+    }
+}
+
+fn load_rejected(bytes: &[u8]) {
+    match load_verdict(bytes) {
+        Ok(None) => {}
+        Ok(Some(_)) => panic!("a {}-byte file was accepted", bytes.len()),
+        Err(msg) => panic!("{msg}"),
+    }
+}
+
+/// `n` tasks whose names are mostly 2-, 3- and 4-byte UTF-8, so that most
+/// bytes of the file sit inside a multibyte character.
+fn multibyte_trace(n: usize) -> Trace {
+    let names: Vec<String> = (0..n)
+        .map(|i| {
+            let mut name = format!("t{i}:");
+            name.extend((0..40 + i % 41).map(|j| ['é', '€', '😀', 'ß', '✓'][(i + j) % 5]));
+            name
+        })
+        .collect();
+    let mut trace = Trace::new("MD", 2);
+    trace.extend(names.iter().enumerate().map(|(i, name)| TraceTask {
+        name,
+        kind: TaskKind::ALL[i % 3],
+        comm_micros: i as u64,
+        comp_micros: 2 * i as u64 + 1,
+        mem_bytes: 4096 + i as u64,
+    }));
+    trace
+}
+
+/// `json` behind as many leading spaces as put the end of the first
+/// window inside a multibyte character.
+fn cut_first_window_in_a_character(json: &str) -> String {
+    let pad = (0..512)
+        .find(|&pad| !json.is_char_boundary(FIRST_WINDOW_END - pad))
+        .expect("a character within 512 bytes of the first window's end");
+    format!("{}{json}", " ".repeat(pad))
+}
+
+#[test]
+fn multi_window_files_load_alike() {
+    let trace = multibyte_trace(9_000);
+    let json = cut_first_window_in_a_character(&trace.to_json().expect("serializes"));
+    assert!(json.len() >= 2_500_000, "{} bytes", json.len());
+    assert!(!json.is_char_boundary(FIRST_WINDOW_END));
+    assert_eq!(loaded(json.as_bytes()), trace);
+    let compact = serde_json::to_string(&trace).expect("serializes");
+    assert_eq!(loaded(compact.as_bytes()), trace);
+    // Trailing whitespace is fine; anything else after the document is
+    // refused, including a character cut by the end of the file.
+    assert_eq!(loaded(format!("{json} \n\t\r").as_bytes()), trace);
+    for tail in [" x", "}", ",", "\u{e9}", "\u{1F600}"] {
+        load_rejected(format!("{json}{tail}").as_bytes());
+    }
+    load_rejected(&[json.as_bytes(), "\u{1F600}".as_bytes()].concat()[..json.len() + 3]);
+    // Invalid UTF-8 past the first window: a stray continuation byte, a
+    // lead byte without its continuation, and a byte never valid.
+    let at = (FIRST_WINDOW_END + 10_000..json.len())
+        .find(|&i| json.as_bytes()[i] >= 0x80 && json.is_char_boundary(i))
+        .expect("a multibyte character past the first window");
+    for byte in [0x80, 0xF0, 0xFF] {
+        let mut bytes = json.clone().into_bytes();
+        bytes[at] = byte;
+        load_rejected(&bytes);
+    }
+}
+
+#[test]
+fn truncated_multi_window_files_load_alike() {
+    let json =
+        cut_first_window_in_a_character(&multibyte_trace(3_000).to_json().expect("serializes"));
+    assert!(json.len() > 2 * FIRST_WINDOW_END);
+    let window_ends = (1..=json.len() / FIRST_WINDOW_END)
+        .flat_map(|k| (0..5).map(move |d| k * FIRST_WINDOW_END - 2 + d));
+    let spread = (0..json.len()).step_by(json.len() / 23);
+    for cut in window_ends.chain(spread).chain([1, json.len() - 1]) {
+        load_rejected(&json.as_bytes()[..cut]);
+    }
+}
+
+#[test]
+fn every_cut_by_the_first_window_loads_alike() {
+    // A unit the window cuts short must be read again, never stored
+    // short: a number that loses digits, a keyword its tail, a task
+    // stored before the separator after it is read. Leading whitespace
+    // puts each byte of the document in turn at the first window's end.
+    let mut trace = small_trace();
+    trace.rank = 1_234_567;
+    let compact = serde_json::to_string(&trace).expect("serializes");
+    let doc = format!(
+        r#"{{"x": [10, true, "s"], {}, "y": -12.5e3, "z": null, "rank": 8}}"#,
+        &compact[1..compact.len() - 1]
+    );
+    assert_eq!(accepted(&doc), trace);
+    for cut in 1..doc.len() {
+        let padded = format!("{}{doc}", " ".repeat(FIRST_WINDOW_END - cut));
+        assert_eq!(loaded(padded.as_bytes()), trace, "cut after {cut} bytes");
+    }
+}
+
+#[test]
+fn a_name_longer_than_the_window_loads_alike() {
+    let long = format!("{}\"{}", "é".repeat(150_000), "x".repeat(FIRST_WINDOW_END));
+    let mut trace = small_trace();
+    trace.push(TraceTask {
+        name: &long,
+        kind: TaskKind::Contraction,
+        comm_micros: 1,
+        comp_micros: 2,
+        mem_bytes: 3,
+    });
+    let json = trace.to_json().expect("serializes");
+    assert!(json.len() > 2 * FIRST_WINDOW_END);
+    assert_eq!(loaded(json.as_bytes()), trace);
+    load_rejected(&json.as_bytes()[..json.len() - 10]);
+}
+
+#[test]
+fn a_duplicate_tasks_key_loads_alike() {
+    let trace = multibyte_trace(1_500);
+    let first = serde_json::to_string(&trace).expect("serializes");
+    let tasks = &first[first.find("\"tasks\"").expect("has tasks")..first.len() - 1];
+    // The duplicate is skipped, checked for syntax only, even when it
+    // spans more than a window on its own.
+    let doc = format!("{}, {tasks}, {tasks}}}", &first[..first.len() - 1]);
+    assert!(tasks.len() > FIRST_WINDOW_END);
+    assert_eq!(loaded(doc.as_bytes()), trace);
+    let broken = format!("{}, {tasks}, \"tasks\": [1,]}}", &first[..first.len() - 1]);
+    load_rejected(broken.as_bytes());
+    let first_wins = format!(r#"{{"kernel": "K", "rank": 0, "tasks": [], {tasks}}}"#);
+    assert!(loaded(first_wins.as_bytes()).is_empty());
+}
+
+#[test]
+fn empty_and_missing_files_fail_as_before() {
+    load_rejected(b"");
+    load_rejected(b" \n");
+    let missing = std::env::temp_dir().join(format!(
+        "dts-trace-decoders-{}-missing.json",
+        std::process::id()
+    ));
+    assert_eq!(
+        Trace::load(&missing),
+        Err(CoreError::Serialization(
+            "No such file or directory (os error 2)".into()
+        ))
+    );
+    assert_eq!(
+        Trace::load(std::env::temp_dir()),
+        load_whole(&std::env::temp_dir())
+    );
 }

@@ -44,6 +44,13 @@ fn the_valid_file_imports() {
 }
 
 #[test]
+fn negative_zero_imports_as_zero() {
+    let trace = import_trace(&with("\"mem_bytes\": 3", "\"mem_bytes\": -0"))
+        .expect("-0 is a non-negative integer");
+    assert_eq!(trace.task(0).mem_bytes, 0);
+}
+
+#[test]
 fn every_refusal_is_worded_exactly() {
     let unnamed = TASK.replace("\"t\"", "\"\"");
     let cases: Vec<(String, CoreError)> = vec![
