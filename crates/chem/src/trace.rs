@@ -560,29 +560,14 @@ impl Members {
     }
 }
 
-/// [`Trace::from_json`]'s decoder.
+/// [`Trace::from_json`]'s decoder: every unit of the document read from
+/// one string.
 fn decode_trace(json: &str) -> serde_json::Result<Trace> {
     let mut r = Reader::new(json);
     let mut members = Members::default();
-    r.object(|r, key| {
-        if members.is_tasks(&key) {
-            members.tasks = Some(decode_tasks(r)?);
-        } else {
-            let member = members.read(r, &key)?;
-            members.store(member);
-        }
-        Ok(())
-    })?;
+    decode_units(&mut r, &mut Next::Open, &mut members, &mut 0)?;
     r.finish()?;
     members.into_trace()
-}
-
-/// The `tasks` array, decoded into the columns of an otherwise empty
-/// trace.
-fn decode_tasks(r: &mut Reader<'_>) -> serde_json::Result<Trace> {
-    let mut trace = Trace::new(String::new(), 0);
-    r.array(|r| decode_task(r, &mut trace))?;
-    Ok(trace)
 }
 
 fn decode_task(r: &mut Reader<'_>, trace: &mut Trace) -> serde_json::Result<()> {
@@ -616,7 +601,13 @@ fn decode_task(r: &mut Reader<'_>, trace: &mut Trace) -> serde_json::Result<()> 
 /// does not fit in it.
 const WINDOW: usize = 256 * 1024;
 
-/// The unit [`decode_file`] reads next. Each unit ends on a structural
+/// A unit that fails less than this many bytes before the window's end may
+/// have been cut by it. A cut token fails at the end of its input, except
+/// a keyword (`false` at most) and a `\u` escape's four hex digits, which
+/// fail from their first byte.
+const CUT_SLACK: usize = "false".len();
+
+/// The unit [`decode_units`] reads next. Each unit ends on a structural
 /// byte it consumes (`{`, `[`, `}`, `]` or `,`), so a unit the window cuts
 /// short fails instead of reading short: a number or keyword at the
 /// window's end leaves the separator after it unread, and an
@@ -641,8 +632,8 @@ enum Next {
 }
 
 /// Decodes units from `r` until the document's closing `}` (`Ok`) or a
-/// unit that fails (`Err`: cut by the window's end, or malformed), with
-/// `done` at the end of the last complete unit and `next` naming the
+/// unit that fails (`Err`: malformed, or cut by the end of `r`'s input),
+/// with `done` at the end of the last complete unit and `next` naming the
 /// unit after it.
 fn decode_units(
     r: &mut Reader<'_>,
@@ -717,7 +708,7 @@ struct Window {
 impl Window {
     /// Drops the first `done` bytes and reads on until the window is full
     /// or the file ends.
-    fn fill(&mut self, file: &mut File, done: usize) -> std::io::Result<()> {
+    fn fill(&mut self, file: &mut impl Read, done: usize) -> std::io::Result<()> {
         self.buf.copy_within(done..self.len, 0);
         self.len -= done;
         while !self.eof && self.len < self.buf.len() {
@@ -746,12 +737,13 @@ impl Window {
 }
 
 /// [`Trace::load`]'s decoder for a regular file: the document read
-/// through a window of [`WINDOW`] bytes, each unit decoded by the code
-/// [`Trace::from_json`] runs on it. A unit that fails before the end of
-/// the file is decoded again after a refill, in a doubled window if it
-/// already started the window. `None` when the document does not decode
-/// or the file cannot be read as UTF-8.
-fn decode_file(file: &mut File) -> Option<Trace> {
+/// through a window of [`WINDOW`] bytes by [`decode_units`], the driver
+/// [`Trace::from_json`] runs. A unit that fails within [`CUT_SLACK`] bytes
+/// of the window's end, before the end of the file, is decoded again after
+/// a refill, in a doubled window if it already started the window. `None`
+/// as soon as a unit fails anywhere else, and when the file cannot be
+/// read as UTF-8.
+fn decode_file(file: &mut impl Read) -> Option<Trace> {
     let mut window = Window {
         buf: vec![0; WINDOW],
         len: 0,
@@ -762,13 +754,14 @@ fn decode_file(file: &mut File) -> Option<Trace> {
         window.fill(file, done).ok()?;
         let text = window.text()?;
         done = 0;
-        if decode_units(&mut Reader::new(text), &mut next, &mut members, &mut done).is_ok() {
+        let mut r = Reader::new(text);
+        if decode_units(&mut r, &mut next, &mut members, &mut done).is_ok() {
             Reader::new(text.get(done..)?).finish().ok()?;
             if window.eof {
                 return members.into_trace().ok();
             }
             done = text.len();
-        } else if window.eof {
+        } else if window.eof || text.len().saturating_sub(r.position()) >= CUT_SLACK {
             return None;
         } else if done == 0 {
             let size = window.buf.len().checked_mul(2)?;
@@ -1133,5 +1126,117 @@ mod tests {
                 serde_json::to_string(&task.to_value())
             );
         }
+    }
+
+    /// A reader over `bytes` that counts the bytes it hands out.
+    struct Counted<'a> {
+        bytes: &'a [u8],
+        read: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.bytes.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// `json` decoded through the window, which must succeed without the
+    /// whole-file fallback and give what `from_json` gives.
+    fn windowed(json: &str) -> Trace {
+        let whole = Trace::from_json(json).expect("the document decodes whole");
+        let trace = decode_file(&mut json.as_bytes()).expect("the window decodes the document");
+        assert_eq!(trace, whole);
+        trace
+    }
+
+    /// `n` tasks named mostly in 2-, 3- and 4-byte UTF-8.
+    fn multibyte(n: usize) -> Trace {
+        let names: Vec<String> = (0..n)
+            .map(|i| {
+                (0..30 + i % 17)
+                    .map(|j| ['é', '€', '😀', 'x'][(i + j) % 4])
+                    .collect()
+            })
+            .collect();
+        let mut trace = Trace::new("MD", 2);
+        trace.extend(names.iter().enumerate().map(|(i, name)| TraceTask {
+            name,
+            kind: TaskKind::ALL[i % 3],
+            comm_micros: i as u64,
+            comp_micros: 7,
+            mem_bytes: 4096 + i as u64,
+        }));
+        trace
+    }
+
+    #[test]
+    fn every_cut_by_the_first_window_decodes_in_the_window() {
+        // Leading whitespace puts each byte of the document in turn at the
+        // first window's end: inside escapes, keywords, numbers, empty
+        // containers, multibyte characters and between any two tokens.
+        let doc = r#"{"x": [10, true, "s", {}, []], "kernel": "ké😀\"é😀",
+            "tasks": [{"name": "a\\bé", "kind": "Transpose",
+            "extra": [false, null, -1.5e3, {}], "comm_micros": 12345, "comp_micros": -0,
+            "mem_bytes": 987654321}, {"mem_bytes": 1, "comp_micros": 2, "comm_micros": 3,
+            "kind": "Contraction", "name": "😀é", "name": "dup"}], "y": -12.5e3,
+            "model": null, "rank": 1234567, "rank": 8, "tasks": []}"#;
+        let trace = windowed(doc);
+        assert_eq!((trace.rank, trace.len()), (1_234_567, 2));
+        for cut in 1..doc.len() {
+            let padded = format!("{}{doc}", " ".repeat(WINDOW - cut));
+            assert_eq!(windowed(&padded), trace, "cut after {cut} bytes");
+        }
+    }
+
+    #[test]
+    fn multibyte_multi_window_files_decode_in_the_window() {
+        let json = multibyte(5_000).to_json().unwrap();
+        assert!(json.len() > 3 * WINDOW);
+        windowed(&json);
+        windowed(&serde_json::to_string(&multibyte(5_000)).unwrap());
+    }
+
+    #[test]
+    fn a_name_longer_than_the_window_decodes_in_a_grown_window() {
+        let long = "é".repeat(WINDOW);
+        let mut trace = sample();
+        trace.push(TraceTask {
+            name: &long,
+            kind: TaskKind::Transpose,
+            comm_micros: 1,
+            comp_micros: 2,
+            mem_bytes: 3,
+        });
+        windowed(&trace.to_json().unwrap());
+    }
+
+    #[test]
+    fn a_malformed_unit_is_refused_without_reading_on() {
+        let json = multibyte(5_000).to_json().unwrap();
+        // Early: the rank is a string. The window neither grows nor
+        // refills.
+        let early = json.replacen("\"rank\": 2", "\"rank\": \"2\"", 1);
+        let mut file = Counted {
+            bytes: early.as_bytes(),
+            read: 0,
+        };
+        assert!(decode_file(&mut file).is_none());
+        assert_eq!(file.read, WINDOW);
+        // Past the first windows: an unknown kind. At most one window is
+        // read beyond it.
+        let (at, _) = json
+            .match_indices("\"Transpose\"")
+            .find(|&(i, _)| i > 2 * WINDOW)
+            .unwrap();
+        let late = format!("{}\"Transposed\"{}", &json[..at], &json[at + 11..]);
+        let mut file = Counted {
+            bytes: late.as_bytes(),
+            read: 0,
+        };
+        assert!(decode_file(&mut file).is_none());
+        assert!(file.read <= at + WINDOW, "{} bytes read", file.read);
+        assert!(Trace::from_json(&late).is_err());
     }
 }
