@@ -13,11 +13,11 @@ use dts_ga::{GaRuntime, Tiled, Topology, TransferModel};
 use dts_tensor::{ContractionSpec, CostModel, KernelCost, TileShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Write;
 
 /// Configuration of the CCSD trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CcsdConfig {
     /// Number of occupied-index tile blocks.
     pub n_occ_tiles: usize,

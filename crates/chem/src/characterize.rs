@@ -8,10 +8,10 @@
 use crate::trace::Trace;
 use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_makespan;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fig. 8 characterization of one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WorkloadCharacterization {
     /// Number of tasks in the trace.
     pub n_tasks: usize,

@@ -9,7 +9,6 @@ use dts_core::hash::StableHasher;
 use dts_core::prelude::*;
 use serde::{Deserialize, Error as SerdeError, Serialize, Sink, Value};
 use serde_json::{Container, Reader};
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, Write};
 use std::path::Path;
@@ -17,7 +16,7 @@ use std::sync::Arc;
 
 /// Kind of tensor work a trace task performs (informational; the scheduling
 /// heuristics only look at times and memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Tensor contraction (block matrix multiplication).
     Contraction,
@@ -459,8 +458,7 @@ impl TaskKind {
         TaskKind::FusedTransposeContraction,
     ];
 
-    /// The kind's JSON name: the variant name, which the derived
-    /// `Deserialize` accepts.
+    /// The kind's JSON name: the variant name.
     pub fn name(self) -> &'static str {
         match self {
             TaskKind::Contraction => "Contraction",
@@ -469,14 +467,24 @@ impl TaskKind {
         }
     }
 
-    /// The variant a JSON string names. The known names are matched here
-    /// without building a `Value`; any other string, and with it the error
-    /// text, is left to the derived `Deserialize`, so the two cannot
-    /// disagree on which names are accepted.
-    fn from_name(name: Cow<'_, str>) -> std::result::Result<Self, SerdeError> {
+    /// The kind [`TaskKind::name`] gives `name`: the one lookup of every
+    /// trace decoder.
+    pub fn from_name(name: &str) -> std::result::Result<Self, SerdeError> {
         match TaskKind::ALL.into_iter().find(|kind| kind.name() == name) {
             Some(kind) => Ok(kind),
-            None => TaskKind::from_owned(Value::Str(name.into_owned())),
+            None => Err(SerdeError::unknown_variant(name, "TaskKind")),
+        }
+    }
+}
+
+// Hand-written in serde's enum shape, as the tree decoder reads a task's
+// `kind`: a unit variant's name; a one-key object names a data variant,
+// which `TaskKind` has none of.
+impl Deserialize for TaskKind {
+    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
+        match value.variant()? {
+            (name, None) => TaskKind::from_name(name),
+            (name, Some(_)) => Err(SerdeError::unknown_variant(name, "TaskKind")),
         }
     }
 }
@@ -575,7 +583,7 @@ fn decode_task(r: &mut Reader<'_>, trace: &mut Trace) -> serde_json::Result<()> 
     r.object(|r, key| {
         match &*key {
             "name" if name.is_none() => name = Some(r.string()?),
-            "kind" if kind.is_none() => kind = Some(TaskKind::from_name(r.string()?)?),
+            "kind" if kind.is_none() => kind = Some(TaskKind::from_name(&r.string()?)?),
             "comm_micros" if comm.is_none() => comm = Some(r.u64()?),
             "comp_micros" if comp.is_none() => comp = Some(r.u64()?),
             "mem_bytes" if mem.is_none() => mem = Some(r.u64()?),
@@ -989,19 +997,19 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_decode_as_the_derive_decodes_them() {
+    fn kind_names_decode_as_the_tree_decoder_decodes_them() {
         let names = ["Contraction", "Transpose", "FusedTransposeContraction"];
         for name in names.into_iter().chain(["contraction", "", "Other"]) {
-            let derived = TaskKind::from_value(&Value::Str(name.into()));
-            assert_eq!(TaskKind::from_name(name.into()), derived, "{name}");
-            assert_eq!(derived.is_ok(), names.contains(&name), "{name}");
+            let tree = TaskKind::from_value(&Value::Str(name.into()));
+            assert_eq!(TaskKind::from_name(name), tree, "{name}");
+            assert_eq!(tree.is_ok(), names.contains(&name), "{name}");
         }
     }
 
     #[test]
     fn kind_names_are_the_serialized_names() {
         for kind in TaskKind::ALL {
-            assert_eq!(TaskKind::from_name(kind.name().into()), Ok(kind));
+            assert_eq!(TaskKind::from_name(kind.name()), Ok(kind));
         }
     }
 

@@ -153,7 +153,7 @@ impl fmt::Display for OverlapEfficiency {
 /// How transfers share the communication medium (and, for
 /// [`Implicit`](ExecutionModel::Implicit), the CPU). See the module docs
 /// for the semantics of each strategy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum ExecutionModel {
     /// Single half-duplex channel; transfers strictly serialized. The
     /// paper's model and the pinned baseline of the equivalence suites.
@@ -175,6 +175,25 @@ pub enum ExecutionModel {
         /// Fraction of the overlappable window actually overlapped.
         efficiency: OverlapEfficiency,
     },
+}
+
+// Hand-written in the shape the `Serialize` derive writes: a unit variant
+// is its name, a data variant a one-key object holding its fields. As in
+// serde, `Streams { k: 0 }` decodes; `validate` refuses it.
+impl Deserialize for ExecutionModel {
+    fn from_value(value: &Value) -> std::result::Result<Self, SerdeError> {
+        match value.variant()? {
+            ("Explicit", None) => Ok(ExecutionModel::Explicit),
+            ("Duplex", None) => Ok(ExecutionModel::Duplex),
+            ("Streams", Some(body)) => Ok(ExecutionModel::Streams {
+                k: usize::from_value(body.field("k")?)?,
+            }),
+            ("Implicit", Some(body)) => Ok(ExecutionModel::Implicit {
+                efficiency: OverlapEfficiency::from_value(body.field("efficiency")?)?,
+            }),
+            (name, _) => Err(SerdeError::unknown_variant(name, "ExecutionModel")),
+        }
+    }
 }
 
 impl ExecutionModel {

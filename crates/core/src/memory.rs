@@ -3,7 +3,7 @@
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -14,9 +14,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// communication time expressed in units; trace-based instances use real byte
 /// counts. Either way the checker only compares sums against the capacity, so
 /// a plain integer newtype suffices.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct MemSize(pub u64);
 

@@ -2,7 +2,7 @@
 
 use crate::memory::MemSize;
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 ///
 /// Task ids are dense indices (`0..n`), which lets schedules and solvers use
 /// plain vectors instead of hash maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct TaskId(pub usize);
 

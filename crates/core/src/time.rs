@@ -8,7 +8,7 @@
 //! absolute resolution is irrelevant as long as it is consistent within an
 //! instance.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -19,9 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// the paper never needs negative values, so saturating subtraction is used
 /// (see [`Time::saturating_sub`]) where an underflow would otherwise be a
 /// logic error.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct Time(pub u64);
 

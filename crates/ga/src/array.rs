@@ -1,7 +1,7 @@
 //! Tiled global arrays with deterministic tile ownership.
 
 use dts_tensor::TileShape;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a one-sided `get` needs to know of a tiled array: the size and
 /// the owner of each tile. [`GlobalArray`] lists its tile shapes; a trace
@@ -22,7 +22,7 @@ pub trait Tiled {
 /// `tile_shapes`; ownership is assigned round-robin over the worker
 /// processes, which is how NWChem's TCE distributes its block-sparse tensors
 /// by default.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GlobalArray {
     /// Human-readable name (e.g. `"fock"`, `"t2"`, `"v2"`).
     pub name: String,

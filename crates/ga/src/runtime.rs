@@ -3,10 +3,10 @@
 use crate::array::Tiled;
 use crate::topology::Topology;
 use crate::transfer::TransferModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Outcome of a `get` of one tile from a global array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GetOutcome {
     /// Bytes fetched.
     pub bytes: u64,

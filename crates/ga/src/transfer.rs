@@ -5,11 +5,11 @@
 //! so its duration only depends on the message size. The model is
 //! `latency + bytes / bandwidth`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear (latency + bandwidth) transfer-cost model with a single route for
 /// every transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TransferModel {
     /// Per-message latency in seconds.
     pub latency: f64,

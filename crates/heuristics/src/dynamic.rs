@@ -10,10 +10,10 @@
 use crate::engine::run_decisions;
 use dts_core::index::CandidateIndex;
 use dts_core::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tie-break criterion applied after the minimum-CPU-idle filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SelectionCriterion {
     /// `LCMR`: pick the task with the largest communication time.
     LargestCommunication,

@@ -34,7 +34,7 @@ pub mod plan;
 pub mod static_order;
 
 use dts_core::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 pub use batch::{run_heuristic_batched, BatchConfig};
@@ -43,7 +43,7 @@ pub use plan::Plan;
 
 /// The category of a heuristic, used by the "best variant of each category"
 /// experiments (Figs. 10, 12 and 13 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum HeuristicCategory {
     /// The arbitrary submission order, plotted separately in the paper.
     SubmissionOrder,
@@ -80,7 +80,7 @@ impl fmt::Display for HeuristicCategory {
 ///
 /// The MILP-based `lp.k` heuristics live in the `dts-milp` crate since they
 /// need the branch-and-bound solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum Heuristic {
     /// Order of submission: the arbitrary order in which tasks are given.

@@ -6,10 +6,10 @@
 //! its contractions. The spec therefore only carries the three combined
 //! extents `(m, n, k)`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A contraction `C[m, n] += Σ_k A[m, k] · B[k, n]` between two tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ContractionSpec {
     /// Combined extent of the free indices of `A` (rows of the result).
     pub m: usize,

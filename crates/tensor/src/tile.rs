@@ -1,12 +1,12 @@
 //! Shapes of dense tensor tiles.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Shape of a tile: up to four dimensions (HF works with 2-index tiles of
 /// the Fock/density matrices, CCSD with 4-index amplitude/integral tiles).
 /// Unused trailing dimensions are 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TileShape {
     /// Extent of each of the four dimensions (1 for unused dimensions).
     pub dims: [usize; 4],

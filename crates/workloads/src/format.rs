@@ -231,15 +231,12 @@ fn import_task(value: &Value, i: usize, trace: &mut Trace) -> Result<()> {
     let fields = Fields::of(value, &at, &at, &TASK_KEYS, CoreError::InvalidTrace)?;
     let name = fields.str("name")?;
     let kind = fields.str("kind")?;
-    let kind = TaskKind::ALL
-        .into_iter()
-        .find(|k| k.name() == kind)
-        .ok_or_else(|| {
-            invalid(format!(
-                "{at}.kind is `{kind}`; expected one of {}",
-                TaskKind::ALL.map(TaskKind::name).join(", ")
-            ))
-        })?;
+    let kind = TaskKind::from_name(kind).map_err(|_| {
+        invalid(format!(
+            "{at}.kind is `{kind}`; expected one of {}",
+            TaskKind::ALL.map(TaskKind::name).join(", ")
+        ))
+    })?;
     let task = TraceTask {
         name,
         kind,
