@@ -9,8 +9,7 @@ use dts_chem::Kernel;
 use dts_core::simulate::simulate_sequence;
 use dts_flowshop::johnson::johnson_makespan;
 use dts_heuristics::corrected::run_corrected;
-use dts_heuristics::static_order::static_order;
-use dts_heuristics::{Heuristic, SelectionCriterion};
+use dts_heuristics::{Heuristic, Plan, SelectionCriterion};
 
 fn report() {
     let trace = bench_traces(Kernel::Ccsd).into_iter().next().unwrap();
@@ -19,6 +18,7 @@ fn report() {
     println!("Ablation — corrections on top of each static order (one CCSD trace, 1.25 mc)");
     println!("| static order | ratio as-is | ratio with corrections |");
     println!("|---|---|---|");
+    let plan = Plan::new(&instance);
     for h in [
         Heuristic::OS,
         Heuristic::OOSIM,
@@ -29,7 +29,7 @@ fn report() {
         Heuristic::GG,
         Heuristic::BP,
     ] {
-        let order = static_order(&instance, h).unwrap();
+        let order = plan.static_order(&instance, h).unwrap();
         let plain = simulate_sequence(&instance, &order)
             .unwrap()
             .makespan(&instance);
@@ -49,7 +49,8 @@ fn bench(c: &mut Criterion) {
     report();
     let trace = bench_traces(Kernel::Ccsd).into_iter().next().unwrap();
     let instance = trace.to_instance_scaled(1.25).unwrap();
-    let order = static_order(&instance, Heuristic::OOSIM).unwrap();
+    let plan = Plan::new(&instance);
+    let order = plan.static_order(&instance, Heuristic::OOSIM).unwrap();
     c.bench_function("ablation/corrections_on_johnson_order", |b| {
         b.iter(|| {
             run_corrected(&instance, &order, SelectionCriterion::MaximumAcceleration)

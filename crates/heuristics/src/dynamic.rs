@@ -7,7 +7,6 @@
 //! left idle until the next memory release. Communications and computations
 //! happen in the same order.
 
-use crate::engine::run_decisions;
 use dts_core::index::CandidateIndex;
 use dts_core::prelude::*;
 use serde::Serialize;
@@ -66,25 +65,10 @@ impl SelectionCriterion {
     }
 }
 
-/// Runs a dynamic heuristic to completion and returns the schedule, under
-/// the execution model the instance carries ([`ExecutionModel::Explicit`]
-/// unless one was attached). The selection rule is shared by all models —
-/// tasks are filtered by fit and minimum induced CPU idle, then tie-broken
-/// by `criterion` — while the commit timing is model-specific (see
-/// [`Machine::commit`](dts_core::simulate::Machine::commit)).
-///
-/// # Errors
-///
-/// Only [`CoreError::Internal`], if the loop finds nothing to commit and no
-/// memory to wait for. That cannot happen: construction guarantees that
-/// every task fits in the empty memory and that the model is valid.
-pub fn run_dynamic(instance: &Instance, criterion: SelectionCriterion) -> Result<Schedule> {
-    run_decisions(instance, None, criterion, criterion.build_index(instance))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_heuristic, Heuristic};
     use dts_core::feasibility::is_feasible;
     use dts_core::instances::{random_instance_decoupled_memory, table4};
     use rand::rngs::StdRng;
@@ -103,7 +87,7 @@ mod tests {
     #[test]
     fn fig5_lcmr_schedule() {
         let inst = table4();
-        let sched = run_dynamic(&inst, SelectionCriterion::LargestCommunication).unwrap();
+        let sched = run_heuristic(&inst, Heuristic::LCMR).unwrap();
         assert_eq!(comm_order_names(&inst, &sched), vec!["B", "D", "A", "C"]);
         assert_eq!(sched.makespan(&inst), Time::units_int(23));
         assert!(is_feasible(&inst, &sched));
@@ -112,7 +96,7 @@ mod tests {
     #[test]
     fn fig5_scmr_schedule() {
         let inst = table4();
-        let sched = run_dynamic(&inst, SelectionCriterion::SmallestCommunication).unwrap();
+        let sched = run_heuristic(&inst, Heuristic::SCMR).unwrap();
         assert_eq!(comm_order_names(&inst, &sched), vec!["B", "A", "C", "D"]);
         assert_eq!(sched.makespan(&inst), Time::units_int(25));
         assert!(is_feasible(&inst, &sched));
@@ -121,7 +105,7 @@ mod tests {
     #[test]
     fn fig5_mamr_schedule() {
         let inst = table4();
-        let sched = run_dynamic(&inst, SelectionCriterion::MaximumAcceleration).unwrap();
+        let sched = run_heuristic(&inst, Heuristic::MAMR).unwrap();
         assert_eq!(comm_order_names(&inst, &sched), vec!["B", "C", "A", "D"]);
         assert_eq!(sched.makespan(&inst), Time::units_int(24));
         assert!(is_feasible(&inst, &sched));
@@ -133,7 +117,7 @@ mod tests {
         // B comm [0,1) comp [1,7); D comm [1,6) comp [7,8);
         // A comm [8,11) comp [11,13); C comm [13,17) comp [17,23).
         let inst = table4();
-        let sched = run_dynamic(&inst, SelectionCriterion::LargestCommunication).unwrap();
+        let sched = run_heuristic(&inst, Heuristic::LCMR).unwrap();
         let by_name = |n: &str| {
             let id = inst
                 .task_ids()
@@ -155,14 +139,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1234);
         for _ in 0..30 {
             let inst = random_instance_decoupled_memory(&mut rng, 20, 1.2);
-            for criterion in [
-                SelectionCriterion::LargestCommunication,
-                SelectionCriterion::SmallestCommunication,
-                SelectionCriterion::MaximumAcceleration,
-            ] {
-                let sched = run_dynamic(&inst, criterion).unwrap();
+            for heuristic in [Heuristic::LCMR, Heuristic::SCMR, Heuristic::MAMR] {
+                let sched = run_heuristic(&inst, heuristic).unwrap();
                 assert_eq!(sched.len(), inst.len());
-                assert!(is_feasible(&inst, &sched), "{criterion:?}");
+                assert!(is_feasible(&inst, &sched), "{heuristic:?}");
                 assert!(sched.is_permutation_schedule());
             }
         }

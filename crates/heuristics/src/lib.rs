@@ -229,16 +229,17 @@ pub fn run_heuristic(instance: &Instance, heuristic: Heuristic) -> Result<Schedu
 /// ```
 pub fn best_heuristic(instance: &Instance) -> Result<(Heuristic, Schedule)> {
     let plan = Plan::new(instance);
-    let mut best: Option<(Heuristic, Schedule, Time)> = None;
-    for &h in &Heuristic::ALL {
+    let [first, rest @ ..] = Heuristic::ALL;
+    let mut best = (first, plan.run(instance, first)?);
+    let mut best_makespan = best.1.makespan(instance);
+    for h in rest {
         let schedule = plan.run(instance, h)?;
         let makespan = schedule.makespan(instance);
-        if best.as_ref().is_none_or(|(_, _, m)| makespan < *m) {
-            best = Some((h, schedule, makespan));
+        if makespan < best_makespan {
+            (best, best_makespan) = ((h, schedule), makespan);
         }
     }
-    let (h, s, _) = best.expect("Heuristic::ALL is non-empty");
-    Ok((h, s))
+    Ok(best)
 }
 
 /// Runs every heuristic of a category and returns the smallest makespan

@@ -5,20 +5,7 @@
 //! memory-constrained executor
 //! ([`simulate_sequence`]).
 
-use crate::{Heuristic, Plan};
 use dts_core::prelude::*;
-use std::borrow::Cow;
-
-/// Computes the task order used by a static heuristic: one
-/// [`Plan::static_order`] call on a fresh plan.
-///
-/// # Errors
-/// Returns an error if `heuristic` is not a static heuristic.
-pub fn static_order(instance: &Instance, heuristic: Heuristic) -> Result<Vec<TaskId>> {
-    Plan::new(instance)
-        .static_order(instance, heuristic)
-        .map(Cow::into_owned)
-}
 
 /// The `IOCMS` order: increasing communication time.
 pub(crate) fn increasing_comm_order(instance: &Instance) -> Vec<TaskId> {
@@ -149,6 +136,7 @@ fn first_fit(instance: &Instance) -> (Vec<usize>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Heuristic, Plan};
     use dts_core::instances::{random_instance_decoupled_memory, table3};
     use dts_core::simulate::simulate_sequence;
     use rand::rngs::StdRng;
@@ -170,8 +158,9 @@ mod tests {
             (Heuristic::IOCCS, vec!["D", "B", "A", "C"], 16),
             (Heuristic::DOCCS, vec!["C", "A", "B", "D"], 17),
         ];
+        let plan = Plan::new(&inst);
         for (h, expected_order, expected_makespan) in cases {
-            let order = static_order(&inst, h).unwrap();
+            let order = plan.static_order(&inst, h).unwrap();
             assert_eq!(names(&inst, &order), expected_order, "{h} order");
             let sched = simulate_sequence(&inst, &order).unwrap();
             assert_eq!(
@@ -185,15 +174,17 @@ mod tests {
     #[test]
     fn os_keeps_submission_order() {
         let inst = table3();
-        let order = static_order(&inst, Heuristic::OS).unwrap();
+        let plan = Plan::new(&inst);
+        let order = plan.static_order(&inst, Heuristic::OS).unwrap();
         assert_eq!(order, inst.task_ids());
     }
 
     #[test]
     fn ioccs_and_doccs_are_reverses_up_to_ties() {
         let inst = table3();
-        let inc = static_order(&inst, Heuristic::IOCCS).unwrap();
-        let dec = static_order(&inst, Heuristic::DOCCS).unwrap();
+        let plan = Plan::new(&inst);
+        let inc = plan.static_order(&inst, Heuristic::IOCCS).unwrap();
+        let dec = plan.static_order(&inst, Heuristic::DOCCS).unwrap();
         let inc_keys: Vec<Time> = inc.iter().map(|id| inst.task(*id).total_time()).collect();
         let dec_keys: Vec<Time> = dec.iter().map(|id| inst.task(*id).total_time()).collect();
         assert!(inc_keys.windows(2).all(|w| w[0] <= w[1]));
@@ -331,6 +322,7 @@ mod tests {
     fn every_static_order_is_a_permutation() {
         let mut rng = StdRng::seed_from_u64(23);
         let inst = random_instance_decoupled_memory(&mut rng, 30, 1.4);
+        let plan = Plan::new(&inst);
         for h in [
             Heuristic::OS,
             Heuristic::OOSIM,
@@ -341,7 +333,7 @@ mod tests {
             Heuristic::GG,
             Heuristic::BP,
         ] {
-            let order = static_order(&inst, h).unwrap();
+            let order = plan.static_order(&inst, h).unwrap();
             let mut sorted: Vec<usize> = order.iter().map(|id| id.index()).collect();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..inst.len()).collect::<Vec<_>>(), "{h}");
@@ -351,7 +343,11 @@ mod tests {
     #[test]
     fn dynamic_heuristics_rejected() {
         let inst = table3();
-        assert!(static_order(&inst, Heuristic::LCMR).is_err());
-        assert!(static_order(&inst, Heuristic::OOMAMR).is_err());
+        assert!(Plan::new(&inst)
+            .static_order(&inst, Heuristic::LCMR)
+            .is_err());
+        assert!(Plan::new(&inst)
+            .static_order(&inst, Heuristic::OOMAMR)
+            .is_err());
     }
 }

@@ -15,8 +15,7 @@ use dts_core::instances::{
 use dts_core::prelude::*;
 use dts_flowshop::johnson::johnson_order;
 use dts_heuristics::corrected::run_corrected;
-use dts_heuristics::dynamic::run_dynamic;
-use dts_heuristics::SelectionCriterion;
+use dts_heuristics::{run_heuristic, Heuristic, SelectionCriterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -179,11 +178,20 @@ const SELECTIONS: [SelectionCriterion; 3] = [
     SelectionCriterion::MaximumAcceleration,
 ];
 
+/// The dynamic heuristic that breaks ties by `criterion`.
+fn dynamic(criterion: SelectionCriterion) -> Heuristic {
+    match criterion {
+        SelectionCriterion::LargestCommunication => Heuristic::LCMR,
+        SelectionCriterion::SmallestCommunication => Heuristic::SCMR,
+        SelectionCriterion::MaximumAcceleration => Heuristic::MAMR,
+    }
+}
+
 /// Asserts that both engines produce the exact same schedule (same comm and
 /// comp orders and instants, hence the same makespan) on `instance`.
 fn assert_engines_agree(instance: &Instance, context: &str) {
     for criterion in SELECTIONS {
-        let new = run_dynamic(instance, criterion).expect("dynamic heuristic runs");
+        let new = run_heuristic(instance, dynamic(criterion)).expect("dynamic heuristic runs");
         let old = reference::run_dynamic(instance, criterion);
         assert_eq!(new, old, "dynamic {criterion:?} diverged on {context}");
     }
@@ -392,7 +400,7 @@ fn u64_scale_memory_never_overlaps_the_full_memory_task() {
     };
     let mut schedules: Vec<(String, Schedule)> = Vec::new();
     for criterion in SELECTIONS {
-        let sched = run_dynamic(&instance, criterion).expect("dynamic heuristic runs");
+        let sched = run_heuristic(&instance, dynamic(criterion)).expect("dynamic heuristic runs");
         schedules.push((format!("dynamic {criterion:?}"), sched));
     }
     for correction in SELECTIONS {

@@ -19,8 +19,7 @@ use dts_core::prelude::*;
 use dts_core::testgen;
 use dts_flowshop::johnson::johnson_order;
 use dts_heuristics::corrected::run_corrected;
-use dts_heuristics::dynamic::run_dynamic;
-use dts_heuristics::{run_heuristic, Heuristic, SelectionCriterion};
+use dts_heuristics::{run_heuristic, Heuristic, Plan, SelectionCriterion};
 use microcheck::Gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,6 +29,15 @@ const SELECTIONS: [SelectionCriterion; 3] = [
     SelectionCriterion::SmallestCommunication,
     SelectionCriterion::MaximumAcceleration,
 ];
+
+/// The dynamic heuristic that breaks ties by `criterion`.
+fn dynamic(criterion: SelectionCriterion) -> Heuristic {
+    match criterion {
+        SelectionCriterion::LargestCommunication => Heuristic::LCMR,
+        SelectionCriterion::SmallestCommunication => Heuristic::SCMR,
+        SelectionCriterion::MaximumAcceleration => Heuristic::MAMR,
+    }
+}
 
 fn transfer_bound_instances(seed: u64, rounds: usize) -> Vec<Instance> {
     let gen = testgen::transfer_bound_instance_gen(2..=18);
@@ -76,7 +84,9 @@ fn plain_entry_points_honor_the_instance_model() {
         }
         assert_eq!(
             run_heuristic(&duplex, Heuristic::LCMR).expect("heuristic runs"),
-            run_dynamic(&duplex, SelectionCriterion::LargestCommunication).expect("engine runs")
+            Plan::new(&duplex)
+                .run(&duplex, Heuristic::LCMR)
+                .expect("plan runs")
         );
         assert_eq!(
             run_heuristic(&duplex, Heuristic::OOMAMR).expect("heuristic runs"),
@@ -103,8 +113,10 @@ fn overlap_models_change_dynamic_decisions_on_transfer_bound_instances() {
         for instance in &instances {
             let modeled = under(instance, model);
             for criterion in SELECTIONS {
-                let explicit = run_dynamic(instance, criterion).expect("explicit run succeeds");
-                let overlapped = run_dynamic(&modeled, criterion).expect("overlap run succeeds");
+                let explicit =
+                    run_heuristic(instance, dynamic(criterion)).expect("explicit run succeeds");
+                let overlapped =
+                    run_heuristic(&modeled, dynamic(criterion)).expect("overlap run succeeds");
                 if explicit.comm_order() != overlapped.comm_order() {
                     diverged += 1;
                 }
@@ -128,11 +140,11 @@ fn dynamic_overlap_models_never_lose_to_explicit() {
         let overlap_models = [ExecutionModel::Duplex, ExecutionModel::Streams { k: 4 }]
             .map(|model| (model, under(instance, model)));
         for criterion in SELECTIONS {
-            let explicit = run_dynamic(instance, criterion)
+            let explicit = run_heuristic(instance, dynamic(criterion))
                 .expect("explicit run succeeds")
                 .makespan(instance);
             for (model, modeled) in &overlap_models {
-                let overlapped = run_dynamic(modeled, criterion)
+                let overlapped = run_heuristic(modeled, dynamic(criterion))
                     .expect("overlap run succeeds")
                     .makespan(instance);
                 assert!(
@@ -157,7 +169,8 @@ fn all_models_stay_memory_feasible_through_every_engine() {
         for model in models {
             let modeled = under(&instance, model);
             for criterion in SELECTIONS {
-                let schedule = run_dynamic(&modeled, criterion).expect("dynamic run succeeds");
+                let schedule =
+                    run_heuristic(&modeled, dynamic(criterion)).expect("dynamic run succeeds");
                 assert_eq!(schedule.len(), instance.len());
                 let violations = validate(&modeled, &schedule);
                 assert!(

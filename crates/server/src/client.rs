@@ -7,7 +7,7 @@
 
 use crate::protocol::{read_frame, write_frame, FrameRead, SolveRequest};
 use dts_core::error::{CoreError, Result as CoreResult};
-use serde::{Serialize, Value};
+use serde::Value;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Response frames larger than this are treated as a protocol violation
@@ -74,25 +74,16 @@ impl Client {
         }
     }
 
-    /// Sends `value` as JSON and parses the JSON response.
+    /// Sends a typed request as JSON and parses the JSON response.
     ///
     /// # Errors
     ///
     /// Transport failures as [`CoreError::Internal`]; an unparsable
     /// response as [`CoreError::Serialization`].
-    pub fn send_value(&mut self, value: &impl Serialize) -> CoreResult<Value> {
+    pub fn send_request(&mut self, request: &SolveRequest) -> CoreResult<Value> {
         let payload =
-            serde_json::to_string(value).map_err(|e| CoreError::Serialization(e.to_string()))?;
+            serde_json::to_string(request).map_err(|e| CoreError::Serialization(e.to_string()))?;
         let response = self.send_text(&payload)?;
         serde_json::from_str(&response).map_err(|e| CoreError::Serialization(e.to_string()))
-    }
-
-    /// Sends a typed request and parses the JSON response.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::send_value`].
-    pub fn send_request(&mut self, request: &SolveRequest) -> CoreResult<Value> {
-        self.send_value(request)
     }
 }
